@@ -104,7 +104,7 @@ class CriterionResult:
 
 
 def _evolve(field: SpectralField, dt: float, steps: int) -> SpectralField:
-    st = StepperState(field=field, t=0.0, dt=dt)
+    st = StepperState.from_field(field, dt)
     for _ in range(steps):
         st = step(st)
     return st.field
@@ -209,7 +209,7 @@ class AcceptanceSuite:
             slice_dt = window.slice_dt
             sub = max(1, math.ceil(slice_dt / cfl_dt(f.grid, 1.0)))
             dt = slice_dt / sub
-            st = StepperState(field=f, t=0.0, dt=dt)
+            st = StepperState.from_field(f, dt)
             gap = 0.0
             for i, s in enumerate(window.slices):
                 if i > 0:
@@ -294,14 +294,19 @@ class AcceptanceSuite:
         floor_ok = math.isfinite(result.c_emp) and result.c_emp > 0
         p_ok = math.isfinite(result.tail_p) and result.tail_p <= 1.2
         final = result.samples[-1].sigma_est
-        ok = plateau_ok and floor_ok and p_ok and result.collapse_time is None
+        fits_ok = result.fit_failures == 0
+        ok = (
+            plateau_ok and floor_ok and p_ok and fits_ok
+            and result.collapse_time is None
+        )
         return CriterionResult(
             "A7",
             "radius of analyticity decays no faster than 1/t",
             ok,
             f"plateau dev {early_dev:.4f} on t<={early_cut:g} (planted {sigma1:g}), "
             f"tail p {result.tail_p:.3f} (<= 1.2), C_emp {result.c_emp:.3f} > 0, "
-            f"sigma({horizon:g}) = {final:.3f}",
+            f"sigma({horizon:g}) = {final:.3f}, "
+            f"failed fits {result.fit_failures} of {len(result.samples)} (need 0)",
             0.0,
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,13 +66,27 @@ def _cmd_simulate(args) -> int:
         )
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
+    t_write = time.perf_counter()
     ensure_dir(out)
     write_series_csv(out / "series.csv", cfg, result.records)
-    write_manifest(out / "manifest.json", cfg, "simulate", {"status": "ok"})
     if result.snapshots:
         snap_dir = ensure_dir(out / "snapshots")
         for t, field in result.snapshots:
             save_snapshot(field, snap_dir / f"t{t:.6f}.kp5s")
+    # the manifest is written last, so "writing" covers the series and snapshots
+    phase_s = dict(result.phase_s, writing=time.perf_counter() - t_write)
+    write_manifest(
+        out / "manifest.json",
+        cfg,
+        "simulate",
+        {
+            "status": "ok",
+            "steps": result.steps,
+            "dt": result.dt,
+            "dt_source": result.dt_source,
+            "phase_s": phase_s,
+        },
+    )
     _say(args, f"wrote {len(result.records)} records to {out / 'series.csv'}")
     return 0
 
@@ -143,6 +158,7 @@ def _cmd_radius_decay(args) -> int:
             "tail_amp": result.tail_amp,
             "constants": {"c_emp": result.c_emp},
             "collapse_time": result.collapse_time,
+            "fit_failures": result.fit_failures,
         },
     )
     _say(

@@ -383,11 +383,12 @@ def almost_conservation_run(
     dt, n = resolve_dt(cfg, grid, delta)
     init = {s: gevrey_norm(f, s, 0.0) ** 2 for s in sigmas}
     dev = {s: 0.0 for s in sigmas}
-    state = StepperState(field=f, t=0.0, dt=dt)
+    state = StepperState.from_field(f, dt)
     for _ in range(n):
         state = step(state)
+        field = state.field
         for s in sigmas:
-            d = gevrey_norm(state.field, s, 0.0) ** 2 - init[s]
+            d = gevrey_norm(field, s, 0.0) ** 2 - init[s]
             if abs(d) > abs(dev[s]):
                 dev[s] = d
     increments = tuple(dev[s] for s in sigmas)
@@ -420,12 +421,14 @@ class RadiusDecayResult:
     tail_amp: float
     c_emp: float  # min over tail samples of t * sigma_est
     collapse_time: float | None  # first sample where the fit hit zero
+    fit_failures: int  # samples whose fit found too few shells (sigma_est nan)
 
 
 def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDecayResult:
     """Track the fitted radius at contraction-window spacing out to the
     horizon, then fit a power law on the tail (t past a tenth of the
-    horizon)."""
+    horizon).  A sample whose fit fails carries sigma_est = nan and counts
+    in ``fit_failures``; only a fit clamped at 0 counts as a collapse."""
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     delta = delta_rule(
@@ -440,6 +443,7 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
     )
     sigma0 = samples[0].sigma_est
     collapse = next((s.t for s in samples if s.sigma_est == 0.0), None)
+    failures = sum(1 for s in samples if math.isnan(s.sigma_est))
     tail = [s for s in samples if s.t >= span / 10.0 and s.sigma_est > 0.0]
     if len(tail) >= 2:
         xs = np.log([s.t for s in tail])
@@ -450,7 +454,7 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
     else:
         tail_p, tail_amp, c_emp = float("nan"), float("nan"), float("nan")
     return RadiusDecayResult(
-        samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse
+        samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures
     )
 
 
@@ -496,8 +500,8 @@ def uniqueness_gap(
     )
     span = cfg.time.horizon if horizon is None else horizon
     dt, n = resolve_dt(cfg, grid, span)
-    su = StepperState(field=f, t=0.0, dt=dt)
-    sv = StepperState(field=g0, t=0.0, dt=dt)
+    su = StepperState.from_field(f, dt)
+    sv = StepperState.from_field(g0, dt)
 
     def gap_of(a: SpectralField, b: SpectralField) -> float:
         d = SpectralField(grid, a.coeffs - b.coeffs, hermitian=True)
@@ -510,15 +514,12 @@ def uniqueness_gap(
     for k in range(1, n + 1):
         su = step(su)
         sv = step(sv)
-        cur = _max_abs_dx(su.field) + _max_abs_dx(sv.field)
+        u, v = su.field, sv.field  # each read rebuilds the full plane
+        cur = _max_abs_dx(u) + _max_abs_dx(v)
         integral += 0.5 * dt * (prev + cur)
         prev = cur
         samples.append(
-            GapSample(
-                k * dt,
-                gap_of(su.field, sv.field),
-                gap0 * math.exp(0.25 * integral),
-            )
+            GapSample(k * dt, gap_of(u, v), gap0 * math.exp(0.25 * integral))
         )
     max_ratio = max(s.gap / s.bound for s in samples if s.bound > 0)
     return UniquenessResult(tuple(samples), max_ratio, max_ratio <= envelope, eps)
@@ -564,13 +565,13 @@ def energy_identity_check(
 
     rows = []
     for dt in dts:
-        st = StepperState(field=f, t=0.0, dt=0.5 * dt)
+        st = StepperState.from_field(f, 0.5 * dt)
         mid = step(st)
-        end = step(mid)
+        end = step(mid).field
         e0 = gevrey_norm(f, s1, s2) ** 2
-        e1 = gevrey_norm(end.field, s1, s2) ** 2
+        e1 = gevrey_norm(end, s1, s2) ** 2
         lhs = (e1 - e0) / dt
-        rhs = (flux(f) + 4.0 * flux(mid.field) + flux(end.field)) / 6.0
+        rhs = (flux(f) + 4.0 * flux(mid.field) + flux(end)) / 6.0
         scale = max(abs(lhs), abs(rhs), 1e-300)
         rows.append(EnergyIdentityRow(dt, lhs, rhs, abs(lhs - rhs) / scale))
     orders = tuple(

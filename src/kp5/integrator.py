@@ -6,6 +6,14 @@ nonstiff system for v that classical RK4 integrates.  With the nonlinearity
 switched off a step multiplies by exp(i*dt*m) exactly, i.e. the stepper
 degenerates to the free propagator.
 
+The stepper carries the ``rfft2`` half plane (modes k = 0..ny/2) of the
+real solution, so realness holds by construction: each right-hand side is
+one ``irfft2`` and one ``rfft2``, and every stage multiply touches half the
+modes.  ``StepperState.field`` rebuilds the full-plane ``SpectralField`` on
+read by Hermitian reflection, so a run pays for it only where it records.
+The Nyquist row and column stay zero: the dealias mask removes them from
+every right-hand side and the phases never fill them.
+
 The step size rule is dt = cfl / max|dm/dxi| over live (dealiased, xi != 0)
 modes; dm/dxi = 5*xi^4 + eta^2/xi^2 is the x group velocity, the fastest
 scale the nonlinear term can see.
@@ -13,35 +21,79 @@ scale the nonlinear term can see.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .config import DiagnosticsRecord, SimConfig, rng_from_seed
-from .errors import BlowUpError
+from .errors import BlowUpError, InsufficientSupportError, SpectralSymmetryError
 from .initial_data import make_initial_field
-from .errors import InsufficientSupportError
 from .operators import dispersion_symbol, gevrey_norm, remainder_n
-from .spectral import Grid2D, SpectralField, dealias, pointwise_square, x_derivative
+from .spectral import (
+    Grid2D,
+    SpectralField,
+    dealias,
+    full_plane,
+    half_plane,
+    pointwise_square,
+    x_derivative,
+)
 
 RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class StepperState:
-    """Immutable stepper snapshot; ``step`` returns the advanced copy."""
+    """Immutable stepper snapshot; ``step`` returns the advanced copy.
 
-    field: SpectralField
+    ``half`` holds the rfft2 half plane, shape (nx, ny//2 + 1), of the real
+    solution at time t.  Build a state from a field with ``from_field``.
+    """
+
+    grid: Grid2D
+    half: np.ndarray
     t: float
     dt: float
     steps: int = 0
     nonlinear: bool = True
     dispersion_sign: float = 1.0  # -1 integrates the time-reversed flow
 
+    @classmethod
+    def from_field(
+        cls, field: SpectralField, dt: float, *,
+        nonlinear: bool = True, dispersion_sign: float = 1.0,
+    ) -> "StepperState":
+        """Start from a real field at t = 0; non-Hermitian coefficients
+        raise ``SpectralSymmetryError``."""
+        if not field.hermitian:
+            raise SpectralSymmetryError(
+                "the stepper evolves real fields; got non-Hermitian coefficients"
+            )
+        return cls(
+            field.grid, _frozen(half_plane(field.coeffs)), 0.0, dt,
+            nonlinear=nonlinear, dispersion_sign=dispersion_sign,
+        )
+
+    @property
+    def field(self) -> SpectralField:
+        """The full-plane field, rebuilt from the half plane on every read."""
+        return SpectralField(
+            self.grid,
+            full_plane(self.grid, self.half),
+            hermitian=True,
+            zero_x_mean=not self.half[0].any(),
+        )
+
     @property
     def cfl_ratio(self) -> float:
-        return self.dt * max_group_speed(self.field.grid)
+        return self.dt * max_group_speed(self.grid)
 
 
 @lru_cache(maxsize=8)
@@ -78,36 +130,41 @@ def nonlinear_term(field: SpectralField) -> SpectralField:
     return x_derivative(sq.with_coeffs(-0.5 * sq.coeffs))
 
 
-def _nonlinear_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
-    """Array form of ``nonlinear_term`` used in the stage loop."""
-    n = grid.nx * grid.ny
-    u = np.real(np.fft.ifft2(c)) * n
-    sq = np.fft.fft2(u * u) / n
-    sq *= grid.dealias_mask
-    return (-0.5j) * grid.xi_col * sq
+@lru_cache(maxsize=8)
+def _rhs_multiplier(grid: Grid2D) -> np.ndarray:
+    """-1/2 i xi times the 2/3 mask on the half plane."""
+    h = grid.ny // 2 + 1
+    return _frozen((-0.5j) * grid.xi_col * grid.dealias_mask[:, :h])
+
+
+def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
+    """``nonlinear_term`` on the half plane: one irfft2, one rfft2."""
+    u = np.fft.irfft2(c, s=(grid.nx, grid.ny), norm="forward")
+    sq = np.fft.rfft2(u * u, norm="forward")
+    sq *= _rhs_multiplier(grid)
+    return sq
 
 
 @lru_cache(maxsize=16)
-def _if_phases(grid: Grid2D, signed_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    m = dispersion_symbol(grid)
-    half = np.exp(0.5j * signed_dt * m)
-    full = np.exp(1j * signed_dt * m)
-    half.setflags(write=False)
-    full.setflags(write=False)
-    return half, full
+def _half_phases(grid: Grid2D, signed_dt: float) -> tuple[np.ndarray, ...]:
+    """exp(i dt m / 2), exp(i dt m) on the half plane, and their conjugates."""
+    m = dispersion_symbol(grid)[:, : grid.ny // 2 + 1]
+    e_half = np.exp(0.5j * signed_dt * m)
+    e_full = np.exp(1j * signed_dt * m)
+    return tuple(_frozen(a) for a in (e_half, e_full, np.conj(e_half), np.conj(e_full)))
 
 
 def step(state: StepperState) -> StepperState:
     """Advance one dt with integrating-factor RK4."""
-    grid = state.field.grid
-    c = state.field.coeffs
+    grid = state.grid
+    c = state.half
     dt = state.dt
-    e_half, e_full = _if_phases(grid, dt * state.dispersion_sign)
+    e_half, e_full, back_half, back_full = _half_phases(grid, dt * state.dispersion_sign)
     if state.nonlinear:
-        g1 = _nonlinear_rhs(grid, c)
-        g2 = np.conj(e_half) * _nonlinear_rhs(grid, e_half * (c + 0.5 * dt * g1))
-        g3 = np.conj(e_half) * _nonlinear_rhs(grid, e_half * (c + 0.5 * dt * g2))
-        g4 = np.conj(e_full) * _nonlinear_rhs(grid, e_full * (c + dt * g3))
+        g1 = _half_rhs(grid, c)
+        g2 = back_half * _half_rhs(grid, e_half * (c + 0.5 * dt * g1))
+        g3 = back_half * _half_rhs(grid, e_half * (c + 0.5 * dt * g2))
+        g4 = back_full * _half_rhs(grid, e_full * (c + dt * g3))
         new_c = e_full * (c + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
     else:
         new_c = e_full * c
@@ -116,12 +173,7 @@ def step(state: StepperState) -> StepperState:
             f"non-finite coefficients after step to t={state.t + dt:g}",
             time=state.t + dt,
         )
-    return replace(
-        state,
-        field=state.field.with_coeffs(new_c),
-        t=state.t + dt,
-        steps=state.steps + 1,
-    )
+    return replace(state, half=_frozen(new_c), t=state.t + dt, steps=state.steps + 1)
 
 
 def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
@@ -147,7 +199,8 @@ def _record(
         fit = radius_estimate(field)
         sigma_est, residual = fit.sigma_est, fit.residual
     except InsufficientSupportError:
-        sigma_est, residual = 0.0, float("nan")
+        # no fit is not a collapse: a genuine 0.0 comes only from the clamp
+        sigma_est, residual = float("nan"), float("nan")
     rem = remainder_n(field, cfg.gevrey.sigma1, cfg.gevrey.sigma2)
     return DiagnosticsRecord(
         t=t,
@@ -164,6 +217,10 @@ def _record(
 class SimulationOutput:
     records: list[DiagnosticsRecord]
     snapshots: list[tuple[float, SpectralField]]
+    dt: float
+    steps: int
+    dt_source: str  # "cfl" or "explicit"
+    phase_s: dict[str, float]  # wall seconds in "stepping" and "records"
 
 
 def simulate(
@@ -174,12 +231,15 @@ def simulate(
     Sample times snap to the nearest step, a shift below dt/2; records
     carry the exact step time n*dt.  ``snapshot_times`` additionally
     capture the full field.  Blow-up raises ``BlowUpError`` with the
-    records collected so far attached (snapshots are not kept).
+    records collected so far attached (snapshots are not kept).  The
+    output's ``phase_s`` splits the wall time between stepping and the
+    records and snapshots, which include the full-plane rebuild.
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     horizon = cfg.time.horizon
     dt, n_total = resolve_dt(cfg, grid, horizon)
+    dt_source = "cfl" if cfg.time.dt is None else "explicit"
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, cfg.time.samples)
 
@@ -189,7 +249,10 @@ def simulate(
     want = {to_step(t) for t in sample_times}
     want_snap = {to_step(t) for t in snapshot_times}
 
-    state = StepperState(field=f, t=0.0, dt=dt)
+    clock = time.perf_counter
+    stepping_s = 0.0
+    t0 = clock()
+    state = StepperState.from_field(f, dt)
     initial_l2 = gevrey_norm(f, 0.0, 0.0)
     records: list[DiagnosticsRecord] = []
     snapshots: list[tuple[float, SpectralField]] = []
@@ -198,14 +261,19 @@ def simulate(
     if 0 in want_snap:
         snapshots.append((0.0, f))
     for k in range(1, n_total + 1):
+        t_step = clock()
         try:
             state = step(state)
         except BlowUpError as exc:
             raise BlowUpError(str(exc), time=exc.time, records=records) from None
+        stepping_s += clock() - t_step
+        if k not in want and k not in want_snap:
+            continue
+        field = state.field
         if k in want_snap:
-            snapshots.append((k * dt, state.field))
+            snapshots.append((k * dt, field))
         if k in want:
-            rec = _record(cfg, state.field, k * dt, k)
+            rec = _record(cfg, field, k * dt, k)
             records.append(rec)
             if initial_l2 > 0 and rec.l2 > RUNAWAY_FACTOR * initial_l2:
                 raise BlowUpError(
@@ -214,4 +282,5 @@ def simulate(
                     time=rec.t,
                     records=records,
                 )
-    return SimulationOutput(records, snapshots)
+    phase_s = {"stepping": stepping_s, "records": clock() - t0 - stepping_s}
+    return SimulationOutput(records, snapshots, dt, n_total, dt_source, phase_s)

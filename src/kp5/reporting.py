@@ -1,7 +1,8 @@
 """Run artifacts: CSV series and the JSON manifest.
 
 Floats are written with ``repr`` (shortest round-trip form) and the
-manifest with sorted keys, so identical runs produce byte-identical files.
+manifest with sorted keys, so identical runs produce byte-identical files,
+apart from the wall times a manifest reports (``phase_s``).
 """
 
 from __future__ import annotations

@@ -166,6 +166,31 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + conjugate_reflection(coeffs))
 
 
+# --- rfft2 half plane -------------------------------------------------------
+#
+# A real field is fixed by the modes k = 0..ny/2, the (nx, ny//2 + 1) array
+# that ``rfft2`` produces; the other columns are c[j, k] = conj(c[-j, ny - k]).
+
+
+def half_plane(coeffs: np.ndarray) -> np.ndarray:
+    """The k = 0..ny/2 columns of full-plane coefficients, as a new array."""
+    return np.array(coeffs[:, : coeffs.shape[1] // 2 + 1], dtype=np.complex128)
+
+
+def full_plane(grid: Grid2D, half: np.ndarray) -> np.ndarray:
+    """Full-plane coefficients of the real field with the given half plane.
+
+    The missing columns k = ny/2+1..ny-1 are filled by Hermitian reflection
+    (indexing and conjugation only).  The k = 0 and k = ny/2 columns are
+    copied as they are.
+    """
+    nx, ny = grid.nx, grid.ny
+    full = np.empty((nx, ny), dtype=np.complex128)
+    full[:, : ny // 2 + 1] = half
+    full[:, ny // 2 + 1 :] = np.conj(half[-grid.j_index % nx, ny // 2 - 1 : 0 : -1])
+    return full
+
+
 @dataclass(frozen=True, eq=False)
 class PhysicalField:
     """Real field values on the collocation grid, shape (nx, ny)."""

@@ -150,6 +150,36 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert header.startswith("t,l2,gevrey_")
 
 
+@pytest.mark.parametrize("dt_line, source", [("", "cfl"), ("  dt: 0.005\n", "explicit")])
+def test_cli_simulate_manifest_telemetry(tmp_path, dt_line, source):
+    cfg = write(tmp_path, SMALL_YAML.replace("  samples: 3\n", "  samples: 3\n" + dt_line))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    last = (out / "series.csv").read_text().strip().splitlines()[-1]
+    assert m["steps"] == int(last.split(",")[-1])
+    assert m["steps"] * m["dt"] == pytest.approx(0.1)
+    assert m["dt_source"] == source
+    assert set(m["phase_s"]) == {"stepping", "records", "writing"}
+    assert all(v >= 0.0 for v in m["phase_s"].values())
+    if source == "explicit":
+        assert m["dt"] == 0.005 and m["steps"] == 20
+
+
+def test_cli_radius_decay_manifest_counts_failed_fits(tmp_path):
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 64\n  ny: 64\ntime:\n  horizon: 0.1\n"
+        "initial:\n  kind: exp_spectrum\n  amplitude: 0.5\n  phases: random\n"
+        "gevrey:\n  sigma1: 1.0\n",
+    )
+    out = tmp_path / "decay"
+    assert main(["radius-decay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["fit_failures"] == 0
+    assert m["collapse_time"] is None
+
+
 def test_cli_snapshots_load(tmp_path):
     cfg = write(tmp_path, SMALL_YAML + "output:\n  snapshot_times: [0.05]\n")
     out = tmp_path / "run"

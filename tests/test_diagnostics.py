@@ -236,3 +236,39 @@ def test_radius_decay_run_short():
     assert np.all(np.abs(spacing - res.delta) < 0.5 * res.delta)
     assert np.mean(spacing) == pytest.approx(res.delta, rel=0.05)
     assert all(s.sigma_est > 0.9 for s in res.samples)
+
+
+def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
+    import kp5.diagnostics
+    from kp5.integrator import _record
+
+    # a Gaussian on 16^2 leaves too few shells to fit
+    rec = _record(small_cfg(), gaussian(grid16, 1.0, 2.0), 0.0, 0)
+    assert math.isnan(rec.sigma_est) and math.isnan(rec.residual)
+
+    fit = kp5.diagnostics.radius_estimate
+    calls = []
+
+    def fail_second(field):
+        calls.append(1)
+        if len(calls) == 2:
+            raise InsufficientSupportError("planted failure")
+        return fit(field)
+
+    monkeypatch.setattr(kp5.diagnostics, "radius_estimate", fail_second)
+    cfg = SimConfig(
+        grid=GridConfig(nx=64, ny=64),
+        time=TimeConfig(horizon=0.2),
+        initial=InitialConfig(
+            kind="exp_spectrum", amplitude=0.5, decay_x=1.0, decay_y=1.0,
+            phases="random",
+        ),
+        gevrey=GevreyConfig(sigma1=1.0, sigma2=0.0),
+        seed=11,
+    )
+    res = radius_decay_run(cfg)
+    assert len(res.samples) >= 3
+    assert [math.isnan(s.sigma_est) for s in res.samples].count(True) == 1
+    assert math.isnan(res.samples[1].sigma_est)
+    assert res.fit_failures == 1
+    assert res.collapse_time is None

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_band_field
 from kp5.config import GridConfig, InitialConfig, SimConfig, TimeConfig
-from kp5.errors import BlowUpError
+from kp5.errors import BlowUpError, SpectralSymmetryError
 from kp5.integrator import (
     StepperState,
+    _half_rhs,
     aligned_dt,
     cfl_dt,
     initial_field,
@@ -16,8 +17,18 @@ from kp5.integrator import (
     simulate,
     step,
 )
-from kp5.operators import gevrey_norm, semigroup_apply
-from kp5.spectral import dealias, x_derivative, pointwise_square
+from kp5.operators import dispersion_symbol, gevrey_norm, semigroup_apply
+from kp5.spectral import (
+    Grid2D,
+    dealias,
+    full_plane,
+    half_plane,
+    pointwise_square,
+    x_derivative,
+)
+
+GRID_32x48 = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
+GRID_64 = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
 
 
 def small_cfg(**kw):
@@ -55,7 +66,7 @@ def test_aligned_dt():
 
 def test_free_flow_equals_semigroup(grid16):
     f = random_band_field(grid16, seed=3)
-    state = StepperState(field=f, t=0.0, dt=0.05, nonlinear=False)
+    state = StepperState.from_field(f, 0.05, nonlinear=False)
     for _ in range(3):
         state = step(state)
     exact = semigroup_apply(f, 0.15)
@@ -65,11 +76,11 @@ def test_free_flow_equals_semigroup(grid16):
 
 def test_linear_time_reversal(grid16):
     f = random_band_field(grid16, seed=5)
-    fwd = StepperState(field=f, t=0.0, dt=0.02, nonlinear=False)
+    fwd = StepperState.from_field(f, 0.02, nonlinear=False)
     for _ in range(10):
         fwd = step(fwd)
-    back = StepperState(field=fwd.field, t=0.0, dt=0.02, nonlinear=False,
-                        dispersion_sign=-1.0)
+    back = StepperState.from_field(fwd.field, 0.02, nonlinear=False,
+                                   dispersion_sign=-1.0)
     for _ in range(10):
         back = step(back)
     scale = np.max(np.abs(f.coeffs))
@@ -81,6 +92,62 @@ def test_nonlinear_term_is_transport_derivative(grid16):
     direct = x_derivative(dealias(pointwise_square(f)))
     got = nonlinear_term(f)
     assert np.allclose(got.coeffs, -0.5 * direct.coeffs, atol=1e-15)
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
+def test_half_plane_rhs_matches_nonlinear_term(grid):
+    f = random_band_field(grid, seed=11)
+    got = full_plane(grid, _half_rhs(grid, half_plane(f.coeffs)))
+    assert _rel_err(got, nonlinear_term(f).coeffs) <= 1e-13
+
+
+def _full_plane_step(grid, c, dt, nonlinear, sign):
+    """Reference: the full-plane complex-FFT IF-RK4 step, written out."""
+    m = dispersion_symbol(grid)
+    e_half, e_full = np.exp(0.5j * sign * dt * m), np.exp(1j * sign * dt * m)
+    n = grid.nx * grid.ny
+
+    def rhs(c):
+        u = np.real(np.fft.ifft2(c)) * n
+        sq = np.fft.fft2(u * u) / n * grid.dealias_mask
+        return (-0.5j) * grid.xi_col * sq
+
+    if not nonlinear:
+        return e_full * c
+    g1 = rhs(c)
+    g2 = np.conj(e_half) * rhs(e_half * (c + 0.5 * dt * g1))
+    g3 = np.conj(e_half) * rhs(e_half * (c + 0.5 * dt * g2))
+    g4 = np.conj(e_full) * rhs(e_full * (c + dt * g3))
+    return e_full * (c + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
+
+
+@pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_half_plane_steps_match_full_plane_rk4(grid, nonlinear, sign):
+    f = random_band_field(grid, seed=13)
+    dt = cfl_dt(grid, 1.0)
+    state = StepperState.from_field(
+        f, dt, nonlinear=nonlinear, dispersion_sign=sign
+    )
+    want = f.coeffs
+    for _ in range(20):
+        state = step(state)
+        want = _full_plane_step(grid, want, dt, nonlinear, sign)
+    got = state.field
+    assert state.steps == 20 and state.t == pytest.approx(20 * dt)
+    assert got.hermitian
+    assert _rel_err(got.coeffs, want) <= 1e-12
+
+
+def test_stepper_rejects_non_hermitian_field(grid16):
+    f = random_band_field(grid16, seed=17)
+    with pytest.raises(SpectralSymmetryError):
+        StepperState.from_field(f.with_coeffs(1j * f.coeffs, hermitian=False), 0.01)
 
 
 def test_l2_conserved_on_nonlinear_run(grid32):
@@ -97,7 +164,7 @@ def test_self_convergence_order(grid32):
     f = initial_field(cfg, grid)
 
     def run(dt, n):
-        state = StepperState(field=f, t=0.0, dt=dt)
+        state = StepperState.from_field(f, dt)
         for _ in range(n):
             state = step(state)
         return state.field
@@ -156,7 +223,7 @@ def test_initial_field_is_dealiased_and_real():
 
 def test_cfl_ratio_scales_with_dt(grid16):
     f = random_band_field(grid16, seed=2)
-    s1 = StepperState(field=f, t=0.0, dt=1e-3)
-    s2 = StepperState(field=f, t=0.0, dt=2e-3)
+    s1 = StepperState.from_field(f, 1e-3)
+    s2 = StepperState.from_field(f, 2e-3)
     assert s2.cfl_ratio == pytest.approx(2 * s1.cfl_ratio)
     assert s1.cfl_ratio > 0

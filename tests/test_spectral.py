@@ -13,6 +13,8 @@ from kp5.spectral import (
     conjugate_reflection,
     dealias,
     forward_transform,
+    full_plane,
+    half_plane,
     hermitian_part,
     inverse_transform,
     is_hermitian,
@@ -131,6 +133,25 @@ def test_hermitian_part_is_hermitian_and_idempotent():
     h = hermitian_part(c)
     assert is_hermitian(h)
     assert np.allclose(hermitian_part(h), h)
+
+
+def test_full_plane_rebuilds_hermitian_field():
+    grid = Grid2D(32, 48, 2 * np.pi, 3 * np.pi)
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((32, 48)) + 1j * rng.standard_normal((32, 48))
+    raw[16, :] = 0.0
+    raw[:, 24] = 0.0
+    c = hermitian_part(raw)
+    half = half_plane(c)
+    assert half.shape == (32, 25)
+    full = full_plane(grid, half)
+    assert np.array_equal(full, c)
+    assert is_hermitian(full)
+    assert not full[16, :].any() and not full[:, 24].any()
+    # a transformed real field comes back to roundoff
+    f = random_band_field(grid, seed=6)
+    scale = np.max(np.abs(f.coeffs))
+    assert np.max(np.abs(full_plane(grid, half_plane(f.coeffs)) - f.coeffs)) <= 1e-15 * scale
 
 
 def test_x_derivative_on_planted_wave(grid16):
