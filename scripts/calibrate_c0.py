@@ -15,7 +15,7 @@ Usage: python3 scripts/calibrate_c0.py [--candidates 0.2,0.4,0.8,1.6]
 import argparse
 import sys
 
-from kp5.acceptance import SUITE_MEMBERS, SUITE_SIGMA1, _suite_cfg
+from kp5.acceptance import SUITE_MEMBERS, SUITE_SIGMA1, suite_cfg
 from kp5.config import DEFAULT_C0
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
@@ -28,7 +28,7 @@ HEADROOM_RATIO = 1.8  # doubling bound 2.0 minus 10% margin
 def sweep_candidate(c0: float):
     worst_name, worst_ratio = "", 0.0
     for name, init in SUITE_MEMBERS:
-        cfg = _suite_cfg(init)
+        cfg = suite_cfg(init)
         f = initial_field(cfg)
         norm = gevrey_norm(f, SUITE_SIGMA1, 0.0)
         delta = delta_rule(norm, c0, cfg.delta.exponent)

@@ -99,19 +99,6 @@ class SimConfig:
         return Grid2D(g.nx, g.ny, g.lx, g.ly)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One sampled instant of a run: time, norms, and radius fit."""
-
-    t: float
-    l2: float
-    gevrey: tuple[float, ...]  # aligned with the configured sigma ladder
-    sigma_est: float
-    residual: float
-    remainder_l2: float
-    steps: int
-
-
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox): same seed, same stream, any order."""
     return np.random.Generator(np.random.Philox(key=seed))

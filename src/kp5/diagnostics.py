@@ -27,11 +27,13 @@ from .integrator import (
 )
 from .operators import (
     GevreyParams,
+    _weighted_norm,
     apply_gevrey,
     assert_sigma_within_guard,
     bracket,
     dispersion_symbol,
     gevrey_norm,
+    half_plane_norms,
     l2_inner,
     remainder_n,
 )
@@ -40,11 +42,11 @@ from .spectral import (
     Grid2D,
     SpectralField,
     dealias,
+    dealiased_coefficients,
+    half_plane,
     hermitian_part,
-    inverse_transform,
-    pointwise_product,
+    physical_values,
     project_zero_x_mean,
-    x_derivative,
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
@@ -132,11 +134,14 @@ def window_taper(n_t: int, slice_dt: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Time-DFT of a tapered stack of field slices.
+    """Time-DFT of a tapered stack of half-plane field slices.
 
     coeffs_tau[l, j, k] are coefficients against exp(i*(tau_l t + xi x +
-    eta y)) with tau_l = 2 pi l / duration, so norms carry the measure
-    lx * ly * duration.  The slice count must be a power of two.
+    eta y)) with tau_l = 2 pi l / duration, for the half-plane columns
+    k = 0..ny/2 (the field is real, so the rest follow by conjugate
+    reflection in (tau, xi, eta) and norms count columns 0 < k < ny/2
+    twice); norms carry the measure lx * ly * duration.  The slice count
+    must be a power of two.
     """
 
     grid: Grid2D
@@ -164,23 +169,20 @@ class SpaceTimeField:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_t, d=self.slice_dt)
 
     @classmethod
-    def from_slices(cls, slices, slice_dt: float) -> "SpaceTimeField":
-        n_t = len(slices)
-        grid = slices[0].grid
+    def from_slices(
+        cls, grid: Grid2D, slices: np.ndarray, slice_dt: float
+    ) -> "SpaceTimeField":
+        """Tapered time transform of an (n_t, nx, ny//2 + 1) stack of half
+        planes sampled every ``slice_dt``."""
+        slices = np.asarray(slices)
+        if slices.shape[1:] != (grid.nx, grid.ny // 2 + 1):
+            raise ValueError(
+                f"slices of shape {slices.shape[1:]} are not half planes of the grid"
+            )
+        n_t = slices.shape[0]
         taper = window_taper(n_t, slice_dt)
-        stack = np.empty((n_t, grid.nx, grid.ny), dtype=np.complex128)
-        for i, s in enumerate(slices):
-            if s.grid != grid:
-                raise ValueError("slices must share a grid")
-            stack[i] = taper[i] * s.coeffs
-        coeffs = np.fft.fft(stack, axis=0) / n_t
+        coeffs = np.fft.fft(taper[:, None, None] * slices, axis=0) / n_t
         return cls(grid, slice_dt, coeffs)
-
-    @classmethod
-    def from_window(cls, w) -> "SpaceTimeField":
-        """Tapered transform of a Picard window (drops the final slice so
-        the sample count is the power-of-two interval count)."""
-        return cls.from_slices(w.slices[:-1], w.slice_dt)
 
 
 @lru_cache(maxsize=8)
@@ -188,17 +190,20 @@ def _xtsb_weight(
     grid: Grid2D, n_t: int, slice_dt: float, s1: float, s2: float, b: float,
     eps: float,
 ) -> np.ndarray:
+    """Squared polynomial and modulation weights on the half plane, times
+    the column multiplicity."""
+    h = grid.ny // 2 + 1
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)
-    m = dispersion_symbol(grid)
+    m = dispersion_symbol(grid)[:, :h]
     mod = tau[:, None, None] - m[None, :, :]
-    w = bracket(mod) ** (2.0 * b)
+    w = bracket(mod) ** (2.0 * b) * grid.half_multiplicity
     if eps != 0.0:
         w = w * bracket(mod / (1.0 + np.abs(grid.xi_col) ** 5)) ** (2.0 * eps)
     if s1 != 0.0:
         w = w * bracket(grid.xi_col)[None, :, :] ** (2.0 * s1)
     if s2 != 0.0:
-        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * s2)
-    w = np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, grid.ny)))
+        w = w * bracket(grid.eta_row[:, :h])[None, :, :] ** (2.0 * s2)
+    w = np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h)))
     w.setflags(write=False)
     return w
 
@@ -215,20 +220,10 @@ def bourgain_norm(field: SpaceTimeField, params: GevreyParams) -> float:
     w = _xtsb_weight(
         g, field.n_t, field.slice_dt, params.s1, params.s2, params.b, params.eps
     )
-    c2 = np.abs(field.coeffs_tau) ** 2
-    measure = g.measure * field.duration
-    if params.sigma1 == 0.0 and params.sigma2 == 0.0:
-        return float(np.sqrt(measure * np.sum(w * c2)))
-    logw = params.sigma1 * np.abs(g.xi_col) + params.sigma2 * np.abs(g.eta_row)
-    logw = np.broadcast_to(logw[None, :, :], c2.shape)
-    support = c2 > 0.0
-    if not support.any():
-        return 0.0
-    shift = float(logw[support].max())
-    total = np.sum(
-        np.exp(2.0 * (logw[support] - shift)) * w[support] * c2[support]
+    c2 = w * np.abs(field.coeffs_tau) ** 2
+    return float(
+        _weighted_norm(g, c2, params.sigma1, params.sigma2, g.measure * field.duration)
     )
-    return float(np.exp(shift) * np.sqrt(measure * total))
 
 
 # --- bilinear estimate experiment -------------------------------------------
@@ -260,11 +255,10 @@ def check_bilinear_admissible(params: GevreyParams) -> None:
         )
 
 
-def _random_window_slices(
-    grid: Grid2D, n_t: int, rng: np.random.Generator
-) -> list[SpectralField]:
-    """Random real fields, smooth in time (5 temporal harmonics) and with
-    an exponentially decaying spatial envelope, dealiased and zero-x-mean."""
+def _random_window(grid: Grid2D, n_t: int, rng: np.random.Generator) -> np.ndarray:
+    """Half planes, shape (n_t, nx, ny//2 + 1), of random real fields,
+    smooth in time (5 temporal harmonics) and with an exponentially
+    decaying spatial envelope, dealiased and zero-x-mean."""
     envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta_row)))
     bases = []
     for _ in range(5):
@@ -273,24 +267,11 @@ def _random_window_slices(
         )
         c = hermitian_part(raw * envelope)
         f = SpectralField.from_coefficients(grid, c)
-        bases.append(project_zero_x_mean(dealias(f)).coeffs)
+        bases.append(half_plane(project_zero_x_mean(dealias(f))))
     phase = 2.0 * np.pi * np.arange(n_t) / n_t
-    weights = np.stack(
-        [
-            np.ones(n_t),
-            np.cos(phase),
-            np.sin(phase),
-            np.cos(2 * phase),
-            np.sin(2 * phase),
-        ]
-    )
-    out = []
-    for i in range(n_t):
-        c = sum(weights[m, i] * bases[m] for m in range(5))
-        out.append(
-            SpectralField(grid, c, hermitian=True, zero_x_mean=True)
-        )
-    return out
+    weights = np.stack([np.ones(n_t), np.cos(phase), np.sin(phase),
+                        np.cos(2 * phase), np.sin(2 * phase)])
+    return np.tensordot(weights, np.stack(bases), axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -330,15 +311,16 @@ def bilinear_ratio_trials(
     out_params = replace(params, b=-params.beta)
     ratios = []
     for _ in range(trials):
-        u = _random_window_slices(grid, n_t, rng)
-        v = _random_window_slices(grid, n_t, rng)
-        prod = [
-            x_derivative(dealias(pointwise_product(a, c)))
-            for a, c in zip(u, v)
-        ]
-        nu = bourgain_norm(SpaceTimeField.from_slices(prod, slice_dt), out_params)
-        du = bourgain_norm(SpaceTimeField.from_slices(u, slice_dt), in_params)
-        dv = bourgain_norm(SpaceTimeField.from_slices(v, slice_dt), in_params)
+        u = _random_window(grid, n_t, rng)
+        v = _random_window(grid, n_t, rng)
+        # dx of the dealiased product, through the square kernel's transform pair
+        prod = dealiased_coefficients(
+            grid, physical_values(grid, u) * physical_values(grid, v)
+        )
+        prod *= 1j * grid.xi_col
+        nu = bourgain_norm(SpaceTimeField.from_slices(grid, prod, slice_dt), out_params)
+        du = bourgain_norm(SpaceTimeField.from_slices(grid, u, slice_dt), in_params)
+        dv = bourgain_norm(SpaceTimeField.from_slices(grid, v, slice_dt), in_params)
         ratios.append(nu / (du * dv))
     arr = np.sort(np.asarray(ratios))
     return BilinearResult(
@@ -381,14 +363,17 @@ def almost_conservation_run(
         gevrey_norm(f, sigma_ref, 0.0), cfg.delta.c0, cfg.delta.exponent
     )
     dt, n = resolve_dt(cfg, grid, delta)
-    init = {s: gevrey_norm(f, s, 0.0) ** 2 for s in sigmas}
-    dev = {s: 0.0 for s in sigmas}
     state = StepperState.from_field(f, dt)
+
+    def energy(s: float) -> float:
+        return float(half_plane_norms(grid, state.half, s, 0.0)) ** 2
+
+    init = {s: energy(s) for s in sigmas}
+    dev = {s: 0.0 for s in sigmas}
     for _ in range(n):
         state = step(state)
-        field = state.field
         for s in sigmas:
-            d = gevrey_norm(field, s, 0.0) ** 2 - init[s]
+            d = energy(s) - init[s]
             if abs(d) > abs(dev[s]):
                 dev[s] = d
     increments = tuple(dev[s] for s in sigmas)
@@ -476,10 +461,6 @@ class UniquenessResult:
     eps: float
 
 
-def _max_abs_dx(field: SpectralField) -> float:
-    return float(np.max(np.abs(inverse_transform(x_derivative(field)).values)))
-
-
 def uniqueness_gap(
     cfg: SimConfig, eps: float, horizon: float | None = None, envelope: float = 1.1
 ) -> UniquenessResult:
@@ -503,23 +484,23 @@ def uniqueness_gap(
     su = StepperState.from_field(f, dt)
     sv = StepperState.from_field(g0, dt)
 
-    def gap_of(a: SpectralField, b: SpectralField) -> float:
-        d = SpectralField(grid, a.coeffs - b.coeffs, hermitian=True)
-        return gevrey_norm(d, 0.0, 0.0)
+    def dx_sup(st: StepperState) -> float:
+        return float(np.max(np.abs(physical_values(grid, 1j * grid.xi_col * st.half))))
 
-    gap0 = gap_of(f, g0)
+    def gap_of(a: StepperState, b: StepperState) -> float:
+        return float(half_plane_norms(grid, a.half - b.half, 0.0, 0.0))
+
+    gap0 = gap_of(su, sv)
     integral = 0.0
-    prev = _max_abs_dx(f) + _max_abs_dx(g0)
+    prev = dx_sup(su) + dx_sup(sv)
     samples = [GapSample(0.0, gap0, gap0)]
     for k in range(1, n + 1):
-        su = step(su)
-        sv = step(sv)
-        u, v = su.field, sv.field  # each read rebuilds the full plane
-        cur = _max_abs_dx(u) + _max_abs_dx(v)
+        su, sv = step(su), step(sv)
+        cur = dx_sup(su) + dx_sup(sv)
         integral += 0.5 * dt * (prev + cur)
         prev = cur
         samples.append(
-            GapSample(k * dt, gap_of(u, v), gap0 * math.exp(0.25 * integral))
+            GapSample(k * dt, gap_of(su, sv), gap0 * math.exp(0.25 * integral))
         )
     max_ratio = max(s.gap / s.bound for s in samples if s.bound > 0)
     return UniquenessResult(tuple(samples), max_ratio, max_ratio <= envelope, eps)

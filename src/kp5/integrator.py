@@ -8,7 +8,8 @@ degenerates to the free propagator.
 
 The stepper carries the ``rfft2`` half plane (modes k = 0..ny/2) of the
 real solution, so realness holds by construction: each right-hand side is
-one ``irfft2`` and one ``rfft2``, and every stage multiply touches half the
+one call of the dealiased-square kernel (``spectral.dealiased_square``, one
+``irfft2`` and one ``rfft2``), and every stage multiply touches half the
 modes.  ``StepperState.field`` rebuilds the full-plane ``SpectralField`` on
 read by Hermitian reflection, so a run pays for it only where it records.
 The Nyquist row and column stay zero: the dealias mask removes them from
@@ -27,18 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DiagnosticsRecord, SimConfig, rng_from_seed
-from .errors import BlowUpError, InsufficientSupportError, SpectralSymmetryError
+from .config import SimConfig, rng_from_seed
+from .errors import BlowUpError, InsufficientSupportError
 from .initial_data import make_initial_field
 from .operators import dispersion_symbol, gevrey_norm, remainder_n
 from .spectral import (
-    Grid2D,
-    SpectralField,
-    dealias,
-    full_plane,
-    half_plane,
-    pointwise_square,
-    x_derivative,
+    Grid2D, SpectralField, dealias, dealiased_square, full_plane, half_plane,
 )
 
 RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
@@ -47,6 +42,19 @@ RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True)
+class DiagnosticsRecord:
+    """One sampled instant of a run: time, norms, and radius fit."""
+
+    t: float
+    l2: float
+    gevrey: tuple[float, ...]  # aligned with the configured sigma ladder
+    sigma_est: float
+    residual: float
+    remainder_l2: float
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -72,12 +80,8 @@ class StepperState:
     ) -> "StepperState":
         """Start from a real field at t = 0; non-Hermitian coefficients
         raise ``SpectralSymmetryError``."""
-        if not field.hermitian:
-            raise SpectralSymmetryError(
-                "the stepper evolves real fields; got non-Hermitian coefficients"
-            )
         return cls(
-            field.grid, _frozen(half_plane(field.coeffs)), 0.0, dt,
+            field.grid, _frozen(half_plane(field)), 0.0, dt,
             nonlinear=nonlinear, dispersion_sign=dispersion_sign,
         )
 
@@ -124,23 +128,17 @@ def aligned_dt(span: float, dt_max: float) -> tuple[float, int]:
     return span / n, n
 
 
-def nonlinear_term(field: SpectralField) -> SpectralField:
-    """-1/2 dx(u^2) with the square dealiased: the Burgers-type transport."""
-    sq = dealias(pointwise_square(field))
-    return x_derivative(sq.with_coeffs(-0.5 * sq.coeffs))
-
-
 @lru_cache(maxsize=8)
 def _rhs_multiplier(grid: Grid2D) -> np.ndarray:
-    """-1/2 i xi times the 2/3 mask on the half plane."""
-    h = grid.ny // 2 + 1
-    return _frozen((-0.5j) * grid.xi_col * grid.dealias_mask[:, :h])
+    """-1/2 i xi on the half plane: the x-derivative and the 1/2 of the
+    transport term (a full array: broadcasting a column is slower)."""
+    shape = (grid.nx, grid.ny // 2 + 1)
+    return _frozen(np.ascontiguousarray(np.broadcast_to((-0.5j) * grid.xi_col, shape)))
 
 
 def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
-    """``nonlinear_term`` on the half plane: one irfft2, one rfft2."""
-    u = np.fft.irfft2(c, s=(grid.nx, grid.ny), norm="forward")
-    sq = np.fft.rfft2(u * u, norm="forward")
+    """-1/2 dx(u^2) with the square dealiased, on the half plane."""
+    sq = dealiased_square(grid, c)
     sq *= _rhs_multiplier(grid)
     return sq
 

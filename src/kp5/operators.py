@@ -16,7 +16,9 @@ measure,
 
 so the unweighted case (sigma = s = 0) coincides with the physical L2 norm.
 Weighted sums are evaluated with a max-exponent shift so that sigma values
-near the overflow guard stay finite.
+near the overflow guard stay finite; ``gevrey_norm``, ``half_plane_norms``
+and the space-time ``bourgain_norm`` share that one sum.  On the rfft2 half
+plane the columns 0 < k < ny/2 count twice.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SigmaOverflowError
-from .spectral import Grid2D, SpectralField, dealias, pointwise_square, x_derivative
+from .spectral import Grid2D, SpectralField, dealiased_square, full_plane, half_plane
 
 # exp argument budget: exp(650) ~ 1e282 leaves headroom for the mode sums
 SIGMA_GUARD_LIMIT = 650.0
@@ -87,6 +89,30 @@ def _log_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     return sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta_row)
 
 
+def _weighted_norm(
+    grid: Grid2D, c2: np.ndarray, sigma1: float, sigma2: float,
+    measure: float, axes=None,
+):
+    """sqrt(measure * sum(exp(2 (sigma1|xi| + sigma2|eta|)) * c2)) over
+    ``axes`` (every axis when None).
+
+    The trailing axes of c2 are the full plane or the half plane.  The sum
+    is shifted by the largest weight exponent on the support of c2, so
+    large sigma cannot overflow and the dominant shell is summed at full
+    precision.
+    """
+    if sigma1 == 0.0 and sigma2 == 0.0:
+        return np.sqrt(measure * np.sum(c2, axis=axes))
+    logw = np.broadcast_to(
+        _log_weight(grid, sigma1, sigma2)[:, : c2.shape[-1]], c2.shape
+    )
+    shift = np.max(np.where(c2 > 0.0, logw, 0.0), axis=axes, keepdims=True)
+    # off the support c2 is 0, so clipping the exponent there changes nothing
+    scaled = np.exp(2.0 * np.minimum(logw - shift, 0.0)) * c2
+    total = np.sum(scaled, axis=axes, keepdims=True)
+    return np.squeeze(np.exp(shift) * np.sqrt(measure * total), axis=axes)
+
+
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
     """Multiply coefficients by exp(sigma1*|xi| + sigma2*|eta|)."""
     assert_sigma_within_guard(field.grid, sigma1, sigma2)
@@ -95,31 +121,20 @@ def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> Spectral
 
 
 def gevrey_norm(field: SpectralField, sigma1: float, sigma2: float) -> float:
-    """Exponentially weighted L2 norm; equals physical L2 at sigma = 0.
-
-    The sum is shifted by the largest weight exponent carried by a nonzero
-    coefficient, so large sigma cannot overflow and the dominant shell is
-    summed at full precision.
-    """
+    """Exponentially weighted L2 norm; equals physical L2 at sigma = 0."""
     assert_sigma_within_guard(field.grid, sigma1, sigma2)
     c2 = np.abs(field.coeffs) ** 2
-    support = c2 > 0.0
-    if not support.any():
-        return 0.0
-    if sigma1 == 0.0 and sigma2 == 0.0:
-        return float(np.sqrt(field.grid.measure * c2.sum()))
-    logw = _log_weight(field.grid, sigma1, sigma2)
-    shift = float(logw[support].max())
-    total = float(np.sum(np.exp(2.0 * (logw[support] - shift)) * c2[support]))
-    return float(np.exp(shift) * np.sqrt(field.grid.measure * total))
+    return float(_weighted_norm(field.grid, c2, sigma1, sigma2, field.grid.measure))
 
 
-def sobolev_norm(field: SpectralField, s1: float, s2: float) -> float:
-    """Anisotropic Sobolev norm with weights <xi>^s1 <eta>^s2."""
-    g = field.grid
-    w = bracket(g.xi_col) ** (2.0 * s1) * bracket(g.eta_row) ** (2.0 * s2)
-    total = np.sum(w * np.abs(field.coeffs) ** 2)
-    return float(np.sqrt(g.measure * total))
+def half_plane_norms(
+    grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float
+) -> np.ndarray:
+    """``gevrey_norm`` of the real fields with the given half planes, one
+    per leading index (a 0-d array for a single half plane)."""
+    assert_sigma_within_guard(grid, sigma1, sigma2)
+    c2 = np.abs(half) ** 2 * grid.half_multiplicity
+    return _weighted_norm(grid, c2, sigma1, sigma2, grid.measure, axes=(-2, -1))
 
 
 @lru_cache(maxsize=8)
@@ -151,44 +166,18 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
 def remainder_n(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
     """Weight-commutator remainder N(f) = dx[(A f)^2 - A(f^2)].
 
-    A is the exponential weight at (sigma1, sigma2); squares are evaluated
-    pseudo-spectrally with 2/3 dealiasing.  Vanishes identically at
-    sigma1 = sigma2 = 0 (exactly, in floating point: both branches then run
-    on bitwise-equal inputs).  On single-mode data the two branches agree
-    wherever the triangle inequality is an equality, so N = 0 there too.
+    A is the exponential weight at (sigma1, sigma2); both squares go
+    through the dealiased-square kernel on the half plane of the dealiased
+    field.  Vanishes identically at sigma1 = sigma2 = 0 (exactly, in
+    floating point: both branches then run on bitwise-equal inputs).  On
+    single-mode data the two branches agree wherever the triangle
+    inequality is an equality, so N = 0 there too.
     """
-    f = dealias(field)
-    af = apply_gevrey(f, sigma1, sigma2)
-    sq_af = dealias(pointwise_square(af))
-    a_sq = apply_gevrey(dealias(pointwise_square(f)), sigma1, sigma2)
-    diff = SpectralField(
-        field.grid,
-        sq_af.coeffs - a_sq.coeffs,
-        hermitian=field.hermitian,
-        zero_x_mean=False,
-    )
-    return x_derivative(diff)
-
-
-def exp_gap_ratio(xi, xi1, sigma: float):
-    """Normalized gap of exponential weights along an interaction.
-
-    For output frequency xi split as xi1 + (xi - xi1),
-
-        ratio = (e^a - e^b) / e^a * <xi> / (sigma * <xi - xi1> * <xi1>)
-
-    with a = sigma*(|xi - xi1| + |xi1|) >= b = sigma*|xi|.  Computed via
-    expm1 so near-cancellations (xi1 close to 0 or to xi) stay accurate;
-    exactly zero at xi1 = 0 and xi1 = xi.  Accepts scalars or arrays.
-    """
-    if sigma <= 0:
-        raise ValueError("exp_gap_ratio requires sigma > 0")
-    xi = np.asarray(xi, dtype=np.float64)
-    xi1 = np.asarray(xi1, dtype=np.float64)
-    a = sigma * (np.abs(xi - xi1) + np.abs(xi1))
-    b = sigma * np.abs(xi)
-    gap = -np.expm1(b - a)  # (e^a - e^b)/e^a, exact at b == a
-    ratio = gap * bracket(xi) / (sigma * bracket(xi - xi1) * bracket(xi1))
-    if ratio.ndim == 0:
-        return float(ratio)
-    return ratio
+    grid = field.grid
+    assert_sigma_within_guard(grid, sigma1, sigma2)
+    h = grid.ny // 2 + 1
+    weight = np.exp(_log_weight(grid, sigma1, sigma2)[:, :h])
+    f = half_plane(field) * grid.half_dealias_mask
+    diff = dealiased_square(grid, weight * f) - weight * dealiased_square(grid, f)
+    diff *= 1j * grid.xi_col
+    return SpectralField(grid, full_plane(grid, diff), hermitian=True, zero_x_mean=True)

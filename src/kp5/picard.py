@@ -4,12 +4,17 @@ The mild form of the flow on [0, delta],
 
     u(t) = S(t) f - 1/2 integral_0^t S(t - t') dx(w(t')^2) dt',
 
-is iterated from the free evolution u_0(t) = S(t) f.  Windows are stored as
-uniformly sliced ``TimeWindowField``s; the time integral is a cumulative
-composite Simpson rule on the slice grid (an even slice count, so Simpson
-pairs tile the window).  Iteration distance is the sup over slices of a
-Gevrey norm of the difference; with contraction the per-iterate ratios sit
-well below 1 and the window length rule
+is iterated from the free evolution u_0(t) = S(t) f.  A window
+(``TimeWindowField``) is one read-only complex array ``half`` of shape
+(n, nx, ny//2 + 1): the rfft2 half planes of the real field at the n
+uniform slice times, the stepper's layout, so a window is real by
+construction.  Every operation works on the whole stack at once: the
+forcing is one call of the dealiased-square kernel over all slices, the
+time integral is a cumulative composite Simpson rule along axis 0 (an even
+slice count, so Simpson pairs tile the window), and the iteration distance
+is the sup over slices of the half-plane Gevrey norm of the difference
+(columns 0 < k < ny/2 counted twice).  With contraction the per-iterate
+ratios sit well below 1 and the window length rule
 
     delta = c0 / (1 + ||f||)^exponent,  exponent > 1
 
@@ -24,36 +29,45 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PicardDivergenceError
-from .operators import dispersion_symbol, gevrey_norm
-from .spectral import Grid2D, SpectralField, dealias, pointwise_square, x_derivative
+from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
+from .spectral import Grid2D, SpectralField, dealiased_square, half_plane
 
 
 @dataclass(frozen=True, eq=False)
 class TimeWindowField:
-    """Field slices at times i * delta / (len - 1), i = 0 .. len-1."""
+    """Half planes of the field at times i * delta / (n - 1), i = 0 .. n-1.
+
+    ``half`` has shape (n, nx, ny//2 + 1) with n odd and at least 3; the
+    window takes the array over and makes it read-only.
+    """
 
     grid: Grid2D
     delta: float
-    slices: tuple[SpectralField, ...]
+    half: np.ndarray
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("window length must be positive")
-        if len(self.slices) < 3 or len(self.slices) % 2 == 0:
+        h = np.asarray(self.half, dtype=np.complex128)
+        if h.ndim != 3 or h.shape[1:] != (self.grid.nx, self.grid.ny // 2 + 1):
+            raise ValueError(
+                f"window shape {h.shape} is not (n, {self.grid.nx}, "
+                f"{self.grid.ny // 2 + 1}) for this grid"
+            )
+        if h.shape[0] < 3 or h.shape[0] % 2 == 0:
             raise ValueError(
                 "window needs an even slice count (odd number of sample points)"
             )
-        for s in self.slices:
-            if s.grid != self.grid:
-                raise ValueError("all slices must share the window grid")
+        h.setflags(write=False)
+        object.__setattr__(self, "half", h)
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.delta, len(self.slices))
+        return np.linspace(0.0, self.delta, self.half.shape[0])
 
     @property
     def slice_dt(self) -> float:
-        return self.delta / (len(self.slices) - 1)
+        return self.delta / (self.half.shape[0] - 1)
 
 
 def delta_rule(f_norm: float, c0: float, exponent: float) -> float:
@@ -77,23 +91,19 @@ def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
     n = values.shape[0]
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd number of samples (even interval count)")
+    left, mid, right = values[0:-2:2], values[1:-1:2], values[2::2]
     out = np.zeros_like(values)
-    for i in range(2, n, 2):
-        out[i] = out[i - 2] + (h / 3.0) * (
-            values[i - 2] + 4.0 * values[i - 1] + values[i]
-        )
-    for i in range(1, n, 2):
-        out[i] = out[i - 1] + (h / 12.0) * (
-            5.0 * values[i - 1] + 8.0 * values[i] - values[i + 1]
-        )
+    np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=0, out=out[2::2])
+    out[1::2] = out[0:-1:2] + (h / 12.0) * (5.0 * left + 8.0 * mid - right)
     return out
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
-    """exp(i * t_i * m) for every slice time, stacked along axis 0."""
+    """exp(i * t_i * m) on the half plane for every slice time, stacked
+    along axis 0 (only the latest window's phases are kept)."""
     times = np.linspace(0.0, delta, n_slices)
-    m = dispersion_symbol(grid)
+    m = dispersion_symbol(grid)[:, : grid.ny // 2 + 1]
     phases = np.exp(1j * times[:, None, None] * m[None, :, :])
     phases.setflags(write=False)
     return phases
@@ -102,10 +112,10 @@ def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
 def free_window(
     f: SpectralField, delta: float, slices: int = 64
 ) -> TimeWindowField:
-    """Free evolution S(t) f sampled on the window grid."""
+    """Free evolution S(t) f sampled on the window grid; non-Hermitian
+    data raise ``SpectralSymmetryError``."""
     phases = _window_phases(f.grid, delta, slices + 1)
-    fields = tuple(f.with_coeffs(p * f.coeffs) for p in phases)
-    return TimeWindowField(f.grid, delta, fields)
+    return TimeWindowField(f.grid, delta, phases * half_plane(f))
 
 
 def duhamel_apply(
@@ -120,43 +130,29 @@ def duhamel_apply(
     """
     if f.grid != w.grid:
         raise ValueError("data and window must share a grid")
-    n = len(w.slices)
-    phases = _window_phases(f.grid, w.delta, n)
-    if nonlinear:
-        forcing = np.empty((n, f.grid.nx, f.grid.ny), dtype=np.complex128)
-        for i, s in enumerate(w.slices):
-            forcing[i] = x_derivative(dealias(pointwise_square(s))).coeffs
-        rotated = np.conj(phases) * forcing
-        cum = cumulative_simpson_uniform(rotated, w.slice_dt)
-        out = phases * (f.coeffs[None, :, :] - 0.5 * cum)
-    else:
-        out = phases * f.coeffs[None, :, :]
-    hermitian = f.hermitian and all(s.hermitian for s in w.slices)
-    fields = tuple(
-        SpectralField(
-            f.grid, out[i], hermitian=hermitian, zero_x_mean=f.zero_x_mean
-        )
-        for i in range(n)
-    )
-    return TimeWindowField(f.grid, w.delta, fields)
+    grid = w.grid
+    c = half_plane(f)
+    phases = _window_phases(grid, w.delta, w.half.shape[0])
+    if not nonlinear:
+        return TimeWindowField(grid, w.delta, phases * c)
+    forcing = dealiased_square(grid, w.half)
+    forcing *= 1j * grid.xi_col
+    forcing *= np.conj(phases)
+    cum = cumulative_simpson_uniform(forcing, w.slice_dt)
+    return TimeWindowField(grid, w.delta, phases * (c - 0.5 * cum))
 
 
 def window_distance(
     a: TimeWindowField, b: TimeWindowField, sigma1: float, sigma2: float
 ) -> float:
     """sup over slices of the Gevrey-norm difference."""
-    if len(a.slices) != len(b.slices) or a.grid != b.grid:
+    if a.half.shape != b.half.shape or a.grid != b.grid:
         raise ValueError("windows must share grid and slicing")
-    worst = 0.0
-    for sa, sb in zip(a.slices, b.slices):
-        diff = SpectralField(
-            a.grid,
-            sa.coeffs - sb.coeffs,
-            hermitian=sa.hermitian and sb.hermitian,
-            zero_x_mean=sa.zero_x_mean and sb.zero_x_mean,
-        )
-        worst = max(worst, gevrey_norm(diff, sigma1, sigma2))
-    return worst
+    return _sup_norm(a.grid, a.half - b.half, sigma1, sigma2)
+
+
+def _sup_norm(grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float) -> float:
+    return float(half_plane_norms(grid, half, sigma1, sigma2).max())
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,8 @@ def picard_iterate(
     """Iterate the mild form from the free window until the update
     distance drops under tol.
 
-    Raises ``PicardDivergenceError`` after three consecutive
+    Non-Hermitian data raise ``SpectralSymmetryError``.  Raises
+    ``PicardDivergenceError`` after three consecutive
     non-decreasing distances: on a correctly sized window the map is a
     contraction, so sustained non-decrease means delta was too long.
     """
@@ -197,9 +194,7 @@ def picard_iterate(
         cur = duhamel_apply(f, prev, nonlinear=nonlinear)
         d = window_distance(cur, prev, sigma1, sigma2)
         distances.append(d)
-        sup_norms.append(
-            max(gevrey_norm(s, sigma1, sigma2) for s in cur.slices)
-        )
+        sup_norms.append(_sup_norm(cur.grid, cur.half, sigma1, sigma2))
         ratios = tuple(
             distances[i] / distances[i - 1]
             for i in range(1, len(distances))
@@ -238,7 +233,7 @@ def doubling_check(
 ) -> DoublingResult:
     """Is the window norm at most ``bound`` times the data norm?"""
     f_norm = gevrey_norm(f, sigma1, sigma2)
-    sup_norm = max(gevrey_norm(s, sigma1, sigma2) for s in window.slices)
+    sup_norm = _sup_norm(window.grid, window.half, sigma1, sigma2)
     if f_norm == 0.0:
         return DoublingResult(0.0, sup_norm == 0.0, sup_norm, f_norm)
     ratio = sup_norm / f_norm

@@ -2,17 +2,21 @@
 
 Floats are written with ``repr`` (shortest round-trip form) and the
 manifest with sorted keys, so identical runs produce byte-identical files,
-apart from the wall times a manifest reports (``phase_s``).
+apart from the wall times a manifest reports (``phase_s``).  The manifest
+is strict JSON: a non-finite float (a failed fit, an empty tail) is written
+as ``null``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from . import __version__
-from .config import DEFAULT_C_EMP, DiagnosticsRecord, SimConfig, config_to_dict
+from .config import DEFAULT_C_EMP, SimConfig, config_to_dict
+from .integrator import DiagnosticsRecord
 
 
 def _fmt(value) -> str:
@@ -42,6 +46,17 @@ def write_series_csv(path, cfg: SimConfig, records: list[DiagnosticsRecord]) -> 
     write_csv(path, header, rows)
 
 
+def _finite_or_null(value):
+    """The value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_manifest(path, cfg: SimConfig, command: str, extras: dict) -> None:
     constants = {
         "c0": cfg.delta.c0,
@@ -59,7 +74,9 @@ def write_manifest(path, cfg: SimConfig, command: str, extras: dict) -> None:
     }
     payload.update(extras)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(
+            _finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False
+        )
         fh.write("\n")
 
 

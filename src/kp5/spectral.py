@@ -20,9 +20,20 @@ Invariants maintained by every constructor and operation:
 * ``zero_x_mean`` fields have an exactly zero j = 0 fiber, which is what
   makes the x-antiderivative well defined.
 
-Products are evaluated pointwise in physical space; callers that need an
-alias-free product must dealias the result (2/3 rule, modes with
-3*|j| > nx or 3*|k| > ny dropped).
+Half plane
+----------
+A real field is fixed by its ``rfft2`` half plane, the (nx, ny//2 + 1)
+columns k = 0..ny/2; the stepper state, Picard windows and space-time
+fields are stored that way, with any leading axes as a batch (time slices).
+Each half-plane column 0 < k < ny/2 stands for itself and its conjugate
+partner, so half-plane norms count it twice (``Grid2D.half_multiplicity``).
+
+Every product of fields goes through one kernel: ``dealiased_square`` is
+one ``irfft2`` (``physical_values``), the pointwise square, and one
+``rfft2`` times the 2/3 mask (``dealiased_coefficients``), over all leading
+axes at once.  A product u*v uses the same transform pair.  The 2/3 rule
+drops modes with 3*|j| > nx or 3*|k| > ny, so squares of band-limited
+fields are alias-free.
 """
 
 from __future__ import annotations
@@ -47,8 +58,8 @@ X_MEAN_RTOL = 1e-13  # relative zero-x-fiber mass tolerated by the antiderivativ
 class Grid2D:
     """Periodic rectangle [0, lx) x [0, ly) sampled on an nx-by-ny lattice.
 
-    nx and ny must be even; the lattice carries the full complex FFT
-    frequency set, not a real-to-complex half plane.
+    nx and ny must be even.  ``j_index``/``k_index`` list the full complex
+    FFT frequency set; the half plane keeps k = 0..ny/2 of it.
     """
 
     nx: int
@@ -121,6 +132,23 @@ class Grid2D:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        """``dealias_mask`` on the half plane, as complex 0/1 (a complex
+        times complex multiply is about twice as fast as mixed dtypes)."""
+        m = self.dealias_mask[:, : self.ny // 2 + 1].astype(np.complex128)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def half_multiplicity(self) -> np.ndarray:
+        """How many full-plane modes each half-plane column stands for:
+        1 at k = 0 and k = ny/2, 2 in between."""
+        w = np.full(self.ny // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        w.setflags(write=False)
+        return w
+
     @property
     def xi_max(self) -> float:
         """Largest lattice |xi| (the Nyquist magnitude)."""
@@ -164,31 +192,6 @@ def is_hermitian(coeffs: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian-symmetric subspace (real physical part)."""
     return 0.5 * (coeffs + conjugate_reflection(coeffs))
-
-
-# --- rfft2 half plane -------------------------------------------------------
-#
-# A real field is fixed by the modes k = 0..ny/2, the (nx, ny//2 + 1) array
-# that ``rfft2`` produces; the other columns are c[j, k] = conj(c[-j, ny - k]).
-
-
-def half_plane(coeffs: np.ndarray) -> np.ndarray:
-    """The k = 0..ny/2 columns of full-plane coefficients, as a new array."""
-    return np.array(coeffs[:, : coeffs.shape[1] // 2 + 1], dtype=np.complex128)
-
-
-def full_plane(grid: Grid2D, half: np.ndarray) -> np.ndarray:
-    """Full-plane coefficients of the real field with the given half plane.
-
-    The missing columns k = ny/2+1..ny-1 are filled by Hermitian reflection
-    (indexing and conjugation only).  The k = 0 and k = ny/2 columns are
-    copied as they are.
-    """
-    nx, ny = grid.nx, grid.ny
-    full = np.empty((nx, ny), dtype=np.complex128)
-    full[:, : ny // 2 + 1] = half
-    full[:, ny // 2 + 1 :] = np.conj(half[-grid.j_index % nx, ny // 2 - 1 : 0 : -1])
-    return full
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,25 +340,55 @@ def project_zero_x_mean(field: SpectralField) -> SpectralField:
     return field.with_coeffs(c, zero_x_mean=True)
 
 
-def pointwise_square(field: SpectralField) -> SpectralField:
-    """Coefficients of u^2, evaluated on the collocation grid (aliased).
+# --- rfft2 half plane and the dealiased-square kernel -----------------------
 
-    Callers needing the alias-free square of a band-limited field must
-    dealias the result.
+
+def half_plane(field: SpectralField) -> np.ndarray:
+    """The k = 0..ny/2 columns of a real field, as a new array.
+
+    Non-Hermitian coefficients raise ``SpectralSymmetryError``: the half
+    plane stands for a real field and would silently drop the rest.
     """
-    u = inverse_transform(field)
-    sq = PhysicalField(field.grid, u.values * u.values)
-    out = forward_transform(sq)
-    return out
+    if not field.hermitian:
+        raise SpectralSymmetryError(
+            "the half plane stores real fields; got non-Hermitian coefficients"
+        )
+    return np.array(field.coeffs[:, : field.grid.ny // 2 + 1])
 
 
-def pointwise_product(a: SpectralField, b: SpectralField) -> SpectralField:
-    """Coefficients of u*v via the collocation grid (aliased)."""
-    if a.grid != b.grid:
-        raise ValueError("pointwise product requires a shared grid")
-    u = inverse_transform(a)
-    v = inverse_transform(b)
-    return forward_transform(PhysicalField(a.grid, u.values * v.values))
+def full_plane(grid: Grid2D, half: np.ndarray) -> np.ndarray:
+    """Full-plane coefficients of the real fields with the given half planes.
+
+    The missing columns k = ny/2+1..ny-1 are filled by Hermitian reflection,
+    c[j, k] = conj(c[-j, ny - k]) (indexing and conjugation only); leading
+    axes batch.
+    """
+    nx, ny = grid.nx, grid.ny
+    full = np.empty(half.shape[:-1] + (ny,), dtype=np.complex128)
+    full[..., : ny // 2 + 1] = half
+    reflected = half[..., -grid.j_index % nx, ny // 2 - 1 : 0 : -1]
+    full[..., ny // 2 + 1 :] = np.conj(reflected)
+    return full
+
+
+def physical_values(grid: Grid2D, half: np.ndarray) -> np.ndarray:
+    """Collocation values from half-plane coefficients (one ``irfft2``)."""
+    return np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
+
+
+def dealiased_coefficients(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """Half-plane coefficients of collocation values (one ``rfft2``), with
+    the modes outside the 2/3 band zeroed."""
+    c = np.fft.rfft2(values, norm="forward")
+    c *= grid.half_dealias_mask
+    return c
+
+
+def dealiased_square(grid: Grid2D, half: np.ndarray) -> np.ndarray:
+    """Half-plane coefficients of the 2/3-dealiased square u^2."""
+    u = physical_values(grid, half)
+    u *= u
+    return dealiased_coefficients(grid, u)
 
 
 def physical_l2_norm(field: PhysicalField) -> float:

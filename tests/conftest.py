@@ -39,3 +39,11 @@ def random_band_field(grid, seed, scale=1.0):
     values = scale * rng.standard_normal((grid.nx, grid.ny))
     f = forward_transform(PhysicalField(grid, values))
     return dealias(project_zero_x_mean(f))
+
+
+def full_plane_square(grid, coeffs):
+    """Reference for the dealiased-square kernel, written out on the full
+    plane with complex FFTs: coefficients of u^2 times the 2/3 mask."""
+    n = grid.nx * grid.ny
+    u = np.real(np.fft.ifft2(coeffs)) * n
+    return np.fft.fft2(u * u) / n * grid.dealias_mask

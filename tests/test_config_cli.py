@@ -12,7 +12,7 @@ from kp5.config import (
     rng_from_seed,
 )
 from kp5.errors import ConfigError
-from kp5.reporting import write_csv
+from kp5.reporting import write_csv, write_manifest
 from kp5.spectral import load_snapshot
 
 
@@ -178,6 +178,34 @@ def test_cli_radius_decay_manifest_counts_failed_fits(tmp_path):
     m = json.loads((out / "manifest.json").read_text())
     assert m["fit_failures"] == 0
     assert m["collapse_time"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_cli_radius_decay_manifest_is_strict_json(tmp_path):
+    # one sample, so the tail fit and c_emp are nan
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 64\n  ny: 64\ntime:\n  horizon: 0.01\n"
+        "initial:\n  kind: exp_spectrum\n",
+    )
+    out = tmp_path / "decay"
+    assert main(["radius-decay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert m["tail_p"] is None and m["tail_amp"] is None
+    assert m["constants"]["c_emp"] is None
+    assert m["sigma0"] > 0.0
+
+
+def test_manifest_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "manifest.json"
+    extras = {"sigma0": float("nan"), "nested": {"v": [1.5, float("-inf")]}}
+    write_manifest(path, SimConfig(), "radius-decay", extras)
+    m = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert m["sigma0"] is None
+    assert m["nested"] == {"v": [1.5, None]}
 
 
 def test_cli_snapshots_load(tmp_path):

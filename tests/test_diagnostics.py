@@ -28,7 +28,7 @@ from kp5.errors import InadmissibleParamsError, InsufficientSupportError
 from kp5.initial_data import exp_spectrum, gaussian
 from kp5.operators import GevreyParams, semigroup_apply
 from kp5.picard import free_window
-from kp5.spectral import Grid2D, SpectralField
+from kp5.spectral import Grid2D, SpectralField, full_plane, half_plane
 
 
 def small_cfg(**kw):
@@ -89,20 +89,13 @@ def test_window_taper_normalized():
 
 def test_space_time_field_shape_rules(grid16):
     f = random_band_field(grid16, seed=1)
-    slices = [semigroup_apply(f, 0.01 * i) for i in range(12)]
+    slices = np.stack([half_plane(semigroup_apply(f, 0.01 * i)) for i in range(12)])
     with pytest.raises(ValueError):
-        SpaceTimeField.from_slices(slices, 0.01)  # 12 is not a power of two
-    field = SpaceTimeField.from_slices(slices[:8], 0.01)
+        SpaceTimeField.from_slices(grid16, slices, 0.01)  # 12 is not a power of two
+    field = SpaceTimeField.from_slices(grid16, slices[:8], 0.01)
     assert field.n_t == 8
     assert field.duration == pytest.approx(0.08)
     assert np.allclose(field.tau, 2 * np.pi * np.fft.fftfreq(8, 0.01))
-
-
-def test_space_time_from_window_drops_last(grid16):
-    f = random_band_field(grid16, seed=2)
-    w = free_window(f, 0.1, slices=16)
-    field = SpaceTimeField.from_window(w)
-    assert field.n_t == 16
 
 
 def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
@@ -110,11 +103,11 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
     tapered window: sqrt(sum_t dt * psi(t)^2 * ||u(t)||^2) by Parseval."""
     f = random_band_field(grid16, seed=7)
     w = free_window(f, 0.2, slices=16)
-    field = SpaceTimeField.from_window(w)
+    field = SpaceTimeField.from_slices(grid16, w.half[:-1], w.slice_dt)
     psi = window_taper(field.n_t, field.slice_dt)
     slice_l2 = [
-        np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(s.coeffs) ** 2))
-        for s in w.slices[:-1]
+        np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(c) ** 2))
+        for c in full_plane(grid16, w.half[:-1])
     ]
     direct = np.sqrt(
         sum(
@@ -129,7 +122,7 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
 def test_bourgain_norm_monotone_in_b(grid16):
     f = random_band_field(grid16, seed=3)
     w = free_window(f, 0.25, slices=16)
-    field = SpaceTimeField.from_window(w)
+    field = SpaceTimeField.from_slices(grid16, w.half[:-1], w.slice_dt)
     lo = bourgain_norm(field, GevreyParams(b=0.0))
     hi = bourgain_norm(field, GevreyParams(b=0.55))
     assert 0 < lo <= hi
@@ -153,8 +146,11 @@ def test_bourgain_norm_penalizes_detuning(grid16):
         for i, s in enumerate(on)
     ]
     params = GevreyParams(b=0.55)
-    n_on = bourgain_norm(SpaceTimeField.from_slices(on, dt), params)
-    n_off = bourgain_norm(SpaceTimeField.from_slices(off, dt), params)
+    def norm(slices):
+        stack = np.stack([half_plane(s) for s in slices])
+        return bourgain_norm(SpaceTimeField.from_slices(grid16, stack, dt), params)
+
+    n_on, n_off = norm(on), norm(off)
     assert n_off > 2.5 * n_on
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_band_field
+from conftest import full_plane_square, random_band_field
 from kp5.config import GridConfig, InitialConfig, SimConfig, TimeConfig
 from kp5.errors import BlowUpError, SpectralSymmetryError
 from kp5.integrator import (
@@ -13,19 +13,11 @@ from kp5.integrator import (
     cfl_dt,
     initial_field,
     max_group_speed,
-    nonlinear_term,
     simulate,
     step,
 )
 from kp5.operators import dispersion_symbol, gevrey_norm, semigroup_apply
-from kp5.spectral import (
-    Grid2D,
-    dealias,
-    full_plane,
-    half_plane,
-    pointwise_square,
-    x_derivative,
-)
+from kp5.spectral import Grid2D, dealias, full_plane, half_plane, x_derivative
 
 GRID_32x48 = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
 GRID_64 = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
@@ -89,9 +81,9 @@ def test_linear_time_reversal(grid16):
 
 def test_nonlinear_term_is_transport_derivative(grid16):
     f = random_band_field(grid16, seed=7)
-    direct = x_derivative(dealias(pointwise_square(f)))
-    got = nonlinear_term(f)
-    assert np.allclose(got.coeffs, -0.5 * direct.coeffs, atol=1e-15)
+    direct = x_derivative(f.with_coeffs(full_plane_square(grid16, f.coeffs)))
+    got = full_plane(grid16, _half_rhs(grid16, half_plane(f)))
+    assert np.allclose(got, -0.5 * direct.coeffs, atol=1e-15)
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -101,20 +93,18 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 @pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
 def test_half_plane_rhs_matches_nonlinear_term(grid):
     f = random_band_field(grid, seed=11)
-    got = full_plane(grid, _half_rhs(grid, half_plane(f.coeffs)))
-    assert _rel_err(got, nonlinear_term(f).coeffs) <= 1e-13
+    got = full_plane(grid, _half_rhs(grid, half_plane(f)))
+    want = (-0.5j) * grid.xi_col * full_plane_square(grid, f.coeffs)
+    assert _rel_err(got, want) <= 1e-13
 
 
 def _full_plane_step(grid, c, dt, nonlinear, sign):
     """Reference: the full-plane complex-FFT IF-RK4 step, written out."""
     m = dispersion_symbol(grid)
     e_half, e_full = np.exp(0.5j * sign * dt * m), np.exp(1j * sign * dt * m)
-    n = grid.nx * grid.ny
 
     def rhs(c):
-        u = np.real(np.fft.ifft2(c)) * n
-        sq = np.fft.fft2(u * u) / n * grid.dealias_mask
-        return (-0.5j) * grid.xi_col * sq
+        return (-0.5j) * grid.xi_col * full_plane_square(grid, c)
 
     if not nonlinear:
         return e_full * c

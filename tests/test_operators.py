@@ -14,18 +14,18 @@ from kp5.operators import (
     assert_sigma_within_guard,
     bracket,
     dispersion_symbol,
-    exp_gap_ratio,
     gevrey_norm,
+    half_plane_norms,
     l2_inner,
     max_admissible_sigma1,
     remainder_n,
     semigroup_apply,
-    sobolev_norm,
 )
 from kp5.spectral import (
     Grid2D,
     SpectralField,
     dealias,
+    half_plane,
     inverse_transform,
 )
 
@@ -114,16 +114,36 @@ def test_zero_weight_norm_is_l2(grid16):
 
 
 def test_norm_survives_weights_whose_squares_overflow():
-    """Sum stabilization: single weights fit in a double, their squares do not."""
+    """Sum stabilization: single weights fit in a double, their squares do
+    not; at j = 1 the empty high modes carry the overflowing weights."""
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     sigma1 = 81.0
     assert sigma1 < max_admissible_sigma1(grid)
     amp = 1e-3
-    f = plant_pair(grid, 7, 0, amp)
-    n = gevrey_norm(f, sigma1, 0.0)
-    assert math.isfinite(n)
-    log_expected = 0.5 * math.log(grid.lx * grid.ly * 2 * amp**2) + sigma1 * 7
-    assert math.log(n) == pytest.approx(log_expected, rel=1e-12)
+    for j in (7, 1):
+        f = plant_pair(grid, j, 0, amp)
+        n = gevrey_norm(f, sigma1, 0.0)
+        assert math.isfinite(n)
+        log_expected = 0.5 * math.log(grid.lx * grid.ly * 2 * amp**2) + sigma1 * j
+        assert math.log(n) == pytest.approx(log_expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma1, sigma2", [(0.0, 0.0), (0.3, 0.2), (0.0, 0.5), (150.0, 150.0)]
+)
+def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
+    """Half-plane columns 0 < k < ny/2 stand for two modes each; the
+    largest rates square weights beyond the double range."""
+    grid = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
+    fields = [random_band_field(grid, seed=s) for s in (21, 22, 23)]
+    stack = np.stack([half_plane(f) for f in fields])
+    got = half_plane_norms(grid, stack, sigma1, sigma2)
+    assert got.shape == (3,)
+    for norm, f in zip(got, fields):
+        want = gevrey_norm(f, sigma1, sigma2)
+        assert np.isfinite(want)
+        assert abs(norm - want) <= 1e-13 * want
+    assert half_plane_norms(grid, half_plane(fields[0]), sigma1, sigma2) == got[0]
 
 
 def test_apply_gevrey_identity_and_composition(grid16):
@@ -224,49 +244,10 @@ def test_remainder_output_flags(grid16):
     assert r.zero_x_mean
 
 
-def test_sobolev_norm_single_pair(grid16):
-    amp = 2.0
-    f = plant_pair(grid16, 3, 4, amp)
-    expected = math.sqrt(
-        grid16.lx * grid16.ly * 2 * amp**2 * (1 + 9.0) ** 1.5 * (1 + 16.0) ** 0.5
-    )
-    assert sobolev_norm(f, 1.5, 0.5) == pytest.approx(expected, rel=1e-13)
-
-
 def test_bracket():
     assert bracket(0.0) == 1.0
     assert bracket(3.0) == pytest.approx(math.sqrt(10.0))
     assert np.allclose(bracket(np.array([-4.0])), math.sqrt(17.0))
-
-
-def test_exp_gap_ratio_endpoints_and_value():
-    sigma = 0.7
-    assert exp_gap_ratio(3.0, 0.0, sigma) == 0.0
-    assert exp_gap_ratio(3.0, 3.0, sigma) == 0.0
-    xi, xi1 = 2.0, -1.5
-    a = sigma * (abs(xi - xi1) + abs(xi1))
-    b = sigma * abs(xi)
-    direct = (
-        (math.exp(a) - math.exp(b))
-        / math.exp(a)
-        * bracket(xi)
-        / (sigma * bracket(xi - xi1) * bracket(xi1))
-    )
-    assert exp_gap_ratio(xi, xi1, sigma) == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        exp_gap_ratio(1.0, 0.5, 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    xi=st.floats(-20, 20),
-    xi1=st.floats(-20, 20),
-    sigma=st.floats(1e-3, 5.0),
-)
-def test_exp_gap_ratio_nonnegative(xi, xi1, sigma):
-    r = exp_gap_ratio(xi, xi1, sigma)
-    assert r >= 0.0
-    assert math.isfinite(r)
 
 
 def test_gevrey_params_validation():

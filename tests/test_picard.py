@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_band_field
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
-from kp5.errors import PicardDivergenceError
+from kp5.errors import PicardDivergenceError, SpectralSymmetryError
 from kp5.integrator import initial_field
 from kp5.operators import dispersion_symbol, gevrey_norm, semigroup_apply
 from kp5.picard import (
@@ -20,7 +20,7 @@ from kp5.picard import (
     picard_iterate,
     window_distance,
 )
-from kp5.spectral import Grid2D, SpectralField
+from kp5.spectral import SpectralField, full_plane, half_plane
 
 
 def test_delta_rule_values():
@@ -100,29 +100,27 @@ def test_cumulative_simpson_stacked_arrays():
 
 
 def test_window_validation(grid16):
-    f = random_band_field(grid16, seed=1)
     with pytest.raises(ValueError):
-        TimeWindowField(grid16, 0.1, (f, f))  # even count
+        TimeWindowField(grid16, 0.1, np.zeros((2, 16, 9), complex))  # even count
     with pytest.raises(ValueError):
-        TimeWindowField(grid16, 0.1, (f,))
+        TimeWindowField(grid16, 0.1, np.zeros((1, 16, 9), complex))
 
 
 def test_free_window_matches_semigroup(grid16):
     f = random_band_field(grid16, seed=2)
     w = free_window(f, delta=0.3, slices=8)
-    assert len(w.slices) == 9
+    assert w.half.shape == (9, 16, 9)
     assert w.times[0] == 0.0 and w.times[-1] == pytest.approx(0.3)
-    for t, s in zip(w.times, w.slices):
+    for t, s in zip(w.times, full_plane(grid16, w.half)):
         exact = semigroup_apply(f, float(t))
-        assert np.allclose(s.coeffs, exact.coeffs, rtol=0, atol=1e-15)
+        assert np.allclose(s, exact.coeffs, rtol=0, atol=1e-15)
 
 
 def test_duhamel_linear_mode_is_free_flow(grid16):
     f = random_band_field(grid16, seed=3)
     w = free_window(f, delta=0.2, slices=8)
     out = duhamel_apply(f, w, nonlinear=False)
-    for got, want in zip(out.slices, w.slices):
-        assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(out.half, w.half)
 
 
 def test_duhamel_single_mode_closed_form(grid16):
@@ -145,21 +143,21 @@ def test_duhamel_single_mode_closed_form(grid16):
     mq = m[grid16.mode_index(*q)]
     xi_q = 2 * np.pi * (2 * j0) / grid16.lx
     omega = 2 * m0 - mq
-    for t, s in zip(w.times, out.slices):
+    for t, s in zip(w.times, full_plane(grid16, out.half)):
         t = float(t)
         if omega != 0.0:
             integral = (np.exp(1j * omega * t) - 1.0) / (1j * omega)
         else:
             integral = t
         want = -0.5 * (1j * xi_q) * amp**2 * np.exp(1j * t * mq) * integral
-        got = s.coeffs[grid16.mode_index(*q)]
+        got = s[grid16.mode_index(*q)]
         assert abs(got - want) <= 1e-8 * amp**2  # Simpson error floor
         # no other modes are forced beyond the pair and its double
         live = {
             grid16.mode_index(*p)
             for p in ((j0, k0), (-j0, -k0), q, (-q[0], -q[1]))
         }
-        rest = s.coeffs.copy()
+        rest = s.copy()
         for idx in live:
             rest[idx] = 0.0
         assert np.max(np.abs(rest)) < 1e-15
@@ -204,7 +202,7 @@ def test_picard_converges_and_contracts():
     assert len(res.sup_norms) == res.iterations
     assert all(math.isfinite(s) and s > 0 for s in res.sup_norms)
     # iteration starts from the free window anchored at the data
-    assert np.array_equal(res.window.slices[0].coeffs, f.coeffs)
+    assert np.array_equal(res.window.half[0], half_plane(f))
 
     doubling = doubling_check(f, res.window, sigma1, 0.0)
     assert 1.0 - 1e-12 <= doubling.ratio <= 2.0
@@ -227,3 +225,19 @@ def test_picard_rejects_bad_iteration_budget():
             f, 0.01, sigma1=0.0, sigma2=0.0, slices=8, n_max=0, tol=1e-10,
             nonlinear=True,
         )
+
+
+def test_window_is_read_only_half_plane(grid16):
+    w = free_window(random_band_field(grid16, seed=5), 0.1, slices=4)
+    assert w.half.shape == (5, 16, 9) and not w.half.flags.writeable
+
+
+def test_windows_reject_non_hermitian_data(grid16):
+    f = random_band_field(grid16, seed=6)
+    bad = f.with_coeffs(1j * f.coeffs, hermitian=False)
+    with pytest.raises(SpectralSymmetryError):
+        free_window(bad, 0.1, slices=4)
+    with pytest.raises(SpectralSymmetryError):
+        duhamel_apply(bad, free_window(f, 0.1, slices=4))
+    with pytest.raises(SpectralSymmetryError):
+        picard_iterate(bad, 0.1, slices=4)

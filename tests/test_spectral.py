@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_band_field
+from conftest import full_plane_square, random_band_field
 from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymmetryError
 from kp5.spectral import (
     Grid2D,
@@ -12,6 +12,7 @@ from kp5.spectral import (
     SpectralField,
     conjugate_reflection,
     dealias,
+    dealiased_square,
     forward_transform,
     full_plane,
     half_plane,
@@ -20,7 +21,6 @@ from kp5.spectral import (
     is_hermitian,
     load_snapshot,
     physical_l2_norm,
-    pointwise_square,
     project_zero_x_mean,
     save_snapshot,
     x_antiderivative,
@@ -142,7 +142,7 @@ def test_full_plane_rebuilds_hermitian_field():
     raw[16, :] = 0.0
     raw[:, 24] = 0.0
     c = hermitian_part(raw)
-    half = half_plane(c)
+    half = half_plane(SpectralField(grid, c, hermitian=True))
     assert half.shape == (32, 25)
     full = full_plane(grid, half)
     assert np.array_equal(full, c)
@@ -151,7 +151,7 @@ def test_full_plane_rebuilds_hermitian_field():
     # a transformed real field comes back to roundoff
     f = random_band_field(grid, seed=6)
     scale = np.max(np.abs(f.coeffs))
-    assert np.max(np.abs(full_plane(grid, half_plane(f.coeffs)) - f.coeffs)) <= 1e-15 * scale
+    assert np.max(np.abs(full_plane(grid, half_plane(f)) - f.coeffs)) <= 1e-15 * scale
 
 
 def test_x_derivative_on_planted_wave(grid16):
@@ -185,8 +185,7 @@ def test_square_of_single_cosine(grid16):
     x = grid16.x_nodes[:, None]
     u = np.broadcast_to(np.cos(2 * x), (16, 16)).copy()
     f = forward_transform(PhysicalField(grid16, u))
-    sq = dealias(pointwise_square(f))
-    c = sq.coeffs
+    c = full_plane(grid16, dealiased_square(grid16, half_plane(f)))
     assert c[grid16.mode_index(0, 0)] == pytest.approx(0.5, abs=1e-14)
     assert c[grid16.mode_index(4, 0)] == pytest.approx(0.25, abs=1e-14)
     assert c[grid16.mode_index(-4, 0)] == pytest.approx(0.25, abs=1e-14)
@@ -202,11 +201,25 @@ def test_square_alias_is_removed(grid16):
     x = grid16.x_nodes[:, None]
     u = np.broadcast_to(np.cos(5 * x), (16, 16)).copy()
     f = dealias(forward_transform(PhysicalField(grid16, u)))
-    sq = dealias(pointwise_square(f))
-    c = sq.coeffs.copy()
+    c = full_plane(grid16, dealiased_square(grid16, half_plane(f)))
     assert c[grid16.mode_index(0, 0)] == pytest.approx(0.5, abs=1e-14)
     c[grid16.mode_index(0, 0)] = 0.0
     assert np.max(np.abs(c)) < 1e-14
+
+
+def test_batched_square_matches_full_plane_square():
+    """One kernel call over a stack equals the complex-FFT square of each
+    slice, band-limited or not (the aliased part is masked the same way)."""
+    grid = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
+    rng = np.random.default_rng(8)
+    fields = [random_band_field(grid, seed=s) for s in (1, 2, 3)]
+    fields.append(forward_transform(PhysicalField(grid, rng.standard_normal((32, 48)))))
+    stack = np.stack([half_plane(f) for f in fields])
+    got = full_plane(grid, dealiased_square(grid, stack))
+    assert got.shape == (4, 32, 48)
+    for sq, f in zip(got, fields):
+        want = full_plane_square(grid, f.coeffs)
+        assert np.max(np.abs(sq - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_dealias_idempotent(grid16):
