@@ -146,9 +146,7 @@ class AcceptanceSuite:
     def a1(self) -> CriterionResult:
         tol = 1e-6
         cfg = SimConfig()  # defaults: 128^2, horizon 1, unit Gaussian
-        records = simulate(cfg).records
-        base = records[0].l2
-        drift = max(abs(r.l2 - base) for r in records) / base
+        drift = simulate(cfg).l2_drift
         return CriterionResult(
             "A1",
             "L2 conservation on the default run",

@@ -85,6 +85,7 @@ def _cmd_simulate(args) -> int:
             "dt": result.dt,
             "dt_source": result.dt_source,
             "phase_s": phase_s,
+            "l2_drift": result.l2_drift,
         },
     )
     _say(args, f"wrote {len(result.records)} records to {out / 'series.csv'}")
@@ -140,6 +141,7 @@ def _cmd_radius_decay(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, "radius-decay")
     result = radius_decay_run(cfg)
+    t_write = time.perf_counter()
     ensure_dir(out)
     write_csv(
         out / "decay.csv",
@@ -159,6 +161,10 @@ def _cmd_radius_decay(args) -> int:
             "constants": {"c_emp": result.c_emp},
             "collapse_time": result.collapse_time,
             "fit_failures": result.fit_failures,
+            "steps": result.steps,
+            "dt": result.dt,
+            "dt_source": result.dt_source,
+            "phase_s": dict(result.phase_s, writing=time.perf_counter() - t_write),
         },
     )
     _say(

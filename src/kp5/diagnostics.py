@@ -9,6 +9,7 @@ uniqueness envelope, and the weighted energy identity check.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -20,9 +21,11 @@ from .initial_data import gaussian
 from .integrator import (
     StepperState,
     cfl_dt,
+    dt_source,
     initial_field,
     resolve_dt,
-    simulate,
+    sample_steps,
+    sampled_states,
     step,
 )
 from .operators import (
@@ -407,13 +410,32 @@ class RadiusDecayResult:
     c_emp: float  # min over tail samples of t * sigma_est
     collapse_time: float | None  # first sample where the fit hit zero
     fit_failures: int  # samples whose fit found too few shells (sigma_est nan)
+    steps: int
+    dt: float
+    dt_source: str  # "cfl" or "explicit"
+    phase_s: dict[str, float]  # wall seconds in "stepping" and "samples"
+
+
+def radius_sample(state: StepperState) -> RadiusSample:
+    """``radius_estimate`` of a stepper state, at its step time steps * dt.
+
+    A fit that finds too few shells gives sigma_est = residual = nan: no
+    fit is not a collapse, a genuine 0.0 comes only from the clamp.
+    """
+    t = state.steps * state.dt
+    try:
+        fit = radius_estimate(state.field)
+    except InsufficientSupportError:
+        return RadiusSample(t, float("nan"), float("nan"))
+    return RadiusSample(t, fit.sigma_est, fit.residual)
 
 
 def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDecayResult:
     """Track the fitted radius at contraction-window spacing out to the
     horizon, then fit a power law on the tail (t past a tenth of the
     horizon).  A sample whose fit fails carries sigma_est = nan and counts
-    in ``fit_failures``; only a fit clamped at 0 counts as a collapse."""
+    in ``fit_failures``; only a fit clamped at 0 counts as a collapse.
+    Each sample computes the radius fit and nothing else."""
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     delta = delta_rule(
@@ -421,11 +443,17 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
     )
     span = cfg.time.horizon if horizon is None else horizon
     times = np.arange(0, int(np.floor(span / delta)) + 1) * delta
-    run_cfg = replace(cfg, time=replace(cfg.time, horizon=span))
-    records = simulate(run_cfg, sample_times=times).records
-    samples = tuple(
-        RadiusSample(r.t, r.sigma_est, r.residual) for r in records
-    )
+    dt, n_total = resolve_dt(cfg, grid, span)
+    clock = time.perf_counter
+    found: list[RadiusSample] = []
+    samples_s = 0.0
+    t0 = clock()
+    for state in sampled_states(f, dt, n_total, sample_steps(times, dt, n_total)):
+        t_sample = clock()
+        found.append(radius_sample(state))
+        samples_s += clock() - t_sample
+    phase_s = {"stepping": clock() - t0 - samples_s, "samples": samples_s}
+    samples = tuple(found)
     sigma0 = samples[0].sigma_est
     collapse = next((s.t for s in samples if s.sigma_est == 0.0), None)
     failures = sum(1 for s in samples if math.isnan(s.sigma_est))
@@ -439,7 +467,8 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
     else:
         tail_p, tail_amp, c_emp = float("nan"), float("nan"), float("nan")
     return RadiusDecayResult(
-        samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures
+        samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures,
+        n_total, dt, dt_source(cfg), phase_s,
     )
 
 

@@ -8,12 +8,16 @@ degenerates to the free propagator.
 
 The stepper carries the ``rfft2`` half plane (modes k = 0..ny/2) of the
 real solution, so realness holds by construction: each right-hand side is
-one call of the dealiased-square kernel (``spectral.dealiased_square``, one
-``irfft2`` and one ``rfft2``), and every stage multiply touches half the
-modes.  ``StepperState.field`` rebuilds the full-plane ``SpectralField`` on
-read by Hermitian reflection, so a run pays for it only where it records.
-The Nyquist row and column stay zero: the dealias mask removes them from
-every right-hand side and the phases never fill them.
+one call of the dealiased-square kernel (``spectral.dealiased_square``, an
+inverse and a band-pruned forward pair of 1-D passes), and every stage
+multiply touches half the modes.  The RK4 stages are in Lawson form: each
+stage stays in the frame where it was evaluated and is carried forward by
+exp(i*dt*m/2), so no conjugate (backward) phase is stored or applied.
+``StepperState.field`` rebuilds the full-plane ``SpectralField`` on read
+by Hermitian reflection, so a run pays for it only where it records a
+radius fit or a snapshot; the record norms and the remainder read the half
+plane.  The Nyquist row and column stay zero: the dealias mask removes
+them from every right-hand side and the phases never fill them.
 
 The step size rule is dt = cfl / max|dm/dxi| over live (dealiased, xi != 0)
 modes; dm/dxi = 5*xi^4 + eta^2/xi^2 is the x group velocity, the fastest
@@ -23,15 +27,19 @@ scale the nonlinear term can see.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .config import SimConfig, rng_from_seed
-from .errors import BlowUpError, InsufficientSupportError
+from .errors import BlowUpError
 from .initial_data import make_initial_field
-from .operators import dispersion_symbol, gevrey_norm, remainder_n
+from .operators import (
+    _half_remainder, _weighted_norm, assert_sigma_within_guard,
+    dispersion_symbol, gevrey_norm, half_plane_norms,
+)
 from .spectral import (
     Grid2D, SpectralField, dealias, dealiased_square, full_plane, half_plane,
 )
@@ -144,26 +152,49 @@ def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _half_phases(grid: Grid2D, signed_dt: float) -> tuple[np.ndarray, ...]:
-    """exp(i dt m / 2), exp(i dt m) on the half plane, and their conjugates."""
+def _half_phases(grid: Grid2D, signed_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i dt m / 2) and exp(i dt m) on the half plane."""
     m = dispersion_symbol(grid)[:, : grid.ny // 2 + 1]
-    e_half = np.exp(0.5j * signed_dt * m)
-    e_full = np.exp(1j * signed_dt * m)
-    return tuple(_frozen(a) for a in (e_half, e_full, np.conj(e_half), np.conj(e_full)))
+    return _frozen(np.exp(0.5j * signed_dt * m)), _frozen(np.exp(1j * signed_dt * m))
 
 
 def step(state: StepperState) -> StepperState:
-    """Advance one dt with integrating-factor RK4."""
+    """Advance one dt with integrating-factor RK4 (Lawson stages).
+
+    With E = exp(i dt m / 2) and h = dt, the stages are k1 = N(c),
+    k2 = N(E(c + h/2 k1)), k3 = N(Ec + h/2 k2), k4 = N(E(Ec + h k3)) and
+    the update is E(Ec + h/6 (E k1 + 2 (k2 + k3))) + h/6 k4: the classical
+    IF-RK4 step with every stage kept in the frame where it was evaluated,
+    so no conjugate phase is needed.  Stage sums are formed in place.
+    """
     grid = state.grid
     c = state.half
     dt = state.dt
-    e_half, e_full, back_half, back_full = _half_phases(grid, dt * state.dispersion_sign)
+    e_half, e_full = _half_phases(grid, dt * state.dispersion_sign)
     if state.nonlinear:
-        g1 = _half_rhs(grid, c)
-        g2 = back_half * _half_rhs(grid, e_half * (c + 0.5 * dt * g1))
-        g3 = back_half * _half_rhs(grid, e_half * (c + 0.5 * dt * g2))
-        g4 = back_full * _half_rhs(grid, e_full * (c + dt * g3))
-        new_c = e_full * (c + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
+        ec = e_half * c
+        k1 = _half_rhs(grid, c)
+        arg = np.multiply(k1, 0.5 * dt)
+        arg += c
+        arg *= e_half
+        k2 = _half_rhs(grid, arg)
+        np.multiply(k2, 0.5 * dt, out=arg)
+        arg += ec
+        k3 = _half_rhs(grid, arg)
+        np.multiply(k3, dt, out=arg)
+        arg += ec
+        arg *= e_half
+        k4 = _half_rhs(grid, arg)
+        new_c = k1
+        new_c *= e_half
+        k2 += k3
+        k2 *= 2.0
+        new_c += k2
+        new_c *= dt / 6.0
+        new_c += ec
+        new_c *= e_half
+        k4 *= dt / 6.0
+        new_c += k4
     else:
         new_c = e_full * c
     if not np.all(np.isfinite(new_c.view(np.float64))):
@@ -187,27 +218,76 @@ def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:
     return aligned_dt(span, base)
 
 
-def _record(
-    cfg: SimConfig, field: SpectralField, t: float, steps: int
-) -> DiagnosticsRecord:
-    # imported here: diagnostics builds on this module
-    from .diagnostics import radius_estimate
+def dt_source(cfg: SimConfig) -> str:
+    """Where ``resolve_dt`` takes the step size from: "cfl" or "explicit"."""
+    return "cfl" if cfg.time.dt is None else "explicit"
 
-    try:
-        fit = radius_estimate(field)
-        sigma_est, residual = fit.sigma_est, fit.residual
-    except InsufficientSupportError:
-        # no fit is not a collapse: a genuine 0.0 comes only from the clamp
-        sigma_est, residual = float("nan"), float("nan")
-    rem = remainder_n(field, cfg.gevrey.sigma1, cfg.gevrey.sigma2)
+
+def sample_steps(times, dt: float, steps: int) -> set[int]:
+    """The step indices nearest the given times, clamped to [0, steps]: a
+    shift below dt/2."""
+    return {min(steps, max(0, round(float(t) / dt))) for t in times}
+
+
+def sampled_states(
+    f: SpectralField, dt: float, steps: int, wanted: set[int]
+) -> Iterator[StepperState]:
+    """Step f forward ``steps`` times by dt, yielding the state at every
+    step index in ``wanted`` (0 is f itself).
+
+    A non-finite step raises ``BlowUpError``.  So does a yielded state
+    whose L2 norm exceeds RUNAWAY_FACTOR times the initial one; that check
+    runs once the consumer has handled the state, so its sample is kept.
+    """
+    state = StepperState.from_field(f, dt)
+    initial_l2 = gevrey_norm(f, 0.0, 0.0)
+    for k in range(steps + 1):
+        if k > 0:
+            state = step(state)
+        if k not in wanted:
+            continue
+        yield state
+        l2 = float(half_plane_norms(state.grid, state.half, 0.0, 0.0))
+        if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
+            t = state.steps * dt
+            raise BlowUpError(
+                f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={t:g}",
+                time=t,
+            )
+
+
+def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
+    """The series row of a state, at its exact step time steps * dt.
+
+    The L2 norm and the ladder share one half-plane |c|^2 array, the
+    remainder runs on the half plane and is exactly 0 (not computed) when
+    both sigmas are 0, and only the radius fit reads the rebuilt full plane.
+    """
+    # imported here: diagnostics builds on this module
+    from .diagnostics import radius_sample
+
+    grid, half = state.grid, state.half
+    c2 = np.abs(half) ** 2 * grid.half_multiplicity
+
+    def norm(sigma1: float) -> float:
+        assert_sigma_within_guard(grid, sigma1, 0.0)
+        return float(_weighted_norm(grid, c2, sigma1, 0.0, grid.measure))
+
+    s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
+    if s1 == 0.0 and s2 == 0.0:
+        remainder_l2 = 0.0
+    else:
+        rem = _half_remainder(grid, half, s1, s2)
+        remainder_l2 = float(half_plane_norms(grid, rem, 0.0, 0.0))
+    fit = radius_sample(state)
     return DiagnosticsRecord(
-        t=t,
-        l2=gevrey_norm(field, 0.0, 0.0),
-        gevrey=tuple(gevrey_norm(field, s, 0.0) for s in cfg.gevrey.ladder),
-        sigma_est=sigma_est,
-        residual=residual,
-        remainder_l2=gevrey_norm(rem, 0.0, 0.0),
-        steps=steps,
+        t=fit.t,
+        l2=norm(0.0),
+        gevrey=tuple(norm(s) for s in cfg.gevrey.ladder),
+        sigma_est=fit.sigma_est,
+        residual=fit.residual,
+        remainder_l2=remainder_l2,
+        steps=state.steps,
     )
 
 
@@ -219,6 +299,15 @@ class SimulationOutput:
     steps: int
     dt_source: str  # "cfl" or "explicit"
     phase_s: dict[str, float]  # wall seconds in "stepping" and "records"
+
+    @property
+    def l2_drift(self) -> float:
+        """max |l2 - l2[0]| / l2[0] over the records; nan without records
+        or when l2[0] is 0."""
+        if not self.records or self.records[0].l2 == 0.0:
+            return float("nan")
+        base = self.records[0].l2
+        return max(abs(r.l2 - base) for r in self.records) / base
 
 
 def simulate(
@@ -237,48 +326,25 @@ def simulate(
     f = initial_field(cfg, grid)
     horizon = cfg.time.horizon
     dt, n_total = resolve_dt(cfg, grid, horizon)
-    dt_source = "cfl" if cfg.time.dt is None else "explicit"
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, cfg.time.samples)
-
-    def to_step(t: float) -> int:
-        return min(n_total, max(0, round(float(t) / dt))) if n_total > 0 else 0
-
-    want = {to_step(t) for t in sample_times}
-    want_snap = {to_step(t) for t in snapshot_times}
+    want = sample_steps(sample_times, dt, n_total)
+    want_snap = sample_steps(snapshot_times, dt, n_total)
 
     clock = time.perf_counter
-    stepping_s = 0.0
-    t0 = clock()
-    state = StepperState.from_field(f, dt)
-    initial_l2 = gevrey_norm(f, 0.0, 0.0)
     records: list[DiagnosticsRecord] = []
     snapshots: list[tuple[float, SpectralField]] = []
-    if 0 in want:
-        records.append(_record(cfg, f, 0.0, 0))
-    if 0 in want_snap:
-        snapshots.append((0.0, f))
-    for k in range(1, n_total + 1):
-        t_step = clock()
-        try:
-            state = step(state)
-        except BlowUpError as exc:
-            raise BlowUpError(str(exc), time=exc.time, records=records) from None
-        stepping_s += clock() - t_step
-        if k not in want and k not in want_snap:
-            continue
-        field = state.field
-        if k in want_snap:
-            snapshots.append((k * dt, field))
-        if k in want:
-            rec = _record(cfg, field, k * dt, k)
-            records.append(rec)
-            if initial_l2 > 0 and rec.l2 > RUNAWAY_FACTOR * initial_l2:
-                raise BlowUpError(
-                    f"L2 norm {rec.l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial "
-                    f"at t={rec.t:g}",
-                    time=rec.t,
-                    records=records,
-                )
-    phase_s = {"stepping": stepping_s, "records": clock() - t0 - stepping_s}
-    return SimulationOutput(records, snapshots, dt, n_total, dt_source, phase_s)
+    records_s = 0.0
+    t0 = clock()
+    try:
+        for state in sampled_states(f, dt, n_total, want | want_snap):
+            t_record = clock()
+            if state.steps in want_snap:
+                snapshots.append((state.steps * dt, state.field))
+            if state.steps in want:
+                records.append(_record(cfg, state))
+            records_s += clock() - t_record
+    except BlowUpError as exc:
+        raise BlowUpError(str(exc), time=exc.time, records=records) from None
+    phase_s = {"stepping": clock() - t0 - records_s, "records": records_s}
+    return SimulationOutput(records, snapshots, dt, n_total, dt_source(cfg), phase_s)

@@ -163,6 +163,28 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(a.grid.measure * np.real(np.sum(a.coeffs * np.conj(b.coeffs))))
 
 
+@lru_cache(maxsize=8)
+def _half_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
+    """exp(sigma1*|xi| + sigma2*|eta|) on the half plane."""
+    w = np.exp(_log_weight(grid, sigma1, sigma2)[:, : grid.ny // 2 + 1])
+    w.setflags(write=False)
+    return w
+
+
+def _half_remainder(
+    grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float
+) -> np.ndarray:
+    """``remainder_n`` of the real field with the given half plane, as its
+    half plane."""
+    assert_sigma_within_guard(grid, sigma1, sigma2)
+    weight = _half_weight(grid, sigma1, sigma2)
+    f = half * grid.half_dealias_mask
+    diff = dealiased_square(grid, weight * f)
+    diff -= weight * dealiased_square(grid, f)
+    diff *= 1j * grid.xi_col
+    return diff
+
+
 def remainder_n(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
     """Weight-commutator remainder N(f) = dx[(A f)^2 - A(f^2)].
 
@@ -174,10 +196,5 @@ def remainder_n(field: SpectralField, sigma1: float, sigma2: float) -> SpectralF
     inequality is an equality, so N = 0 there too.
     """
     grid = field.grid
-    assert_sigma_within_guard(grid, sigma1, sigma2)
-    h = grid.ny // 2 + 1
-    weight = np.exp(_log_weight(grid, sigma1, sigma2)[:, :h])
-    f = half_plane(field) * grid.half_dealias_mask
-    diff = dealiased_square(grid, weight * f) - weight * dealiased_square(grid, f)
-    diff *= 1j * grid.xi_col
+    diff = _half_remainder(grid, half_plane(field), sigma1, sigma2)
     return SpectralField(grid, full_plane(grid, diff), hermitian=True, zero_x_mean=True)

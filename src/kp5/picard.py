@@ -135,11 +135,18 @@ def duhamel_apply(
     phases = _window_phases(grid, w.delta, w.half.shape[0])
     if not nonlinear:
         return TimeWindowField(grid, w.delta, phases * c)
+    # rotate the forcing dx(w^2) back by conj(phases) as conj(conj(F) * phases),
+    # in place: no conjugated copy of the phase stack is made
     forcing = dealiased_square(grid, w.half)
-    forcing *= 1j * grid.xi_col
-    forcing *= np.conj(phases)
+    np.conjugate(forcing, out=forcing)
+    forcing *= -1j * grid.xi_col
+    forcing *= phases
     cum = cumulative_simpson_uniform(forcing, w.slice_dt)
-    return TimeWindowField(grid, w.delta, phases * (c - 0.5 * cum))
+    np.conjugate(cum, out=cum)
+    cum *= -0.5
+    cum += c
+    cum *= phases
+    return TimeWindowField(grid, w.delta, cum)
 
 
 def window_distance(

@@ -29,11 +29,12 @@ Each half-plane column 0 < k < ny/2 stands for itself and its conjugate
 partner, so half-plane norms count it twice (``Grid2D.half_multiplicity``).
 
 Every product of fields goes through one kernel: ``dealiased_square`` is
-one ``irfft2`` (``physical_values``), the pointwise square, and one
-``rfft2`` times the 2/3 mask (``dealiased_coefficients``), over all leading
-axes at once.  A product u*v uses the same transform pair.  The 2/3 rule
-drops modes with 3*|j| > nx or 3*|k| > ny, so squares of band-limited
-fields are alias-free.
+``physical_values`` (an ``ifft`` along x and an ``irfft`` along y), the
+pointwise square, and ``dealiased_coefficients`` (an ``rfft`` along y,
+then the x pass only on the ny//3 + 1 columns the 2/3 band keeps), over
+all leading axes at once.  A product u*v uses the same transform pair.
+The 2/3 rule drops modes with 3*|j| > nx or 3*|k| > ny, so squares of
+band-limited fields are alias-free.
 """
 
 from __future__ import annotations
@@ -372,15 +373,26 @@ def full_plane(grid: Grid2D, half: np.ndarray) -> np.ndarray:
 
 
 def physical_values(grid: Grid2D, half: np.ndarray) -> np.ndarray:
-    """Collocation values from half-plane coefficients (one ``irfft2``)."""
-    return np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
+    """Collocation values from half-plane coefficients: ``ifft`` along x,
+    then ``irfft`` along y (what ``irfft2`` does, without its N-d wrapper)."""
+    cols = np.fft.ifft(half, axis=-2, norm="forward")
+    return np.fft.irfft(cols, n=grid.ny, axis=-1, norm="forward")
 
 
 def dealiased_coefficients(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    """Half-plane coefficients of collocation values (one ``rfft2``), with
-    the modes outside the 2/3 band zeroed."""
-    c = np.fft.rfft2(values, norm="forward")
-    c *= grid.half_dealias_mask
+    """Half-plane coefficients of collocation values with the modes outside
+    the 2/3 band zeroed, equal to ``rfft2(values) * half_dealias_mask``.
+
+    ``rfft`` along y, then the x pass in place on only the ny//3 + 1
+    columns the band keeps; the rows 3|j| > nx of those columns and every
+    other column are set to zero.
+    """
+    c = np.fft.rfft(values, axis=-1, norm="forward")
+    kept = c[..., : grid.ny // 3 + 1]
+    np.fft.fft(kept, axis=-2, norm="forward", out=kept)
+    jx = grid.nx // 3
+    kept[..., jx + 1 : grid.nx - jx, :] = 0.0
+    c[..., grid.ny // 3 + 1 :] = 0.0
     return c
 
 

@@ -150,14 +150,21 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert header.startswith("t,l2,gevrey_")
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 @pytest.mark.parametrize("dt_line, source", [("", "cfl"), ("  dt: 0.005\n", "explicit")])
 def test_cli_simulate_manifest_telemetry(tmp_path, dt_line, source):
     cfg = write(tmp_path, SMALL_YAML.replace("  samples: 3\n", "  samples: 3\n" + dt_line))
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    m = json.loads((out / "manifest.json").read_text())
-    last = (out / "series.csv").read_text().strip().splitlines()[-1]
-    assert m["steps"] == int(last.split(",")[-1])
+    m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    rows = (out / "series.csv").read_text().strip().splitlines()[1:]
+    assert m["steps"] == int(rows[-1].split(",")[-1])
+    l2 = [float(r.split(",")[1]) for r in rows]
+    assert m["l2_drift"] == max(abs(x - l2[0]) for x in l2) / l2[0]
+    assert m["l2_drift"] < 1e-10
     assert m["steps"] * m["dt"] == pytest.approx(0.1)
     assert m["dt_source"] == source
     assert set(m["phase_s"]) == {"stepping", "records", "writing"}
@@ -180,8 +187,25 @@ def test_cli_radius_decay_manifest_counts_failed_fits(tmp_path):
     assert m["collapse_time"] is None
 
 
-def _reject_constant(name):
-    raise ValueError(f"bare {name} is not JSON")
+
+
+@pytest.mark.parametrize("dt_line, source", [("", "cfl"), ("  dt: 0.004\n", "explicit")])
+def test_cli_radius_decay_manifest_telemetry(tmp_path, dt_line, source):
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 64\n  ny: 64\ntime:\n  horizon: 0.1\n" + dt_line
+        + "initial:\n  kind: exp_spectrum\n  amplitude: 0.5\n  phases: random\n"
+        "gevrey:\n  sigma1: 1.0\n",
+    )
+    out = tmp_path / "decay"
+    assert main(["radius-decay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert m["steps"] * m["dt"] == pytest.approx(0.1)
+    assert m["dt_source"] == source
+    assert set(m["phase_s"]) == {"stepping", "samples", "writing"}
+    assert all(v >= 0.0 for v in m["phase_s"].values())
+    if source == "explicit":
+        assert m["dt"] == 0.004 and m["steps"] == 25
 
 
 def test_cli_radius_decay_manifest_is_strict_json(tmp_path):

@@ -26,7 +26,8 @@ from kp5.diagnostics import (
 )
 from kp5.errors import InadmissibleParamsError, InsufficientSupportError
 from kp5.initial_data import exp_spectrum, gaussian
-from kp5.operators import GevreyParams, semigroup_apply
+from kp5.integrator import StepperState, _record, cfl_dt, initial_field, simulate, step
+from kp5.operators import GevreyParams, gevrey_norm, remainder_n, semigroup_apply
 from kp5.picard import free_window
 from kp5.spectral import Grid2D, SpectralField, full_plane, half_plane
 
@@ -236,10 +237,9 @@ def test_radius_decay_run_short():
 
 def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     import kp5.diagnostics
-    from kp5.integrator import _record
 
     # a Gaussian on 16^2 leaves too few shells to fit
-    rec = _record(small_cfg(), gaussian(grid16, 1.0, 2.0), 0.0, 0)
+    rec = _record(small_cfg(), StepperState.from_field(gaussian(grid16, 1.0, 2.0), 0.01))
     assert math.isnan(rec.sigma_est) and math.isnan(rec.residual)
 
     fit = kp5.diagnostics.radius_estimate
@@ -268,3 +268,61 @@ def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     assert math.isnan(res.samples[1].sigma_est)
     assert res.fit_failures == 1
     assert res.collapse_time is None
+
+
+def spectrum_cfg(n, horizon, **kw):
+    return SimConfig(
+        grid=GridConfig(nx=n, ny=n),
+        time=TimeConfig(horizon=horizon),
+        initial=InitialConfig(
+            kind="exp_spectrum", amplitude=0.5, decay_x=1.0, decay_y=1.0,
+            phases="random",
+        ),
+        gevrey=GevreyConfig(**kw),
+        seed=11,
+    )
+
+
+def test_half_plane_record_matches_full_plane_diagnostics():
+    cfg = spectrum_cfg(64, 0.1, sigma1=0.5, sigma2=0.1)
+    grid = cfg.make_grid()
+    state = StepperState.from_field(initial_field(cfg, grid), cfl_dt(grid))
+    for _ in range(3):
+        state = step(state)
+    rec = _record(cfg, state)
+    field = state.field
+
+    def rel(got, want):
+        return abs(got - want) / abs(want)
+
+    assert rec.steps == 3 and rec.t == 3 * state.dt
+    assert rel(rec.l2, gevrey_norm(field, 0.0, 0.0)) <= 1e-13
+    assert len(rec.gevrey) == len(cfg.gevrey.ladder)
+    for s, got in zip(cfg.gevrey.ladder, rec.gevrey):
+        assert rel(got, gevrey_norm(field, s, 0.0)) <= 1e-13
+    rem = remainder_n(field, 0.5, 0.1)
+    assert rel(rec.remainder_l2, gevrey_norm(rem, 0.0, 0.0)) <= 1e-13
+    fit = radius_estimate(field)
+    assert (rec.sigma_est, rec.residual) == (fit.sigma_est, fit.residual)
+    flat = replace(cfg, gevrey=replace(cfg.gevrey, sigma1=0.0, sigma2=0.0))
+    zero = _record(flat, state)
+    assert zero.remainder_l2 == 0.0
+    assert (zero.l2, zero.gevrey) == (rec.l2, rec.gevrey)
+
+
+def test_radius_decay_samples_match_record_path():
+    # 64^2: at 32^2 the default band holds fewer than 8 shells and every
+    # fit is nan
+    cfg = spectrum_cfg(64, 0.3, sigma1=1.0, sigma2=0.0)
+    res = radius_decay_run(cfg)
+    assert len(res.samples) >= 3 and res.fit_failures == 0
+    # the contraction-window times radius_decay_run samples at
+    times = np.arange(len(res.samples)) * res.delta
+    records = simulate(cfg, sample_times=times).records
+    assert [r.t for r in records] == [s.t for s in res.samples]
+    assert [(r.sigma_est, r.residual) for r in records] == [
+        (s.sigma_est, s.residual) for s in res.samples
+    ]
+    assert res.steps * res.dt == pytest.approx(0.3)
+    assert res.dt_source == "cfl"
+    assert set(res.phase_s) == {"stepping", "samples"}

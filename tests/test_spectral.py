@@ -12,6 +12,7 @@ from kp5.spectral import (
     SpectralField,
     conjugate_reflection,
     dealias,
+    dealiased_coefficients,
     dealiased_square,
     forward_transform,
     full_plane,
@@ -21,6 +22,7 @@ from kp5.spectral import (
     is_hermitian,
     load_snapshot,
     physical_l2_norm,
+    physical_values,
     project_zero_x_mean,
     save_snapshot,
     x_antiderivative,
@@ -220,6 +222,33 @@ def test_batched_square_matches_full_plane_square():
     for sq, f in zip(got, fields):
         want = full_plane_square(grid, f.coeffs)
         assert np.max(np.abs(sq - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "nx, ny, batch",
+    [(32, 48, ()), (64, 64, ()), (16, 40, ()), (24, 32, (3, 2))],
+    ids=["32x48", "64x64", "16x40", "24x32-batched"],
+)
+def test_transform_pair_equals_2d_transforms(nx, ny, batch):
+    """The band-pruned forward pass equals rfft2 times the half-plane mask
+    exactly (ny % 3 != 0 included), the inverse pass equals irfft2 exactly,
+    and neither touches its input."""
+    grid = Grid2D(nx, ny, 2 * np.pi, 3 * np.pi)
+    rng = np.random.default_rng(nx + ny)
+    values = rng.standard_normal(batch + (nx, ny))
+    kept = values.copy()
+    got = dealiased_coefficients(grid, values)
+    want = np.fft.rfft2(values, norm="forward") * grid.half_dealias_mask
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(values, kept)
+    half = rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)
+    kept = half.copy()
+    assert np.array_equal(
+        physical_values(grid, half),
+        np.fft.irfft2(half, s=(nx, ny), norm="forward"),
+    )
+    assert np.array_equal(half, kept)
 
 
 def test_dealias_idempotent(grid16):
