@@ -83,6 +83,7 @@ def _cmd_simulate(args) -> int:
             "status": "ok",
             "steps": result.steps,
             "dt": result.dt,
+            "grid_dt": result.grid_dt,
             "dt_source": result.dt_source,
             "phase_s": phase_s,
             "l2_drift": result.l2_drift,
@@ -163,6 +164,7 @@ def _cmd_radius_decay(args) -> int:
             "fit_failures": result.fit_failures,
             "steps": result.steps,
             "dt": result.dt,
+            "grid_dt": result.grid_dt,
             "dt_source": result.dt_source,
             "phase_s": dict(result.phase_s, writing=time.perf_counter() - t_write),
         },

@@ -40,8 +40,10 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class TimeConfig:
+    # the sampling grid is cfl / (max group speed), and steps between
+    # samples are at most cfl * delta (the contraction window)
     cfl: float = 1.0
-    dt: float | None = None  # explicit step overrides the CFL rule
+    dt: float | None = None  # explicit step: the grid and every step
     horizon: float = 1.0
     samples: int = 17
 

@@ -16,17 +16,21 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SimConfig
-from .errors import InadmissibleParamsError, InsufficientSupportError
+from .errors import BlowUpError, InadmissibleParamsError, InsufficientSupportError
 from .initial_data import gaussian
 from .integrator import (
     StepperState,
     cfl_dt,
+    contraction_window,
     dt_source,
     initial_field,
+    plan_totals,
     resolve_dt,
     sample_steps,
     sampled_states,
     step,
+    step_plan,
+    window_cap,
 )
 from .operators import (
     GevreyParams,
@@ -66,32 +70,25 @@ class RadiusFit:
     band: tuple[float, float]
     residual: float  # rms misfit of the log-linear model
     shells: int
-    sigma_y: float | None = None  # same fit along eta, when it succeeds
 
 
-def _shell_fit(
-    freqs: np.ndarray, envelope: np.ndarray, band: tuple[float, float], peak: float
-) -> tuple[float, float, int]:
-    lo, hi = band
-    keep = (freqs >= lo) & (freqs <= hi) & (envelope > SPECTRAL_FLOOR * peak)
-    used = int(np.count_nonzero(keep))
-    if used < 8:
-        raise InsufficientSupportError(
-            f"only {used} usable spectral shells in band [{lo:g}, {hi:g}]; need 8"
-        )
-    x = freqs[keep]
-    y = np.log(envelope[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return max(0.0, -float(slope)), resid, used
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of y against x, in closed form."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = float(dx @ (y - ym) / (dx @ dx))
+    return slope, float(ym - slope * xm)
 
 
 def radius_estimate(
-    field: SpectralField, band: tuple[float, float] | None = None
+    field: SpectralField | StepperState, band: tuple[float, float] | None = None
 ) -> RadiusFit:
     """Fit exp(-sigma |xi|) to the positive-xi spectral envelope.
 
-    The envelope of shell j is max_k |c[j, k]|.  The fit band defaults to
+    The envelope of shell j is max_k |c[j, k]| over the full plane.  A
+    ``StepperState`` is read off its half plane: full-plane row j holds
+    half-plane row j and, conjugated, columns 1..ny/2-1 of row -j, so its
+    envelope is the larger of their maxima.  The fit band defaults to
     [0.25, 0.75] of the dealiased cutoff and must stay inside it; shells
     below the relative floor are dropped, and fewer than 8 surviving
     shells raises ``InsufficientSupportError``.
@@ -104,23 +101,30 @@ def radius_estimate(
         raise ValueError(
             f"fit band [{lo:g}, {hi:g}] must sit inside (0, {g.xi_dealias:g}]"
         )
-    mag = np.abs(field.coeffs)
+    n = g.nx // 2
+    if isinstance(field, StepperState):
+        mag = np.abs(field.half)
+        envelope = np.maximum(
+            mag[1:n].max(axis=1), mag[:n:-1, 1 : g.ny // 2].max(axis=1)
+        )
+    else:
+        mag = np.abs(field.coeffs)
+        envelope = mag[1:n].max(axis=1)
     peak = float(mag.max())
     if peak == 0.0:
         raise InsufficientSupportError("empty spectrum")
-    pos = slice(1, g.nx // 2)
-    sigma, resid, used = _shell_fit(
-        g.xi[pos], mag[pos, :].max(axis=1), (lo, hi), peak
-    )
-    sigma_y: float | None
-    try:
-        band_y = (lo * g.eta_max / g.xi_max, hi * g.eta_max / g.xi_max)
-        sigma_y, _, _ = _shell_fit(
-            g.eta[1 : g.ny // 2], mag[:, 1 : g.ny // 2].max(axis=0), band_y, peak
+    freqs = g.xi[1:n]
+    keep = (freqs >= lo) & (freqs <= hi) & (envelope > SPECTRAL_FLOOR * peak)
+    used = int(np.count_nonzero(keep))
+    if used < 8:
+        raise InsufficientSupportError(
+            f"only {used} usable spectral shells in band [{lo:g}, {hi:g}]; need 8"
         )
-    except InsufficientSupportError:
-        sigma_y = None
-    return RadiusFit(sigma, (lo, hi), resid, used, sigma_y)
+    x = freqs[keep]
+    y = np.log(envelope[keep])
+    slope, intercept = _line_fit(x, y)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return RadiusFit(max(0.0, -slope), band, resid, used)
 
 
 # --- tapered space-time fields and Bourgain-type norms ----------------------
@@ -384,7 +388,7 @@ def almost_conservation_run(
     if len(usable) >= 2:
         xs = np.log([s for s, _ in usable])
         ys = np.log([d for _, d in usable])
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        slope = _line_fit(xs, ys)[0]
     else:
         slope = float("nan")
     return AlmostConservationResult(tuple(sigmas), increments, slope, delta)
@@ -410,45 +414,53 @@ class RadiusDecayResult:
     c_emp: float  # min over tail samples of t * sigma_est
     collapse_time: float | None  # first sample where the fit hit zero
     fit_failures: int  # samples whose fit found too few shells (sigma_est nan)
-    steps: int
-    dt: float
-    dt_source: str  # "cfl" or "explicit"
+    steps: int  # IF-RK4 steps taken
+    dt: float  # the largest step taken
+    grid_dt: float  # the sampling grid step
+    dt_source: str  # "window" or "explicit"
     phase_s: dict[str, float]  # wall seconds in "stepping" and "samples"
 
 
 def radius_sample(state: StepperState) -> RadiusSample:
-    """``radius_estimate`` of a stepper state, at its step time steps * dt.
+    """``radius_estimate`` of a stepper state (off its half plane), at its
+    time ``state.t``.
 
     A fit that finds too few shells gives sigma_est = residual = nan: no
     fit is not a collapse, a genuine 0.0 comes only from the clamp.
     """
-    t = state.steps * state.dt
     try:
-        fit = radius_estimate(state.field)
+        fit = radius_estimate(state)
     except InsufficientSupportError:
-        return RadiusSample(t, float("nan"), float("nan"))
-    return RadiusSample(t, fit.sigma_est, fit.residual)
+        return RadiusSample(state.t, float("nan"), float("nan"))
+    return RadiusSample(state.t, fit.sigma_est, fit.residual)
 
 
 def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDecayResult:
     """Track the fitted radius at contraction-window spacing out to the
     horizon, then fit a power law on the tail (t past a tenth of the
-    horizon).  A sample whose fit fails carries sigma_est = nan and counts
-    in ``fit_failures``; only a fit clamped at 0 counts as a collapse.
-    Each sample computes the radius fit and nothing else."""
+    horizon).  Sample times snap to the sampling grid as in ``simulate``,
+    and the steps between them follow the same ``step_plan``.  A sample
+    whose fit fails carries sigma_est = nan and counts in
+    ``fit_failures``; only a fit clamped at 0 counts as a collapse.  Each
+    sample computes the radius fit and nothing else.  Data whose norm is
+    not finite raise ``BlowUpError``."""
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
-    delta = delta_rule(
-        gevrey_norm(f, cfg.gevrey.sigma1, 0.0), cfg.delta.c0, cfg.delta.exponent
-    )
+    delta = contraction_window(cfg, f)
+    if math.isnan(delta):
+        raise BlowUpError("initial data norm is not finite", time=0.0)
     span = cfg.time.horizon if horizon is None else horizon
     times = np.arange(0, int(np.floor(span / delta)) + 1) * delta
-    dt, n_total = resolve_dt(cfg, grid, span)
+    grid_dt, n_total = resolve_dt(cfg, grid, span)
+    plan = step_plan(
+        sample_steps(times, grid_dt, n_total), grid_dt,
+        window_cap(cfg, delta, grid_dt),
+    )
     clock = time.perf_counter
     found: list[RadiusSample] = []
     samples_s = 0.0
     t0 = clock()
-    for state in sampled_states(f, dt, n_total, sample_steps(times, dt, n_total)):
+    for _, state in sampled_states(f, grid_dt, plan):
         t_sample = clock()
         found.append(radius_sample(state))
         samples_s += clock() - t_sample
@@ -461,14 +473,15 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
     if len(tail) >= 2:
         xs = np.log([s.t for s in tail])
         ys = np.log([s.sigma_est for s in tail])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        tail_p, tail_amp = -float(slope), float(np.exp(intercept))
+        slope, intercept = _line_fit(xs, ys)
+        tail_p, tail_amp = -slope, math.exp(intercept)
         c_emp = float(min(s.t * s.sigma_est for s in tail))
     else:
         tail_p, tail_amp, c_emp = float("nan"), float("nan"), float("nan")
+    steps, dt = plan_totals(plan, grid_dt)
     return RadiusDecayResult(
         samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures,
-        n_total, dt, dt_source(cfg), phase_s,
+        steps, dt, grid_dt, dt_source(cfg), phase_s,
     )
 
 
@@ -485,7 +498,7 @@ class GapSample:
 @dataclass(frozen=True)
 class UniquenessResult:
     samples: tuple[GapSample, ...]
-    max_ratio: float  # worst gap / bound
+    max_ratio: float  # worst gap / bound over t > 0
     passed: bool
     eps: float
 
@@ -531,8 +544,10 @@ def uniqueness_gap(
         samples.append(
             GapSample(k * dt, gap_of(su, sv), gap0 * math.exp(0.25 * integral))
         )
-    max_ratio = max(s.gap / s.bound for s in samples if s.bound > 0)
-    return UniquenessResult(tuple(samples), max_ratio, max_ratio <= envelope, eps)
+    ratios = [s.gap / s.bound for s in samples if s.bound > 0]
+    # the t = 0 ratio is 1 by construction: report the worst later one
+    max_ratio = max(ratios[1:] or ratios)
+    return UniquenessResult(tuple(samples), max_ratio, max(ratios) <= envelope, eps)
 
 
 # --- weighted energy identity -----------------------------------------------

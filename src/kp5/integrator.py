@@ -14,18 +14,27 @@ multiply touches half the modes.  The RK4 stages are in Lawson form: each
 stage stays in the frame where it was evaluated and is carried forward by
 exp(i*dt*m/2), so no conjugate (backward) phase is stored or applied.
 ``StepperState.field`` rebuilds the full-plane ``SpectralField`` on read
-by Hermitian reflection, so a run pays for it only where it records a
-radius fit or a snapshot; the record norms and the remainder read the half
-plane.  The Nyquist row and column stay zero: the dealias mask removes
+by Hermitian reflection, so a run pays for it only at snapshots; the
+record norms, the remainder and the radius fit read the half plane.  The
+Nyquist row and column stay zero: the dealias mask removes
 them from every right-hand side and the phases never fill them.
 
-The step size rule is dt = cfl / max|dm/dxi| over live (dealiased, xi != 0)
-modes; dm/dxi = 5*xi^4 + eta^2/xi^2 is the x group velocity, the fastest
-scale the nonlinear term can see.
+Two step sizes.  The sampling grid is n * grid_dt with grid_dt = cfl /
+max|dm/dxi| over live (dealiased, xi != 0) modes, shrunk to divide the
+horizon; dm/dxi = 5*xi^4 + eta^2/xi^2 is the x group velocity, the fastest
+scale the nonlinear term can see.  Samples, records and snapshots snap to
+this grid.  The steps themselves are longer: the integrating factor solves
+the dispersion exactly, so the grid is only an accuracy guess, and each gap
+of g grid steps between wanted samples is crossed in min(g, ceil(g *
+grid_dt / (cfl * delta))) equal steps, where delta is the paper's
+contraction window c0 / (1 + ||f||_{G^sigma1})^exponent.  A non-finite
+data norm or a window shorter than grid_dt steps on the grid, and so does an
+explicit ``time.dt``, which is the step itself.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -40,6 +49,7 @@ from .operators import (
     _half_remainder, _weighted_norm, assert_sigma_within_guard,
     dispersion_symbol, gevrey_norm, half_plane_norms,
 )
+from .picard import delta_rule
 from .spectral import (
     Grid2D, SpectralField, dealias, dealiased_square, full_plane, half_plane,
 )
@@ -212,56 +222,98 @@ def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
 
 
 def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:
-    """Step size for a run over ``span``: explicit dt or the CFL rule,
-    shrunk so the final step lands exactly on the span."""
+    """Sampling grid step for a run over ``span``: explicit dt or the CFL
+    rule, shrunk so the last grid step lands exactly on the span."""
     base = cfg.time.dt if cfg.time.dt is not None else cfl_dt(grid, cfg.time.cfl)
     return aligned_dt(span, base)
 
 
 def dt_source(cfg: SimConfig) -> str:
-    """Where ``resolve_dt`` takes the step size from: "cfl" or "explicit"."""
-    return "cfl" if cfg.time.dt is None else "explicit"
+    """Where the steps come from: "window" (``window_cap``) or "explicit"."""
+    return "window" if cfg.time.dt is None else "explicit"
+
+
+def contraction_window(cfg: SimConfig, f: SpectralField) -> float:
+    """delta = c0 / (1 + ||f||_{G^sigma1})^exponent, the window over which
+    the paper chains local solutions; nan when the norm is not finite."""
+    norm = gevrey_norm(f, cfg.gevrey.sigma1, 0.0)
+    if not math.isfinite(norm):
+        return math.nan
+    return delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
+
+
+def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float | None:
+    """The longest step between samples, cfl * delta; None (step on the
+    grid) for an explicit dt and for a delta that is nan or below grid_dt."""
+    if cfg.time.dt is not None or not delta >= grid_dt:
+        return None
+    return cfg.time.cfl * delta
 
 
 def sample_steps(times, dt: float, steps: int) -> set[int]:
-    """The step indices nearest the given times, clamped to [0, steps]: a
-    shift below dt/2."""
+    """The sampling-grid indices nearest the given times, clamped to
+    [0, steps]: a shift below dt/2."""
     return {min(steps, max(0, round(float(t) / dt))) for t in times}
 
 
+def step_plan(
+    wanted: set[int], grid_dt: float, cap: float | None
+) -> list[tuple[int, float, int]]:
+    """(grid index, step size, step count) for each wanted grid index in
+    order.  The gap of g grid steps from the previous index (0 at first) is
+    crossed in ceil(g * grid_dt / cap) equal steps when that is fewer than
+    g, and otherwise (or with no cap) in g steps of exactly grid_dt."""
+    plan = []
+    prev = 0
+    for b in sorted(wanted):
+        gap = b - prev
+        dt, m = (grid_dt, gap) if cap is None else aligned_dt(gap * grid_dt, cap)
+        if m >= gap:
+            dt, m = grid_dt, gap
+        plan.append((b, dt, m))
+        prev = b
+    return plan
+
+
 def sampled_states(
-    f: SpectralField, dt: float, steps: int, wanted: set[int]
-) -> Iterator[StepperState]:
-    """Step f forward ``steps`` times by dt, yielding the state at every
-    step index in ``wanted`` (0 is f itself).
+    f: SpectralField, grid_dt: float, plan: list[tuple[int, float, int]]
+) -> Iterator[tuple[int, StepperState]]:
+    """Step f through a ``step_plan``, yielding (b, state) at each planned
+    grid index b; the state has t = b * grid_dt exactly and counts in
+    ``steps`` the steps taken so far.
 
     A non-finite step raises ``BlowUpError``.  So does a yielded state
     whose L2 norm exceeds RUNAWAY_FACTOR times the initial one; that check
     runs once the consumer has handled the state, so its sample is kept.
     """
-    state = StepperState.from_field(f, dt)
+    state = StepperState.from_field(f, grid_dt)
     initial_l2 = gevrey_norm(f, 0.0, 0.0)
-    for k in range(steps + 1):
-        if k > 0:
-            state = step(state)
-        if k not in wanted:
-            continue
-        yield state
+    for b, dt, m in plan:
+        if m:
+            state = replace(state, dt=dt)
+            for _ in range(m):
+                state = step(state)
+            state = replace(state, t=b * grid_dt)
+        yield b, state
         l2 = float(half_plane_norms(state.grid, state.half, 0.0, 0.0))
         if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
-            t = state.steps * dt
             raise BlowUpError(
-                f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={t:g}",
-                time=t,
+                f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={state.t:g}",
+                time=state.t,
             )
 
 
+def plan_totals(plan: list[tuple[int, float, int]], grid_dt: float) -> tuple[int, float]:
+    """Steps a plan takes and its largest step (grid_dt when it takes none)."""
+    return sum(m for _, _, m in plan), max((dt for _, dt, m in plan if m), default=grid_dt)
+
+
 def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
-    """The series row of a state, at its exact step time steps * dt.
+    """The series row of a state, at its time ``state.t``.
 
     The L2 norm and the ladder share one half-plane |c|^2 array, the
     remainder runs on the half plane and is exactly 0 (not computed) when
-    both sigmas are 0, and only the radius fit reads the rebuilt full plane.
+    both sigmas are 0, and the radius fit reads the half plane too.
     """
     # imported here: diagnostics builds on this module
     from .diagnostics import radius_sample
@@ -281,7 +333,7 @@ def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
         remainder_l2 = float(half_plane_norms(grid, rem, 0.0, 0.0))
     fit = radius_sample(state)
     return DiagnosticsRecord(
-        t=fit.t,
+        t=state.t,
         l2=norm(0.0),
         gevrey=tuple(norm(s) for s in cfg.gevrey.ladder),
         sigma_est=fit.sigma_est,
@@ -295,9 +347,10 @@ def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
 class SimulationOutput:
     records: list[DiagnosticsRecord]
     snapshots: list[tuple[float, SpectralField]]
-    dt: float
-    steps: int
-    dt_source: str  # "cfl" or "explicit"
+    dt: float  # the largest step taken
+    grid_dt: float  # the sampling grid step
+    steps: int  # IF-RK4 steps taken
+    dt_source: str  # "window" or "explicit"
     phase_s: dict[str, float]  # wall seconds in "stepping" and "records"
 
     @property
@@ -315,21 +368,25 @@ def simulate(
 ) -> SimulationOutput:
     """Run to the configured horizon, emitting records at sample times.
 
-    Sample times snap to the nearest step, a shift below dt/2; records
-    carry the exact step time n*dt.  ``snapshot_times`` additionally
-    capture the full field.  Blow-up raises ``BlowUpError`` with the
-    records collected so far attached (snapshots are not kept).  The
-    output's ``phase_s`` splits the wall time between stepping and the
-    records and snapshots, which include the full-plane rebuild.
+    Sample times snap to the nearest point n*grid_dt of the sampling grid,
+    a shift below grid_dt/2, and records carry that exact time; the steps
+    between them follow ``step_plan`` with the ``window_cap`` of the data,
+    and the run ends at the last sample or snapshot.  ``snapshot_times``
+    additionally capture the full field.  Blow-up raises ``BlowUpError``
+    with the records collected so far attached (snapshots are not kept).
+    The output's ``phase_s`` splits the wall time between stepping and the
+    records and snapshots (only snapshots rebuild the full plane).
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     horizon = cfg.time.horizon
-    dt, n_total = resolve_dt(cfg, grid, horizon)
+    grid_dt, n_total = resolve_dt(cfg, grid, horizon)
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, cfg.time.samples)
-    want = sample_steps(sample_times, dt, n_total)
-    want_snap = sample_steps(snapshot_times, dt, n_total)
+    want = sample_steps(sample_times, grid_dt, n_total)
+    want_snap = sample_steps(snapshot_times, grid_dt, n_total)
+    cap = window_cap(cfg, contraction_window(cfg, f), grid_dt)
+    plan = step_plan(want | want_snap, grid_dt, cap)
 
     clock = time.perf_counter
     records: list[DiagnosticsRecord] = []
@@ -337,14 +394,17 @@ def simulate(
     records_s = 0.0
     t0 = clock()
     try:
-        for state in sampled_states(f, dt, n_total, want | want_snap):
+        for b, state in sampled_states(f, grid_dt, plan):
             t_record = clock()
-            if state.steps in want_snap:
-                snapshots.append((state.steps * dt, state.field))
-            if state.steps in want:
+            if b in want_snap:
+                snapshots.append((state.t, state.field))
+            if b in want:
                 records.append(_record(cfg, state))
             records_s += clock() - t_record
     except BlowUpError as exc:
         raise BlowUpError(str(exc), time=exc.time, records=records) from None
     phase_s = {"stepping": clock() - t0 - records_s, "records": records_s}
-    return SimulationOutput(records, snapshots, dt, n_total, dt_source(cfg), phase_s)
+    steps, dt = plan_totals(plan, grid_dt)
+    return SimulationOutput(
+        records, snapshots, dt, grid_dt, steps, dt_source(cfg), phase_s
+    )

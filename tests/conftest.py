@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from kp5.integrator import initial_field, resolve_dt
+from kp5.operators import gevrey_norm
 from kp5.spectral import (
     Grid2D,
     PhysicalField,
@@ -47,3 +51,24 @@ def full_plane_square(grid, coeffs):
     n = grid.nx * grid.ny
     u = np.real(np.fft.ifft2(coeffs)) * n
     return np.fft.fft2(u * u) / n * grid.dealias_mask
+
+
+def window_rule(cfg, times):
+    """The window step rule written out for a run sampled at ``times``:
+    (grid_dt, sampled grid indices, steps, largest step).  Each gap of g
+    grid steps is crossed in min(g, ceil(g * grid_dt / (cfl * delta)))
+    steps, delta = c0 / (1 + ||f||_{G^sigma1})^exponent."""
+    grid = cfg.make_grid()
+    f = initial_field(cfg, grid)
+    delta = cfg.delta.c0 / (1.0 + gevrey_norm(f, cfg.gevrey.sigma1, 0.0)) ** (
+        cfg.delta.exponent
+    )
+    grid_dt, n = resolve_dt(cfg, grid, cfg.time.horizon)
+    idx = sorted({min(n, round(t / grid_dt)) for t in times})
+    steps, dt_max = 0, grid_dt
+    for a, b in zip([0] + idx[:-1], idx):
+        m = min(b - a, math.ceil((b - a) * grid_dt / (cfg.time.cfl * delta)))
+        steps += m
+        if m < b - a:
+            dt_max = max(dt_max, (b - a) * grid_dt / m)
+    return grid_dt, idx, steps, dt_max

@@ -10,7 +10,10 @@ from dataclasses import replace
 
 import pytest
 
+import kp5.acceptance
 from kp5.acceptance import AcceptanceSuite
+from kp5.config import DEFAULT_C_EMP
+from kp5.diagnostics import RadiusDecayResult, RadiusSample
 
 import conftest
 
@@ -37,3 +40,16 @@ def test_all_criteria_reported():
     assert set(_RESULTS) == set(AcceptanceSuite.ORDER)
     for cid in AcceptanceSuite.ORDER:
         print(_RESULTS[cid])
+
+
+@pytest.mark.parametrize("c_emp, passed", [(DEFAULT_C_EMP, True), (0.99 * DEFAULT_C_EMP, False)])
+def test_a7_floor_is_the_shipped_constant(monkeypatch, c_emp, passed):
+    # a run that passes every other A7 condition: plateau at the planted
+    # 1, flat tail, no failed or collapsed fit
+    samples = (RadiusSample(0.0, 1.0, 0.0), RadiusSample(25.0, 1.0, 0.0),
+               RadiusSample(50.0, 1.0, 0.0))
+    result = RadiusDecayResult(
+        samples, 0.01, 1.0, 0.0, 1.0, c_emp, None, 0, 3, 0.01, 0.01, "window", {},
+    )
+    monkeypatch.setattr(kp5.acceptance, "radius_decay_run", lambda cfg: result)
+    assert AcceptanceSuite().a7().passed is passed

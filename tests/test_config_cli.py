@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import window_rule
 from kp5.cli import main
 from kp5.config import (
     SimConfig,
@@ -154,7 +155,7 @@ def _reject_constant(name):
     raise ValueError(f"bare {name} is not JSON")
 
 
-@pytest.mark.parametrize("dt_line, source", [("", "cfl"), ("  dt: 0.005\n", "explicit")])
+@pytest.mark.parametrize("dt_line, source", [("", "window"), ("  dt: 0.005\n", "explicit")])
 def test_cli_simulate_manifest_telemetry(tmp_path, dt_line, source):
     cfg = write(tmp_path, SMALL_YAML.replace("  samples: 3\n", "  samples: 3\n" + dt_line))
     out = tmp_path / "run"
@@ -165,12 +166,17 @@ def test_cli_simulate_manifest_telemetry(tmp_path, dt_line, source):
     l2 = [float(r.split(",")[1]) for r in rows]
     assert m["l2_drift"] == max(abs(x - l2[0]) for x in l2) / l2[0]
     assert m["l2_drift"] < 1e-10
-    assert m["steps"] * m["dt"] == pytest.approx(0.1)
     assert m["dt_source"] == source
+    grid_dt, idx, steps, dt_max = window_rule(load_config(cfg), [0.0, 0.05, 0.1])
+    assert m["grid_dt"] == grid_dt and idx[-1] * grid_dt == pytest.approx(0.1)
+    assert [float(r.split(",")[0]) for r in rows] == [b * grid_dt for b in idx]
     assert set(m["phase_s"]) == {"stepping", "records", "writing"}
     assert all(v >= 0.0 for v in m["phase_s"].values())
     if source == "explicit":
-        assert m["dt"] == 0.005 and m["steps"] == 20
+        assert m["dt"] == m["grid_dt"] == 0.005 and m["steps"] == 20
+    else:
+        assert (m["steps"], m["dt"]) == (steps, pytest.approx(dt_max, rel=1e-15))
+        assert m["steps"] < idx[-1] and m["dt"] > grid_dt
 
 
 def test_cli_radius_decay_manifest_counts_failed_fits(tmp_path):
@@ -189,7 +195,7 @@ def test_cli_radius_decay_manifest_counts_failed_fits(tmp_path):
 
 
 
-@pytest.mark.parametrize("dt_line, source", [("", "cfl"), ("  dt: 0.004\n", "explicit")])
+@pytest.mark.parametrize("dt_line, source", [("", "window"), ("  dt: 0.004\n", "explicit")])
 def test_cli_radius_decay_manifest_telemetry(tmp_path, dt_line, source):
     cfg = write(
         tmp_path,
@@ -200,12 +206,22 @@ def test_cli_radius_decay_manifest_telemetry(tmp_path, dt_line, source):
     out = tmp_path / "decay"
     assert main(["radius-decay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
-    assert m["steps"] * m["dt"] == pytest.approx(0.1)
+    times = [float(r.split(",")[0])
+             for r in (out / "decay.csv").read_text().strip().splitlines()[1:]]
+    assert len(times) >= 3
+    grid_dt, idx, steps, dt_max = window_rule(
+        load_config(cfg), np.arange(len(times)) * m["delta"]
+    )
+    assert m["grid_dt"] == grid_dt and times == [b * grid_dt for b in idx]
     assert m["dt_source"] == source
     assert set(m["phase_s"]) == {"stepping", "samples", "writing"}
     assert all(v >= 0.0 for v in m["phase_s"].values())
     if source == "explicit":
-        assert m["dt"] == 0.004 and m["steps"] == 25
+        # the run stops at the last sample, short of the horizon
+        assert m["dt"] == m["grid_dt"] == 0.004 and m["steps"] == idx[-1] <= 25
+    else:
+        assert (m["steps"], m["dt"]) == (steps, pytest.approx(dt_max, rel=1e-15))
+        assert m["steps"] < idx[-1] and m["dt"] > grid_dt
 
 
 def test_cli_radius_decay_manifest_is_strict_json(tmp_path):

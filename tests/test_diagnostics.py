@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_band_field
+from conftest import random_band_field, window_rule
 from kp5.config import (
     GevreyConfig,
     GridConfig,
@@ -53,7 +53,20 @@ def test_radius_estimate_recovers_planted_decay():
         assert fit.sigma_est == pytest.approx(sigma, abs=1e-12)
         assert fit.residual < 1e-10
         assert fit.shells >= 8
-        assert fit.sigma_y == pytest.approx(sigma, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", [GRID64, Grid2D(64, 48, 32 * np.pi, 24 * np.pi)],
+                         ids=["64x64", "64x48"])
+def test_radius_estimate_reads_stepper_half_plane_exactly(grid):
+    # white band noise: rows j and -j of the half plane differ in size, so
+    # the envelope needs both
+    f = random_band_field(grid, seed=21)
+    state = StepperState.from_field(f, 0.01)
+    fit = radius_estimate(state)
+    assert fit == radius_estimate(state.field)
+    # f itself is Hermitian only to roundoff
+    assert fit.sigma_est == pytest.approx(radius_estimate(f).sigma_est, abs=1e-12)
+    assert fit.shells >= 8
 
 
 def test_radius_estimate_free_flow_invariant():
@@ -202,6 +215,8 @@ def test_uniqueness_gap_bound():
     assert res.samples[0].bound == pytest.approx(res.samples[0].gap, rel=1e-12)
     assert res.passed
     assert res.max_ratio <= 1.1
+    # reported over t > 0: the t = 0 ratio is 1 by construction
+    assert res.max_ratio == max(s.gap / s.bound for s in res.samples[1:]) < 1.0
     assert res.samples[-1].t == pytest.approx(cfg.time.horizon)
 
 
@@ -303,6 +318,7 @@ def test_half_plane_record_matches_full_plane_diagnostics():
     rem = remainder_n(field, 0.5, 0.1)
     assert rel(rec.remainder_l2, gevrey_norm(rem, 0.0, 0.0)) <= 1e-13
     fit = radius_estimate(field)
+    assert radius_estimate(state) == fit  # the half-plane envelope, exactly
     assert (rec.sigma_est, rec.residual) == (fit.sigma_est, fit.residual)
     flat = replace(cfg, gevrey=replace(cfg.gevrey, sigma1=0.0, sigma2=0.0))
     zero = _record(flat, state)
@@ -323,6 +339,9 @@ def test_radius_decay_samples_match_record_path():
     assert [(r.sigma_est, r.residual) for r in records] == [
         (s.sigma_est, s.residual) for s in res.samples
     ]
-    assert res.steps * res.dt == pytest.approx(0.3)
-    assert res.dt_source == "cfl"
+    grid_dt, idx, steps, dt_max = window_rule(cfg, times)
+    assert (res.grid_dt, res.steps) == (grid_dt, steps)
+    assert res.dt == pytest.approx(dt_max, rel=1e-15)
+    assert [s.t for s in res.samples] == [b * grid_dt for b in idx]
+    assert res.steps < idx[-1] and res.dt_source == "window"
     assert set(res.phase_s) == {"stepping", "samples"}

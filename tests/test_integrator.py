@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import full_plane_square, random_band_field
-from kp5.config import GridConfig, InitialConfig, SimConfig, TimeConfig
+import kp5.integrator
+from conftest import full_plane_square, random_band_field, window_rule
+from kp5.config import GevreyConfig, GridConfig, InitialConfig, SimConfig, TimeConfig
+from kp5.diagnostics import radius_decay_run
 from kp5.errors import BlowUpError, SpectralSymmetryError
 from kp5.integrator import (
     StepperState,
@@ -13,8 +16,12 @@ from kp5.integrator import (
     cfl_dt,
     initial_field,
     max_group_speed,
+    resolve_dt,
+    sampled_states,
     simulate,
     step,
+    step_plan,
+    window_cap,
 )
 from kp5.operators import dispersion_symbol, gevrey_norm, semigroup_apply
 from kp5.spectral import Grid2D, dealias, full_plane, half_plane, x_derivative
@@ -169,15 +176,112 @@ def test_self_convergence_order(grid32):
     assert order >= 3.5
 
 
-def test_blow_up_reports_partial_records():
+def _counting_steps(monkeypatch) -> list:
+    calls = []
+    real = kp5.integrator.step
+
+    def counted(state):
+        calls.append(state.dt)
+        return real(state)
+
+    monkeypatch.setattr(kp5.integrator, "step", counted)
+    return calls
+
+
+def _assert_blow_up_on_grid_steps(monkeypatch, amplitude):
     cfg = small_cfg(
-        initial=InitialConfig(kind="gaussian", amplitude=1e100, width=2.0),
+        initial=InitialConfig(kind="gaussian", amplitude=amplitude, width=2.0),
         time=TimeConfig(horizon=0.1, samples=2),
     )
+    calls = _counting_steps(monkeypatch)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
         simulate(cfg)
     assert info.value.time > 0.0
     assert len(info.value.records) == 1  # the t = 0 sample was taken
+    # the tiny or missing window falls back to grid steps: no more of them
+    # than the grid has, each exactly grid_dt
+    grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.1)
+    assert 1 <= len(calls) <= n and set(calls) == {grid_dt}
+
+
+def test_blow_up_reports_partial_records(monkeypatch):
+    # a contraction window of ~1e-201, far below the grid step
+    _assert_blow_up_on_grid_steps(monkeypatch, 1e100)
+
+
+def test_blow_up_without_a_finite_data_norm(monkeypatch):
+    # the data norm overflows, so there is no window at all
+    _assert_blow_up_on_grid_steps(monkeypatch, 1e200)
+
+
+def test_radius_decay_rejects_data_without_a_window():
+    cfg = small_cfg(initial=InitialConfig(kind="gaussian", amplitude=1e200, width=2.0))
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError):
+        radius_decay_run(cfg)
+
+
+def test_step_plan_crosses_each_gap_in_window_steps():
+    # gaps of 10, 3 and 12 grid steps of 0.1 under a cap of 0.35
+    plan = step_plan({25, 0, 13, 10}, 0.1, 0.35)
+    assert [(b, m) for b, _, m in plan] == [(0, 0), (10, 3), (13, 1), (25, 4)]
+    assert [dt for _, dt, _ in plan[1:]] == pytest.approx([1.0 / 3, 0.3, 0.3])
+    assert step_plan({4}, 0.1, 1.0) == [(4, pytest.approx(0.4), 1)]
+    # no cap, or one below the grid step: every grid step, of exactly grid_dt
+    for cap in (None, 0.05):
+        assert step_plan({0, 10, 13}, 0.1, cap) == [(0, 0.1, 0), (10, 0.1, 10), (13, 0.1, 3)]
+
+
+def test_window_cap_is_cfl_times_delta_or_none():
+    cfg = small_cfg()
+    assert window_cap(cfg, 0.1, 0.01) == 0.1
+    assert window_cap(replace(cfg, time=replace(cfg.time, cfl=0.5)), 0.1, 0.01) == 0.05
+    assert window_cap(cfg, 0.005, 0.01) is None  # window below the grid step
+    assert window_cap(cfg, math.nan, 0.01) is None  # no finite data norm
+    assert window_cap(replace(cfg, time=replace(cfg.time, dt=0.01)), 0.1, 0.01) is None
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.8])
+def test_window_steps_keep_grid_times_and_match_grid_steps(cfl):
+    cfg = small_cfg(
+        time=TimeConfig(horizon=0.5, samples=6, cfl=cfl),
+        gevrey=GevreyConfig(sigma1=0.25),
+    )
+    grid = cfg.make_grid()
+    # an explicit dt equal to the CFL step takes every step of the grid
+    on_grid = simulate(replace(cfg, time=replace(cfg.time, dt=cfl_dt(grid, cfl))))
+    out = simulate(cfg)
+    grid_dt, idx, steps, dt_max = window_rule(cfg, np.linspace(0.0, 0.5, 6))
+    assert (on_grid.dt_source, out.dt_source) == ("explicit", "window")
+    assert out.grid_dt == on_grid.grid_dt == on_grid.dt == grid_dt
+    assert on_grid.steps == idx[-1]
+    assert (out.steps, out.dt) == (steps, pytest.approx(dt_max, rel=1e-15))
+    assert out.steps < on_grid.steps / 2 and out.records[-1].steps == out.steps
+    assert [r.t for r in out.records] == [r.t for r in on_grid.records]
+    assert [r.t for r in out.records] == [b * grid_dt for b in idx]
+    # measured 6.1e-11 (cfl 1: 20 window steps against 51 grid steps)
+    for a, b in zip(out.records, on_grid.records):
+        got = (a.l2, *a.gevrey, a.remainder_l2)
+        want = (b.l2, *b.gevrey, b.remainder_l2)
+        assert max(abs(x - y) / abs(y) for x, y in zip(got, want)) <= 2e-10
+
+
+def test_explicit_dt_takes_every_grid_step_bitwise(monkeypatch):
+    cfg = small_cfg(time=TimeConfig(horizon=0.1, samples=3, dt=0.01))
+    f = initial_field(cfg)
+    grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.1)
+    assert (grid_dt, n) == (0.01, 10)
+    plan = step_plan({0, 5, 10}, grid_dt, window_cap(cfg, 1.0, grid_dt))
+    got = dict(sampled_states(f, grid_dt, plan))
+    by_hand = StepperState.from_field(f, grid_dt)
+    for k in range(1, n + 1):
+        by_hand = step(by_hand)
+        if k in got:
+            assert np.array_equal(got[k].half, by_hand.half)
+            assert (got[k].steps, got[k].t) == (k, k * grid_dt)
+    calls = _counting_steps(monkeypatch)
+    out = simulate(cfg)
+    assert (out.steps, out.dt, out.grid_dt) == (10, 0.01, 0.01)
+    assert calls == [0.01] * 10
 
 
 def test_simulate_sampling_and_snapshots():
