@@ -48,10 +48,9 @@ from .picard import delta_rule
 from .spectral import (
     Grid2D,
     SpectralField,
+    _mirror,
     dealias,
     dealiased_coefficients,
-    half_plane,
-    hermitian_part,
     physical_values,
     project_zero_x_mean,
 )
@@ -81,17 +80,17 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def radius_estimate(
-    field: SpectralField | StepperState, band: tuple[float, float] | None = None
+    field: SpectralField, band: tuple[float, float] | None = None
 ) -> RadiusFit:
     """Fit exp(-sigma |xi|) to the positive-xi spectral envelope.
 
-    The envelope of shell j is max_k |c[j, k]| over the full plane.  A
-    ``StepperState`` is read off its half plane: full-plane row j holds
-    half-plane row j and, conjugated, columns 1..ny/2-1 of row -j, so its
-    envelope is the larger of their maxima.  The fit band defaults to
-    [0.25, 0.75] of the dealiased cutoff and must stay inside it; shells
-    below the relative floor are dropped, and fewer than 8 surviving
-    shells raises ``InsufficientSupportError``.
+    The envelope of shell j is max_k |c[j, k]| over the full plane, read
+    off the half plane: full-plane row j holds half-plane row j and,
+    conjugated, columns 1..ny/2-1 of row -j, so the envelope is the larger
+    of their maxima.  The fit band defaults to [0.25, 0.75] of the
+    dealiased cutoff and must stay inside it; shells below the relative
+    floor are dropped, and fewer than 8 surviving shells raises
+    ``InsufficientSupportError``.
     """
     g = field.grid
     if band is None:
@@ -102,14 +101,8 @@ def radius_estimate(
             f"fit band [{lo:g}, {hi:g}] must sit inside (0, {g.xi_dealias:g}]"
         )
     n = g.nx // 2
-    if isinstance(field, StepperState):
-        mag = np.abs(field.half)
-        envelope = np.maximum(
-            mag[1:n].max(axis=1), mag[:n:-1, 1 : g.ny // 2].max(axis=1)
-        )
-    else:
-        mag = np.abs(field.coeffs)
-        envelope = mag[1:n].max(axis=1)
+    mag = np.abs(field.half)
+    envelope = np.maximum(mag[1:n].max(axis=1), mag[:n:-1, 1 : g.ny // 2].max(axis=1))
     peak = float(mag.max())
     if peak == 0.0:
         raise InsufficientSupportError("empty spectrum")
@@ -201,7 +194,7 @@ def _xtsb_weight(
     the column multiplicity."""
     h = grid.ny // 2 + 1
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)
-    m = dispersion_symbol(grid)[:, :h]
+    m = dispersion_symbol(grid)
     mod = tau[:, None, None] - m[None, :, :]
     w = bracket(mod) ** (2.0 * b) * grid.half_multiplicity
     if eps != 0.0:
@@ -209,7 +202,7 @@ def _xtsb_weight(
     if s1 != 0.0:
         w = w * bracket(grid.xi_col)[None, :, :] ** (2.0 * s1)
     if s2 != 0.0:
-        w = w * bracket(grid.eta_row[:, :h])[None, :, :] ** (2.0 * s2)
+        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * s2)
     w = np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h)))
     w.setflags(write=False)
     return w
@@ -266,15 +259,16 @@ def _random_window(grid: Grid2D, n_t: int, rng: np.random.Generator) -> np.ndarr
     """Half planes, shape (n_t, nx, ny//2 + 1), of random real fields,
     smooth in time (5 temporal harmonics) and with an exponentially
     decaying spatial envelope, dealiased and zero-x-mean."""
-    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta_row)))
+    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta)))
     bases = []
     for _ in range(5):
         raw = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal(
             (grid.nx, grid.ny)
         )
-        c = hermitian_part(raw * envelope)
-        f = SpectralField.from_coefficients(grid, c)
-        bases.append(half_plane(project_zero_x_mean(dealias(f))))
+        c = raw * envelope
+        # the Hermitian part of full-plane noise: a real field
+        f = SpectralField(grid, (0.5 * (c + np.conj(_mirror(c))))[:, : grid.ny // 2 + 1])
+        bases.append(project_zero_x_mean(dealias(f)).half)
     phase = 2.0 * np.pi * np.arange(n_t) / n_t
     weights = np.stack([np.ones(n_t), np.cos(phase), np.sin(phase),
                         np.cos(2 * phase), np.sin(2 * phase)])
@@ -370,10 +364,10 @@ def almost_conservation_run(
         gevrey_norm(f, sigma_ref, 0.0), cfg.delta.c0, cfg.delta.exponent
     )
     dt, n = resolve_dt(cfg, grid, delta)
-    state = StepperState.from_field(f, dt)
+    state = StepperState(f, dt)
 
     def energy(s: float) -> float:
-        return float(half_plane_norms(grid, state.half, s, 0.0)) ** 2
+        return gevrey_norm(state.field, s, 0.0) ** 2
 
     init = {s: energy(s) for s in sigmas}
     dev = {s: 0.0 for s in sigmas}
@@ -422,14 +416,14 @@ class RadiusDecayResult:
 
 
 def radius_sample(state: StepperState) -> RadiusSample:
-    """``radius_estimate`` of a stepper state (off its half plane), at its
-    time ``state.t``.
+    """``radius_estimate`` of a stepper state's field, at its time
+    ``state.t``.
 
     A fit that finds too few shells gives sigma_est = residual = nan: no
     fit is not a collapse, a genuine 0.0 comes only from the clamp.
     """
     try:
-        fit = radius_estimate(state)
+        fit = radius_estimate(state.field)
     except InsufficientSupportError:
         return RadiusSample(state.t, float("nan"), float("nan"))
     return RadiusSample(state.t, fit.sigma_est, fit.residual)
@@ -517,20 +511,18 @@ def uniqueness_gap(
     f = initial_field(cfg, grid)
     bump = dealias(gaussian(grid, 1.0, 2.0))
     bump_l2 = gevrey_norm(bump, 0.0, 0.0)
-    bump = bump.with_coeffs(bump.coeffs / bump_l2)
-    g0 = SpectralField(
-        grid, f.coeffs + eps * bump.coeffs, hermitian=True, zero_x_mean=True
-    )
+    g0 = SpectralField(grid, f.half + eps * (bump.half / bump_l2))
     span = cfg.time.horizon if horizon is None else horizon
     dt, n = resolve_dt(cfg, grid, span)
-    su = StepperState.from_field(f, dt)
-    sv = StepperState.from_field(g0, dt)
+    su = StepperState(f, dt)
+    sv = StepperState(g0, dt)
 
     def dx_sup(st: StepperState) -> float:
-        return float(np.max(np.abs(physical_values(grid, 1j * grid.xi_col * st.half))))
+        u_x = physical_values(grid, 1j * grid.xi_col * st.field.half)
+        return float(np.max(np.abs(u_x)))
 
     def gap_of(a: StepperState, b: StepperState) -> float:
-        return float(half_plane_norms(grid, a.half - b.half, 0.0, 0.0))
+        return float(half_plane_norms(grid, a.field.half - b.field.half, 0.0, 0.0))
 
     gap0 = gap_of(su, sv)
     integral = 0.0
@@ -590,12 +582,14 @@ def energy_identity_check(
 
     rows = []
     for dt in dts:
-        st = StepperState.from_field(f, 0.5 * dt)
+        st = StepperState(f, 0.5 * dt)
         mid = step(st)
         end = step(mid).field
-        e0 = gevrey_norm(f, s1, s2) ** 2
-        e1 = gevrey_norm(end, s1, s2) ** 2
-        lhs = (e1 - e0) / dt
+        # ||A u||^2 - ||A f||^2 = <A(u - f), A(u + f)>, free of cancellation
+        lhs = l2_inner(
+            apply_gevrey(SpectralField(grid, end.half - f.half), s1, s2),
+            apply_gevrey(SpectralField(grid, end.half + f.half), s1, s2),
+        ) / dt
         rhs = (flux(f) + 4.0 * flux(mid.field) + flux(end)) / 6.0
         scale = max(abs(lhs), abs(rhs), 1e-300)
         rows.append(EnergyIdentityRow(dt, lhs, rhs, abs(lhs - rhs) / scale))

@@ -12,7 +12,7 @@ class Kp5Error(Exception):
 
 
 class SpectralSymmetryError(Kp5Error):
-    """A real-valued operation received coefficients without Hermitian symmetry."""
+    """Full-plane coefficients are not Hermitian, so they are not a real field."""
 
 
 class IllPosedInversionError(Kp5Error):

@@ -16,6 +16,7 @@ from .spectral import (
     Grid2D,
     PhysicalField,
     SpectralField,
+    _mirror,
     forward_transform,
     inverse_transform,
     project_zero_x_mean,
@@ -81,23 +82,21 @@ def exp_spectrum(
         raise ValueError("spectral decay rates must be >= 0")
     g = grid
     mag = np.exp(-decay_x * np.abs(g.xi_col) - decay_y * np.abs(g.eta_row))
-    mag = np.broadcast_to(mag, (g.nx, g.ny)).copy()
+    mag = np.broadcast_to(mag, (g.nx, g.ny // 2 + 1)).copy()
     mag[0, :] = 0.0
-    mag[g.nx // 2, :] = 0.0
-    mag[:, g.ny // 2] = 0.0
     if rng is None:
         coeffs = mag.astype(np.complex128)
     else:
+        # full-plane phases, antisymmetrized so c(-j,-k) = conj(c(j,k))
+        # holds exactly; the half plane keeps columns k = 0..ny/2
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(g.nx, g.ny))
-        # antisymmetrize phases so c(-j,-k) = conj(c(j,k)) holds exactly
-        theta_refl = np.roll(theta[::-1, ::-1], shift=(1, 1), axis=(0, 1))
-        theta = 0.5 * (theta - theta_refl)
-        coeffs = mag * np.exp(1j * theta)
-    field = SpectralField(g, coeffs, hermitian=True, zero_x_mean=True)
+        theta = 0.5 * (theta - _mirror(theta))
+        coeffs = mag * np.exp(1j * theta[:, : g.ny // 2 + 1])
+    field = SpectralField(g, coeffs)
     peak = float(np.max(np.abs(inverse_transform(field).values)))
     if peak == 0.0:
         return field
-    return field.with_coeffs(field.coeffs * (amplitude / peak))
+    return SpectralField(g, field.half * (amplitude / peak))
 
 
 def make_initial_field(

@@ -6,18 +6,17 @@ nonstiff system for v that classical RK4 integrates.  With the nonlinearity
 switched off a step multiplies by exp(i*dt*m) exactly, i.e. the stepper
 degenerates to the free propagator.
 
-The stepper carries the ``rfft2`` half plane (modes k = 0..ny/2) of the
-real solution, so realness holds by construction: each right-hand side is
-one call of the dealiased-square kernel (``spectral.dealiased_square``, an
-inverse and a band-pruned forward pair of 1-D passes), and every stage
-multiply touches half the modes.  The RK4 stages are in Lawson form: each
-stage stays in the frame where it was evaluated and is carried forward by
-exp(i*dt*m/2), so no conjugate (backward) phase is stored or applied.
-``StepperState.field`` rebuilds the full-plane ``SpectralField`` on read
-by Hermitian reflection, so a run pays for it only at snapshots; the
-record norms, the remainder and the radius fit read the half plane.  The
-Nyquist row and column stay zero: the dealias mask removes
-them from every right-hand side and the phases never fill them.
+The stepper state carries the solution as a ``SpectralField``, the
+``rfft2`` half plane (modes k = 0..ny/2) of the real solution, so realness
+holds by construction: each right-hand side is one call of the
+dealiased-square kernel (``spectral.dealiased_square``, an inverse and a
+band-pruned forward pair of 1-D passes), and every stage multiply touches
+half the modes.  The RK4 stages are in Lawson form: each stage stays in the
+frame where it was evaluated and is carried forward by exp(i*dt*m/2), so no
+conjugate (backward) phase is stored or applied.  Records, snapshots and
+the radius fit read the state's field as it is.  The Nyquist row and column
+stay zero: the dealias mask removes them from every right-hand side and the
+phases never fill them.
 
 Two step sizes.  The sampling grid is n * grid_dt with grid_dt = cfl /
 max|dm/dxi| over live (dealiased, xi != 0) modes, shrunk to divide the
@@ -46,13 +45,11 @@ from .config import SimConfig, rng_from_seed
 from .errors import BlowUpError
 from .initial_data import make_initial_field
 from .operators import (
-    _half_remainder, _weighted_norm, assert_sigma_within_guard,
-    dispersion_symbol, gevrey_norm, half_plane_norms,
+    _weighted_norm, assert_sigma_within_guard, dispersion_symbol, gevrey_norm,
+    remainder_n,
 )
 from .picard import delta_rule
-from .spectral import (
-    Grid2D, SpectralField, dealias, dealiased_square, full_plane, half_plane,
-)
+from .spectral import Grid2D, SpectralField, dealias, dealiased_square
 
 RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
 
@@ -79,43 +76,20 @@ class DiagnosticsRecord:
 class StepperState:
     """Immutable stepper snapshot; ``step`` returns the advanced copy.
 
-    ``half`` holds the rfft2 half plane, shape (nx, ny//2 + 1), of the real
-    solution at time t.  Build a state from a field with ``from_field``.
+    ``field`` is the solution at time t; ``StepperState(f, dt)`` starts
+    from f at t = 0.
     """
 
-    grid: Grid2D
-    half: np.ndarray
-    t: float
+    field: SpectralField
     dt: float
+    t: float = 0.0
     steps: int = 0
     nonlinear: bool = True
     dispersion_sign: float = 1.0  # -1 integrates the time-reversed flow
 
-    @classmethod
-    def from_field(
-        cls, field: SpectralField, dt: float, *,
-        nonlinear: bool = True, dispersion_sign: float = 1.0,
-    ) -> "StepperState":
-        """Start from a real field at t = 0; non-Hermitian coefficients
-        raise ``SpectralSymmetryError``."""
-        return cls(
-            field.grid, _frozen(half_plane(field)), 0.0, dt,
-            nonlinear=nonlinear, dispersion_sign=dispersion_sign,
-        )
-
-    @property
-    def field(self) -> SpectralField:
-        """The full-plane field, rebuilt from the half plane on every read."""
-        return SpectralField(
-            self.grid,
-            full_plane(self.grid, self.half),
-            hermitian=True,
-            zero_x_mean=not self.half[0].any(),
-        )
-
     @property
     def cfl_ratio(self) -> float:
-        return self.dt * max_group_speed(self.grid)
+        return self.dt * max_group_speed(self.field.grid)
 
 
 @lru_cache(maxsize=8)
@@ -126,7 +100,7 @@ def max_group_speed(grid: Grid2D) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = 5.0 * xi**4 + eta**2 / xi**2
     live = grid.dealias_mask & (xi != 0.0)
-    speed = np.broadcast_to(speed, (grid.nx, grid.ny))
+    speed = np.broadcast_to(speed, live.shape)
     return float(speed[live].max())
 
 
@@ -164,7 +138,7 @@ def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _half_phases(grid: Grid2D, signed_dt: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(i dt m / 2) and exp(i dt m) on the half plane."""
-    m = dispersion_symbol(grid)[:, : grid.ny // 2 + 1]
+    m = dispersion_symbol(grid)
     return _frozen(np.exp(0.5j * signed_dt * m)), _frozen(np.exp(1j * signed_dt * m))
 
 
@@ -177,8 +151,8 @@ def step(state: StepperState) -> StepperState:
     IF-RK4 step with every stage kept in the frame where it was evaluated,
     so no conjugate phase is needed.  Stage sums are formed in place.
     """
-    grid = state.grid
-    c = state.half
+    grid = state.field.grid
+    c = state.field.half
     dt = state.dt
     e_half, e_full = _half_phases(grid, dt * state.dispersion_sign)
     if state.nonlinear:
@@ -212,7 +186,9 @@ def step(state: StepperState) -> StepperState:
             f"non-finite coefficients after step to t={state.t + dt:g}",
             time=state.t + dt,
         )
-    return replace(state, half=_frozen(new_c), t=state.t + dt, steps=state.steps + 1)
+    return replace(
+        state, field=SpectralField(grid, new_c), t=state.t + dt, steps=state.steps + 1
+    )
 
 
 def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
@@ -286,7 +262,7 @@ def sampled_states(
     whose L2 norm exceeds RUNAWAY_FACTOR times the initial one; that check
     runs once the consumer has handled the state, so its sample is kept.
     """
-    state = StepperState.from_field(f, grid_dt)
+    state = StepperState(f, grid_dt)
     initial_l2 = gevrey_norm(f, 0.0, 0.0)
     for b, dt, m in plan:
         if m:
@@ -295,7 +271,7 @@ def sampled_states(
                 state = step(state)
             state = replace(state, t=b * grid_dt)
         yield b, state
-        l2 = float(half_plane_norms(state.grid, state.half, 0.0, 0.0))
+        l2 = gevrey_norm(state.field, 0.0, 0.0)
         if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
             raise BlowUpError(
                 f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={state.t:g}",
@@ -311,15 +287,14 @@ def plan_totals(plan: list[tuple[int, float, int]], grid_dt: float) -> tuple[int
 def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
     """The series row of a state, at its time ``state.t``.
 
-    The L2 norm and the ladder share one half-plane |c|^2 array, the
-    remainder runs on the half plane and is exactly 0 (not computed) when
-    both sigmas are 0, and the radius fit reads the half plane too.
+    The L2 norm and the ladder share one |c|^2 array, and the remainder
+    is exactly 0 (not computed) when both sigmas are 0.
     """
     # imported here: diagnostics builds on this module
     from .diagnostics import radius_sample
 
-    grid, half = state.grid, state.half
-    c2 = np.abs(half) ** 2 * grid.half_multiplicity
+    grid = state.field.grid
+    c2 = np.abs(state.field.half) ** 2 * grid.half_multiplicity
 
     def norm(sigma1: float) -> float:
         assert_sigma_within_guard(grid, sigma1, 0.0)
@@ -329,8 +304,7 @@ def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
     if s1 == 0.0 and s2 == 0.0:
         remainder_l2 = 0.0
     else:
-        rem = _half_remainder(grid, half, s1, s2)
-        remainder_l2 = float(half_plane_norms(grid, rem, 0.0, 0.0))
+        remainder_l2 = gevrey_norm(remainder_n(state.field, s1, s2), 0.0, 0.0)
     fit = radius_sample(state)
     return DiagnosticsRecord(
         t=state.t,
@@ -375,7 +349,7 @@ def simulate(
     additionally capture the full field.  Blow-up raises ``BlowUpError``
     with the records collected so far attached (snapshots are not kept).
     The output's ``phase_s`` splits the wall time between stepping and the
-    records and snapshots (only snapshots rebuild the full plane).
+    records and snapshots.
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)

@@ -15,10 +15,11 @@ measure,
     ||u||^2 = lx*ly * sum_{j,k} w(xi_j, eta_k) * |c[j,k]|^2,
 
 so the unweighted case (sigma = s = 0) coincides with the physical L2 norm.
-Weighted sums are evaluated with a max-exponent shift so that sigma values
-near the overflow guard stay finite; ``gevrey_norm``, ``half_plane_norms``
-and the space-time ``bourgain_norm`` share that one sum.  On the rfft2 half
-plane the columns 0 < k < ny/2 count twice.
+Every operator acts on the rfft2 half plane, where the columns
+0 < k < ny/2 count twice.  Weighted sums are evaluated with a max-exponent
+shift so that sigma values near the overflow guard stay finite;
+``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of half planes)
+and the space-time ``bourgain_norm`` share that one sum.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SigmaOverflowError
-from .spectral import Grid2D, SpectralField, dealiased_square, full_plane, half_plane
+from .spectral import Grid2D, SpectralField, dealiased_square
 
 # exp argument budget: exp(650) ~ 1e282 leaves headroom for the mode sums
 SIGMA_GUARD_LIMIT = 650.0
@@ -96,16 +97,13 @@ def _weighted_norm(
     """sqrt(measure * sum(exp(2 (sigma1|xi| + sigma2|eta|)) * c2)) over
     ``axes`` (every axis when None).
 
-    The trailing axes of c2 are the full plane or the half plane.  The sum
-    is shifted by the largest weight exponent on the support of c2, so
-    large sigma cannot overflow and the dominant shell is summed at full
-    precision.
+    The trailing axes of c2 are the half plane.  The sum is shifted by the
+    largest weight exponent on the support of c2, so large sigma cannot
+    overflow and the dominant shell is summed at full precision.
     """
     if sigma1 == 0.0 and sigma2 == 0.0:
         return np.sqrt(measure * np.sum(c2, axis=axes))
-    logw = np.broadcast_to(
-        _log_weight(grid, sigma1, sigma2)[:, : c2.shape[-1]], c2.shape
-    )
+    logw = np.broadcast_to(_log_weight(grid, sigma1, sigma2), c2.shape)
     shift = np.max(np.where(c2 > 0.0, logw, 0.0), axis=axes, keepdims=True)
     # off the support c2 is 0, so clipping the exponent there changes nothing
     scaled = np.exp(2.0 * np.minimum(logw - shift, 0.0)) * c2
@@ -113,18 +111,26 @@ def _weighted_norm(
     return np.squeeze(np.exp(shift) * np.sqrt(measure * total), axis=axes)
 
 
+@lru_cache(maxsize=8)
+def _weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
+    """exp(sigma1*|xi| + sigma2*|eta|) on the half plane."""
+    w = np.exp(_log_weight(grid, sigma1, sigma2))
+    w.setflags(write=False)
+    return w
+
+
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
     """Multiply coefficients by exp(sigma1*|xi| + sigma2*|eta|)."""
     assert_sigma_within_guard(field.grid, sigma1, sigma2)
-    w = np.exp(_log_weight(field.grid, sigma1, sigma2))
-    return field.with_coeffs(field.coeffs * w)
+    return SpectralField(field.grid, field.half * _weight(field.grid, sigma1, sigma2))
 
 
 def gevrey_norm(field: SpectralField, sigma1: float, sigma2: float) -> float:
     """Exponentially weighted L2 norm; equals physical L2 at sigma = 0."""
-    assert_sigma_within_guard(field.grid, sigma1, sigma2)
-    c2 = np.abs(field.coeffs) ** 2
-    return float(_weighted_norm(field.grid, c2, sigma1, sigma2, field.grid.measure))
+    grid = field.grid
+    assert_sigma_within_guard(grid, sigma1, sigma2)
+    c2 = np.abs(field.half) ** 2 * grid.half_multiplicity
+    return float(_weighted_norm(grid, c2, sigma1, sigma2, grid.measure))
 
 
 def half_plane_norms(
@@ -139,13 +145,14 @@ def half_plane_norms(
 
 @lru_cache(maxsize=8)
 def dispersion_symbol(grid: Grid2D) -> np.ndarray:
-    """m(xi, eta) = xi^5 - eta^2/xi, zero on the xi = 0 fiber."""
+    """m(xi, eta) = xi^5 - eta^2/xi on the half plane, zero on the xi = 0
+    fiber."""
     xi = grid.xi_col
     eta = grid.eta_row
     with np.errstate(divide="ignore", invalid="ignore"):
         m = xi**5 - eta**2 / xi
     m = np.where(xi == 0.0, 0.0, m)
-    m = np.ascontiguousarray(np.broadcast_to(m, (grid.nx, grid.ny)))
+    m = np.ascontiguousarray(np.broadcast_to(m, (grid.nx, grid.ny // 2 + 1)))
     m.setflags(write=False)
     return m
 
@@ -153,48 +160,33 @@ def dispersion_symbol(grid: Grid2D) -> np.ndarray:
 def semigroup_apply(field: SpectralField, t: float) -> SpectralField:
     """Free evolution exp(i*t*m), a unitary multiplier on every norm here."""
     phase = np.exp(1j * t * dispersion_symbol(field.grid))
-    return field.with_coeffs(field.coeffs * phase)
+    return SpectralField(field.grid, field.half * phase)
 
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:
     """Physical-space inner product of two real fields via their coefficients."""
     if a.grid != b.grid:
         raise ValueError("inner product requires a shared grid")
-    return float(a.grid.measure * np.real(np.sum(a.coeffs * np.conj(b.coeffs))))
-
-
-@lru_cache(maxsize=8)
-def _half_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
-    """exp(sigma1*|xi| + sigma2*|eta|) on the half plane."""
-    w = np.exp(_log_weight(grid, sigma1, sigma2)[:, : grid.ny // 2 + 1])
-    w.setflags(write=False)
-    return w
-
-
-def _half_remainder(
-    grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float
-) -> np.ndarray:
-    """``remainder_n`` of the real field with the given half plane, as its
-    half plane."""
-    assert_sigma_within_guard(grid, sigma1, sigma2)
-    weight = _half_weight(grid, sigma1, sigma2)
-    f = half * grid.half_dealias_mask
-    diff = dealiased_square(grid, weight * f)
-    diff -= weight * dealiased_square(grid, f)
-    diff *= 1j * grid.xi_col
-    return diff
+    g = a.grid
+    products = np.real(a.half * np.conj(b.half)) * g.half_multiplicity
+    return float(g.measure * np.sum(products))
 
 
 def remainder_n(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
     """Weight-commutator remainder N(f) = dx[(A f)^2 - A(f^2)].
 
     A is the exponential weight at (sigma1, sigma2); both squares go
-    through the dealiased-square kernel on the half plane of the dealiased
-    field.  Vanishes identically at sigma1 = sigma2 = 0 (exactly, in
-    floating point: both branches then run on bitwise-equal inputs).  On
-    single-mode data the two branches agree wherever the triangle
-    inequality is an equality, so N = 0 there too.
+    through the dealiased-square kernel on the dealiased field.  Vanishes
+    identically at sigma1 = sigma2 = 0 (exactly, in floating point: both
+    branches then run on bitwise-equal inputs).  On single-mode data the
+    two branches agree wherever the triangle inequality is an equality, so
+    N = 0 there too.
     """
     grid = field.grid
-    diff = _half_remainder(grid, half_plane(field), sigma1, sigma2)
-    return SpectralField(grid, full_plane(grid, diff), hermitian=True, zero_x_mean=True)
+    assert_sigma_within_guard(grid, sigma1, sigma2)
+    weight = _weight(grid, sigma1, sigma2)
+    f = field.half * grid.dealias_mask
+    diff = dealiased_square(grid, weight * f)
+    diff -= weight * dealiased_square(grid, f)
+    diff *= 1j * grid.xi_col
+    return SpectralField(grid, diff)

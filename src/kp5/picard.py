@@ -4,16 +4,16 @@ The mild form of the flow on [0, delta],
 
     u(t) = S(t) f - 1/2 integral_0^t S(t - t') dx(w(t')^2) dt',
 
-is iterated from the free evolution u_0(t) = S(t) f.  A window
-(``TimeWindowField``) is one read-only complex array ``half`` of shape
-(n, nx, ny//2 + 1): the rfft2 half planes of the real field at the n
-uniform slice times, the stepper's layout, so a window is real by
-construction.  Every operation works on the whole stack at once: the
-forcing is one call of the dealiased-square kernel over all slices, the
-time integral is a cumulative composite Simpson rule along axis 0 (an even
-slice count, so Simpson pairs tile the window), and the iteration distance
-is the sup over slices of the half-plane Gevrey norm of the difference
-(columns 0 < k < ny/2 counted twice).  With contraction the per-iterate
+is iterated from the free evolution u_0(t) = S(t) f.  The data f is a
+``SpectralField`` and a window (``TimeWindowField``) is one read-only
+complex array ``half`` of shape (n, nx, ny//2 + 1): the rfft2 half planes
+of the real field at the n uniform slice times, the layout of the field
+itself, so a window is real by construction.  Every operation works on the
+whole stack at once: the forcing is one call of the dealiased-square kernel
+over all slices, the time integral is a cumulative composite Simpson rule
+along axis 0 (an even slice count, so Simpson pairs tile the window), and
+the iteration distance is the sup over slices of the half-plane Gevrey norm
+of the difference (columns 0 < k < ny/2 counted twice).  With contraction the per-iterate
 ratios sit well below 1 and the window length rule
 
     delta = c0 / (1 + ||f||)^exponent,  exponent > 1
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import PicardDivergenceError
 from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
-from .spectral import Grid2D, SpectralField, dealiased_square, half_plane
+from .spectral import Grid2D, SpectralField, dealiased_square
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +103,7 @@ def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
     """exp(i * t_i * m) on the half plane for every slice time, stacked
     along axis 0 (only the latest window's phases are kept)."""
     times = np.linspace(0.0, delta, n_slices)
-    m = dispersion_symbol(grid)[:, : grid.ny // 2 + 1]
+    m = dispersion_symbol(grid)
     phases = np.exp(1j * times[:, None, None] * m[None, :, :])
     phases.setflags(write=False)
     return phases
@@ -112,10 +112,9 @@ def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
 def free_window(
     f: SpectralField, delta: float, slices: int = 64
 ) -> TimeWindowField:
-    """Free evolution S(t) f sampled on the window grid; non-Hermitian
-    data raise ``SpectralSymmetryError``."""
+    """Free evolution S(t) f sampled on the window grid."""
     phases = _window_phases(f.grid, delta, slices + 1)
-    return TimeWindowField(f.grid, delta, phases * half_plane(f))
+    return TimeWindowField(f.grid, delta, phases * f.half)
 
 
 def duhamel_apply(
@@ -131,7 +130,7 @@ def duhamel_apply(
     if f.grid != w.grid:
         raise ValueError("data and window must share a grid")
     grid = w.grid
-    c = half_plane(f)
+    c = f.half
     phases = _window_phases(grid, w.delta, w.half.shape[0])
     if not nonlinear:
         return TimeWindowField(grid, w.delta, phases * c)
@@ -186,10 +185,9 @@ def picard_iterate(
     """Iterate the mild form from the free window until the update
     distance drops under tol.
 
-    Non-Hermitian data raise ``SpectralSymmetryError``.  Raises
-    ``PicardDivergenceError`` after three consecutive
-    non-decreasing distances: on a correctly sized window the map is a
-    contraction, so sustained non-decrease means delta was too long.
+    Raises ``PicardDivergenceError`` after three consecutive non-decreasing
+    distances: on a correctly sized window the map is a contraction, so
+    sustained non-decrease means delta was too long.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

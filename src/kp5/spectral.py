@@ -4,29 +4,25 @@ Conventions
 -----------
 A field u(x, y) on [0, lx) x [0, ly) is stored either on the collocation
 grid (``PhysicalField``, shape (nx, ny), axis 0 = x) or as Fourier-series
-coefficients in FFT ordering (``SpectralField``)::
+coefficients (``SpectralField``)::
 
     u(x, y) = sum_{j,k} c[j, k] * exp(i * (xi_j * x + eta_k * y))
 
 with xi_j = 2*pi*j/lx and eta_k = 2*pi*k/ly, so a real cosine ``a*cos(xi*x)``
-stores ``a/2`` at the paired modes +-j.  Forward transform is ``fft2/(nx*ny)``,
-inverse is ``real(ifft2(c) * nx * ny)``.
+stores ``a/2`` at the paired modes +-j.  A real field has c[-j, -k] =
+conj(c[j, k]), so it is fixed by its ``rfft2`` half plane: the (nx, ny//2 + 1)
+columns k = 0..ny/2, rows j in FFT order.  That half plane is the one layout
+of a field, of a stepper state, of a Picard window and of a space-time stack
+(leading axes batch time slices).  Forward transform is ``rfft2/(nx*ny)``,
+inverse is ``irfft2 * nx * ny``; every multiplier acts on the half plane
+(``Grid2D.xi_col`` and ``Grid2D.eta_row`` broadcast over it).  Each column
+0 < k < ny/2 stands for itself and its conjugate partner, so half-plane norms
+count it twice (``Grid2D.half_multiplicity``).  The Nyquist row (j = nx/2)
+and column (k = ny/2) are exactly zero.
 
-Invariants maintained by every constructor and operation:
-
-* the Nyquist row (j = nx/2) and column (k = ny/2) are exactly zero;
-* ``hermitian`` fields satisfy c[-j, -k] = conj(c[j, k]), so the physical
-  field is real;
-* ``zero_x_mean`` fields have an exactly zero j = 0 fiber, which is what
-  makes the x-antiderivative well defined.
-
-Half plane
-----------
-A real field is fixed by its ``rfft2`` half plane, the (nx, ny//2 + 1)
-columns k = 0..ny/2; the stepper state, Picard windows and space-time
-fields are stored that way, with any leading axes as a batch (time slices).
-Each half-plane column 0 < k < ny/2 stands for itself and its conjugate
-partner, so half-plane norms count it twice (``Grid2D.half_multiplicity``).
+Full-plane coefficients enter only through ``SpectralField.from_coefficients``,
+the one place that checks Hermitian symmetry; ``full_plane`` rebuilds them
+for the snapshot writer and for reference computations.
 
 Every product of fields goes through one kernel: ``dealiased_square`` is
 ``physical_values`` (an ``ifft`` along x and an ``irfft`` along y), the
@@ -51,7 +47,7 @@ from .errors import (
     SpectralSymmetryError,
 )
 
-HERMITIAN_RTOL = 1e-10  # relative defect tolerated when detecting symmetry
+HERMITIAN_RTOL = 1e-10  # relative symmetry defect ``from_coefficients`` accepts
 X_MEAN_RTOL = 1e-13  # relative zero-x-fiber mass tolerated by the antiderivative
 
 
@@ -60,7 +56,8 @@ class Grid2D:
     """Periodic rectangle [0, lx) x [0, ly) sampled on an nx-by-ny lattice.
 
     nx and ny must be even.  ``j_index``/``k_index`` list the full complex
-    FFT frequency set; the half plane keeps k = 0..ny/2 of it.
+    FFT frequency set; the half plane keeps k = 0..ny/2 of it, and the
+    multiplier arrays (``eta_row``, ``dealias_mask``) have its shape.
     """
 
     nx: int
@@ -108,7 +105,8 @@ class Grid2D:
 
     @cached_property
     def eta_row(self) -> np.ndarray:
-        v = self.eta[None, :].copy()
+        """eta on the half-plane columns k = 0..ny/2, shape (1, ny//2 + 1)."""
+        v = self.eta[None, : self.ny // 2 + 1].copy()
         v.setflags(write=False)
         return v
 
@@ -126,18 +124,11 @@ class Grid2D:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """True on modes kept by the 2/3 rule (3|j| <= nx and 3|k| <= ny)."""
+        """True on the half-plane modes kept by the 2/3 rule (3|j| <= nx and
+        3|k| <= ny)."""
         keep_x = 3 * np.abs(self.j_index) <= self.nx
-        keep_y = 3 * np.abs(self.k_index) <= self.ny
+        keep_y = 3 * np.abs(self.k_index[: self.ny // 2 + 1]) <= self.ny
         m = keep_x[:, None] & keep_y[None, :]
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def half_dealias_mask(self) -> np.ndarray:
-        """``dealias_mask`` on the half plane, as complex 0/1 (a complex
-        times complex multiply is about twice as fast as mixed dtypes)."""
-        m = self.dealias_mask[:, : self.ny // 2 + 1].astype(np.complex128)
         m.setflags(write=False)
         return m
 
@@ -177,22 +168,9 @@ class Grid2D:
         return j % self.nx, k % self.ny
 
 
-def conjugate_reflection(coeffs: np.ndarray) -> np.ndarray:
-    """conj(c) sampled at (-j, -k): the Hermitian partner of each mode."""
-    return np.conj(np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
-
-
-def is_hermitian(coeffs: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return True
-    defect = np.max(np.abs(coeffs - conjugate_reflection(coeffs)))
-    return bool(defect <= rtol * scale)
-
-
-def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian-symmetric subspace (real physical part)."""
-    return 0.5 * (coeffs + conjugate_reflection(coeffs))
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """A full-plane array sampled at (-j, -k) (indexing only)."""
+    return np.roll(a[::-1, ::-1], shift=(1, 1), axis=(0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,144 +195,103 @@ class PhysicalField:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Fourier coefficients of a field, with symmetry/mean bookkeeping.
+    """A real field as its read-only rfft2 half plane, shape (nx, ny//2 + 1).
 
-    ``hermitian`` asserts c[-j,-k] = conj(c[j,k]) (real physical field);
-    ``zero_x_mean`` asserts the j = 0 fiber is exactly zero.  Flags are
-    trusted by downstream operations, so construct through
-    ``from_coefficients`` (which detects them) unless the flags are known
-    from the producing operation.
+    The field takes the array over (no copy unless its Nyquist row or
+    column must be zeroed) and makes it read-only.  Column k = 0 must hold
+    c[-j, 0] = conj(c[j, 0]); every transform and multiplier here keeps it.
     """
 
     grid: Grid2D
-    coeffs: np.ndarray
-    hermitian: bool = False
-    zero_x_mean: bool = False
+    half: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.nx, self.grid.ny):
+        g = self.grid
+        h = np.asarray(self.half, dtype=np.complex128)
+        if h.shape != (g.nx, g.ny // 2 + 1):
             raise ValueError(
-                f"coeffs shape {c.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
+                f"half-plane shape {h.shape} does not match grid "
+                f"({g.nx}, {g.ny // 2 + 1})"
             )
-        c[self.grid.nx // 2, :] = 0.0
-        c[:, self.grid.ny // 2] = 0.0
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        if h[g.nx // 2].any() or h[:, -1].any():
+            h = h.copy()
+            h[g.nx // 2] = 0.0
+            h[:, -1] = 0.0
+        h.setflags(write=False)
+        object.__setattr__(self, "half", h)
 
     @classmethod
     def from_coefficients(cls, grid: Grid2D, coeffs: np.ndarray) -> "SpectralField":
-        """Build a field from raw coefficients, detecting both flags.
+        """The field with full-plane coefficients ``coeffs`` (shape (nx, ny),
+        FFT order).
 
-        The Nyquist row/column is zeroed before detection, so symmetry is
-        judged on the part of the array the toolkit actually uses.
+        The Nyquist row and column are zeroed first; what is left must be
+        Hermitian, c[-j, -k] = conj(c[j, k]), to HERMITIAN_RTOL of its
+        largest entry, or ``SpectralSymmetryError`` is raised.
         """
         c = np.array(coeffs, dtype=np.complex128)
         if c.shape != (grid.nx, grid.ny):
             raise ValueError(f"coeffs shape {c.shape} does not match grid")
         c[grid.nx // 2, :] = 0.0
         c[:, grid.ny // 2] = 0.0
-        return cls(
-            grid,
-            c,
-            hermitian=is_hermitian(c),
-            zero_x_mean=bool(np.all(c[0, :] == 0.0)),
-        )
-
-    def with_coeffs(
-        self, coeffs: np.ndarray, *, hermitian: bool | None = None,
-        zero_x_mean: bool | None = None,
-    ) -> "SpectralField":
-        """Same grid, new coefficients; flags default to the current ones."""
-        return SpectralField(
-            self.grid,
-            coeffs,
-            hermitian=self.hermitian if hermitian is None else hermitian,
-            zero_x_mean=self.zero_x_mean if zero_x_mean is None else zero_x_mean,
-        )
+        defect = np.max(np.abs(c - np.conj(_mirror(c))))
+        if defect > HERMITIAN_RTOL * np.max(np.abs(c)):
+            raise SpectralSymmetryError(
+                f"coefficients are not Hermitian (defect {defect:.3e}); "
+                "a real field needs c[-j, -k] = conj(c[j, k])"
+            )
+        return cls(grid, c[:, : grid.ny // 2 + 1].copy())
 
 
 def forward_transform(field: PhysicalField) -> SpectralField:
-    """Collocation values -> Fourier-series coefficients (fft2 / (nx*ny))."""
-    g = field.grid
-    c = np.fft.fft2(field.values) / (g.nx * g.ny)
-    c[g.nx // 2, :] = 0.0
-    c[:, g.ny // 2] = 0.0
-    return SpectralField(
-        g, c, hermitian=True, zero_x_mean=bool(np.all(c[0, :] == 0.0))
-    )
+    """Collocation values -> half-plane coefficients (rfft2 / (nx*ny))."""
+    return SpectralField(field.grid, np.fft.rfft2(field.values, norm="forward"))
 
 
 def inverse_transform(field: SpectralField) -> PhysicalField:
-    """Coefficients -> real collocation values.
-
-    Requires the hermitian flag: without symmetry the physical field is not
-    real and silently dropping the imaginary part would corrupt it.
-    """
-    if not field.hermitian:
-        raise SpectralSymmetryError(
-            "inverse transform requires Hermitian-symmetric coefficients"
-        )
-    g = field.grid
-    values = np.real(np.fft.ifft2(field.coeffs)) * (g.nx * g.ny)
-    return PhysicalField(g, values)
+    """Half-plane coefficients -> real collocation values (irfft2)."""
+    return PhysicalField(field.grid, physical_values(field.grid, field.half))
 
 
 def x_derivative(field: SpectralField) -> SpectralField:
     """Multiply by i*xi.  The j = 0 fiber becomes exactly zero."""
-    c = (1j * field.grid.xi_col) * field.coeffs
-    return field.with_coeffs(c, zero_x_mean=True)
+    return SpectralField(field.grid, (1j * field.grid.xi_col) * field.half)
 
 
 def x_antiderivative(field: SpectralField) -> SpectralField:
     """Divide by i*xi, the inverse of ``x_derivative`` on zero-x-mean fields.
 
-    Data with relative mass above X_MEAN_RTOL on the j = 0 fiber is
+    Data whose j = 0 fiber holds more than X_MEAN_RTOL of the L2 norm are
     rejected: there the symbol 1/(i*xi) is undefined.
     """
     g = field.grid
-    c = field.coeffs
-    if not field.zero_x_mean:
-        total = np.linalg.norm(c)
-        fiber = np.linalg.norm(c[0, :])
-        if total > 0 and fiber > X_MEAN_RTOL * total:
-            raise IllPosedInversionError(
-                f"x-antiderivative of data with j=0 fiber mass "
-                f"{fiber:.3e} ({fiber / total:.3e} of total)"
-            )
+    c = field.half
+    c2 = np.abs(c) ** 2 * g.half_multiplicity
+    total, fiber = np.sqrt(c2.sum()), np.sqrt(c2[0].sum())
+    if fiber > X_MEAN_RTOL * total:
+        raise IllPosedInversionError(
+            f"x-antiderivative of data with j=0 fiber mass "
+            f"{fiber:.3e} ({fiber / total:.3e} of total)"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         out = c / (1j * g.xi_col)
     out[0, :] = 0.0
-    return field.with_coeffs(out, zero_x_mean=True)
+    return SpectralField(g, out)
 
 
 def dealias(field: SpectralField) -> SpectralField:
     """Zero modes outside the 2/3-rule band."""
-    return field.with_coeffs(field.coeffs * field.grid.dealias_mask)
+    return SpectralField(field.grid, field.half * field.grid.dealias_mask)
 
 
 def project_zero_x_mean(field: SpectralField) -> SpectralField:
     """Zero the j = 0 fiber, making the x-antiderivative well defined."""
-    c = field.coeffs.copy()
+    c = field.half.copy()
     c[0, :] = 0.0
-    return field.with_coeffs(c, zero_x_mean=True)
+    return SpectralField(field.grid, c)
 
 
-# --- rfft2 half plane and the dealiased-square kernel -----------------------
-
-
-def half_plane(field: SpectralField) -> np.ndarray:
-    """The k = 0..ny/2 columns of a real field, as a new array.
-
-    Non-Hermitian coefficients raise ``SpectralSymmetryError``: the half
-    plane stands for a real field and would silently drop the rest.
-    """
-    if not field.hermitian:
-        raise SpectralSymmetryError(
-            "the half plane stores real fields; got non-Hermitian coefficients"
-        )
-    return np.array(field.coeffs[:, : field.grid.ny // 2 + 1])
+# --- full plane and the dealiased-square kernel -----------------------------
 
 
 def full_plane(grid: Grid2D, half: np.ndarray) -> np.ndarray:
@@ -381,7 +318,7 @@ def physical_values(grid: Grid2D, half: np.ndarray) -> np.ndarray:
 
 def dealiased_coefficients(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """Half-plane coefficients of collocation values with the modes outside
-    the 2/3 band zeroed, equal to ``rfft2(values) * half_dealias_mask``.
+    the 2/3 band zeroed, equal to ``rfft2(values) * dealias_mask``.
 
     ``rfft`` along y, then the x pass in place on only the ny//3 + 1
     columns the band keeps; the rows 3|j| > nx of those columns and every
@@ -411,7 +348,9 @@ def physical_l2_norm(field: PhysicalField) -> float:
 # --- binary snapshots -------------------------------------------------------
 #
 # Layout (little endian): magic "KP5S", version u32, nx u32, ny u32,
-# lx f64, ly f64, then nx*ny complex128 coefficients in C (row-major) order.
+# lx f64, ly f64, then nx*ny complex128 coefficients in C (row-major) order:
+# the full plane, rebuilt from the half plane on save and checked for
+# Hermitian symmetry on load.
 
 SNAPSHOT_MAGIC = b"KP5S"
 SNAPSHOT_VERSION = 1
@@ -423,14 +362,16 @@ def save_snapshot(field: SpectralField, path) -> None:
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.nx, g.ny, g.lx, g.ly
     )
-    body = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
+    body = np.ascontiguousarray(full_plane(g, field.half), dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
 
 
 def load_snapshot(path) -> SpectralField:
-    """Read a snapshot, recomputing flags rather than trusting the file."""
+    """Read a snapshot; a payload that is not the full plane of a real field
+    (non-finite, Nyquist content, not Hermitian) raises
+    ``SnapshotFormatError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -458,4 +399,7 @@ def load_snapshot(path) -> SpectralField:
         raise SnapshotFormatError("snapshot contains non-finite coefficients")
     if np.any(coeffs[nx // 2, :] != 0.0) or np.any(coeffs[:, ny // 2] != 0.0):
         raise SnapshotFormatError("snapshot violates the Nyquist-zero invariant")
-    return SpectralField.from_coefficients(grid, coeffs)
+    try:
+        return SpectralField.from_coefficients(grid, coeffs)
+    except SpectralSymmetryError as exc:
+        raise SnapshotFormatError(f"snapshot is not a real field: {exc}") from exc

@@ -45,12 +45,19 @@ def random_band_field(grid, seed, scale=1.0):
     return dealias(project_zero_x_mean(f))
 
 
+def full_plane_mask(grid):
+    """The 2/3-rule mask on the full plane (3|j| <= nx and 3|k| <= ny)."""
+    keep_x = 3 * np.abs(grid.j_index) <= grid.nx
+    keep_y = 3 * np.abs(grid.k_index) <= grid.ny
+    return keep_x[:, None] & keep_y[None, :]
+
+
 def full_plane_square(grid, coeffs):
     """Reference for the dealiased-square kernel, written out on the full
     plane with complex FFTs: coefficients of u^2 times the 2/3 mask."""
     n = grid.nx * grid.ny
     u = np.real(np.fft.ifft2(coeffs)) * n
-    return np.fft.fft2(u * u) / n * grid.dealias_mask
+    return np.fft.fft2(u * u) / n * full_plane_mask(grid)
 
 
 def window_rule(cfg, times):

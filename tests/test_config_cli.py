@@ -256,7 +256,7 @@ def test_cli_snapshots_load(tmp_path):
     assert len(snaps) == 1
     field = load_snapshot(snaps[0])
     assert field.grid.nx == 32
-    assert field.hermitian
+    assert field.half.shape == (32, 17)
 
 
 def test_cli_simulate_zero_horizon_one_row(tmp_path):

@@ -29,7 +29,7 @@ from kp5.initial_data import exp_spectrum, gaussian
 from kp5.integrator import StepperState, _record, cfl_dt, initial_field, simulate, step
 from kp5.operators import GevreyParams, gevrey_norm, remainder_n, semigroup_apply
 from kp5.picard import free_window
-from kp5.spectral import Grid2D, SpectralField, full_plane, half_plane
+from kp5.spectral import Grid2D, SpectralField, full_plane
 
 
 def small_cfg(**kw):
@@ -59,14 +59,21 @@ def test_radius_estimate_recovers_planted_decay():
                          ids=["64x64", "64x48"])
 def test_radius_estimate_reads_stepper_half_plane_exactly(grid):
     # white band noise: rows j and -j of the half plane differ in size, so
-    # the envelope needs both
+    # the envelope needs both; the reference fits the full-plane envelope
     f = random_band_field(grid, seed=21)
-    state = StepperState.from_field(f, 0.01)
-    fit = radius_estimate(state)
-    assert fit == radius_estimate(state.field)
-    # f itself is Hermitian only to roundoff
-    assert fit.sigma_est == pytest.approx(radius_estimate(f).sigma_est, abs=1e-12)
-    assert fit.shells >= 8
+    state = step(StepperState(f, 0.01))
+    fit = radius_estimate(state.field)
+    n = grid.nx // 2
+    mag = np.abs(full_plane(grid, state.field.half))
+    envelope = mag[1:n].max(axis=1)
+    lo, hi = fit.band
+    keep = (grid.xi[1:n] >= lo) & (grid.xi[1:n] <= hi)
+    x, y = grid.xi[1:n][keep], np.log(envelope[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+    assert fit.sigma_est == pytest.approx(max(0.0, -slope), abs=1e-12)
+    assert fit.residual == pytest.approx(resid, rel=1e-12)
+    assert fit.shells == np.count_nonzero(keep) >= 8
 
 
 def test_radius_estimate_free_flow_invariant():
@@ -86,8 +93,7 @@ def test_radius_estimate_clamps_at_zero():
     """Growing spectra fit a negative rate; the estimate floors at 0."""
     f = exp_spectrum(GRID64, 1.0, 0.5, 0.5)
     # overcompensate the planted decay so the envelope grows with frequency
-    c = f.coeffs * np.exp(1.0 * np.abs(GRID64.xi_col))
-    g = SpectralField.from_coefficients(GRID64, c)
+    g = SpectralField(GRID64, f.half * np.exp(1.0 * np.abs(GRID64.xi_col)))
     fit = radius_estimate(g)
     assert fit.sigma_est == 0.0
 
@@ -103,7 +109,7 @@ def test_window_taper_normalized():
 
 def test_space_time_field_shape_rules(grid16):
     f = random_band_field(grid16, seed=1)
-    slices = np.stack([half_plane(semigroup_apply(f, 0.01 * i)) for i in range(12)])
+    slices = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(12)])
     with pytest.raises(ValueError):
         SpaceTimeField.from_slices(grid16, slices, 0.01)  # 12 is not a power of two
     field = SpaceTimeField.from_slices(grid16, slices[:8], 0.01)
@@ -155,16 +161,13 @@ def test_bourgain_norm_penalizes_detuning(grid16):
     dt, n = 0.02, 16
     on = [semigroup_apply(f, dt * i) for i in range(n)]
     detune = 2 * np.pi * 6 / (n * dt)  # six tau bins off the characteristic
-    off = [
-        s.with_coeffs(np.exp(1j * detune * dt * i) * s.coeffs)
-        for i, s in enumerate(on)
-    ]
+    off = [np.exp(1j * detune * dt * i) * s.half for i, s in enumerate(on)]
     params = GevreyParams(b=0.55)
     def norm(slices):
-        stack = np.stack([half_plane(s) for s in slices])
+        stack = np.stack(slices)
         return bourgain_norm(SpaceTimeField.from_slices(grid16, stack, dt), params)
 
-    n_on, n_off = norm(on), norm(off)
+    n_on, n_off = norm([s.half for s in on]), norm(off)
     assert n_off > 2.5 * n_on
 
 
@@ -254,7 +257,7 @@ def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     import kp5.diagnostics
 
     # a Gaussian on 16^2 leaves too few shells to fit
-    rec = _record(small_cfg(), StepperState.from_field(gaussian(grid16, 1.0, 2.0), 0.01))
+    rec = _record(small_cfg(), StepperState(gaussian(grid16, 1.0, 2.0), 0.01))
     assert math.isnan(rec.sigma_est) and math.isnan(rec.residual)
 
     fit = kp5.diagnostics.radius_estimate
@@ -301,24 +304,28 @@ def spectrum_cfg(n, horizon, **kw):
 def test_half_plane_record_matches_full_plane_diagnostics():
     cfg = spectrum_cfg(64, 0.1, sigma1=0.5, sigma2=0.1)
     grid = cfg.make_grid()
-    state = StepperState.from_field(initial_field(cfg, grid), cfl_dt(grid))
+    state = StepperState(initial_field(cfg, grid), cfl_dt(grid))
     for _ in range(3):
         state = step(state)
     rec = _record(cfg, state)
     field = state.field
+    c2 = np.abs(full_plane(grid, field.half)) ** 2
 
     def rel(got, want):
         return abs(got - want) / abs(want)
 
+    def full_plane_norm(sigma1):
+        weight = np.exp(2 * sigma1 * np.abs(grid.xi_col))
+        return math.sqrt(grid.measure * np.sum(weight * c2))
+
     assert rec.steps == 3 and rec.t == 3 * state.dt
-    assert rel(rec.l2, gevrey_norm(field, 0.0, 0.0)) <= 1e-13
+    assert rel(rec.l2, full_plane_norm(0.0)) <= 1e-13
     assert len(rec.gevrey) == len(cfg.gevrey.ladder)
     for s, got in zip(cfg.gevrey.ladder, rec.gevrey):
-        assert rel(got, gevrey_norm(field, s, 0.0)) <= 1e-13
+        assert rel(got, full_plane_norm(s)) <= 1e-13
     rem = remainder_n(field, 0.5, 0.1)
     assert rel(rec.remainder_l2, gevrey_norm(rem, 0.0, 0.0)) <= 1e-13
     fit = radius_estimate(field)
-    assert radius_estimate(state) == fit  # the half-plane envelope, exactly
     assert (rec.sigma_est, rec.residual) == (fit.sigma_est, fit.residual)
     flat = replace(cfg, gevrey=replace(cfg.gevrey, sigma1=0.0, sigma2=0.0))
     zero = _record(flat, state)

@@ -25,7 +25,7 @@ from kp5.spectral import (
     Grid2D,
     SpectralField,
     dealias,
-    half_plane,
+    full_plane,
     inverse_transform,
 )
 
@@ -59,7 +59,7 @@ def oracle_remainder(field, sigma1, sigma2):
     """
     grid = field.grid
     kx, ky = grid.nx // 3, grid.ny // 3
-    c = dealias(field).coeffs
+    c = full_plane(grid, dealias(field).half)
     w = band_weights(grid, sigma1, sigma2)
     modes = {
         (j, k): c[grid.mode_index(j, k)]
@@ -109,7 +109,8 @@ def test_single_pair_norm_closed_form(grid16):
 
 def test_zero_weight_norm_is_l2(grid16):
     f = random_band_field(grid16, seed=4)
-    direct = np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(f.coeffs) ** 2))
+    c = full_plane(grid16, f.half)
+    direct = np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(c) ** 2))
     assert gevrey_norm(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-13)
 
 
@@ -133,26 +134,31 @@ def test_norm_survives_weights_whose_squares_overflow():
 )
 def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
     """Half-plane columns 0 < k < ny/2 stand for two modes each; the
-    largest rates square weights beyond the double range."""
+    largest rates square weights beyond the double range, so the
+    full-plane reference sums in logarithms."""
     grid = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
     fields = [random_band_field(grid, seed=s) for s in (21, 22, 23)]
-    stack = np.stack([half_plane(f) for f in fields])
+    stack = np.stack([f.half for f in fields])
     got = half_plane_norms(grid, stack, sigma1, sigma2)
     assert got.shape == (3,)
+    logw = sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta[None, :])
     for norm, f in zip(got, fields):
-        want = gevrey_norm(f, sigma1, sigma2)
-        assert np.isfinite(want)
+        c2 = np.abs(full_plane(grid, f.half)) ** 2
+        terms = 2.0 * logw[c2 > 0] + np.log(c2[c2 > 0])
+        top = terms.max()
+        want = math.exp(0.5 * (top + math.log(grid.measure * np.exp(terms - top).sum())))
+        assert np.isfinite(norm)
         assert abs(norm - want) <= 1e-13 * want
-    assert half_plane_norms(grid, half_plane(fields[0]), sigma1, sigma2) == got[0]
+        assert abs(gevrey_norm(f, sigma1, sigma2) - norm) <= 1e-15 * norm
 
 
 def test_apply_gevrey_identity_and_composition(grid16):
     f = random_band_field(grid16, seed=8)
     ident = apply_gevrey(f, 0.0, 0.0)
-    assert np.array_equal(ident.coeffs, f.coeffs)
+    assert np.array_equal(ident.half, f.half)
     once = apply_gevrey(apply_gevrey(f, 0.3, 0.1), 0.2, 0.25)
     direct = apply_gevrey(f, 0.5, 0.35)
-    assert np.allclose(once.coeffs, direct.coeffs, rtol=1e-12)
+    assert np.allclose(once.half, direct.half, rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -191,16 +197,16 @@ def test_semigroup_unitary_group_law(grid16):
     moved = semigroup_apply(f, 0.37)
     assert gevrey_norm(moved, 0.0, 0.0) == pytest.approx(n0, rel=1e-13)
     two_hops = semigroup_apply(semigroup_apply(f, 0.21), 0.16)
-    assert np.allclose(two_hops.coeffs, moved.coeffs, rtol=0, atol=1e-13 * n0)
+    assert np.allclose(two_hops.half, moved.half, rtol=0, atol=1e-13 * n0)
     frozen = semigroup_apply(f, 0.0)
-    assert np.array_equal(frozen.coeffs, f.coeffs)
+    assert np.array_equal(frozen.half, f.half)
 
 
 def test_semigroup_inverse(grid16):
     f = random_band_field(grid16, seed=12)
     back = semigroup_apply(semigroup_apply(f, 1.3), -1.3)
-    scale = np.max(np.abs(f.coeffs))
-    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-14 * scale
+    scale = np.max(np.abs(f.half))
+    assert np.max(np.abs(back.half - f.half)) <= 1e-14 * scale
 
 
 def test_l2_inner_matches_physical_integral(grid16):
@@ -216,7 +222,7 @@ def test_l2_inner_matches_physical_integral(grid16):
 def test_remainder_vanishes_without_weight(grid16):
     f = random_band_field(grid16, seed=14)
     r = remainder_n(f, 0.0, 0.0)
-    assert np.all(r.coeffs == 0.0)
+    assert np.all(r.half == 0.0)
 
 
 def test_remainder_single_pair_vanishes(grid16):
@@ -224,24 +230,27 @@ def test_remainder_single_pair_vanishes(grid16):
     # triangle inequality for |xi| is an equality
     f = plant_pair(grid16, 2, 1, 0.7)
     r = remainder_n(f, 0.4, 0.2)
-    assert np.max(np.abs(r.coeffs)) < 1e-14
+    assert np.max(np.abs(r.half)) < 1e-14
 
 
 def test_remainder_matches_convolution_oracle(grid16):
     f = random_band_field(grid16, seed=17)
     sigma1, sigma2 = 0.4, 0.15
-    got = remainder_n(f, sigma1, sigma2).coeffs
+    got = full_plane(grid16, remainder_n(f, sigma1, sigma2).half)
     want = oracle_remainder(f, sigma1, sigma2)
     scale = np.max(np.abs(want))
     assert scale > 0
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-def test_remainder_output_flags(grid16):
+def test_remainder_output_is_real_with_zero_x_fiber(grid16):
     f = random_band_field(grid16, seed=18)
     r = remainder_n(f, 0.3, 0.0)
-    assert r.hermitian
-    assert r.zero_x_mean
+    assert not r.half[0].any()
+    # column k = 0 pairs j with -j, as a real field's does
+    col = r.half[:, 0]
+    defect = np.max(np.abs(col - np.conj(col[-grid16.j_index % 16])))
+    assert defect <= 1e-15 * np.max(np.abs(r.half))
 
 
 def test_bracket():

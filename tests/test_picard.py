@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_band_field
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
-from kp5.errors import PicardDivergenceError, SpectralSymmetryError
+from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
 from kp5.operators import dispersion_symbol, gevrey_norm, semigroup_apply
 from kp5.picard import (
@@ -20,7 +20,7 @@ from kp5.picard import (
     picard_iterate,
     window_distance,
 )
-from kp5.spectral import SpectralField, full_plane, half_plane
+from kp5.spectral import SpectralField, full_plane
 
 
 def test_delta_rule_values():
@@ -111,9 +111,9 @@ def test_free_window_matches_semigroup(grid16):
     w = free_window(f, delta=0.3, slices=8)
     assert w.half.shape == (9, 16, 9)
     assert w.times[0] == 0.0 and w.times[-1] == pytest.approx(0.3)
-    for t, s in zip(w.times, full_plane(grid16, w.half)):
+    for t, s in zip(w.times, w.half):
         exact = semigroup_apply(f, float(t))
-        assert np.allclose(s, exact.coeffs, rtol=0, atol=1e-15)
+        assert np.allclose(s, exact.half, rtol=0, atol=1e-15)
 
 
 def test_duhamel_linear_mode_is_free_flow(grid16):
@@ -167,7 +167,7 @@ def test_window_distance_closed_form(grid16):
     f = random_band_field(grid16, seed=4)
     w1 = free_window(f, 0.1, slices=8)
     lam = 1.75
-    w2 = free_window(f.with_coeffs(lam * f.coeffs), 0.1, slices=8)
+    w2 = free_window(SpectralField(grid16, lam * f.half), 0.1, slices=8)
     assert window_distance(w1, w1, 0.0, 0.0) == 0.0
     # the free flow is unitary on L2, so the gap is constant in time
     want = (lam - 1.0) * gevrey_norm(f, 0.0, 0.0)
@@ -202,7 +202,7 @@ def test_picard_converges_and_contracts():
     assert len(res.sup_norms) == res.iterations
     assert all(math.isfinite(s) and s > 0 for s in res.sup_norms)
     # iteration starts from the free window anchored at the data
-    assert np.array_equal(res.window.half[0], half_plane(f))
+    assert np.array_equal(res.window.half[0], f.half)
 
     doubling = doubling_check(f, res.window, sigma1, 0.0)
     assert 1.0 - 1e-12 <= doubling.ratio <= 2.0
@@ -231,13 +231,3 @@ def test_window_is_read_only_half_plane(grid16):
     w = free_window(random_band_field(grid16, seed=5), 0.1, slices=4)
     assert w.half.shape == (5, 16, 9) and not w.half.flags.writeable
 
-
-def test_windows_reject_non_hermitian_data(grid16):
-    f = random_band_field(grid16, seed=6)
-    bad = f.with_coeffs(1j * f.coeffs, hermitian=False)
-    with pytest.raises(SpectralSymmetryError):
-        free_window(bad, 0.1, slices=4)
-    with pytest.raises(SpectralSymmetryError):
-        duhamel_apply(bad, free_window(f, 0.1, slices=4))
-    with pytest.raises(SpectralSymmetryError):
-        picard_iterate(bad, 0.1, slices=4)

@@ -3,23 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_plane_square, random_band_field
+from conftest import full_plane_mask, full_plane_square, random_band_field
 from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymmetryError
 from kp5.spectral import (
     Grid2D,
     PhysicalField,
     SNAPSHOT_MAGIC,
     SpectralField,
-    conjugate_reflection,
     dealias,
     dealiased_coefficients,
     dealiased_square,
     forward_transform,
     full_plane,
-    half_plane,
-    hermitian_part,
     inverse_transform,
-    is_hermitian,
     load_snapshot,
     physical_l2_norm,
     physical_values,
@@ -56,9 +52,10 @@ def test_mode_index_wraps_negative(grid16):
 def test_dealias_mask_band(grid16):
     mask = grid16.dealias_mask
     j = grid16.j_index
-    k = grid16.k_index
-    keep = (3 * np.abs(j)[:, None] <= grid16.nx) & (3 * np.abs(k)[None, :] <= grid16.ny)
+    k = np.arange(9)  # the half-plane columns
+    keep = (3 * np.abs(j)[:, None] <= grid16.nx) & (3 * k[None, :] <= grid16.ny)
     assert np.array_equal(mask, keep)
+    assert grid16.eta_row.shape == (1, 9)
 
 
 def test_forward_matches_direct_dft():
@@ -66,7 +63,7 @@ def test_forward_matches_direct_dft():
     grid = Grid2D(8, 8, 2 * np.pi, 5.0)
     rng = np.random.default_rng(3)
     u = rng.standard_normal((8, 8))
-    c = forward_transform(PhysicalField(grid, u)).coeffs
+    c = full_plane(grid, forward_transform(PhysicalField(grid, u)).half)
     for j in (0, 1, 3, 5):
         for k in (0, 2, 7):
             acc = 0.0j
@@ -81,7 +78,7 @@ def test_transform_round_trip(grid16):
     f = random_band_field(grid16, seed=11)
     u = inverse_transform(f)
     back = forward_transform(u)
-    assert np.allclose(back.coeffs, f.coeffs, rtol=0, atol=1e-14)
+    assert np.allclose(back.half, f.half, rtol=0, atol=1e-14)
     again = inverse_transform(back)
     assert np.allclose(again.values, u.values, rtol=0, atol=1e-13)
 
@@ -91,50 +88,53 @@ def test_parseval(grid16):
     f = random_band_field(grid16, seed=5)
     u = inverse_transform(f)
     phys = physical_l2_norm(u)
-    spec = np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(f.coeffs) ** 2))
+    spec = np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(full_plane(grid16, f.half)) ** 2))
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
 def test_inverse_requires_hermitian_flag(grid16):
+    """Only Hermitian coefficients become a field, so nothing else can
+    reach inverse_transform."""
     c = np.zeros((16, 16), dtype=complex)
     c[grid16.mode_index(2, 1)] = 1.0  # no conjugate partner
-    f = SpectralField.from_coefficients(grid16, c)
-    assert not f.hermitian
     with pytest.raises(SpectralSymmetryError):
-        inverse_transform(f)
-
-
-def test_nyquist_always_zeroed(grid16):
-    c = np.ones((16, 16), dtype=complex)
-    f = SpectralField(grid16, c)
-    assert np.all(f.coeffs[8, :] == 0.0)
-    assert np.all(f.coeffs[:, 8] == 0.0)
+        SpectralField.from_coefficients(grid16, c)
+    c[grid16.mode_index(-2, -1)] = 1.0
+    u = inverse_transform(SpectralField.from_coefficients(grid16, c))
+    assert u.values.dtype == np.float64
 
 
 def test_flag_detection(grid16):
+    """from_coefficients detects the Hermitian symmetry; the zero-x-mean
+    property is read off the j = 0 fiber."""
     c = np.zeros((16, 16), dtype=complex)
     c[grid16.mode_index(2, 3)] = 1.0 + 2.0j
     c[grid16.mode_index(-2, -3)] = 1.0 - 2.0j
     f = SpectralField.from_coefficients(grid16, c)
-    assert f.hermitian and f.zero_x_mean
+    assert np.array_equal(full_plane(grid16, f.half), c)
+    assert not f.half[0].any()
+    # a defect within HERMITIAN_RTOL of the largest entry is accepted
+    c[grid16.mode_index(-2, -3)] += 1e-11
+    SpectralField.from_coefficients(grid16, c)
+    bad = c.copy()
+    bad[grid16.mode_index(0, 1)] = 0.5  # (0,1) has no partner at (0,-1)
+    with pytest.raises(SpectralSymmetryError):
+        SpectralField.from_coefficients(grid16, bad)
     c[grid16.mode_index(0, 1)] = 0.5
+    c[grid16.mode_index(0, -1)] = 0.5
     g = SpectralField.from_coefficients(grid16, c)
-    assert not g.zero_x_mean
-    assert not g.hermitian  # (0,1) has no partner at (0,-1)
+    assert g.half[0].any()
+    with pytest.raises(IllPosedInversionError):
+        x_antiderivative(g)
 
 
-def test_conjugate_reflection_involution(grid16):
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    assert np.allclose(conjugate_reflection(conjugate_reflection(c)), c)
-
-
-def test_hermitian_part_is_hermitian_and_idempotent():
-    rng = np.random.default_rng(9)
-    c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    h = hermitian_part(c)
-    assert is_hermitian(h)
-    assert np.allclose(hermitian_part(h), h)
+def test_nyquist_always_zeroed(grid16):
+    f = SpectralField(grid16, np.ones((16, 9), dtype=complex))
+    assert np.all(f.half[8, :] == 0.0)
+    assert np.all(f.half[:, 8] == 0.0)
+    assert not f.half.flags.writeable
+    g = SpectralField.from_coefficients(grid16, np.ones((16, 16)))
+    assert np.array_equal(g.half, f.half)
 
 
 def test_full_plane_rebuilds_hermitian_field():
@@ -143,17 +143,17 @@ def test_full_plane_rebuilds_hermitian_field():
     raw = rng.standard_normal((32, 48)) + 1j * rng.standard_normal((32, 48))
     raw[16, :] = 0.0
     raw[:, 24] = 0.0
-    c = hermitian_part(raw)
-    half = half_plane(SpectralField(grid, c, hermitian=True))
+    # the Hermitian part, c[j, k] = (raw[j, k] + conj(raw[-j, -k])) / 2
+    c = 0.5 * (raw + np.conj(raw[-grid.j_index % 32][:, -grid.k_index % 48]))
+    half = SpectralField.from_coefficients(grid, c).half
     assert half.shape == (32, 25)
     full = full_plane(grid, half)
     assert np.array_equal(full, c)
-    assert is_hermitian(full)
     assert not full[16, :].any() and not full[:, 24].any()
     # a transformed real field comes back to roundoff
     f = random_band_field(grid, seed=6)
-    scale = np.max(np.abs(f.coeffs))
-    assert np.max(np.abs(full_plane(grid, half_plane(f)) - f.coeffs)) <= 1e-15 * scale
+    want = np.fft.fft2(inverse_transform(f).values) / (32 * 48)
+    assert np.max(np.abs(full_plane(grid, f.half) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_x_derivative_on_planted_wave(grid16):
@@ -170,8 +170,8 @@ def test_x_antiderivative_round_trip(grid16):
     f = random_band_field(grid16, seed=13)
     back = x_antiderivative(x_derivative(f))
     expected = project_zero_x_mean(f)
-    assert np.allclose(back.coeffs, expected.coeffs, atol=1e-13)
-    assert back.zero_x_mean
+    assert np.allclose(back.half, expected.half, atol=1e-13)
+    assert not back.half[0].any()
 
 
 def test_x_antiderivative_rejects_x_mean(grid16):
@@ -187,7 +187,7 @@ def test_square_of_single_cosine(grid16):
     x = grid16.x_nodes[:, None]
     u = np.broadcast_to(np.cos(2 * x), (16, 16)).copy()
     f = forward_transform(PhysicalField(grid16, u))
-    c = full_plane(grid16, dealiased_square(grid16, half_plane(f)))
+    c = full_plane(grid16, dealiased_square(grid16, f.half))
     assert c[grid16.mode_index(0, 0)] == pytest.approx(0.5, abs=1e-14)
     assert c[grid16.mode_index(4, 0)] == pytest.approx(0.25, abs=1e-14)
     assert c[grid16.mode_index(-4, 0)] == pytest.approx(0.25, abs=1e-14)
@@ -203,7 +203,7 @@ def test_square_alias_is_removed(grid16):
     x = grid16.x_nodes[:, None]
     u = np.broadcast_to(np.cos(5 * x), (16, 16)).copy()
     f = dealias(forward_transform(PhysicalField(grid16, u)))
-    c = full_plane(grid16, dealiased_square(grid16, half_plane(f)))
+    c = full_plane(grid16, dealiased_square(grid16, f.half))
     assert c[grid16.mode_index(0, 0)] == pytest.approx(0.5, abs=1e-14)
     c[grid16.mode_index(0, 0)] = 0.0
     assert np.max(np.abs(c)) < 1e-14
@@ -216,11 +216,11 @@ def test_batched_square_matches_full_plane_square():
     rng = np.random.default_rng(8)
     fields = [random_band_field(grid, seed=s) for s in (1, 2, 3)]
     fields.append(forward_transform(PhysicalField(grid, rng.standard_normal((32, 48)))))
-    stack = np.stack([half_plane(f) for f in fields])
+    stack = np.stack([f.half for f in fields])
     got = full_plane(grid, dealiased_square(grid, stack))
     assert got.shape == (4, 32, 48)
     for sq, f in zip(got, fields):
-        want = full_plane_square(grid, f.coeffs)
+        want = full_plane_square(grid, full_plane(grid, f.half))
         assert np.max(np.abs(sq - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -238,7 +238,7 @@ def test_transform_pair_equals_2d_transforms(nx, ny, batch):
     values = rng.standard_normal(batch + (nx, ny))
     kept = values.copy()
     got = dealiased_coefficients(grid, values)
-    want = np.fft.rfft2(values, norm="forward") * grid.half_dealias_mask
+    want = np.fft.rfft2(values, norm="forward") * grid.dealias_mask
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(values, kept)
@@ -257,7 +257,7 @@ def test_dealias_idempotent(grid16):
     )
     once = dealias(f)
     twice = dealias(once)
-    assert np.array_equal(once.coeffs, twice.coeffs)
+    assert np.array_equal(once.half, twice.half)
 
 
 @settings(max_examples=20, deadline=None)
@@ -266,7 +266,7 @@ def test_parseval_property(seed):
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     f = random_band_field(grid, seed=seed)
     u = inverse_transform(f)
-    spec = np.sqrt(grid.lx * grid.ly * np.sum(np.abs(f.coeffs) ** 2))
+    spec = np.sqrt(grid.lx * grid.ly * np.sum(np.abs(full_plane(grid, f.half)) ** 2))
     assert physical_l2_norm(u) == pytest.approx(spec, rel=1e-11, abs=1e-13)
 
 
@@ -276,8 +276,8 @@ def test_round_trip_property(seed):
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     f = random_band_field(grid, seed=seed)
     back = forward_transform(inverse_transform(f))
-    scale = np.max(np.abs(f.coeffs)) + 1e-30
-    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * scale
+    scale = np.max(np.abs(f.half)) + 1e-30
+    assert np.max(np.abs(back.half - f.half)) <= 1e-13 * scale
 
 
 def test_snapshot_round_trip(tmp_path, grid16):
@@ -286,9 +286,26 @@ def test_snapshot_round_trip(tmp_path, grid16):
     save_snapshot(f, path)
     g = load_snapshot(path)
     assert g.grid == grid16
-    assert np.array_equal(g.coeffs, f.coeffs)
-    assert g.hermitian == f.hermitian
-    assert g.zero_x_mean == f.zero_x_mean
+    assert np.array_equal(g.half, f.half)
+    # the v1 layout: header, then the full plane in row-major order
+    raw = path.read_bytes()
+    assert len(raw) == 32 + 16 * 16 * 16
+    body = np.frombuffer(raw, dtype="<c16", offset=32).reshape(16, 16)
+    assert np.array_equal(body, full_plane(grid16, f.half))
+
+
+def test_snapshot_rejects_non_hermitian_payload(tmp_path, grid16):
+    f = random_band_field(grid16, seed=2)
+    path = tmp_path / "field.kp5s"
+    save_snapshot(f, path)
+    raw = bytearray(path.read_bytes())
+    header = len(raw) - 16 * 16 * 16
+    c = np.zeros((16, 16), dtype="<c16")
+    c[1, 1] = 1.0  # c[-1, -1] stays zero
+    raw[header:] = c.tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError):
+        load_snapshot(path)
 
 
 def test_snapshot_bad_magic(tmp_path, grid16):
