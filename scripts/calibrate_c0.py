@@ -14,13 +14,13 @@ Usage: python3 scripts/calibrate_c0.py [--candidates 0.2,0.4,0.8,1.6]
 
 import argparse
 import sys
+from dataclasses import replace
 
 from kp5.acceptance import SUITE_MEMBERS, SUITE_SIGMA1, suite_cfg
-from kp5.config import DEFAULT_C0
+from kp5.config import DEFAULT_C0, DeltaConfig
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
-from kp5.operators import gevrey_norm
-from kp5.picard import delta_rule, doubling_check, picard_iterate
+from kp5.picard import doubling_check, picard_from_config
 
 HEADROOM_RATIO = 1.8  # doubling bound 2.0 minus 10% margin
 
@@ -29,19 +29,10 @@ def sweep_candidate(c0: float):
     worst_name, worst_ratio = "", 0.0
     for name, init in SUITE_MEMBERS:
         cfg = suite_cfg(init)
+        cfg = replace(cfg, delta=DeltaConfig(c0=c0, exponent=cfg.delta.exponent))
         f = initial_field(cfg)
-        norm = gevrey_norm(f, SUITE_SIGMA1, 0.0)
-        delta = delta_rule(norm, c0, cfg.delta.exponent)
         try:
-            result = picard_iterate(
-                f,
-                delta,
-                sigma1=SUITE_SIGMA1,
-                sigma2=0.0,
-                slices=cfg.picard.slices,
-                n_max=cfg.picard.n_max,
-                tol=cfg.picard.tol,
-            )
+            _, _, result = picard_from_config(cfg, f)
         except PicardDivergenceError:
             return None, name
         if not result.converged:

@@ -43,7 +43,7 @@ from .operators import (
     remainder_n,
     semigroup_apply,
 )
-from .picard import delta_rule, doubling_check, picard_iterate
+from .picard import doubling_check, picard_from_config
 from .spectral import (
     Grid2D,
     SpectralField,
@@ -132,17 +132,7 @@ class AcceptanceSuite:
             for name, init in SUITE_MEMBERS:
                 cfg = suite_cfg(init)
                 f = initial_field(cfg)
-                norm = gevrey_norm(f, SUITE_SIGMA1, 0.0)
-                delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
-                result = picard_iterate(
-                    f,
-                    delta,
-                    sigma1=SUITE_SIGMA1,
-                    sigma2=0.0,
-                    slices=cfg.picard.slices,
-                    n_max=cfg.picard.n_max,
-                    tol=cfg.picard.tol,
-                )
+                _, delta, result = picard_from_config(cfg, f)
                 out.append((name, cfg, f, delta, result))
             self._windows = out
         return self._windows

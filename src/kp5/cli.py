@@ -24,8 +24,8 @@ from .diagnostics import (
 )
 from .errors import BlowUpError, ConfigError, Kp5Error
 from .integrator import initial_field, simulate
-from .operators import GevreyParams, gevrey_norm
-from .picard import delta_rule, doubling_check, picard_iterate
+from .operators import GevreyParams
+from .picard import doubling_check, picard_from_config
 from .reporting import ensure_dir, write_csv, write_manifest, write_series_csv
 from .spectral import save_snapshot
 
@@ -97,19 +97,8 @@ def _cmd_picard(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, "picard")
     f = initial_field(cfg)
-    s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
-    norm = gevrey_norm(f, s1, s2)
-    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
-    result = picard_iterate(
-        f,
-        delta,
-        sigma1=s1,
-        sigma2=s2,
-        slices=cfg.picard.slices,
-        n_max=cfg.picard.n_max,
-        tol=cfg.picard.tol,
-    )
-    check = doubling_check(f, result.window, s1, s2)
+    norm, delta, result = picard_from_config(cfg, f)
+    check = doubling_check(f, result.window, cfg.gevrey.sigma1, cfg.gevrey.sigma2)
     ensure_dir(out)
     rows = []
     for i, d in enumerate(result.distances):

@@ -1,22 +1,29 @@
 """Run configuration: YAML schema, validation, and defaults.
 
-A config file is a YAML mapping with optional sections ``grid``, ``time``,
-``initial``, ``gevrey``, ``delta``, ``picard``, ``output`` and scalar
-``seed``.  Unknown keys anywhere are rejected, range errors name the field,
-and an empty file yields all defaults.  ``config_to_dict`` /
-``config_from_dict`` round-trip exactly, which is what the run manifest
-relies on.
+The dataclasses below are the schema.  A config file is a YAML mapping
+whose sections and keys are their fields (``grid``, ``time``, ``initial``,
+``gevrey``, ``delta``, ``picard``, ``output`` and scalar ``seed``); every
+key is optional, and an empty file yields all defaults.  One parser walks
+the fields: it rejects unknown keys, coerces each value from its type hint
+and applies the range rule that ``_RULES`` holds for its dotted path, so an
+error names the field (``time.horizon``, ``gevrey.ladder[1]``).  The one
+check across sections is the Gevrey overflow guard, which needs the grid.
+``config_to_dict`` / ``config_from_dict`` round-trip exactly, which is
+what the run manifest relies on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, SigmaOverflowError
 from .initial_data import KINDS
 from .operators import assert_sigma_within_guard
 from .spectral import Grid2D
@@ -106,232 +113,112 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-# --- parsing helpers --------------------------------------------------------
+# --- parsing ----------------------------------------------------------------
+
+# range rules by dotted key; "name[]" applies to every element of a list
+_EVEN_AT_LEAST_8 = (lambda v: v >= 8 and v % 2 == 0, "must be even and >= 8")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_RULES = {
+    "grid.nx": _EVEN_AT_LEAST_8,
+    "grid.ny": _EVEN_AT_LEAST_8,
+    "grid.lx": _POSITIVE,
+    "grid.ly": _POSITIVE,
+    "time.cfl": _POSITIVE,
+    "time.dt": _POSITIVE,
+    "time.horizon": _NONNEGATIVE,
+    "time.samples": (lambda v: v >= 1, "must be >= 1"),
+    "initial.kind": (lambda v: v in KINDS, f"must be one of {', '.join(KINDS)}"),
+    "initial.width": _POSITIVE,
+    "initial.decay_x": _NONNEGATIVE,
+    "initial.decay_y": _NONNEGATIVE,
+    "initial.phases": (lambda v: v in ("none", "random"), "must be 'none' or 'random'"),
+    "gevrey.sigma1": _NONNEGATIVE,
+    "gevrey.sigma2": _NONNEGATIVE,
+    "gevrey.ladder": (len, "must be a non-empty list of rates"),
+    "gevrey.ladder[]": _NONNEGATIVE,
+    "delta.c0": _POSITIVE,
+    "delta.exponent": (lambda v: v > 1, "must be > 1"),
+    "picard.slices": (lambda v: v >= 2 and v % 2 == 0, "must be even and >= 2"),
+    "picard.n_max": (lambda v: v >= 1, "must be >= 1"),
+    "picard.tol": _POSITIVE,
+    "output.snapshot_times[]": _NONNEGATIVE,
+    "seed": _NONNEGATIVE,
+}
 
 
-def _require_mapping(obj, where: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(where, f"expected a mapping, got {type(obj).__name__}")
-    return obj
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> resolved type hint of a config dataclass."""
+    return get_type_hints(cls)
 
 
-def _reject_unknown(sec: dict, where: str, allowed) -> None:
-    for key in sec:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}", "unknown key")
+def _section(cls, raw, where: str):
+    """Build the dataclass ``cls`` from the mapping ``raw`` at dotted path
+    ``where`` ("" for the whole config); absent keys keep their defaults."""
+    here = where or "config"
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(here, f"expected a mapping, got {type(raw).__name__}")
+    hints = _field_types(cls)
+    for key in raw:
+        if key not in hints:
+            raise ConfigError(f"{here}.{key}", "unknown key")
+    return cls(**{
+        key: _value(hints[key], val, f"{where}.{key}" if where else key)
+        for key, val in raw.items()
+    })
 
 
-def _as_int(val, where: str) -> int:
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(where, f"expected an integer, got {val!r}")
+def _value(hint, val, where: str):
+    """Coerce ``val`` to the type ``hint``, then apply its ``_RULES`` entry."""
+    if is_dataclass(hint):
+        return _section(hint, val, where)
+    if type(None) in get_args(hint):  # X | None
+        if val is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(where, f"expected a list, got {val!r}")
+        item = get_args(hint)[0]
+        val = tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(val))
+    elif hint is float:
+        val = _as_float(val, where)
+    elif isinstance(val, bool) or not isinstance(val, hint):
+        raise ConfigError(where, f"expected {hint.__name__}, got {val!r}")
+    rule = _RULES.get(re.sub(r"\[\d+\]$", "[]", where))
+    if rule is not None and not rule[0](val):
+        raise ConfigError(where, f"{rule[1]}, got {val!r}")
     return val
 
 
 def _as_float(val, where: str) -> float:
     # YAML 1.1 reads "1e6" as a string, so numeric strings are accepted
-    if isinstance(val, str):
-        try:
-            val = float(val)
-        except ValueError:
-            raise ConfigError(where, f"expected a number, got {val!r}") from None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
         raise ConfigError(where, f"expected a number, got {val!r}")
-    out = float(val)
+    try:
+        out = float(val)
+    except (ValueError, OverflowError):
+        raise ConfigError(where, f"expected a finite number, got {val!r}") from None
     if not math.isfinite(out):
         raise ConfigError(where, "must be finite")
     return out
 
 
-def _as_str(val, where: str) -> str:
-    if not isinstance(val, str):
-        raise ConfigError(where, f"expected a string, got {val!r}")
-    return val
-
-
-def _positive(val: float, where: str) -> float:
-    if not val > 0:
-        raise ConfigError(where, f"must be positive, got {val!r}")
-    return val
-
-
-def _nonnegative(val: float, where: str) -> float:
-    if val < 0:
-        raise ConfigError(where, f"must be >= 0, got {val!r}")
-    return val
-
-
-def _grid_config(sec: dict) -> GridConfig:
-    _reject_unknown(sec, "grid", ("nx", "ny", "lx", "ly"))
-    out = GridConfig(
-        nx=_as_int(sec.get("nx", GridConfig.nx), "grid.nx"),
-        ny=_as_int(sec.get("ny", GridConfig.ny), "grid.ny"),
-        lx=_as_float(sec.get("lx", GridConfig.lx), "grid.lx"),
-        ly=_as_float(sec.get("ly", GridConfig.ly), "grid.ly"),
-    )
-    for name, n in (("grid.nx", out.nx), ("grid.ny", out.ny)):
-        if n < 8 or n % 2:
-            raise ConfigError(name, f"must be even and >= 8, got {n}")
-    _positive(out.lx, "grid.lx")
-    _positive(out.ly, "grid.ly")
-    return out
-
-
-def _time_config(sec: dict) -> TimeConfig:
-    _reject_unknown(sec, "time", ("cfl", "dt", "horizon", "samples"))
-    dt_raw = sec.get("dt", TimeConfig.dt)
-    dt = None if dt_raw is None else _positive(_as_float(dt_raw, "time.dt"), "time.dt")
-    out = TimeConfig(
-        cfl=_positive(_as_float(sec.get("cfl", TimeConfig.cfl), "time.cfl"), "time.cfl"),
-        dt=dt,
-        horizon=_nonnegative(
-            _as_float(sec.get("horizon", TimeConfig.horizon), "time.horizon"),
-            "time.horizon",
-        ),
-        samples=_as_int(sec.get("samples", TimeConfig.samples), "time.samples"),
-    )
-    if out.samples < 1:
-        raise ConfigError("time.samples", f"must be >= 1, got {out.samples}")
-    return out
-
-
-def _initial_config(sec: dict) -> InitialConfig:
-    _reject_unknown(
-        sec,
-        "initial",
-        ("kind", "amplitude", "width", "decay_x", "decay_y", "ky", "phases"),
-    )
-    out = InitialConfig(
-        kind=_as_str(sec.get("kind", InitialConfig.kind), "initial.kind"),
-        amplitude=_as_float(
-            sec.get("amplitude", InitialConfig.amplitude), "initial.amplitude"
-        ),
-        width=_positive(
-            _as_float(sec.get("width", InitialConfig.width), "initial.width"),
-            "initial.width",
-        ),
-        decay_x=_nonnegative(
-            _as_float(sec.get("decay_x", InitialConfig.decay_x), "initial.decay_x"),
-            "initial.decay_x",
-        ),
-        decay_y=_nonnegative(
-            _as_float(sec.get("decay_y", InitialConfig.decay_y), "initial.decay_y"),
-            "initial.decay_y",
-        ),
-        ky=_as_int(sec.get("ky", InitialConfig.ky), "initial.ky"),
-        phases=_as_str(sec.get("phases", InitialConfig.phases), "initial.phases"),
-    )
-    if out.kind not in KINDS:
-        raise ConfigError(
-            "initial.kind", f"must be one of {', '.join(KINDS)}; got {out.kind!r}"
-        )
-    if out.phases not in ("none", "random"):
-        raise ConfigError(
-            "initial.phases", f"must be 'none' or 'random', got {out.phases!r}"
-        )
-    return out
-
-
-def _gevrey_config(sec: dict, grid: Grid2D) -> GevreyConfig:
-    _reject_unknown(sec, "gevrey", ("sigma1", "sigma2", "ladder"))
-    sigma1 = _nonnegative(
-        _as_float(sec.get("sigma1", GevreyConfig.sigma1), "gevrey.sigma1"),
-        "gevrey.sigma1",
-    )
-    sigma2 = _nonnegative(
-        _as_float(sec.get("sigma2", GevreyConfig.sigma2), "gevrey.sigma2"),
-        "gevrey.sigma2",
-    )
-    ladder_raw = sec.get("ladder", list(GevreyConfig.ladder))
-    if not isinstance(ladder_raw, (list, tuple)) or not ladder_raw:
-        raise ConfigError("gevrey.ladder", "expected a non-empty list of rates")
-    ladder = tuple(
-        _nonnegative(_as_float(v, f"gevrey.ladder[{i}]"), f"gevrey.ladder[{i}]")
-        for i, v in enumerate(ladder_raw)
-    )
-    try:
-        assert_sigma_within_guard(grid, sigma1, sigma2)
-        for i, s in enumerate(ladder):
-            assert_sigma_within_guard(grid, s, 0.0)
-    except Exception as exc:  # overflow guard names the admissible maximum
-        raise ConfigError("gevrey", str(exc)) from exc
-    return GevreyConfig(sigma1=sigma1, sigma2=sigma2, ladder=ladder)
-
-
-def _delta_config(sec: dict) -> DeltaConfig:
-    _reject_unknown(sec, "delta", ("c0", "exponent"))
-    out = DeltaConfig(
-        c0=_positive(
-            _as_float(sec.get("c0", DeltaConfig.c0), "delta.c0"), "delta.c0"
-        ),
-        exponent=_as_float(
-            sec.get("exponent", DeltaConfig.exponent), "delta.exponent"
-        ),
-    )
-    if not out.exponent > 1:
-        raise ConfigError(
-            "delta.exponent", f"must be > 1, got {out.exponent!r}"
-        )
-    return out
-
-
-def _picard_config(sec: dict) -> PicardConfig:
-    _reject_unknown(sec, "picard", ("slices", "n_max", "tol"))
-    out = PicardConfig(
-        slices=_as_int(sec.get("slices", PicardConfig.slices), "picard.slices"),
-        n_max=_as_int(sec.get("n_max", PicardConfig.n_max), "picard.n_max"),
-        tol=_positive(
-            _as_float(sec.get("tol", PicardConfig.tol), "picard.tol"), "picard.tol"
-        ),
-    )
-    if out.slices < 2 or out.slices % 2:
-        raise ConfigError("picard.slices", f"must be even and >= 2, got {out.slices}")
-    if out.n_max < 1:
-        raise ConfigError("picard.n_max", f"must be >= 1, got {out.n_max}")
-    return out
-
-
-def _output_config(sec: dict) -> OutputConfig:
-    _reject_unknown(sec, "output", ("dir", "snapshot_times"))
-    dir_raw = sec.get("dir", OutputConfig.dir)
-    if dir_raw is not None:
-        dir_raw = _as_str(dir_raw, "output.dir")
-    times_raw = sec.get("snapshot_times", list(OutputConfig.snapshot_times))
-    if not isinstance(times_raw, (list, tuple)):
-        raise ConfigError("output.snapshot_times", "expected a list of times")
-    times = tuple(
-        _nonnegative(
-            _as_float(v, f"output.snapshot_times[{i}]"),
-            f"output.snapshot_times[{i}]",
-        )
-        for i, v in enumerate(times_raw)
-    )
-    return OutputConfig(dir=dir_raw, snapshot_times=times)
-
-
 def config_from_dict(raw: dict) -> SimConfig:
-    raw = _require_mapping(raw, "config")
-    _reject_unknown(
-        raw,
-        "config",
-        ("grid", "time", "initial", "gevrey", "delta", "picard", "output", "seed"),
-    )
-    grid_cfg = _grid_config(_require_mapping(raw.get("grid"), "grid"))
-    grid = Grid2D(grid_cfg.nx, grid_cfg.ny, grid_cfg.lx, grid_cfg.ly)
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed", f"must be a non-negative integer, got {seed!r}")
-    return SimConfig(
-        grid=grid_cfg,
-        time=_time_config(_require_mapping(raw.get("time"), "time")),
-        initial=_initial_config(_require_mapping(raw.get("initial"), "initial")),
-        gevrey=_gevrey_config(_require_mapping(raw.get("gevrey"), "gevrey"), grid),
-        delta=_delta_config(_require_mapping(raw.get("delta"), "delta")),
-        picard=_picard_config(_require_mapping(raw.get("picard"), "picard")),
-        output=_output_config(_require_mapping(raw.get("output"), "output")),
-        seed=seed,
-    )
+    """Validate a nested dict in the YAML schema; None means defaults."""
+    cfg = _section(SimConfig, raw, "")
+    grid, g = cfg.make_grid(), cfg.gevrey
+    # the overflow guard names the admissible maximum; a grid size too large
+    # for a float overflows the guard's own arithmetic
+    try:
+        assert_sigma_within_guard(grid, g.sigma1, g.sigma2)
+        for s in g.ladder:
+            assert_sigma_within_guard(grid, s, 0.0)
+    except (SigmaOverflowError, OverflowError) as exc:
+        raise ConfigError("gevrey", str(exc)) from exc
+    return cfg
 
 
 def load_config(path) -> SimConfig:
@@ -344,12 +231,11 @@ def load_config(path) -> SimConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(where, f"YAML parse error: {exc}") from exc
-    return config_from_dict(_require_mapping(raw, "config"))
+    return config_from_dict(raw)
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
     """Plain nested dict using the YAML schema; round-trips exactly."""
-    out = asdict(cfg)
-    out["gevrey"]["ladder"] = list(cfg.gevrey.ladder)
-    out["output"]["snapshot_times"] = list(cfg.output.snapshot_times)
-    return out
+    return asdict(cfg, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items
+    })

@@ -87,10 +87,6 @@ class StepperState:
     nonlinear: bool = True
     dispersion_sign: float = 1.0  # -1 integrates the time-reversed flow
 
-    @property
-    def cfl_ratio(self) -> float:
-        return self.dt * max_group_speed(self.field.grid)
-
 
 @lru_cache(maxsize=8)
 def max_group_speed(grid: Grid2D) -> float:

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import SimConfig
 from .errors import PicardDivergenceError
 from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
 from .spectral import Grid2D, SpectralField, dealiased_square
@@ -219,6 +220,22 @@ def picard_iterate(
     return PicardResult(
         prev, tuple(distances), ratios, tuple(sup_norms), False, n_max
     )
+
+
+def picard_from_config(
+    cfg: SimConfig, f: SpectralField
+) -> tuple[float, float, PicardResult]:
+    """The data norm, the window delta and the Picard iteration that ``cfg``
+    sets for the data f; the norm and the iteration distance are taken at
+    the config's rates (sigma1, sigma2)."""
+    g, p = cfg.gevrey, cfg.picard
+    norm = gevrey_norm(f, g.sigma1, g.sigma2)
+    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
+    result = picard_iterate(
+        f, delta, sigma1=g.sigma1, sigma2=g.sigma2,
+        slices=p.slices, n_max=p.n_max, tol=p.tol,
+    )
+    return norm, delta, result
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ count it twice (``Grid2D.half_multiplicity``).  The Nyquist row (j = nx/2)
 and column (k = ny/2) are exactly zero.
 
 Full-plane coefficients enter only through ``SpectralField.from_coefficients``,
-the one place that checks Hermitian symmetry; ``full_plane`` rebuilds them
-for the snapshot writer and for reference computations.
+the one place that checks Hermitian symmetry; a half plane is real by
+construction, as a field keeps only the Hermitian part of its column k = 0
+(the one column paired with itself).  ``full_plane`` rebuilds the full
+plane for the snapshot writer and for reference computations.
 
 Every product of fields goes through one kernel: ``dealiased_square`` is
 ``physical_values`` (an ``ifft`` along x and an ``irfft`` along y), the
@@ -197,9 +199,11 @@ class PhysicalField:
 class SpectralField:
     """A real field as its read-only rfft2 half plane, shape (nx, ny//2 + 1).
 
-    The field takes the array over (no copy unless its Nyquist row or
-    column must be zeroed) and makes it read-only.  Column k = 0 must hold
-    c[-j, 0] = conj(c[j, 0]); every transform and multiplier here keeps it.
+    The field takes the array over and makes it read-only.  It copies only
+    to zero the Nyquist row and column or to pair column k = 0, which
+    stands for itself: it keeps c[j, 0] <- (c[j, 0] + conj(c[-j, 0])) / 2,
+    the part of that column that ``irfft2`` reads.  Every transform and
+    multiplier here keeps the pairing up to rounding.
     """
 
     grid: Grid2D
@@ -213,8 +217,14 @@ class SpectralField:
                 f"half-plane shape {h.shape} does not match grid "
                 f"({g.nx}, {g.ny // 2 + 1})"
             )
-        if h[g.nx // 2].any() or h[:, -1].any():
+        column = h[:, 0]
+        paired = 0.5 * (column + np.conj(column[-g.j_index]))
+        if (
+            h[g.nx // 2].any() or h[:, -1].any()
+            or not np.array_equal(paired, column)
+        ):
             h = h.copy()
+            h[:, 0] = paired
             h[g.nx // 2] = 0.0
             h[:, -1] = 0.0
         h.setflags(write=False)

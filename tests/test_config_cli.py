@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import window_rule
 from kp5.cli import main
@@ -65,6 +67,13 @@ def test_sigma_over_guard_names_admissible_max(tmp_path):
     assert "sigma1" in msg and "650" in msg
 
 
+def test_integer_too_large_for_a_float_names_field(tmp_path):
+    p = write(tmp_path, "grid:\n  lx: 1" + "0" * 400 + "\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert info.value.field == "grid.lx"
+
+
 def test_parse_error_carries_line_number(tmp_path):
     p = write(tmp_path, "grid:\n  nx: 32\n   ny: bad indent\n")
     with pytest.raises(ConfigError) as info:
@@ -76,6 +85,152 @@ def test_bad_kind_rejected(tmp_path):
     p = write(tmp_path, "initial:\n  kind: vortex\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+def _single_key(path, value):
+    """The raw config that sets one dotted key, e.g. ``time.horizon``."""
+    section, _, key = path.partition(".")
+    return {section: {key: value}} if key else {section: value}
+
+
+# (key, value, the field ConfigError must name): one wrong-type and, where
+# a range rule exists, one out-of-range value per key
+REJECTED = [
+    ("grid.nx", 8.0, "grid.nx"),
+    ("grid.nx", 6, "grid.nx"),
+    ("grid.nx", 9, "grid.nx"),
+    ("grid.ny", "128", "grid.ny"),
+    ("grid.ny", 7, "grid.ny"),
+    ("grid.lx", "wide", "grid.lx"),
+    ("grid.lx", 0.0, "grid.lx"),
+    ("grid.ly", None, "grid.ly"),
+    ("grid.ly", -1, "grid.ly"),
+    ("time.cfl", [1.0], "time.cfl"),
+    ("time.cfl", 0, "time.cfl"),
+    ("time.dt", "fast", "time.dt"),
+    ("time.dt", 0.0, "time.dt"),
+    ("time.horizon", "fast", "time.horizon"),
+    ("time.horizon", -1e-12, "time.horizon"),
+    ("time.horizon", "inf", "time.horizon"),
+    ("time.samples", 1.5, "time.samples"),
+    ("time.samples", 0, "time.samples"),
+    ("initial.kind", 3, "initial.kind"),
+    ("initial.kind", "vortex", "initial.kind"),
+    ("initial.amplitude", "big", "initial.amplitude"),
+    ("initial.width", True, "initial.width"),
+    ("initial.width", 0, "initial.width"),
+    ("initial.decay_x", "x", "initial.decay_x"),
+    ("initial.decay_x", -0.1, "initial.decay_x"),
+    ("initial.decay_y", {}, "initial.decay_y"),
+    ("initial.decay_y", -1, "initial.decay_y"),
+    ("initial.ky", 1.0, "initial.ky"),
+    ("initial.phases", 0, "initial.phases"),
+    ("initial.phases", "sometimes", "initial.phases"),
+    ("gevrey.sigma1", "x", "gevrey.sigma1"),
+    ("gevrey.sigma1", -0.01, "gevrey.sigma1"),
+    ("gevrey.sigma1", "1e6", "gevrey"),  # over the overflow guard
+    ("gevrey.sigma2", False, "gevrey.sigma2"),
+    ("gevrey.sigma2", -1, "gevrey.sigma2"),
+    ("gevrey.ladder", "0.1", "gevrey.ladder"),
+    ("gevrey.ladder", [], "gevrey.ladder"),
+    ("gevrey.ladder", [0.1, "x"], "gevrey.ladder[1]"),
+    ("gevrey.ladder", [0.1, -0.1], "gevrey.ladder[1]"),
+    ("delta.c0", "x", "delta.c0"),
+    ("delta.c0", 0, "delta.c0"),
+    ("delta.exponent", None, "delta.exponent"),
+    ("delta.exponent", 1, "delta.exponent"),
+    ("picard.slices", 64.0, "picard.slices"),
+    ("picard.slices", 0, "picard.slices"),
+    ("picard.slices", 3, "picard.slices"),
+    ("picard.n_max", "30", "picard.n_max"),
+    ("picard.n_max", 0, "picard.n_max"),
+    ("picard.tol", "x", "picard.tol"),
+    ("picard.tol", 0.0, "picard.tol"),
+    ("output.dir", 5, "output.dir"),
+    ("output.snapshot_times", 0.5, "output.snapshot_times"),
+    ("output.snapshot_times", ["x"], "output.snapshot_times[0]"),
+    ("output.snapshot_times", [-1.0], "output.snapshot_times[0]"),
+    ("seed", 1.0, "seed"),
+    ("seed", True, "seed"),
+    ("seed", -1, "seed"),
+    ("grid", [32], "grid"),
+    ("grids", {}, "config.grids"),
+    ("time.horizons", 2.0, "time.horizons"),
+]
+
+# (key, accepted boundary value, parsed value): the parsed type is checked too
+ACCEPTED = [
+    ("grid.nx", 8, 8),
+    ("grid.ny", 8, 8),
+    ("grid.lx", 1, 1.0),
+    ("grid.ly", "1e2", 100.0),
+    ("time.cfl", "1e-6", 1e-6),
+    ("time.dt", None, None),
+    ("time.dt", 1e-9, 1e-9),
+    ("time.horizon", 0, 0.0),
+    ("time.samples", 1, 1),
+    ("initial.kind", "exp_spectrum", "exp_spectrum"),
+    ("initial.amplitude", -2, -2.0),
+    ("initial.width", 1e-3, 1e-3),
+    ("initial.decay_x", 0, 0.0),
+    ("initial.decay_y", 0.0, 0.0),
+    ("initial.ky", -3, -3),
+    ("initial.phases", "random", "random"),
+    ("gevrey.sigma1", 0, 0.0),
+    ("gevrey.sigma2", 0.0, 0.0),
+    ("gevrey.ladder", [0], (0.0,)),
+    ("delta.c0", 1e-12, 1e-12),
+    ("delta.exponent", 1.000001, 1.000001),
+    ("picard.slices", 2, 2),
+    ("picard.n_max", 1, 1),
+    ("picard.tol", 1e-300, 1e-300),
+    ("output.dir", "out", "out"),
+    ("output.dir", None, None),
+    ("output.snapshot_times", [], ()),
+    ("output.snapshot_times", (0, 0.5), (0.0, 0.5)),
+    ("seed", 0, 0),
+    ("grid", None, SimConfig().grid),
+]
+
+
+@pytest.mark.parametrize("path, value, field", REJECTED)
+def test_config_contract_rejects_and_names_field(path, value, field):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(_single_key(path, value))
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("path, value, parsed", ACCEPTED)
+def test_config_contract_accepts_boundary(path, value, parsed):
+    cfg = config_from_dict(_single_key(path, value))
+    section, _, key = path.partition(".")
+    got = getattr(getattr(cfg, section), key) if key else getattr(cfg, section)
+    assert got == parsed and type(got) is type(parsed)
+
+
+def _keys(cfg_dict):
+    return {
+        f"{s}.{k}" if isinstance(v, dict) else s
+        for s, v in cfg_dict.items()
+        for k in (v if isinstance(v, dict) else [None])
+    }
+
+
+def test_config_contract_covers_every_key():
+    keys = _keys(config_to_dict(SimConfig()))
+    assert len(keys) == 26
+    assert {p for p, _, f in REJECTED if f == p} >= keys
+    assert {p for p, _, _ in ACCEPTED} >= keys
+
+
+def test_readme_lists_exactly_the_config_keys():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    expected = config_to_dict(SimConfig())
+    assert list(documented) == list(expected)
+    assert _keys(documented) == _keys(expected)
 
 
 def test_dict_round_trip():

@@ -347,11 +347,3 @@ def test_initial_field_is_dealiased_and_real():
     f = initial_field(cfg, cfg.make_grid())
     assert np.array_equal(f.half, dealias(f).half)
     assert not f.half[0].any()
-
-
-def test_cfl_ratio_scales_with_dt(grid16):
-    f = random_band_field(grid16, seed=2)
-    s1 = StepperState(f, 1e-3)
-    s2 = StepperState(f, 2e-3)
-    assert s2.cfl_ratio == pytest.approx(2 * s1.cfl_ratio)
-    assert s1.cfl_ratio > 0

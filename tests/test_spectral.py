@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import full_plane_mask, full_plane_square, random_band_field
 from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymmetryError
+from kp5.operators import gevrey_norm
 from kp5.spectral import (
     Grid2D,
     PhysicalField,
@@ -135,6 +136,22 @@ def test_nyquist_always_zeroed(grid16):
     assert not f.half.flags.writeable
     g = SpectralField.from_coefficients(grid16, np.ones((16, 16)))
     assert np.array_equal(g.half, f.half)
+
+
+def test_half_plane_column_zero_is_paired(grid16):
+    """Column k = 0 stands for itself, and a field keeps its Hermitian
+    part, the part irfft2 reads: a lone 1j at (1, 0) is the real field
+    -sin(x), whose norm is the physical L2 norm pi*sqrt(2), not 2*pi."""
+    half = np.zeros((16, 9), dtype=complex)
+    half[1, 0] = 1j
+    f = SpectralField(grid16, half)
+    assert (f.half[1, 0], f.half[-1, 0]) == (0.5j, -0.5j)
+    u = inverse_transform(f)
+    assert np.allclose(u.values, -np.sin(grid16.x_nodes)[:, None], atol=1e-15)
+    assert gevrey_norm(f, 0.0, 0.0) == pytest.approx(np.pi * np.sqrt(2), rel=1e-14)
+    assert physical_l2_norm(u) == pytest.approx(np.pi * np.sqrt(2), rel=1e-14)
+    # a paired plane is taken over as it is
+    assert SpectralField(grid16, f.half).half is f.half
 
 
 def test_full_plane_rebuilds_hermitian_field():
