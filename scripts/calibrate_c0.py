@@ -16,7 +16,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from kp5.acceptance import SUITE_MEMBERS, SUITE_SIGMA1, suite_cfg
+from kp5.acceptance import SUITE_MEMBERS, suite_cfg
 from kp5.config import DEFAULT_C0, DeltaConfig
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
@@ -32,12 +32,12 @@ def sweep_candidate(c0: float):
         cfg = replace(cfg, delta=DeltaConfig(c0=c0, exponent=cfg.delta.exponent))
         f = initial_field(cfg)
         try:
-            _, _, result = picard_from_config(cfg, f)
+            norm, _, result = picard_from_config(cfg, f)
         except PicardDivergenceError:
             return None, name
         if not result.converged:
             return None, name
-        check = doubling_check(f, result.window, SUITE_SIGMA1, 0.0)
+        check = doubling_check(norm, result.sup_norms[-1])
         if check.ratio > worst_ratio:
             worst_name, worst_ratio = name, check.ratio
     return worst_ratio, worst_name

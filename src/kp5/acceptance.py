@@ -132,8 +132,8 @@ class AcceptanceSuite:
             for name, init in SUITE_MEMBERS:
                 cfg = suite_cfg(init)
                 f = initial_field(cfg)
-                _, delta, result = picard_from_config(cfg, f)
-                out.append((name, cfg, f, delta, result))
+                norm, delta, result = picard_from_config(cfg, f)
+                out.append((name, cfg, f, norm, delta, result))
             self._windows = out
         return self._windows
 
@@ -177,8 +177,8 @@ class AcceptanceSuite:
         worst = 0.0
         details = []
         ok = True
-        for name, cfg, f, delta, result in self.picard_suite():
-            check = doubling_check(f, result.window, SUITE_SIGMA1, 0.0, bound=bound)
+        for name, cfg, f, norm, delta, result in self.picard_suite():
+            check = doubling_check(norm, result.sup_norms[-1], bound=bound)
             ok = ok and check.passed and result.converged
             worst = max(worst, check.ratio)
             details.append(f"{name}={check.ratio:.3f}")
@@ -195,7 +195,7 @@ class AcceptanceSuite:
         worst = 0.0
         ratios_ok = True
         ok = True
-        for name, cfg, f, delta, result in self.picard_suite():
+        for name, cfg, f, norm, delta, result in self.picard_suite():
             window = result.window
             slice_dt = window.slice_dt
             sub = max(1, math.ceil(slice_dt / cfl_dt(f.grid, 1.0)))

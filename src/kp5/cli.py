@@ -97,14 +97,24 @@ def _cmd_picard(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, "picard")
     f = initial_field(cfg)
+    clock = time.perf_counter
+    t0 = clock()
     norm, delta, result = picard_from_config(cfg, f)
-    check = doubling_check(f, result.window, cfg.gevrey.sigma1, cfg.gevrey.sigma2)
+    t_doubling = clock()
+    check = doubling_check(norm, result.sup_norms[-1])
+    t_write = clock()
     ensure_dir(out)
     rows = []
     for i, d in enumerate(result.distances):
         ratio = result.ratios[i - 1] if i >= 1 and i - 1 < len(result.ratios) else float("nan")
         rows.append((i + 1, d, ratio, result.sup_norms[i]))
     write_csv(out / "picard.csv", ["n", "distance", "ratio", "sup_norm"], rows)
+    # the manifest is written last, so "writing" covers picard.csv
+    phase_s = {
+        "iterate": t_doubling - t0,
+        "doubling": t_write - t_doubling,
+        "writing": clock() - t_write,
+    }
     write_manifest(
         out / "manifest.json",
         cfg,
@@ -117,6 +127,9 @@ def _cmd_picard(args) -> int:
             "iterations": result.iterations,
             "doubling_ratio": check.ratio,
             "doubling_passed": check.passed,
+            "distances": result.distances,
+            "ratios": result.ratios,
+            "phase_s": phase_s,
         },
     )
     _say(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
@@ -116,12 +117,16 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # --- parsing ----------------------------------------------------------------
 
 # range rules by dotted key; "name[]" applies to every element of a list
-_EVEN_AT_LEAST_8 = (lambda v: v >= 8 and v % 2 == 0, "must be even and >= 8")
+# a grid size must also convert to a float, as the overflow guard needs
+_GRID_SIZE = (
+    lambda v: 8 <= v <= sys.float_info.max and v % 2 == 0,
+    "must be even, >= 8 and within the float range",
+)
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _RULES = {
-    "grid.nx": _EVEN_AT_LEAST_8,
-    "grid.ny": _EVEN_AT_LEAST_8,
+    "grid.nx": _GRID_SIZE,
+    "grid.ny": _GRID_SIZE,
     "grid.lx": _POSITIVE,
     "grid.ly": _POSITIVE,
     "time.cfl": _POSITIVE,
@@ -210,13 +215,12 @@ def config_from_dict(raw: dict) -> SimConfig:
     """Validate a nested dict in the YAML schema; None means defaults."""
     cfg = _section(SimConfig, raw, "")
     grid, g = cfg.make_grid(), cfg.gevrey
-    # the overflow guard names the admissible maximum; a grid size too large
-    # for a float overflows the guard's own arithmetic
+    # the overflow guard names the admissible maximum
     try:
         assert_sigma_within_guard(grid, g.sigma1, g.sigma2)
         for s in g.ladder:
             assert_sigma_within_guard(grid, s, 0.0)
-    except (SigmaOverflowError, OverflowError) as exc:
+    except SigmaOverflowError as exc:
         raise ConfigError("gevrey", str(exc)) from exc
     return cfg
 

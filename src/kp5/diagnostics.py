@@ -34,6 +34,7 @@ from .integrator import (
 )
 from .operators import (
     GevreyParams,
+    _weight,
     _weighted_norm,
     apply_gevrey,
     assert_sigma_within_guard,
@@ -187,22 +188,23 @@ class SpaceTimeField:
 
 @lru_cache(maxsize=8)
 def _xtsb_weight(
-    grid: Grid2D, n_t: int, slice_dt: float, s1: float, s2: float, b: float,
-    eps: float,
+    grid: Grid2D, n_t: int, slice_dt: float, params: GevreyParams
 ) -> np.ndarray:
-    """Squared polynomial and modulation weights on the half plane, times
-    the column multiplicity."""
+    """The square root of the ``bourgain_norm`` weight lambda^2 times the
+    column multiplicity, on the half plane: the table that turns
+    |coefficient| into an amplitude."""
     h = grid.ny // 2 + 1
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)
     m = dispersion_symbol(grid)
     mod = tau[:, None, None] - m[None, :, :]
-    w = bracket(mod) ** (2.0 * b) * grid.half_multiplicity
-    if eps != 0.0:
-        w = w * bracket(mod / (1.0 + np.abs(grid.xi_col) ** 5)) ** (2.0 * eps)
-    if s1 != 0.0:
-        w = w * bracket(grid.xi_col)[None, :, :] ** (2.0 * s1)
-    if s2 != 0.0:
-        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * s2)
+    w = bracket(mod) ** (2.0 * params.b) * grid.half_multiplicity
+    if params.eps != 0.0:
+        w = w * bracket(mod / (1.0 + np.abs(grid.xi_col) ** 5)) ** (2.0 * params.eps)
+    if params.s1 != 0.0:
+        w = w * bracket(grid.xi_col)[None, :, :] ** (2.0 * params.s1)
+    if params.s2 != 0.0:
+        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
+    w = np.sqrt(w) * _weight(grid, params.sigma1, params.sigma2)
     w = np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h)))
     w.setflags(write=False)
     return w
@@ -217,13 +219,9 @@ def bourgain_norm(field: SpaceTimeField, params: GevreyParams) -> float:
     """
     g = field.grid
     assert_sigma_within_guard(g, params.sigma1, params.sigma2)
-    w = _xtsb_weight(
-        g, field.n_t, field.slice_dt, params.s1, params.s2, params.b, params.eps
-    )
-    c2 = w * np.abs(field.coeffs_tau) ** 2
-    return float(
-        _weighted_norm(g, c2, params.sigma1, params.sigma2, g.measure * field.duration)
-    )
+    w = _xtsb_weight(g, field.n_t, field.slice_dt, params)
+    amp = np.abs(field.coeffs_tau)
+    return float(_weighted_norm(amp, w, g.measure * field.duration, axes=3))
 
 
 # --- bilinear estimate experiment -------------------------------------------
@@ -436,13 +434,13 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
     and the steps between them follow the same ``step_plan``.  A sample
     whose fit fails carries sigma_est = nan and counts in
     ``fit_failures``; only a fit clamped at 0 counts as a collapse.  Each
-    sample computes the radius fit and nothing else.  Data whose norm is
-    not finite raise ``BlowUpError``."""
+    sample computes the radius fit and nothing else.  Data that leave no
+    contraction window raise ``BlowUpError``."""
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     delta = contraction_window(cfg, f)
     if math.isnan(delta):
-        raise BlowUpError("initial data norm is not finite", time=0.0)
+        raise BlowUpError("initial data leave no contraction window", time=0.0)
     span = cfg.time.horizon if horizon is None else horizon
     times = np.arange(0, int(np.floor(span / delta)) + 1) * delta
     grid_dt, n_total = resolve_dt(cfg, grid, span)

@@ -45,8 +45,8 @@ from .config import SimConfig, rng_from_seed
 from .errors import BlowUpError
 from .initial_data import make_initial_field
 from .operators import (
-    _weighted_norm, assert_sigma_within_guard, dispersion_symbol, gevrey_norm,
-    remainder_n,
+    _norm_weight, _weighted_norm, assert_sigma_within_guard,
+    dispersion_symbol, gevrey_norm, remainder_n,
 )
 from .picard import delta_rule
 from .spectral import Grid2D, SpectralField, dealias, dealiased_square
@@ -207,11 +207,13 @@ def dt_source(cfg: SimConfig) -> str:
 
 def contraction_window(cfg: SimConfig, f: SpectralField) -> float:
     """delta = c0 / (1 + ||f||_{G^sigma1})^exponent, the window over which
-    the paper chains local solutions; nan when the norm is not finite."""
+    the paper chains local solutions; nan when there is none (the norm is
+    not finite, or the window underflows to 0)."""
     norm = gevrey_norm(f, cfg.gevrey.sigma1, 0.0)
     if not math.isfinite(norm):
         return math.nan
-    return delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
+    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
+    return delta if delta > 0.0 else math.nan
 
 
 def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float | None:
@@ -283,18 +285,19 @@ def plan_totals(plan: list[tuple[int, float, int]], grid_dt: float) -> tuple[int
 def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
     """The series row of a state, at its time ``state.t``.
 
-    The L2 norm and the ladder share one |c|^2 array, and the remainder
-    is exactly 0 (not computed) when both sigmas are 0.
+    The L2 norm and the ladder share one amplitude array |c|, and the
+    remainder is exactly 0 (not computed) when both sigmas are 0.
     """
     # imported here: diagnostics builds on this module
     from .diagnostics import radius_sample
 
     grid = state.field.grid
-    c2 = np.abs(state.field.half) ** 2 * grid.half_multiplicity
+    amp = np.abs(state.field.half)
 
     def norm(sigma1: float) -> float:
         assert_sigma_within_guard(grid, sigma1, 0.0)
-        return float(_weighted_norm(grid, c2, sigma1, 0.0, grid.measure))
+        table = _norm_weight(grid, sigma1, 0.0)
+        return float(_weighted_norm(amp.copy(), table, grid.measure))
 
     s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
     if s1 == 0.0 and s2 == 0.0:

@@ -16,10 +16,14 @@ measure,
 
 so the unweighted case (sigma = s = 0) coincides with the physical L2 norm.
 Every operator acts on the rfft2 half plane, where the columns
-0 < k < ny/2 count twice.  Weighted sums are evaluated with a max-exponent
-shift so that sigma values near the overflow guard stay finite;
-``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of half planes)
-and the space-time ``bourgain_norm`` share that one sum.
+0 < k < ny/2 count twice.  Weighted sums take no exponential per mode: the
+weights come from cached tables, and each sum is the safe-scaled Euclidean
+norm of the weighted amplitudes a = |c| * sqrt(multiplicity) * A, divided
+by their largest value before squaring, so sigma values near the overflow
+guard stay finite and the dominant shell is summed at full precision.
+``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of half planes),
+the integrator's ladder and the space-time ``bourgain_norm`` share that one
+sum.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .spectral import Grid2D, SpectralField, dealiased_square
 
 # exp argument budget: exp(650) ~ 1e282 leaves headroom for the mode sums
 SIGMA_GUARD_LIMIT = 650.0
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 
 def bracket(x):
@@ -86,35 +91,44 @@ def assert_sigma_within_guard(grid: Grid2D, sigma1: float, sigma2: float) -> Non
         )
 
 
-def _log_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
-    return sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta_row)
-
-
 def _weighted_norm(
-    grid: Grid2D, c2: np.ndarray, sigma1: float, sigma2: float,
-    measure: float, axes=None,
-):
-    """sqrt(measure * sum(exp(2 (sigma1|xi| + sigma2|eta|)) * c2)) over
-    ``axes`` (every axis when None).
+    amp: np.ndarray, table: np.ndarray, measure: float, axes: int = 2
+) -> np.ndarray:
+    """sqrt(measure * sum((amp * table)**2)) over the last ``axes`` axes of
+    the nonnegative amplitudes ``amp``, one value per leading index (a 0-d
+    array when there is none).
 
-    The trailing axes of c2 are the half plane.  The sum is shifted by the
-    largest weight exponent on the support of c2, so large sigma cannot
-    overflow and the dominant shell is summed at full precision.
+    ``amp`` is scaled in place, so pass an array the caller no longer needs.
+    Each sum is taken as s * sqrt(measure * sum((a / s)**2)), s the largest
+    weighted amplitude a, so no square overflows (Blue, ACM TOMS 4 (1978)
+    15); no exponential is taken.  Zero data give exactly 0, and a weighted
+    amplitude that overflows a double gives inf, never nan.
     """
-    if sigma1 == 0.0 and sigma2 == 0.0:
-        return np.sqrt(measure * np.sum(c2, axis=axes))
-    logw = np.broadcast_to(_log_weight(grid, sigma1, sigma2), c2.shape)
-    shift = np.max(np.where(c2 > 0.0, logw, 0.0), axis=axes, keepdims=True)
-    # off the support c2 is 0, so clipping the exponent there changes nothing
-    scaled = np.exp(2.0 * np.minimum(logw - shift, 0.0)) * c2
-    total = np.sum(scaled, axis=axes, keepdims=True)
-    return np.squeeze(np.exp(shift) * np.sqrt(measure * total), axis=axes)
+    with np.errstate(over="ignore"):
+        a = np.multiply(amp, table, out=amp)
+        flat = a.reshape(a.shape[: a.ndim - axes] + (-1,))
+        top = np.maximum.reduce(flat, axis=-1, keepdims=True)
+        # clamped to the normal range, a zero sum stays 0 and one holding an
+        # overflowed amplitude stays inf (inf / max is inf, not inf / inf)
+        scale = np.minimum(np.maximum(top, _TINY), _HUGE)
+        flat *= 1.0 / scale
+        total = np.vecdot(flat, flat)
+        return scale[..., 0] * np.sqrt(measure * total)
 
 
 @lru_cache(maxsize=8)
 def _weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """exp(sigma1*|xi| + sigma2*|eta|) on the half plane."""
-    w = np.exp(_log_weight(grid, sigma1, sigma2))
+    w = np.exp(sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta_row))
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=8)
+def _norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
+    """``_weight`` times the square root of the column multiplicity: the
+    table that turns |c| into the amplitudes of a half-plane norm."""
+    w = _weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity)
     w.setflags(write=False)
     return w
 
@@ -129,8 +143,8 @@ def gevrey_norm(field: SpectralField, sigma1: float, sigma2: float) -> float:
     """Exponentially weighted L2 norm; equals physical L2 at sigma = 0."""
     grid = field.grid
     assert_sigma_within_guard(grid, sigma1, sigma2)
-    c2 = np.abs(field.half) ** 2 * grid.half_multiplicity
-    return float(_weighted_norm(grid, c2, sigma1, sigma2, grid.measure))
+    table = _norm_weight(grid, sigma1, sigma2)
+    return float(_weighted_norm(np.abs(field.half), table, grid.measure))
 
 
 def half_plane_norms(
@@ -139,8 +153,8 @@ def half_plane_norms(
     """``gevrey_norm`` of the real fields with the given half planes, one
     per leading index (a 0-d array for a single half plane)."""
     assert_sigma_within_guard(grid, sigma1, sigma2)
-    c2 = np.abs(half) ** 2 * grid.half_multiplicity
-    return _weighted_norm(grid, c2, sigma1, sigma2, grid.measure, axes=(-2, -1))
+    table = _norm_weight(grid, sigma1, sigma2)
+    return _weighted_norm(np.abs(half), table, grid.measure)
 
 
 @lru_cache(maxsize=8)

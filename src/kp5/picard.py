@@ -79,33 +79,62 @@ def delta_rule(f_norm: float, c0: float, exponent: float) -> float:
         raise ValueError("exponent must exceed 1")
     if not (np.isfinite(f_norm) and f_norm >= 0):
         raise ValueError("data norm must be finite and >= 0")
-    return c0 / (1.0 + f_norm) ** exponent
+    try:
+        return c0 / (1.0 + f_norm) ** exponent
+    except OverflowError:  # the window is below the smallest double
+        return 0.0
 
 
 def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral of uniformly spaced samples along axis 0.
 
-    Even endpoints use composite Simpson pairs; odd endpoints integrate the
-    local parabola through the surrounding three samples over its first
-    half.  Works on complex data (axis 0 is time, trailing axes ride along).
+    Even endpoints use composite Simpson pairs, h/3 * (l + 4m + r);
+    odd endpoints integrate the local parabola through the surrounding
+    three samples over its first half, h/12 * (5l + 8m - r), taken from
+    the pair sum as h/6 * ((l + 4m + r) + 3/2 (l - r)).  Works on complex
+    data (axis 0 is time, trailing axes ride along) and fills one new
+    array, with no temporaries of the pair size.
     """
     n = values.shape[0]
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd number of samples (even interval count)")
     left, mid, right = values[0:-2:2], values[1:-1:2], values[2::2]
-    out = np.zeros_like(values)
-    np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=0, out=out[2::2])
-    out[1::2] = out[0:-1:2] + (h / 12.0) * (5.0 * left + 8.0 * mid - right)
+    out = np.empty_like(values)
+    out[0] = 0.0
+    pairs, odd = out[2::2], out[1::2]
+    np.multiply(mid, 4.0, out=pairs)
+    pairs += left
+    pairs += right
+    np.subtract(left, right, out=odd)
+    odd *= 1.5
+    odd += pairs
+    odd *= h / 6.0
+    pairs *= h / 3.0
+    # a running sum slice by slice: np.cumsum along axis 0 is several
+    # times slower on this layout
+    for i in range(1, pairs.shape[0]):
+        pairs[i] += pairs[i - 1]
+    odd[1:] += pairs[:-1]
     return out
 
 
 @lru_cache(maxsize=1)
 def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
     """exp(i * t_i * m) on the half plane for every slice time, stacked
-    along axis 0 (only the latest window's phases are kept)."""
+    along axis 0 (only the latest window's phases are kept).
+
+    Since m(-xi, eta) = -m(xi, eta), only rows 0 <= j <= nx/2 take an
+    exponential; rows -j are their conjugates.  The table is filled in
+    place.
+    """
     times = np.linspace(0.0, delta, n_slices)
     m = dispersion_symbol(grid)
-    phases = np.exp(1j * times[:, None, None] * m[None, :, :])
+    top = grid.nx // 2 + 1
+    phases = np.empty((n_slices,) + m.shape, dtype=np.complex128)
+    upper = phases[:, :top]
+    np.multiply(times[:, None, None], 1j * m[None, :top], out=upper)
+    np.exp(upper, out=upper)
+    np.conjugate(phases[:, top - 2 : 0 : -1], out=phases[:, top:])
     phases.setflags(write=False)
     return phases
 
@@ -125,8 +154,10 @@ def duhamel_apply(
 
     The propagator is commuted through the integral,
     S(t - t') = S(t) S(-t'), so a single cumulative quadrature in the
-    rotated frame serves every output slice.  With ``nonlinear`` off the
-    forcing is zero and the output is exactly the free window.
+    rotated frame serves every output slice; the x-derivative commutes
+    with the quadrature too and is applied once, after it.  With
+    ``nonlinear`` off the forcing is zero and the output is exactly the
+    free window.
     """
     if f.grid != w.grid:
         raise ValueError("data and window must share a grid")
@@ -135,15 +166,14 @@ def duhamel_apply(
     phases = _window_phases(grid, w.delta, w.half.shape[0])
     if not nonlinear:
         return TimeWindowField(grid, w.delta, phases * c)
-    # rotate the forcing dx(w^2) back by conj(phases) as conj(conj(F) * phases),
-    # in place: no conjugated copy of the phase stack is made
+    # rotate the square back by conj(phases) as conj(conj(F) * phases), in
+    # place: no conjugated copy of the phase stack is made
     forcing = dealiased_square(grid, w.half)
     np.conjugate(forcing, out=forcing)
-    forcing *= -1j * grid.xi_col
     forcing *= phases
     cum = cumulative_simpson_uniform(forcing, w.slice_dt)
     np.conjugate(cum, out=cum)
-    cum *= -0.5
+    cum *= -0.5j * grid.xi_col
     cum += c
     cum *= phases
     return TimeWindowField(grid, w.delta, cum)
@@ -247,15 +277,14 @@ class DoublingResult:
 
 
 def doubling_check(
-    f: SpectralField,
-    window: TimeWindowField,
-    sigma1: float,
-    sigma2: float,
-    bound: float = 2.0,
+    f_norm: float, sup_norm: float, bound: float = 2.0
 ) -> DoublingResult:
-    """Is the window norm at most ``bound`` times the data norm?"""
-    f_norm = gevrey_norm(f, sigma1, sigma2)
-    sup_norm = _sup_norm(window.grid, window.half, sigma1, sigma2)
+    """Is the window norm at most ``bound`` times the data norm?
+
+    ``f_norm`` and ``sup_norm`` are what ``picard_from_config`` measured:
+    the data norm and ``PicardResult.sup_norms[-1]``, the sup-slice norm
+    of the returned window, both at the iteration's rates.
+    """
     if f_norm == 0.0:
         return DoublingResult(0.0, sup_norm == 0.0, sup_norm, f_norm)
     ratio = sup_norm / f_norm

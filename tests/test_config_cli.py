@@ -68,10 +68,14 @@ def test_sigma_over_guard_names_admissible_max(tmp_path):
 
 
 def test_integer_too_large_for_a_float_names_field(tmp_path):
-    p = write(tmp_path, "grid:\n  lx: 1" + "0" * 400 + "\n")
-    with pytest.raises(ConfigError) as info:
-        load_config(p)
-    assert info.value.field == "grid.lx"
+    for key in ("lx", "nx", "ny"):
+        p = write(tmp_path, f"grid:\n  {key}: 1" + "0" * 400 + "\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        assert info.value.field == f"grid.{key}"
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"grid": {key: 10**400}})
+        assert info.value.field == f"grid.{key}"
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -458,6 +462,24 @@ def test_cli_picard(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["converged"] is True
     assert manifest["doubling_ratio"] <= 2.0
+
+
+def test_cli_picard_manifest_is_strict_json_with_history_and_phases(tmp_path):
+    cfg = write(tmp_path, SMALL_YAML)
+    out = tmp_path / "pic"
+    assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in the manifest")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert set(manifest["phase_s"]) == {"iterate", "doubling", "writing"}
+    assert all(v >= 0.0 for v in manifest["phase_s"].values())
+    rows = [r.split(",") for r in (out / "picard.csv").read_text().split()[1:]]
+    assert manifest["distances"] == [float(r[1]) for r in rows]
+    assert len(manifest["distances"]) == manifest["iterations"]
+    # the CSV writes the missing first ratio as nan; the manifest has none
+    assert manifest["ratios"] == [float(r[2]) for r in rows[1:]]
 
 
 def test_cli_accept_subset():

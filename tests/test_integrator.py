@@ -14,6 +14,7 @@ from kp5.integrator import (
     _half_rhs,
     aligned_dt,
     cfl_dt,
+    contraction_window,
     initial_field,
     max_group_speed,
     resolve_dt,
@@ -243,9 +244,21 @@ def test_blow_up_reports_partial_records(monkeypatch):
     _assert_blow_up_on_grid_steps(monkeypatch, 1e100)
 
 
-def test_blow_up_without_a_finite_data_norm(monkeypatch):
-    # the data norm overflows, so there is no window at all
+def test_blow_up_when_the_window_underflows(monkeypatch):
+    # c0 / (1 + norm)^2 underflows to 0, so there is no window at all
     _assert_blow_up_on_grid_steps(monkeypatch, 1e200)
+
+
+def test_contraction_window_is_nan_without_a_window():
+    """No window: c0 / (1 + norm)^2 underflows to 0, or the weighted norm
+    itself overflows."""
+    cfg = small_cfg()
+    half = np.zeros((32, 17), dtype=complex)
+    for amp, finite_norm in ((1e200, True), (1e308, False)):
+        half[10, 2] = amp
+        f = SpectralField(cfg.make_grid(), half.copy())
+        assert math.isfinite(gevrey_norm(f, cfg.gevrey.sigma1, 0.0)) == finite_norm
+        assert math.isnan(contraction_window(cfg, f))
 
 
 def test_radius_decay_rejects_data_without_a_window():

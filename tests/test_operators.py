@@ -130,13 +130,17 @@ def test_norm_survives_weights_whose_squares_overflow():
 
 
 @pytest.mark.parametrize(
-    "sigma1, sigma2", [(0.0, 0.0), (0.3, 0.2), (0.0, 0.5), (150.0, 150.0)]
+    "sigma1, sigma2",
+    [(0.0, 0.0), (0.3, 0.2), (0.0, 0.5), (150.0, 150.0), ("max", 0.0)],
 )
 def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
     """Half-plane columns 0 < k < ny/2 stand for two modes each; the
     largest rates square weights beyond the double range, so the
-    full-plane reference sums in logarithms."""
+    full-plane reference sums in logarithms.  "max" is the largest sigma1
+    the overflow guard admits."""
     grid = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
+    if sigma1 == "max":
+        sigma1 = max_admissible_sigma1(grid, sigma2)
     fields = [random_band_field(grid, seed=s) for s in (21, 22, 23)]
     stack = np.stack([f.half for f in fields])
     got = half_plane_norms(grid, stack, sigma1, sigma2)
@@ -150,6 +154,26 @@ def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
         assert np.isfinite(norm)
         assert abs(norm - want) <= 1e-13 * want
         assert abs(gevrey_norm(f, sigma1, sigma2) - norm) <= 1e-15 * norm
+
+
+def test_overflowing_weighted_amplitude_gives_inf_not_nan():
+    """The weight fits in a double, the weighted amplitude does not."""
+    grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
+    sigma1 = max_admissible_sigma1(grid)
+    f = plant_pair(grid, 7, 0, 1e100)  # weight exp(7 * sigma1) ~ 1e247
+    stack = np.stack([f.half, np.zeros_like(f.half), 1e-100 * f.half])
+    norms = half_plane_norms(grid, stack, sigma1, 0.0)
+    assert norms[0] == np.inf and norms[1] == 0.0 and np.isfinite(norms[2])
+    assert gevrey_norm(f, sigma1, 0.0) == np.inf
+
+
+def test_zero_stack_norms_are_exactly_zero(recwarn):
+    grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
+    stack = np.zeros((3, 16, 9), dtype=complex)
+    for sigma1 in (0.0, 1.0, max_admissible_sigma1(grid)):
+        norms = half_plane_norms(grid, stack, sigma1, 0.0)
+        assert norms.shape == (3,) and np.all(norms == 0.0)
+    assert len(recwarn) == 0
 
 
 def test_apply_gevrey_identity_and_composition(grid16):

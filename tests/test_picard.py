@@ -9,9 +9,15 @@ from conftest import random_band_field
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
-from kp5.operators import dispersion_symbol, gevrey_norm, semigroup_apply
+from kp5.operators import (
+    dispersion_symbol,
+    gevrey_norm,
+    half_plane_norms,
+    semigroup_apply,
+)
 from kp5.picard import (
     TimeWindowField,
+    _window_phases,
     cumulative_simpson_uniform,
     delta_rule,
     doubling_check,
@@ -20,7 +26,7 @@ from kp5.picard import (
     picard_iterate,
     window_distance,
 )
-from kp5.spectral import SpectralField, full_plane
+from kp5.spectral import SpectralField, dealiased_square, full_plane
 
 
 def test_delta_rule_values():
@@ -123,6 +129,30 @@ def test_duhamel_linear_mode_is_free_flow(grid16):
     assert np.array_equal(out.half, w.half)
 
 
+def test_window_phases_match_the_exponential(grid16):
+    """Rows -j are filled as conjugates of rows j."""
+    delta, n = 0.3, 9
+    got = _window_phases(grid16, delta, n)
+    times = np.linspace(0.0, delta, n)[:, None, None]
+    want = np.exp(1j * times * dispersion_symbol(grid16)[None])
+    assert got.shape == want.shape and not got.flags.writeable
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_duhamel_matches_derivative_before_quadrature():
+    """Reference: the x-derivative applied to the forcing before the time
+    quadrature; duhamel_apply applies it once, after."""
+    f = picard_setup(amplitude=2.0)
+    grid = f.grid
+    w = free_window(f, 0.05, slices=16)
+    phases = np.exp(1j * w.times[:, None, None] * dispersion_symbol(grid)[None])
+    forcing = (1j * grid.xi_col) * dealiased_square(grid, w.half)
+    cum = cumulative_simpson_uniform(np.conj(phases) * forcing, w.slice_dt)
+    want = phases * (f.half - 0.5 * cum)
+    got = duhamel_apply(f, w).half
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_duhamel_single_mode_closed_form(grid16):
     """One conjugate pair forces exactly its double mode.
 
@@ -204,8 +234,28 @@ def test_picard_converges_and_contracts():
     # iteration starts from the free window anchored at the data
     assert np.array_equal(res.window.half[0], f.half)
 
-    doubling = doubling_check(f, res.window, sigma1, 0.0)
+    doubling = doubling_check(norm, res.sup_norms[-1])
     assert 1.0 - 1e-12 <= doubling.ratio <= 2.0
+
+
+@pytest.mark.parametrize("n_max", [20, 2])
+def test_doubling_check_reuses_the_iteration_norms(n_max):
+    """The iteration's data norm and last sup norm give the same check,
+    bit for bit, as norms recomputed from the data and the window, for a
+    converged run and for one that stops at n_max."""
+    f = picard_setup()
+    sigma1 = 0.25
+    norm = gevrey_norm(f, sigma1, 0.0)
+    res = picard_iterate(
+        f, delta_rule(norm, DEFAULT_C0, 2.0), sigma1=sigma1, slices=32,
+        n_max=n_max, tol=1e-10,
+    )
+    assert res.converged == (n_max == 20)
+    recomputed = doubling_check(
+        gevrey_norm(f, sigma1, 0.0),
+        float(half_plane_norms(f.grid, res.window.half, sigma1, 0.0).max()),
+    )
+    assert doubling_check(norm, res.sup_norms[-1]) == recomputed
 
 
 def test_picard_divergence_detected():
