@@ -50,6 +50,13 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
+def _run_phases(t0: float, t_write: float) -> dict[str, float]:
+    """Wall seconds of a command that ran from t0 and began writing at
+    t_write: its "run" and, up to now (just before the manifest), its
+    "writing"."""
+    return {"run": t_write - t0, "writing": time.perf_counter() - t_write}
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, "simulate")
@@ -182,7 +189,9 @@ def _cmd_radius_decay(args) -> int:
 def _cmd_sigma_ladder(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, "sigma-ladder")
+    t0 = time.perf_counter()
     result = almost_conservation_run(cfg)
+    t_write = time.perf_counter()
     ensure_dir(out)
     write_csv(
         out / "ladder.csv",
@@ -196,7 +205,12 @@ def _cmd_sigma_ladder(args) -> int:
         out / "manifest.json",
         cfg,
         "sigma-ladder",
-        {"status": "ok", "delta": result.delta, "slope": result.slope},
+        {
+            "status": "ok",
+            "delta": result.delta,
+            "slope": result.slope,
+            "phase_s": _run_phases(t0, t_write),
+        },
     )
     _say(args, f"slope {result.slope:.3f} over {len(result.sigmas)} rates")
     return 0
@@ -208,9 +222,11 @@ def _cmd_bilinear(args) -> int:
     params = GevreyParams(
         s1=args.s1, s2=args.s2, b=args.b, beta=args.beta, eps=args.eps
     )
+    t0 = time.perf_counter()
     result = bilinear_ratio_trials(
         params, args.trials, cfg.seed, nx=args.nx, ny=args.ny
     )
+    t_write = time.perf_counter()
     ensure_dir(out)
     write_csv(
         out / "bilinear.csv",
@@ -235,6 +251,7 @@ def _cmd_bilinear(args) -> int:
                 "beta": args.beta,
                 "eps": args.eps,
             },
+            "phase_s": _run_phases(t0, t_write),
         },
     )
     _say(args, f"max ratio {result.max_ratio:.4f}, q95 {result.q95:.4f}")
@@ -244,7 +261,9 @@ def _cmd_bilinear(args) -> int:
 def _cmd_uniqueness(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, "uniqueness")
+    t0 = time.perf_counter()
     result = uniqueness_gap(cfg, args.eps)
+    t_write = time.perf_counter()
     ensure_dir(out)
     write_csv(
         out / "uniqueness.csv",
@@ -260,6 +279,7 @@ def _cmd_uniqueness(args) -> int:
             "eps": result.eps,
             "max_ratio": result.max_ratio,
             "passed": result.passed,
+            "phase_s": _run_phases(t0, t_write),
         },
     )
     _say(args, f"max gap/bound {result.max_ratio:.4f}; passed={result.passed}")

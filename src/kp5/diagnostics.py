@@ -9,7 +9,6 @@ uniqueness envelope, and the weighted energy identity check.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -19,18 +18,12 @@ from .config import SimConfig
 from .errors import BlowUpError, InadmissibleParamsError, InsufficientSupportError
 from .initial_data import gaussian
 from .integrator import (
-    StepperState,
+    _sampled_run,
     cfl_dt,
     contraction_window,
-    dt_source,
     initial_field,
-    plan_totals,
     resolve_dt,
-    sample_steps,
-    sampled_states,
     step,
-    step_plan,
-    window_cap,
 )
 from .operators import (
     GevreyParams,
@@ -57,6 +50,7 @@ from .spectral import (
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
+GRONWALL_ENVELOPE = 1.1  # uniqueness_gap passes with every gap/bound below this
 
 
 # --- radius of analyticity from the spectral tail ---------------------------
@@ -80,27 +74,19 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(ym - slope * xm)
 
 
-def radius_estimate(
-    field: SpectralField, band: tuple[float, float] | None = None
-) -> RadiusFit:
+def radius_estimate(field: SpectralField) -> RadiusFit:
     """Fit exp(-sigma |xi|) to the positive-xi spectral envelope.
 
     The envelope of shell j is max_k |c[j, k]| over the full plane, read
     off the half plane: full-plane row j holds half-plane row j and,
     conjugated, columns 1..ny/2-1 of row -j, so the envelope is the larger
-    of their maxima.  The fit band defaults to [0.25, 0.75] of the
-    dealiased cutoff and must stay inside it; shells below the relative
-    floor are dropped, and fewer than 8 surviving shells raises
-    ``InsufficientSupportError``.
+    of their maxima.  The fit band is [0.25, 0.75] of the dealiased
+    cutoff; shells below the relative floor are dropped, and fewer than 8
+    surviving shells raises ``InsufficientSupportError``.
     """
     g = field.grid
-    if band is None:
-        band = (0.25 * g.xi_dealias, 0.75 * g.xi_dealias)
+    band = (0.25 * g.xi_dealias, 0.75 * g.xi_dealias)
     lo, hi = band
-    if not (0.0 < lo < hi <= g.xi_dealias):
-        raise ValueError(
-            f"fit band [{lo:g}, {hi:g}] must sit inside (0, {g.xi_dealias:g}]"
-        )
     n = g.nx // 2
     mag = np.abs(field.half)
     envelope = np.maximum(mag[1:n].max(axis=1), mag[:n:-1, 1 : g.ny // 2].max(axis=1))
@@ -288,10 +274,7 @@ def bilinear_ratio_trials(
     *,
     nx: int = 32,
     ny: int = 32,
-    lx: float = 32.0 * math.pi,
-    ly: float = 32.0 * math.pi,
     n_t: int = 16,
-    duration: float = 1.0,
     stream: int = 0,
 ) -> BilinearResult:
     """Monte Carlo sup of the bilinear-output-to-input norm ratio,
@@ -299,12 +282,13 @@ def bilinear_ratio_trials(
         || dx(u v) ||_{X^{s1,s2,-beta,eps}} /
             (||u||_{X^{s1,s2,b,eps}} ||v||_{X^{s1,s2,b,eps}}),
 
-    over random tapered windows.  Boundedness of the maximum as the grid
-    is refined is the finite-dimensional shadow of the continuum estimate.
+    over random tapered windows of unit duration on the 32 pi x 32 pi
+    torus.  Boundedness of the maximum as the grid is refined is the
+    finite-dimensional shadow of the continuum estimate.
     """
     check_bilinear_admissible(params)
-    grid = Grid2D(nx, ny, lx, ly)
-    slice_dt = duration / n_t
+    grid = Grid2D(nx, ny, 32.0 * math.pi, 32.0 * math.pi)
+    slice_dt = 1.0 / n_t
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
     in_params = params
     out_params = replace(params, b=-params.beta)
@@ -341,10 +325,9 @@ class AlmostConservationResult:
     delta: float
 
 
-def almost_conservation_run(
-    cfg: SimConfig, sigmas: tuple[float, ...] | None = None
-) -> AlmostConservationResult:
-    """Measure the weighted-energy deviation D(sigma) on one window.
+def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
+    """Measure the weighted-energy deviation D(sigma) on one window, for
+    each rate sigma of the configured ladder.
 
     D(sigma) is the signed deviation ||u(t)||^2 - ||f||^2 of largest
     magnitude over the window (the flux can carry either sign, so the
@@ -355,24 +338,18 @@ def almost_conservation_run(
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
-    if sigmas is None:
-        sigmas = tuple(cfg.gevrey.ladder)
-    sigma_ref = max(sigmas)
+    sigmas = tuple(cfg.gevrey.ladder)
     delta = delta_rule(
-        gevrey_norm(f, sigma_ref, 0.0), cfg.delta.c0, cfg.delta.exponent
+        gevrey_norm(f, max(sigmas), 0.0), cfg.delta.c0, cfg.delta.exponent
     )
     dt, n = resolve_dt(cfg, grid, delta)
-    state = StepperState(f, dt)
-
-    def energy(s: float) -> float:
-        return gevrey_norm(state.field, s, 0.0) ** 2
-
-    init = {s: energy(s) for s in sigmas}
+    init = {s: gevrey_norm(f, s, 0.0) ** 2 for s in sigmas}
     dev = {s: 0.0 for s in sigmas}
-    for _ in range(n):
-        state = step(state)
+    u = f
+    for k in range(n):
+        u = step(u, dt, k * dt)
         for s in sigmas:
-            d = energy(s) - init[s]
+            d = gevrey_norm(u, s, 0.0) ** 2 - init[s]
             if abs(d) > abs(dev[s]):
                 dev[s] = d
     increments = tuple(dev[s] for s in sigmas)
@@ -383,7 +360,7 @@ def almost_conservation_run(
         slope = _line_fit(xs, ys)[0]
     else:
         slope = float("nan")
-    return AlmostConservationResult(tuple(sigmas), increments, slope, delta)
+    return AlmostConservationResult(sigmas, increments, slope, delta)
 
 
 # --- long-horizon radius decay ----------------------------------------------
@@ -413,51 +390,39 @@ class RadiusDecayResult:
     phase_s: dict[str, float]  # wall seconds in "stepping" and "samples"
 
 
-def radius_sample(state: StepperState) -> RadiusSample:
-    """``radius_estimate`` of a stepper state's field, at its time
-    ``state.t``.
+def radius_sample(t: float, field: SpectralField) -> RadiusSample:
+    """``radius_estimate`` of a field at time t.
 
     A fit that finds too few shells gives sigma_est = residual = nan: no
     fit is not a collapse, a genuine 0.0 comes only from the clamp.
     """
     try:
-        fit = radius_estimate(state.field)
+        fit = radius_estimate(field)
     except InsufficientSupportError:
-        return RadiusSample(state.t, float("nan"), float("nan"))
-    return RadiusSample(state.t, fit.sigma_est, fit.residual)
+        return RadiusSample(t, float("nan"), float("nan"))
+    return RadiusSample(t, fit.sigma_est, fit.residual)
 
 
-def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDecayResult:
+def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     """Track the fitted radius at contraction-window spacing out to the
     horizon, then fit a power law on the tail (t past a tenth of the
-    horizon).  Sample times snap to the sampling grid as in ``simulate``,
-    and the steps between them follow the same ``step_plan``.  A sample
-    whose fit fails carries sigma_est = nan and counts in
-    ``fit_failures``; only a fit clamped at 0 counts as a collapse.  Each
-    sample computes the radius fit and nothing else.  Data that leave no
-    contraction window raise ``BlowUpError``."""
-    grid = cfg.make_grid()
-    f = initial_field(cfg, grid)
+    horizon).  The samples come from the sample loop of ``simulate``
+    (``integrator._sampled_run``), so their times snap to the same
+    sampling grid and the steps between them follow the same
+    ``step_plan``.  A sample whose fit fails carries sigma_est = nan and
+    counts in ``fit_failures``; only a fit clamped at 0 counts as a
+    collapse.  Each sample computes the radius fit and nothing else.  Data
+    that leave no contraction window raise ``BlowUpError``."""
+    f = initial_field(cfg)
     delta = contraction_window(cfg, f)
     if math.isnan(delta):
         raise BlowUpError("initial data leave no contraction window", time=0.0)
-    span = cfg.time.horizon if horizon is None else horizon
+    span = cfg.time.horizon
     times = np.arange(0, int(np.floor(span / delta)) + 1) * delta
-    grid_dt, n_total = resolve_dt(cfg, grid, span)
-    plan = step_plan(
-        sample_steps(times, grid_dt, n_total), grid_dt,
-        window_cap(cfg, delta, grid_dt),
+    run = _sampled_run(
+        cfg, f, delta, times, (), lambda t, steps, field: radius_sample(t, field)
     )
-    clock = time.perf_counter
-    found: list[RadiusSample] = []
-    samples_s = 0.0
-    t0 = clock()
-    for _, state in sampled_states(f, grid_dt, plan):
-        t_sample = clock()
-        found.append(radius_sample(state))
-        samples_s += clock() - t_sample
-    phase_s = {"stepping": clock() - t0 - samples_s, "samples": samples_s}
-    samples = tuple(found)
+    samples = tuple(run.records)
     sigma0 = samples[0].sigma_est
     collapse = next((s.t for s in samples if s.sigma_est == 0.0), None)
     failures = sum(1 for s in samples if math.isnan(s.sigma_est))
@@ -470,10 +435,10 @@ def radius_decay_run(cfg: SimConfig, horizon: float | None = None) -> RadiusDeca
         c_emp = float(min(s.t * s.sigma_est for s in tail))
     else:
         tail_p, tail_amp, c_emp = float("nan"), float("nan"), float("nan")
-    steps, dt = plan_totals(plan, grid_dt)
     return RadiusDecayResult(
         samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures,
-        steps, dt, grid_dt, dt_source(cfg), phase_s,
+        run.steps, run.dt, run.grid_dt, run.dt_source,
+        {"stepping": run.phase_s["stepping"], "samples": run.phase_s["records"]},
     )
 
 
@@ -495,49 +460,48 @@ class UniquenessResult:
     eps: float
 
 
-def uniqueness_gap(
-    cfg: SimConfig, eps: float, horizon: float | None = None, envelope: float = 1.1
-) -> UniquenessResult:
-    """Evolve data and an eps-perturbation; compare their L2 gap with the
-    Gronwall envelope gap(0) * exp(1/4 int (||u_x||_inf + ||v_x||_inf)).
+def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
+    """Evolve data and an eps-perturbation to the horizon; compare their L2
+    gap with the Gronwall envelope gap(0) * exp(1/4 int (||u_x||_inf +
+    ||v_x||_inf)).  The run passes when no gap exceeds GRONWALL_ENVELOPE
+    times its bound.
 
     The perturbation is a unit-L2 Gaussian bump scaled by eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     grid = cfg.make_grid()
-    f = initial_field(cfg, grid)
+    u = initial_field(cfg, grid)
     bump = dealias(gaussian(grid, 1.0, 2.0))
     bump_l2 = gevrey_norm(bump, 0.0, 0.0)
-    g0 = SpectralField(grid, f.half + eps * (bump.half / bump_l2))
-    span = cfg.time.horizon if horizon is None else horizon
-    dt, n = resolve_dt(cfg, grid, span)
-    su = StepperState(f, dt)
-    sv = StepperState(g0, dt)
+    v = SpectralField(grid, u.half + eps * (bump.half / bump_l2))
+    dt, n = resolve_dt(cfg, grid, cfg.time.horizon)
 
-    def dx_sup(st: StepperState) -> float:
-        u_x = physical_values(grid, 1j * grid.xi_col * st.field.half)
+    def dx_sup(w: SpectralField) -> float:
+        u_x = physical_values(grid, 1j * grid.xi_col * w.half)
         return float(np.max(np.abs(u_x)))
 
-    def gap_of(a: StepperState, b: StepperState) -> float:
-        return float(half_plane_norms(grid, a.field.half - b.field.half, 0.0, 0.0))
+    def gap_of(a: SpectralField, b: SpectralField) -> float:
+        return float(half_plane_norms(grid, a.half - b.half, 0.0, 0.0))
 
-    gap0 = gap_of(su, sv)
+    gap0 = gap_of(u, v)
     integral = 0.0
-    prev = dx_sup(su) + dx_sup(sv)
+    prev = dx_sup(u) + dx_sup(v)
     samples = [GapSample(0.0, gap0, gap0)]
     for k in range(1, n + 1):
-        su, sv = step(su), step(sv)
-        cur = dx_sup(su) + dx_sup(sv)
+        u, v = step(u, dt, (k - 1) * dt), step(v, dt, (k - 1) * dt)
+        cur = dx_sup(u) + dx_sup(v)
         integral += 0.5 * dt * (prev + cur)
         prev = cur
         samples.append(
-            GapSample(k * dt, gap_of(su, sv), gap0 * math.exp(0.25 * integral))
+            GapSample(k * dt, gap_of(u, v), gap0 * math.exp(0.25 * integral))
         )
     ratios = [s.gap / s.bound for s in samples if s.bound > 0]
     # the t = 0 ratio is 1 by construction: report the worst later one
     max_ratio = max(ratios[1:] or ratios)
-    return UniquenessResult(tuple(samples), max_ratio, max(ratios) <= envelope, eps)
+    return UniquenessResult(
+        tuple(samples), max_ratio, max(ratios) <= GRONWALL_ENVELOPE, eps
+    )
 
 
 # --- weighted energy identity -----------------------------------------------
@@ -557,38 +521,34 @@ class EnergyIdentityResult:
     orders: tuple[float, ...]  # log2(rel_err_i / rel_err_{i+1})
 
 
-def energy_identity_check(
-    cfg: SimConfig, dts: tuple[float, ...] | None = None
-) -> EnergyIdentityResult:
+def energy_identity_check(cfg: SimConfig) -> EnergyIdentityResult:
     """Check d/dt ||A u||^2 = <A u, N(u)> over single steps.
 
     The left side differences the weighted energy over one step of length
     dt (taken as two half-steps so a midpoint state exists); the right
     side integrates the flux with Simpson on the same three states.  Both
     carry O(dt^4) error against the semi-discrete identity, so rel_err
-    shrinks at the integrator's order as dt halves.
+    shrinks at the integrator's order as dt halves, over dt = 8, 4 and 2
+    times the configured (explicit or CFL) step.
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
-    if dts is None:
-        base = cfg.time.dt if cfg.time.dt is not None else cfl_dt(grid, cfg.time.cfl)
-        dts = (8.0 * base, 4.0 * base, 2.0 * base)
+    base = cfg.time.dt if cfg.time.dt is not None else cfl_dt(grid, cfg.time.cfl)
 
     def flux(w: SpectralField) -> float:
         return l2_inner(apply_gevrey(w, s1, s2), remainder_n(w, s1, s2))
 
     rows = []
-    for dt in dts:
-        st = StepperState(f, 0.5 * dt)
-        mid = step(st)
-        end = step(mid).field
+    for dt in (8.0 * base, 4.0 * base, 2.0 * base):
+        mid = step(f, 0.5 * dt)
+        end = step(mid, 0.5 * dt)
         # ||A u||^2 - ||A f||^2 = <A(u - f), A(u + f)>, free of cancellation
         lhs = l2_inner(
             apply_gevrey(SpectralField(grid, end.half - f.half), s1, s2),
             apply_gevrey(SpectralField(grid, end.half + f.half), s1, s2),
         ) / dt
-        rhs = (flux(f) + 4.0 * flux(mid.field) + flux(end)) / 6.0
+        rhs = (flux(f) + 4.0 * flux(mid) + flux(end)) / 6.0
         scale = max(abs(lhs), abs(rhs), 1e-300)
         rows.append(EnergyIdentityRow(dt, lhs, rhs, abs(lhs - rhs) / scale))
     orders = tuple(

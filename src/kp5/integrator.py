@@ -2,21 +2,21 @@
 
 In Fourier variables the equation reads  c_t = i*m*c + NL(c)  with the
 stiff dispersion handled exactly: substituting c = exp(i*t*m) v leaves a
-nonstiff system for v that classical RK4 integrates.  With the nonlinearity
-switched off a step multiplies by exp(i*dt*m) exactly, i.e. the stepper
-degenerates to the free propagator.
+nonstiff system for v that classical RK4 integrates.  Where the
+nonlinearity vanishes a step multiplies by exp(i*dt*m) exactly, i.e. the
+stepper degenerates to the free propagator.
 
-The stepper state carries the solution as a ``SpectralField``, the
-``rfft2`` half plane (modes k = 0..ny/2) of the real solution, so realness
-holds by construction: each right-hand side is one call of the
-dealiased-square kernel (``spectral.dealiased_square``, an inverse and a
-band-pruned forward pair of 1-D passes), and every stage multiply touches
-half the modes.  The RK4 stages are in Lawson form: each stage stays in the
-frame where it was evaluated and is carried forward by exp(i*dt*m/2), so no
-conjugate (backward) phase is stored or applied.  Records, snapshots and
-the radius fit read the state's field as it is.  The Nyquist row and column
-stay zero: the dealias mask removes them from every right-hand side and the
-phases never fill them.
+``step`` advances a ``SpectralField``, the ``rfft2`` half plane (modes
+k = 0..ny/2) of the real solution, so realness holds by construction:
+each right-hand side is one call of the dealiased-square kernel
+(``spectral.dealiased_square``, an inverse and a band-pruned forward pair
+of 1-D passes), and every stage multiply touches half the modes.  The RK4
+stages are in Lawson form: each stage stays in the frame where it was
+evaluated and is carried forward by exp(i*dt*m/2), so no conjugate
+(backward) phase is stored or applied; a negative dt steps back in time.
+Callers keep the time and the step count.  The Nyquist row and column
+stay zero: the dealias mask removes them from every right-hand side and
+the phases never fill them.
 
 Two step sizes.  The sampling grid is n * grid_dt with grid_dt = cfl /
 max|dm/dxi| over live (dealiased, xi != 0) modes, shrunk to divide the
@@ -28,16 +28,16 @@ of g grid steps between wanted samples is crossed in min(g, ceil(g *
 grid_dt / (cfl * delta))) equal steps, where delta is the paper's
 contraction window c0 / (1 + ||f||_{G^sigma1})^exponent.  A non-finite
 data norm or a window shorter than grid_dt steps on the grid, and so does an
-explicit ``time.dt``, which is the step itself.
+explicit ``time.dt``, which is the step itself.  ``simulate`` and
+``diagnostics.radius_decay_run`` share this plan and one sample loop.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -70,22 +70,6 @@ class DiagnosticsRecord:
     residual: float
     remainder_l2: float
     steps: int
-
-
-@dataclass(frozen=True)
-class StepperState:
-    """Immutable stepper snapshot; ``step`` returns the advanced copy.
-
-    ``field`` is the solution at time t; ``StepperState(f, dt)`` starts
-    from f at t = 0.
-    """
-
-    field: SpectralField
-    dt: float
-    t: float = 0.0
-    steps: int = 0
-    nonlinear: bool = True
-    dispersion_sign: float = 1.0  # -1 integrates the time-reversed flow
 
 
 @lru_cache(maxsize=8)
@@ -132,14 +116,15 @@ def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _half_phases(grid: Grid2D, signed_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i dt m / 2) and exp(i dt m) on the half plane."""
-    m = dispersion_symbol(grid)
-    return _frozen(np.exp(0.5j * signed_dt * m)), _frozen(np.exp(1j * signed_dt * m))
+def _half_phases(grid: Grid2D, dt: float) -> np.ndarray:
+    """exp(i dt m / 2) on the half plane."""
+    return _frozen(np.exp(0.5j * dt * dispersion_symbol(grid)))
 
 
-def step(state: StepperState) -> StepperState:
-    """Advance one dt with integrating-factor RK4 (Lawson stages).
+def step(field: SpectralField, dt: float, t: float = 0.0) -> SpectralField:
+    """One integrating-factor RK4 step of length dt (Lawson stages) from
+    ``field`` at time t; a negative dt steps back.  t only dates a
+    non-finite step, which raises ``BlowUpError``.
 
     With E = exp(i dt m / 2) and h = dt, the stages are k1 = N(c),
     k2 = N(E(c + h/2 k1)), k3 = N(Ec + h/2 k2), k4 = N(E(Ec + h k3)) and
@@ -147,44 +132,37 @@ def step(state: StepperState) -> StepperState:
     IF-RK4 step with every stage kept in the frame where it was evaluated,
     so no conjugate phase is needed.  Stage sums are formed in place.
     """
-    grid = state.field.grid
-    c = state.field.half
-    dt = state.dt
-    e_half, e_full = _half_phases(grid, dt * state.dispersion_sign)
-    if state.nonlinear:
-        ec = e_half * c
-        k1 = _half_rhs(grid, c)
-        arg = np.multiply(k1, 0.5 * dt)
-        arg += c
-        arg *= e_half
-        k2 = _half_rhs(grid, arg)
-        np.multiply(k2, 0.5 * dt, out=arg)
-        arg += ec
-        k3 = _half_rhs(grid, arg)
-        np.multiply(k3, dt, out=arg)
-        arg += ec
-        arg *= e_half
-        k4 = _half_rhs(grid, arg)
-        new_c = k1
-        new_c *= e_half
-        k2 += k3
-        k2 *= 2.0
-        new_c += k2
-        new_c *= dt / 6.0
-        new_c += ec
-        new_c *= e_half
-        k4 *= dt / 6.0
-        new_c += k4
-    else:
-        new_c = e_full * c
+    grid = field.grid
+    c = field.half
+    e_half = _half_phases(grid, dt)
+    ec = e_half * c
+    k1 = _half_rhs(grid, c)
+    arg = np.multiply(k1, 0.5 * dt)
+    arg += c
+    arg *= e_half
+    k2 = _half_rhs(grid, arg)
+    np.multiply(k2, 0.5 * dt, out=arg)
+    arg += ec
+    k3 = _half_rhs(grid, arg)
+    np.multiply(k3, dt, out=arg)
+    arg += ec
+    arg *= e_half
+    k4 = _half_rhs(grid, arg)
+    new_c = k1
+    new_c *= e_half
+    k2 += k3
+    k2 *= 2.0
+    new_c += k2
+    new_c *= dt / 6.0
+    new_c += ec
+    new_c *= e_half
+    k4 *= dt / 6.0
+    new_c += k4
     if not np.all(np.isfinite(new_c.view(np.float64))):
         raise BlowUpError(
-            f"non-finite coefficients after step to t={state.t + dt:g}",
-            time=state.t + dt,
+            f"non-finite coefficients after step to t={t + dt:g}", time=t + dt
         )
-    return replace(
-        state, field=SpectralField(grid, new_c), t=state.t + dt, steps=state.steps + 1
-    )
+    return SpectralField(grid, new_c)
 
 
 def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
@@ -249,41 +227,10 @@ def step_plan(
     return plan
 
 
-def sampled_states(
-    f: SpectralField, grid_dt: float, plan: list[tuple[int, float, int]]
-) -> Iterator[tuple[int, StepperState]]:
-    """Step f through a ``step_plan``, yielding (b, state) at each planned
-    grid index b; the state has t = b * grid_dt exactly and counts in
-    ``steps`` the steps taken so far.
-
-    A non-finite step raises ``BlowUpError``.  So does a yielded state
-    whose L2 norm exceeds RUNAWAY_FACTOR times the initial one; that check
-    runs once the consumer has handled the state, so its sample is kept.
-    """
-    state = StepperState(f, grid_dt)
-    initial_l2 = gevrey_norm(f, 0.0, 0.0)
-    for b, dt, m in plan:
-        if m:
-            state = replace(state, dt=dt)
-            for _ in range(m):
-                state = step(state)
-            state = replace(state, t=b * grid_dt)
-        yield b, state
-        l2 = gevrey_norm(state.field, 0.0, 0.0)
-        if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
-            raise BlowUpError(
-                f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={state.t:g}",
-                time=state.t,
-            )
-
-
-def plan_totals(plan: list[tuple[int, float, int]], grid_dt: float) -> tuple[int, float]:
-    """Steps a plan takes and its largest step (grid_dt when it takes none)."""
-    return sum(m for _, _, m in plan), max((dt for _, dt, m in plan if m), default=grid_dt)
-
-
-def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
-    """The series row of a state, at its time ``state.t``.
+def _record(
+    cfg: SimConfig, t: float, steps: int, field: SpectralField
+) -> DiagnosticsRecord:
+    """The series row of a field at time t, reached in ``steps`` steps.
 
     The L2 norm and the ladder share one amplitude array |c|, and the
     remainder is exactly 0 (not computed) when both sigmas are 0.
@@ -291,8 +238,8 @@ def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
     # imported here: diagnostics builds on this module
     from .diagnostics import radius_sample
 
-    grid = state.field.grid
-    amp = np.abs(state.field.half)
+    grid = field.grid
+    amp = np.abs(field.half)
 
     def norm(sigma1: float) -> float:
         assert_sigma_within_guard(grid, sigma1, 0.0)
@@ -303,22 +250,22 @@ def _record(cfg: SimConfig, state: StepperState) -> DiagnosticsRecord:
     if s1 == 0.0 and s2 == 0.0:
         remainder_l2 = 0.0
     else:
-        remainder_l2 = gevrey_norm(remainder_n(state.field, s1, s2), 0.0, 0.0)
-    fit = radius_sample(state)
+        remainder_l2 = gevrey_norm(remainder_n(field, s1, s2), 0.0, 0.0)
+    fit = radius_sample(t, field)
     return DiagnosticsRecord(
-        t=state.t,
+        t=t,
         l2=norm(0.0),
         gevrey=tuple(norm(s) for s in cfg.gevrey.ladder),
         sigma_est=fit.sigma_est,
         residual=fit.residual,
         remainder_l2=remainder_l2,
-        steps=state.steps,
+        steps=steps,
     )
 
 
 @dataclass(frozen=True)
 class SimulationOutput:
-    records: list[DiagnosticsRecord]
+    records: list  # what the run's ``record`` built at each sample time
     snapshots: list[tuple[float, SpectralField]]
     dt: float  # the largest step taken
     grid_dt: float  # the sampling grid step
@@ -336,48 +283,72 @@ class SimulationOutput:
         return max(abs(r.l2 - base) for r in self.records) / base
 
 
-def simulate(
-    cfg: SimConfig, sample_times=None, snapshot_times=()
+def _sampled_run(
+    cfg: SimConfig, f: SpectralField, delta: float, times, snapshot_times, record
 ) -> SimulationOutput:
-    """Run to the configured horizon, emitting records at sample times.
+    """Step f to the last of ``times`` and ``snapshot_times``, calling
+    ``record(t, steps, field)`` at each sample time and keeping the field
+    at each snapshot time.
 
-    Sample times snap to the nearest point n*grid_dt of the sampling grid,
-    a shift below grid_dt/2, and records carry that exact time; the steps
-    between them follow ``step_plan`` with the ``window_cap`` of the data,
-    and the run ends at the last sample or snapshot.  ``snapshot_times``
-    additionally capture the full field.  Blow-up raises ``BlowUpError``
-    with the records collected so far attached (snapshots are not kept).
-    The output's ``phase_s`` splits the wall time between stepping and the
-    records and snapshots.
+    Times snap to the nearest point n*grid_dt of the sampling grid over the
+    configured horizon, a shift below grid_dt/2, and each sample carries
+    that exact time; the steps between them follow ``step_plan`` with the
+    ``window_cap`` of the contraction window delta.  A non-finite step
+    raises ``BlowUpError``, and so does a sampled field whose L2 norm
+    exceeds RUNAWAY_FACTOR times the initial one (its sample is kept); the
+    error carries the samples taken so far (snapshots are not kept).
+    ``phase_s`` splits the wall time between stepping and the samples and
+    snapshots.
     """
-    grid = cfg.make_grid()
-    f = initial_field(cfg, grid)
-    horizon = cfg.time.horizon
-    grid_dt, n_total = resolve_dt(cfg, grid, horizon)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, cfg.time.samples)
-    want = sample_steps(sample_times, grid_dt, n_total)
+    grid_dt, n_total = resolve_dt(cfg, f.grid, cfg.time.horizon)
+    want = sample_steps(times, grid_dt, n_total)
     want_snap = sample_steps(snapshot_times, grid_dt, n_total)
-    cap = window_cap(cfg, contraction_window(cfg, f), grid_dt)
-    plan = step_plan(want | want_snap, grid_dt, cap)
+    plan = step_plan(want | want_snap, grid_dt, window_cap(cfg, delta, grid_dt))
 
     clock = time.perf_counter
-    records: list[DiagnosticsRecord] = []
+    records = []
     snapshots: list[tuple[float, SpectralField]] = []
     records_s = 0.0
     t0 = clock()
+    initial_l2 = gevrey_norm(f, 0.0, 0.0)
+    t, steps = 0.0, 0
     try:
-        for b, state in sampled_states(f, grid_dt, plan):
+        for b, dt, m in plan:
+            for k in range(m):
+                f = step(f, dt, t + k * dt)
+            t, steps = b * grid_dt, steps + m
             t_record = clock()
             if b in want_snap:
-                snapshots.append((state.t, state.field))
+                snapshots.append((t, f))
             if b in want:
-                records.append(_record(cfg, state))
+                records.append(record(t, steps, f))
             records_s += clock() - t_record
+            l2 = gevrey_norm(f, 0.0, 0.0)
+            if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
+                raise BlowUpError(
+                    f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={t:g}",
+                    time=t,
+                )
     except BlowUpError as exc:
         raise BlowUpError(str(exc), time=exc.time, records=records) from None
     phase_s = {"stepping": clock() - t0 - records_s, "records": records_s}
-    steps, dt = plan_totals(plan, grid_dt)
+    dt_max = max((dt for _, dt, m in plan if m), default=grid_dt)
     return SimulationOutput(
-        records, snapshots, dt, grid_dt, steps, dt_source(cfg), phase_s
+        records, snapshots, dt_max, grid_dt, steps, dt_source(cfg), phase_s
+    )
+
+
+def simulate(
+    cfg: SimConfig, sample_times=None, snapshot_times=()
+) -> SimulationOutput:
+    """The series rows at ``sample_times`` (by default ``time.samples``
+    times evenly spaced over the horizon) and the fields at
+    ``snapshot_times``, stepped by ``_sampled_run`` with the contraction
+    window of the configured data."""
+    f = initial_field(cfg)
+    if sample_times is None:
+        sample_times = np.linspace(0.0, cfg.time.horizon, cfg.time.samples)
+    return _sampled_run(
+        cfg, f, contraction_window(cfg, f), sample_times, snapshot_times,
+        partial(_record, cfg),
     )

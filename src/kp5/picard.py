@@ -33,6 +33,8 @@ from .errors import PicardDivergenceError
 from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
 from .spectral import Grid2D, SpectralField, dealiased_square
 
+DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
+
 
 @dataclass(frozen=True, eq=False)
 class TimeWindowField:
@@ -276,10 +278,8 @@ class DoublingResult:
     f_norm: float
 
 
-def doubling_check(
-    f_norm: float, sup_norm: float, bound: float = 2.0
-) -> DoublingResult:
-    """Is the window norm at most ``bound`` times the data norm?
+def doubling_check(f_norm: float, sup_norm: float) -> DoublingResult:
+    """Is the window norm at most DOUBLING_BOUND times the data norm?
 
     ``f_norm`` and ``sup_norm`` are what ``picard_from_config`` measured:
     the data norm and ``PicardResult.sup_norms[-1]``, the sup-slice norm
@@ -288,4 +288,4 @@ def doubling_check(
     if f_norm == 0.0:
         return DoublingResult(0.0, sup_norm == 0.0, sup_norm, f_norm)
     ratio = sup_norm / f_norm
-    return DoublingResult(ratio, ratio <= bound, sup_norm, f_norm)
+    return DoublingResult(ratio, ratio <= DOUBLING_BOUND, sup_norm, f_norm)

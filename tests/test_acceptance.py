@@ -8,9 +8,11 @@ order; each test prints the formatted verdict line for the log.
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import kp5.acceptance
+import kp5.integrator
 from kp5.acceptance import AcceptanceSuite
 from kp5.config import DEFAULT_C_EMP
 from kp5.diagnostics import RadiusDecayResult, RadiusSample
@@ -53,3 +55,23 @@ def test_a7_floor_is_the_shipped_constant(monkeypatch, c_emp, passed):
     )
     monkeypatch.setattr(kp5.acceptance, "radius_decay_run", lambda cfg: result)
     assert AcceptanceSuite().a7().passed is passed
+
+
+def test_a12_fails_on_a_kp1_sign(monkeypatch):
+    """A12's residual is built without the dispersion symbol, so the KP-I
+    sign on the eta^2 / xi term, planted where the stepper reads the
+    symbol, fails it."""
+
+    def kp1_symbol(grid):
+        xi, eta = grid.xi_col, grid.eta_row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.where(xi == 0.0, 0.0, xi**5 + eta**2 / xi)
+        return np.broadcast_to(m, (grid.nx, grid.ny // 2 + 1))
+
+    monkeypatch.setattr(kp5.integrator, "dispersion_symbol", kp1_symbol)
+    kp5.integrator._half_phases.cache_clear()
+    try:
+        result = AcceptanceSuite().a12()
+    finally:
+        kp5.integrator._half_phases.cache_clear()
+    assert not result.passed, result.line

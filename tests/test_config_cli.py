@@ -398,6 +398,19 @@ def test_cli_radius_decay_manifest_is_strict_json(tmp_path):
     assert m["sigma0"] > 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["sigma-ladder"], ["uniqueness"], ["bilinear", "--trials", "4"],
+], ids=lambda argv: argv[0])
+def test_cli_run_manifest_is_strict_json_with_phases(tmp_path, argv):
+    cfg = write(tmp_path, SMALL_YAML)
+    out = tmp_path / argv[0]
+    assert main([*argv, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert m["command"] == argv[0] and m["status"] == "ok"
+    assert set(m["phase_s"]) == {"run", "writing"}
+    assert all(v >= 0.0 for v in m["phase_s"].values())
+
+
 def test_manifest_writes_non_finite_floats_as_null(tmp_path):
     path = tmp_path / "manifest.json"
     extras = {"sigma0": float("nan"), "nested": {"v": [1.5, float("-inf")]}}

@@ -26,7 +26,7 @@ from kp5.diagnostics import (
 )
 from kp5.errors import InadmissibleParamsError, InsufficientSupportError
 from kp5.initial_data import exp_spectrum, gaussian
-from kp5.integrator import StepperState, _record, cfl_dt, initial_field, simulate, step
+from kp5.integrator import _record, cfl_dt, initial_field, simulate, step
 from kp5.operators import GevreyParams, gevrey_norm, remainder_n, semigroup_apply
 from kp5.picard import free_window
 from kp5.spectral import Grid2D, SpectralField, full_plane
@@ -61,10 +61,10 @@ def test_radius_estimate_reads_stepper_half_plane_exactly(grid):
     # white band noise: rows j and -j of the half plane differ in size, so
     # the envelope needs both; the reference fits the full-plane envelope
     f = random_band_field(grid, seed=21)
-    state = step(StepperState(f, 0.01))
-    fit = radius_estimate(state.field)
+    stepped = step(f, 0.01)
+    fit = radius_estimate(stepped)
     n = grid.nx // 2
-    mag = np.abs(full_plane(grid, state.field.half))
+    mag = np.abs(full_plane(grid, stepped.half))
     envelope = mag[1:n].max(axis=1)
     lo, hi = fit.band
     keep = (grid.xi[1:n] >= lo) & (grid.xi[1:n] <= hi)
@@ -257,7 +257,7 @@ def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     import kp5.diagnostics
 
     # a Gaussian on 16^2 leaves too few shells to fit
-    rec = _record(small_cfg(), StepperState(gaussian(grid16, 1.0, 2.0), 0.01))
+    rec = _record(small_cfg(), 0.0, 0, gaussian(grid16, 1.0, 2.0))
     assert math.isnan(rec.sigma_est) and math.isnan(rec.residual)
 
     fit = kp5.diagnostics.radius_estimate
@@ -304,11 +304,11 @@ def spectrum_cfg(n, horizon, **kw):
 def test_half_plane_record_matches_full_plane_diagnostics():
     cfg = spectrum_cfg(64, 0.1, sigma1=0.5, sigma2=0.1)
     grid = cfg.make_grid()
-    state = StepperState(initial_field(cfg, grid), cfl_dt(grid))
+    dt = cfl_dt(grid)
+    field = initial_field(cfg, grid)
     for _ in range(3):
-        state = step(state)
-    rec = _record(cfg, state)
-    field = state.field
+        field = step(field, dt)
+    rec = _record(cfg, 3 * dt, 3, field)
     c2 = np.abs(full_plane(grid, field.half)) ** 2
 
     def rel(got, want):
@@ -318,7 +318,7 @@ def test_half_plane_record_matches_full_plane_diagnostics():
         weight = np.exp(2 * sigma1 * np.abs(grid.xi_col))
         return math.sqrt(grid.measure * np.sum(weight * c2))
 
-    assert rec.steps == 3 and rec.t == 3 * state.dt
+    assert rec.steps == 3 and rec.t == 3 * dt
     assert rel(rec.l2, full_plane_norm(0.0)) <= 1e-13
     assert len(rec.gevrey) == len(cfg.gevrey.ladder)
     for s, got in zip(cfg.gevrey.ladder, rec.gevrey):
@@ -328,7 +328,7 @@ def test_half_plane_record_matches_full_plane_diagnostics():
     fit = radius_estimate(field)
     assert (rec.sigma_est, rec.residual) == (fit.sigma_est, fit.residual)
     flat = replace(cfg, gevrey=replace(cfg.gevrey, sigma1=0.0, sigma2=0.0))
-    zero = _record(flat, state)
+    zero = _record(flat, 3 * dt, 3, field)
     assert zero.remainder_l2 == 0.0
     assert (zero.l2, zero.gevrey) == (rec.l2, rec.gevrey)
 

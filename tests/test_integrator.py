@@ -10,25 +10,21 @@ from kp5.config import GevreyConfig, GridConfig, InitialConfig, SimConfig, TimeC
 from kp5.diagnostics import radius_decay_run
 from kp5.errors import BlowUpError
 from kp5.integrator import (
-    StepperState,
     _half_rhs,
+    _sampled_run,
     aligned_dt,
     cfl_dt,
     contraction_window,
     initial_field,
     max_group_speed,
     resolve_dt,
-    sampled_states,
     simulate,
     step,
     step_plan,
     window_cap,
 )
-from kp5.operators import gevrey_norm, half_plane_norms, semigroup_apply
-from kp5.spectral import (
-    Grid2D, SpectralField, dealias, dealiased_square, full_plane, x_antiderivative,
-    x_derivative,
-)
+from kp5.operators import gevrey_norm, semigroup_apply
+from kp5.spectral import Grid2D, SpectralField, dealias, full_plane, x_derivative
 
 GRID_32x48 = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
 GRID_64 = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
@@ -67,26 +63,34 @@ def test_aligned_dt():
     assert (dt, n) == (0.2, 1)
 
 
-def test_free_flow_equals_semigroup(grid16):
+def _free_flow(monkeypatch):
+    """Switch the nonlinearity off: every right-hand side is zero."""
+    monkeypatch.setattr(
+        kp5.integrator, "_half_rhs", lambda grid, c: np.zeros_like(c)
+    )
+
+
+def test_free_flow_equals_semigroup(monkeypatch, grid16):
+    _free_flow(monkeypatch)
     f = random_band_field(grid16, seed=3)
-    state = StepperState(f, 0.05, nonlinear=False)
+    u = f
     for _ in range(3):
-        state = step(state)
+        u = step(u, 0.05)
     exact = semigroup_apply(f, 0.15)
     scale = np.max(np.abs(exact.half))
-    assert np.max(np.abs(state.field.half - exact.half)) <= 1e-13 * scale
+    assert np.max(np.abs(u.half - exact.half)) <= 1e-13 * scale
 
 
-def test_linear_time_reversal(grid16):
+def test_linear_time_reversal(monkeypatch, grid16):
+    _free_flow(monkeypatch)
     f = random_band_field(grid16, seed=5)
-    fwd = StepperState(f, 0.02, nonlinear=False)
+    u = f
     for _ in range(10):
-        fwd = step(fwd)
-    back = StepperState(fwd.field, 0.02, nonlinear=False, dispersion_sign=-1.0)
+        u = step(u, 0.02)
     for _ in range(10):
-        back = step(back)
+        u = step(u, -0.02)
     scale = np.max(np.abs(f.half))
-    assert np.max(np.abs(back.field.half - f.half)) <= 1e-12 * scale
+    assert np.max(np.abs(u.half - f.half)) <= 1e-12 * scale
 
 
 def test_nonlinear_term_is_transport_derivative(grid16):
@@ -108,12 +112,12 @@ def test_half_plane_rhs_matches_nonlinear_term(grid):
     assert _rel_err(got, want) <= 1e-13
 
 
-def _full_plane_step(grid, c, dt, nonlinear, sign):
+def _full_plane_step(grid, c, dt, nonlinear):
     """Reference: the full-plane complex-FFT IF-RK4 step, written out."""
     xi, eta = grid.xi_col, grid.eta[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(xi == 0.0, 0.0, xi**5 - eta**2 / xi)
-    e_half, e_full = np.exp(0.5j * sign * dt * m), np.exp(1j * sign * dt * m)
+    e_half, e_full = np.exp(0.5j * dt * m), np.exp(1j * dt * m)
 
     def rhs(c):
         return (-0.5j) * grid.xi_col * full_plane_square(grid, c)
@@ -130,56 +134,18 @@ def _full_plane_step(grid, c, dt, nonlinear, sign):
 @pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
 @pytest.mark.parametrize("nonlinear", [True, False])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_half_plane_steps_match_full_plane_rk4(grid, nonlinear, sign):
+def test_half_plane_steps_match_full_plane_rk4(monkeypatch, grid, nonlinear, sign):
+    """Steps forward and (sign -1, a negative dt) back in time."""
+    if not nonlinear:
+        _free_flow(monkeypatch)
     f = random_band_field(grid, seed=13)
-    dt = cfl_dt(grid, 1.0)
-    state = StepperState(f, dt, nonlinear=nonlinear, dispersion_sign=sign)
+    dt = sign * cfl_dt(grid, 1.0)
+    u = f
     want = full_plane(grid, f.half)
     for _ in range(20):
-        state = step(state)
-        want = _full_plane_step(grid, want, dt, nonlinear, sign)
-    assert state.steps == 20 and state.t == pytest.approx(20 * dt)
-    assert _rel_err(full_plane(grid, state.field.half), want) <= 1e-12
-
-
-def _equation_residual(f, t, h):
-    """Relative L2 residual of the centred difference (u(t+h) - u(t-h)) / 2h
-    of stepped states against the KP-II right-hand side at u(t),
-
-        u_t = dx^5 u - dx^{-1} dy^2 u - 1/2 dx(u^2),
-
-    built from the spectral derivatives, not from the stepper's symbol."""
-    grid = f.grid
-    state = StepperState(f, h)
-    for _ in range(round(t / h) - 1):
-        state = step(state)
-    before = state.field.half
-    state = step(state)
-    u = state.field
-    after = step(state).field.half
-    d5 = u
-    for _ in range(5):
-        d5 = x_derivative(d5)
-    dyy = x_antiderivative(SpectralField(grid, (1j * grid.eta_row) ** 2 * u.half))
-    rhs = d5.half - dyy.half - 0.5j * grid.xi_col * dealiased_square(grid, u.half)
-    diff = (after - before) / (2.0 * h) - rhs
-    norms = half_plane_norms(grid, np.stack([diff, rhs]), 0.0, 0.0)
-    return float(norms[0] / norms[1])
-
-
-def test_stepped_states_solve_kp2():
-    """The stepper solves fifth-order KP-II: the residual is the centred
-    difference's O(h^2) error (3.8e-6 at h = 1e-3, 6.1e-5 at 4e-3).  The
-    KP-I sign on the dispersion reads 2.0 here, a 0.45 nonlinearity 1.6e-3."""
-    cfg = small_cfg(
-        grid=GridConfig(nx=32, ny=32, lx=32 * np.pi, ly=32 * np.pi),
-        initial=InitialConfig(kind="exp_spectrum", amplitude=0.8, phases="random"),
-        seed=3,
-    )
-    f = initial_field(cfg)
-    fine, coarse = _equation_residual(f, 0.5, 1e-3), _equation_residual(f, 0.5, 4e-3)
-    assert fine <= 1e-4
-    assert 1.8 <= math.log2(coarse / fine) / 2.0 <= 2.2
+        u = step(u, dt)
+        want = _full_plane_step(grid, want, dt, nonlinear)
+    assert _rel_err(full_plane(grid, u.half), want) <= 1e-12
 
 
 def test_l2_conserved_on_nonlinear_run(grid32):
@@ -196,10 +162,10 @@ def test_self_convergence_order(grid32):
     f = initial_field(cfg, grid)
 
     def run(dt, n):
-        state = StepperState(f, dt)
+        u = f
         for _ in range(n):
-            state = step(state)
-        return state.field.half
+            u = step(u, dt)
+        return u.half
 
     base_dt = 0.1 / 8
     u1 = run(base_dt, 8)
@@ -215,9 +181,9 @@ def _counting_steps(monkeypatch) -> list:
     calls = []
     real = kp5.integrator.step
 
-    def counted(state):
-        calls.append(state.dt)
-        return real(state)
+    def counted(field, dt, t=0.0):
+        calls.append(dt)
+        return real(field, dt, t)
 
     monkeypatch.setattr(kp5.integrator, "step", counted)
     return calls
@@ -317,14 +283,15 @@ def test_explicit_dt_takes_every_grid_step_bitwise(monkeypatch):
     f = initial_field(cfg)
     grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.1)
     assert (grid_dt, n) == (0.01, 10)
-    plan = step_plan({0, 5, 10}, grid_dt, window_cap(cfg, 1.0, grid_dt))
-    got = dict(sampled_states(f, grid_dt, plan))
-    by_hand = StepperState(f, grid_dt)
+    run = _sampled_run(cfg, f, 1.0, [0.0, 0.05, 0.1], (), lambda *sample: sample)
+    got = {steps: (t, field) for t, steps, field in run.records}
+    assert sorted(got) == [0, 5, 10]
+    by_hand = f
     for k in range(1, n + 1):
-        by_hand = step(by_hand)
+        by_hand = step(by_hand, grid_dt)
         if k in got:
-            assert np.array_equal(got[k].field.half, by_hand.field.half)
-            assert (got[k].steps, got[k].t) == (k, k * grid_dt)
+            assert np.array_equal(got[k][1].half, by_hand.half)
+            assert got[k][0] == k * grid_dt
     calls = _counting_steps(monkeypatch)
     out = simulate(cfg)
     assert (out.steps, out.dt, out.grid_dt) == (10, 0.01, 0.01)
