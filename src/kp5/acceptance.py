@@ -1,13 +1,16 @@
 """Acceptance gate: the quantitative checks the toolkit must pass.
 
-Each criterion is a method returning a ``CriterionResult``; ``run`` executes
-a subset or all of them.  The same functions back the test suite and the
+Each criterion is a method returning a ``CriterionResult``: named checks,
+each a measured value with the comparison and bound it must meet, from which
+its pass/fail and its ``kp5 accept`` line derive.  ``run`` executes and times
+a subset or all of them; the same ``run`` backs the test suite and the
 ``kp5 accept`` subcommand, so the gate cannot drift between the two.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -18,7 +21,6 @@ from .config import (
     GevreyConfig,
     GridConfig,
     InitialConfig,
-    PicardConfig,
     SimConfig,
     TimeConfig,
 )
@@ -98,18 +100,59 @@ def suite_cfg(init: InitialConfig, seed: int = 7) -> SimConfig:
     )
 
 
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+# A4's gap bound.  Picard stops at update distance tol = 1e-10; with the
+# suite's worst contraction ratio q <= 0.0055 the returned window is within
+# q / (1 - q) * tol, about 5.5e-13, of the fixed point, and the rest of the
+# gap is quadrature and stepping error (1.005e-12 in all).  Odd-endpoint
+# Simpson weights (6, 6, 0)/12 in place of (5, 8, -1)/12 read 2.79e-10.
+WINDOW_GAP_TOL = 1e-11
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named number of a criterion and the bound it must meet.
+
+    It passes when the value is finite and, with an ``op`` (one of ``<=``,
+    ``<``, ``>=``, ``>``), ``value op bound`` holds; without one it is a
+    reported number that must still be finite.
+    """
+
+    name: str
+    value: float
+    op: str | None = None
+    bound: float = math.nan
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.value) and (
+            self.op is None or _COMPARE[self.op](self.value, self.bound)
+        )
+
+    def __str__(self) -> str:
+        text = f"{self.name} {self.value:.5g}"
+        return text if self.op is None else f"{text} ({self.op} {self.bound:g})"
+
+
 @dataclass(frozen=True)
 class CriterionResult:
+    """A criterion passes when it has checks and every one of them passes."""
+
     cid: str
     title: str
-    passed: bool
-    detail: str
-    elapsed: float
+    checks: tuple[Check, ...]
+    elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     @property
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{self.cid} {status} [{self.elapsed:6.1f}s] {self.title}: {self.detail}"
+        checks = ", ".join(map(str, self.checks))
+        return f"{self.cid} {status} [{self.elapsed:6.1f}s] {self.title}: {checks}"
 
 
 class AcceptanceSuite:
@@ -134,21 +177,13 @@ class AcceptanceSuite:
     # --- criteria ---
 
     def a1(self) -> CriterionResult:
-        tol = 1e-6
-        cfg = SimConfig()  # defaults: 128^2, horizon 1, unit Gaussian
-        out = simulate(cfg)
-        drift = out.l2_drift
-        return CriterionResult(
-            "A1",
-            "L2 conservation on the default run",
-            drift <= tol,
-            f"max relative drift {drift:.3e} (tol {tol:g}) over {out.steps} "
-            f"{out.dt_source} steps",
-            0.0,
-        )
+        out = simulate(SimConfig())  # defaults: 128^2, horizon 1, unit Gaussian
+        return CriterionResult("A1", "L2 conservation on the default run", (
+            Check("max relative drift", out.l2_drift, "<=", 1e-6),
+            Check(f"{out.dt_source} steps", out.steps),
+        ))
 
     def a2(self) -> CriterionResult:
-        need = 3.5
         cfg = suite_cfg(InitialConfig(kind="gaussian", amplitude=1.0, width=2.0))
         f = initial_field(cfg)
         horizon = 0.5
@@ -162,37 +197,26 @@ class AcceptanceSuite:
 
         halves = np.stack([evolve(n0 * 2**r) for r in range(3)])
         e01, e12 = half_plane_norms(f.grid, halves[:-1] - halves[1:], 0.0, 0.0)
-        order = math.log2(e01 / e12) if e12 > 0 else float("inf")
-        return CriterionResult(
-            "A2",
-            "self-convergence order of the stepper",
-            order >= need,
-            f"order {order:.2f} from errors {e01:.3e}, {e12:.3e} (need >= {need})",
-            0.0,
-        )
+        return CriterionResult("A2", "self-convergence order of the stepper", (
+            Check("order", _log2_ratio(e01, e12), ">=", 3.5),
+            Check("error dt/dt2", e01),
+            Check("error dt2/dt4", e12),
+        ))
 
     def a3(self) -> CriterionResult:
-        worst = 0.0
-        details = []
-        ok = True
-        for name, cfg, f, norm, delta, result in self.picard_suite():
-            check = doubling_check(norm, result.sup_norms[-1])
-            ok = ok and check.passed and result.converged
-            worst = max(worst, check.ratio)
-            details.append(f"{name}={check.ratio:.3f}")
-        return CriterionResult(
-            "A3",
-            "doubling bound on the contraction window",
-            ok,
-            f"worst ratio {worst:.3f} (bound {DOUBLING_BOUND:g}); " + ", ".join(details),
-            0.0,
+        suite = self.picard_suite()
+        ratios = tuple(
+            Check(name, doubling_check(norm, result.sup_norms[-1]).ratio,
+                  "<=", DOUBLING_BOUND)
+            for name, cfg, f, norm, delta, result in suite
         )
+        unconverged = sum(not result.converged for *_, result in suite)
+        return CriterionResult("A3", "doubling bound on the contraction window", (
+            *ratios, Check("unconverged members", unconverged, "<=", 0),
+        ))
 
     def a4(self) -> CriterionResult:
-        tol = 10.0 * PicardConfig.tol
-        worst = 0.0
-        ratios_ok = True
-        ok = True
+        gaps, ratios = [], []
         for name, cfg, f, norm, delta, result in self.picard_suite():
             window = result.window
             slice_dt = window.slice_dt
@@ -203,154 +227,108 @@ class AcceptanceSuite:
                 for _ in range(sub):
                     u = step(u, slice_dt / sub)
                 stepped.append(u.half)
-            gap = float(half_plane_norms(
+            gaps.append(half_plane_norms(
                 f.grid, np.stack(stepped) - window.half, SUITE_SIGMA1, 0.0
             ).max())
-            worst = max(worst, gap)
-            ok = ok and gap <= tol
-            ratios_ok = ratios_ok and all(r < 1.0 for r in result.ratios)
-        return CriterionResult(
-            "A4",
-            "picard window matches the integrator",
-            ok and ratios_ok,
-            f"worst sup-slice gap {worst:.3e} (tol {tol:g}); "
-            f"contraction ratios all < 1: {ratios_ok}",
-            0.0,
-        )
+            ratios.extend(result.ratios)
+        return CriterionResult("A4", "picard window matches the integrator", (
+            Check("worst sup-slice gap", _worst(gaps), "<=", WINDOW_GAP_TOL),
+            Check("worst contraction ratio", _worst(ratios), "<", 1.0),
+        ))
 
     def a5(self) -> CriterionResult:
-        lo, hi = 0.8, 1.2
         cfg = suite_cfg(InitialConfig(kind="gaussian", amplitude=0.35, width=2.0))
         result = almost_conservation_run(cfg)
-        nonzero = all(
-            math.isfinite(d) and d != 0.0
+        increments = tuple(
+            Check(f"|D({s:g})|", abs(d), ">", 0.0) if s > 0 else Check(f"D({s:g})", d)
             for s, d in zip(result.sigmas, result.increments)
-            if s > 0
-        )
-        ok = nonzero and lo <= result.slope <= hi
-        pairs = ", ".join(
-            f"D({s:g})={d:.3e}" for s, d in zip(result.sigmas, result.increments)
         )
         return CriterionResult(
-            "A5",
-            "almost-conservation increment scales like sigma",
-            ok,
-            f"slope {result.slope:.3f} (need within [{lo}, {hi}]); {pairs}",
-            0.0,
-        )
+            "A5", "almost-conservation increment scales like sigma", (
+                Check("slope", result.slope, ">=", 0.8),
+                Check("slope", result.slope, "<=", 1.2),
+                *increments,
+            ))
 
     def a6(self) -> CriterionResult:
-        tol, min_order = 1e-3, 3.0
         cfg = suite_cfg(InitialConfig(kind="gaussian", amplitude=1.0, width=2.0))
         cfg = replace(cfg, gevrey=GevreyConfig(sigma1=0.5, sigma2=0.0))
         result = energy_identity_check(cfg)
-        first = result.rows[0].rel_err
-        order_ok = all(o >= min_order for o in result.orders)
-        ok = first <= tol and order_ok
-        return CriterionResult(
-            "A6",
-            "weighted energy identity",
-            ok,
-            f"rel err {first:.3e} at dt={result.rows[0].dt:.2e} (tol {tol:g}); "
-            f"orders {', '.join(f'{o:.2f}' for o in result.orders)} "
-            f"(need >= {min_order})",
-            0.0,
-        )
+        return CriterionResult("A6", "weighted energy identity", (
+            Check("rel err", result.rows[0].rel_err, "<=", 1e-3),
+            Check("at dt", result.rows[0].dt),
+            *(Check("order", o, ">=", 3.0) for o in result.orders),
+        ))
 
     def a7(self) -> CriterionResult:
         sigma1, horizon = 1.0, 50.0
         cfg = SimConfig(
             grid=GridConfig(nx=64, ny=64),
             time=TimeConfig(horizon=horizon),
-            initial=InitialConfig(
-                kind="exp_spectrum",
-                amplitude=0.6,
-                decay_x=sigma1,
-                decay_y=sigma1,
-                phases="random",
-            ),
+            initial=InitialConfig(kind="exp_spectrum", amplitude=0.6, decay_x=sigma1,
+                                  decay_y=sigma1, phases="random"),
             gevrey=GevreyConfig(sigma1=sigma1, sigma2=0.0),
             seed=11,
         )
         result = radius_decay_run(cfg)
+        samples = result.samples
         early_cut = horizon / 50.0
-        early_dev = max(
-            abs(s.sigma_est - sigma1) for s in result.samples if s.t <= early_cut
+        early_dev = _worst(
+            [abs(s.sigma_est - sigma1) for s in samples if s.t <= early_cut]
         )
-        plateau_ok = early_dev <= 0.05 * sigma1
-        floor_ok = math.isfinite(result.c_emp) and result.c_emp >= DEFAULT_C_EMP
-        p_ok = math.isfinite(result.tail_p) and result.tail_p <= 1.2
-        final = result.samples[-1].sigma_est
-        fits_ok = result.fit_failures == 0
-        ok = (
-            plateau_ok and floor_ok and p_ok and fits_ok
-            and result.collapse_time is None
-        )
+        collapses = sum(s.sigma_est == 0.0 for s in samples)
         return CriterionResult(
-            "A7",
-            "radius of analyticity decays no faster than 1/t",
-            ok,
-            f"plateau dev {early_dev:.4f} on t<={early_cut:g} (planted {sigma1:g}), "
-            f"tail p {result.tail_p:.3f} (<= 1.2), "
-            f"C_emp {result.c_emp:.4f} (>= {DEFAULT_C_EMP:g}), "
-            f"sigma({horizon:g}) = {final:.3f}, "
-            f"failed fits {result.fit_failures} of {len(result.samples)} (need 0)",
-            0.0,
-        )
+            "A7", "radius of analyticity decays no faster than 1/t", (
+                Check(f"plateau dev on t<={early_cut:g} (planted {sigma1:g})",
+                      early_dev, "<=", 0.05 * sigma1),
+                Check("tail p", result.tail_p, "<=", 1.2),
+                # a regression pin of the one seed-11 draw, not a bound
+                # that holds across draws
+                Check(f"C_emp (seed-{cfg.seed} pin)", result.c_emp,
+                      ">=", DEFAULT_C_EMP),
+                Check(f"sigma({horizon:g})", samples[-1].sigma_est),
+                Check("samples", len(samples)),
+                Check("failed fits", result.fit_failures, "<=", 0),
+                Check("collapses", collapses, "<=", 0),
+            ))
 
     def a8(self) -> CriterionResult:
         tol = 1e-10
         grid = Grid2D(64, 64, 32.0 * math.pi, 32.0 * math.pi)
-        worst_fit = 0.0
-        worst_invariance = 0.0
+        fits, drifts = [], []
         for sigma in (0.3, 0.7, 1.5):
             f = exp_spectrum(grid, 1.0, sigma, sigma)
-            fit = radius_estimate(f)
-            worst_fit = max(worst_fit, abs(fit.sigma_est - sigma))
-            moved = radius_estimate(semigroup_apply(f, 0.37))
-            worst_invariance = max(
-                worst_invariance, abs(moved.sigma_est - fit.sigma_est)
+            fit = radius_estimate(f).sigma_est
+            moved = radius_estimate(semigroup_apply(f, 0.37)).sigma_est
+            fits.append(Check(f"fit error ({sigma:g})", abs(fit - sigma), "<=", tol))
+            drifts.append(
+                Check(f"free-flow drift ({sigma:g})", abs(moved - fit), "<=", tol)
             )
-        ok = worst_fit <= tol and worst_invariance <= tol
         return CriterionResult(
-            "A8",
-            "planted spectral radius recovered and semigroup-invariant",
-            ok,
-            f"worst fit error {worst_fit:.2e}, worst drift under free flow "
-            f"{worst_invariance:.2e} (tol {tol:g})",
-            0.0,
+            "A8", "planted spectral radius recovered and semigroup-invariant",
+            (*fits, *drifts),
         )
 
     def a9(self) -> CriterionResult:
-        eps = 1e-6
         cfg = suite_cfg(InitialConfig(kind="gaussian", amplitude=0.75, width=2.0))
         cfg = replace(cfg, time=TimeConfig(horizon=1.0))
-        result = uniqueness_gap(cfg, eps)
+        result = uniqueness_gap(cfg, 1e-6)
         return CriterionResult(
-            "A9",
-            "perturbation gap under the Gronwall envelope",
-            result.passed,
-            f"max gap/bound over t > 0 {result.max_ratio:.4f} "
-            f"(envelope {GRONWALL_ENVELOPE:g}) over {len(result.samples) - 1} steps",
-            0.0,
-        )
+            "A9", "perturbation gap under the Gronwall envelope", (
+                Check("max gap/bound over t > 0", result.max_ratio,
+                      "<=", GRONWALL_ENVELOPE),
+                Check("steps", len(result.samples) - 1),
+            ))
 
     def a10(self) -> CriterionResult:
-        growth_bound, trials = 2.0, 200
         params = GevreyParams(s1=-1.0, s2=0.0, b=0.55, beta=0.45, eps=0.0)
-        coarse = bilinear_ratio_trials(
-            params, trials, seed=1234, nx=32, ny=32, stream=0
-        )
-        fine = bilinear_ratio_trials(
-            params, trials, seed=1234, nx=64, ny=64, stream=1
-        )
-        growth = fine.max_ratio / coarse.max_ratio
-        finite = math.isfinite(coarse.max_ratio) and math.isfinite(fine.max_ratio)
+        coarse = bilinear_ratio_trials(params, 200, seed=1234, nx=32, ny=32, stream=0)
+        fine = bilinear_ratio_trials(params, 200, seed=1234, nx=64, ny=64, stream=1)
         # the growth ratio cancels a global scale error, so pin the scale:
         # at all-zero parameters the norm of a trial window is its tapered
         # space-time L2 norm, sqrt(slice_dt * sum_t psi(t)^2 ||u(t)||^2),
         # with the taper restated here and ||u(t)|| from physical values
-        scale_tol, n_t, slice_dt = 1e-12, 16, 1.0 / 16
+        n_t, slice_dt = 16, 1.0 / 16
         grid = Grid2D(32, 32, 32.0 * math.pi, 32.0 * math.pi)
         u = _random_window(grid, n_t, np.random.Generator(np.random.Philox(key=1234)))
         raw = (1.0 - (2.0 * np.arange(n_t) / n_t - 1.0) ** 2) ** 3
@@ -360,99 +338,57 @@ class AcceptanceSuite:
         got = bourgain_norm(
             SpaceTimeField.from_slices(grid, u, slice_dt), GevreyParams(b=0.0)
         )
-        scale_err = abs(got - want) / want
-        ok = finite and growth <= growth_bound and scale_err <= scale_tol
         return CriterionResult(
-            "A10",
-            "bilinear ratio stays bounded under grid refinement",
-            ok,
-            f"max ratio {coarse.max_ratio:.4f} -> {fine.max_ratio:.4f}, growth "
-            f"{growth:.3f} (bound {growth_bound:g}), q95 {fine.q95:.4f}; "
-            f"zero-parameter norm vs tapered physical L2 rel err "
-            f"{scale_err:.2e} (tol {scale_tol:g})",
-            0.0,
-        )
+            "A10", "bilinear ratio stays bounded under grid refinement", (
+                Check("max ratio 32^2", coarse.max_ratio),
+                Check("max ratio 64^2", fine.max_ratio),
+                Check("growth", fine.max_ratio / coarse.max_ratio, "<=", 2.0),
+                Check("q95", fine.q95),
+                Check("zero-parameter norm vs tapered physical L2 rel err",
+                      abs(got - want) / want, "<=", 1e-12),
+            ))
 
     def a11(self) -> CriterionResult:
-        checks: list[tuple[str, float, float]] = []  # (name, value, tol)
         grid = Grid2D(16, 16, 2.0 * math.pi, 2.0 * math.pi)
         rng = np.random.Generator(np.random.Philox(key=99))
         f = dealias(exp_spectrum(grid, 1.0, 0.4, 0.4, rng=rng))
 
-        # identity weight is exact
-        checks.append(
-            ("identity-weight", float(np.max(np.abs(
-                apply_gevrey(f, 0.0, 0.0).half - f.half))), 0.0)
-        )
-        # weight composition
-        comp = apply_gevrey(apply_gevrey(f, 0.3, 0.2), 0.4, 0.1)
-        direct = apply_gevrey(f, 0.7, 0.3)
-        scale = float(np.max(np.abs(direct.half)))
-        checks.append(
-            ("weight-composition", float(np.max(np.abs(
-                comp.half - direct.half))) / scale, 1e-12)
-        )
-        # semigroup unitarity and group law
-        n0 = gevrey_norm(f, 0.2, 0.1)
-        n1 = gevrey_norm(semigroup_apply(f, 1.7), 0.2, 0.1)
-        checks.append(("semigroup-unitary", abs(n1 - n0) / n0, 1e-13))
-        ab = semigroup_apply(semigroup_apply(f, 0.4), 0.9)
-        once = semigroup_apply(f, 1.3)
-        checks.append(
-            ("semigroup-group-law", float(np.max(np.abs(
-                ab.half - once.half))) / float(np.max(np.abs(once.half))),
-             1e-13)
-        )
-        # derivative/antiderivative round trip
-        rt = x_antiderivative(x_derivative(f))
-        checks.append(
-            ("dx-roundtrip", float(np.max(np.abs(rt.half - f.half))) /
-             float(np.max(np.abs(f.half))), 1e-13)
-        )
-        # Parseval anchor
-        u = inverse_transform(f)
-        checks.append(
-            ("parseval", abs(physical_l2_norm(u) - gevrey_norm(f, 0.0, 0.0)) /
-             gevrey_norm(f, 0.0, 0.0), 1e-12)
-        )
-        # remainder vanishes at zero weight, exactly
-        rem0 = remainder_n(f, 0.0, 0.0)
-        checks.append(
-            ("remainder-zero-sigma", float(np.max(np.abs(rem0.half))), 0.0)
-        )
-        # remainder vanishes on a single mode pair
-        single = np.zeros((grid.nx, grid.ny), dtype=complex)
-        single[grid.mode_index(1, 0)] = 0.5
-        single[grid.mode_index(-1, 0)] = 0.5
-        sf = SpectralField.from_coefficients(grid, single)
-        rem1 = remainder_n(sf, 0.8, 0.0)
-        checks.append(
-            ("remainder-single-mode", float(np.max(np.abs(rem1.half))), 1e-12)
-        )
-        # remainder against a direct convolution oracle
-        rem = remainder_n(f, 0.5, 0.3)
-        oracle = _oracle_remainder(f, 0.5, 0.3)
-        rs = float(np.max(np.abs(oracle)))
-        checks.append(
-            ("remainder-oracle", float(np.max(np.abs(rem.half - oracle))) / rs,
-             1e-12)
-        )
+        def peak(a: np.ndarray) -> float:
+            return float(np.max(np.abs(a)))
 
-        failed = [f"{n}={v:.2e}" for n, v, tol in checks if v > tol]
-        worst = max(v / tol if tol > 0 else (1.0 if v > 0 else 0.0)
-                    for _, v, tol in checks)
+        def rel(a: np.ndarray, b: np.ndarray) -> float:
+            return peak(a - b) / peak(b)
+
+        n0, l2 = gevrey_norm(f, 0.2, 0.1), gevrey_norm(f, 0.0, 0.0)
+        n1 = gevrey_norm(semigroup_apply(f, 1.7), 0.2, 0.1)
+        comp = apply_gevrey(apply_gevrey(f, 0.3, 0.2), 0.4, 0.1)
+        group = semigroup_apply(semigroup_apply(f, 0.4), 0.9)
+        single = np.zeros((grid.nx, grid.ny), dtype=complex)  # one mode pair
+        single[grid.mode_index(1, 0)] = single[grid.mode_index(-1, 0)] = 0.5
+        sf = SpectralField.from_coefficients(grid, single)
+        oracle = _oracle_remainder(f, 0.5, 0.3)
         return CriterionResult(
-            "A11",
-            "operator algebra identities and convolution oracle",
-            not failed,
-            ("all identities hold; worst margin "
-             f"{worst:.2e} of tolerance") if not failed
-            else "violations: " + ", ".join(failed),
-            0.0,
-        )
+            "A11", "operator algebra identities and convolution oracle", (
+                Check("identity-weight",
+                      peak(apply_gevrey(f, 0.0, 0.0).half - f.half), "<=", 0.0),
+                Check("weight-composition",
+                      rel(comp.half, apply_gevrey(f, 0.7, 0.3).half), "<=", 1e-12),
+                Check("semigroup-unitary", abs(n1 - n0) / n0, "<=", 1e-13),
+                Check("semigroup-group-law",
+                      rel(group.half, semigroup_apply(f, 1.3).half), "<=", 1e-13),
+                Check("dx-roundtrip",
+                      rel(x_antiderivative(x_derivative(f)).half, f.half), "<=", 1e-13),
+                Check("parseval", abs(physical_l2_norm(inverse_transform(f)) - l2) / l2,
+                      "<=", 1e-12),
+                Check("remainder-zero-sigma",
+                      peak(remainder_n(f, 0.0, 0.0).half), "<=", 0.0),
+                Check("remainder-single-mode",
+                      peak(remainder_n(sf, 0.8, 0.0).half), "<=", 1e-12),
+                Check("remainder-oracle",
+                      rel(remainder_n(f, 0.5, 0.3).half, oracle), "<=", 1e-12),
+            ))
 
     def a12(self) -> CriterionResult:
-        tol, lo, hi = 1e-4, 1.8, 2.2
         cfg = SimConfig(
             grid=GridConfig(nx=32, ny=32),
             initial=InitialConfig(kind="exp_spectrum", amplitude=0.8, phases="random"),
@@ -460,15 +396,12 @@ class AcceptanceSuite:
         )
         f = initial_field(cfg)
         fine, coarse = _equation_residual(f, 0.5, 1e-3), _equation_residual(f, 0.5, 4e-3)
-        order = math.log2(coarse / fine) / 2.0
-        return CriterionResult(
-            "A12",
-            "stepped states solve fifth-order KP-II",
-            fine <= tol and lo <= order <= hi,
-            f"centred-difference residual {fine:.3e} at h=1e-3 (tol {tol:g}), "
-            f"order {order:.2f} against h=4e-3 (need within [{lo}, {hi}])",
-            0.0,
-        )
+        order = _log2_ratio(coarse, fine) / 2.0
+        return CriterionResult("A12", "stepped states solve fifth-order KP-II", (
+            Check("centred-difference residual at h=1e-3", fine, "<=", 1e-4),
+            Check("order against h=4e-3", order, ">=", 1.8),
+            Check("order against h=4e-3", order, "<=", 2.2),
+        ))
 
     # --- driver ---
 
@@ -485,6 +418,16 @@ class AcceptanceSuite:
             res = fn()
             results.append(replace(res, elapsed=time.perf_counter() - start))
         return results
+
+
+def _worst(values) -> float:
+    """The largest of the values, nan if any is nan (``max`` would drop it)."""
+    return float(np.max(values))
+
+
+def _log2_ratio(a: float, b: float) -> float:
+    """log2(a / b) for positive errors a and b, else nan."""
+    return math.log2(a / b) if a > 0 and b > 0 else math.nan
 
 
 def _oracle_remainder(field: SpectralField, sigma1: float, sigma2: float) -> np.ndarray:

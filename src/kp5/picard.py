@@ -149,25 +149,19 @@ def free_window(
     return TimeWindowField(f.grid, delta, phases * f.half)
 
 
-def duhamel_apply(
-    f: SpectralField, w: TimeWindowField, nonlinear: bool = True
-) -> TimeWindowField:
+def duhamel_apply(f: SpectralField, w: TimeWindowField) -> TimeWindowField:
     """One mild-form application: free flow of f plus the driven integral.
 
     The propagator is commuted through the integral,
     S(t - t') = S(t) S(-t'), so a single cumulative quadrature in the
     rotated frame serves every output slice; the x-derivative commutes
-    with the quadrature too and is applied once, after it.  With
-    ``nonlinear`` off the forcing is zero and the output is exactly the
-    free window.
+    with the quadrature too and is applied once, after it.
     """
     if f.grid != w.grid:
         raise ValueError("data and window must share a grid")
     grid = w.grid
     c = f.half
     phases = _window_phases(grid, w.delta, w.half.shape[0])
-    if not nonlinear:
-        return TimeWindowField(grid, w.delta, phases * c)
     # rotate the square back by conj(phases) as conj(conj(F) * phases), in
     # place: no conjugated copy of the phase stack is made
     forcing = dealiased_square(grid, w.half)
@@ -213,7 +207,6 @@ def picard_iterate(
     slices: int = 64,
     n_max: int = 30,
     tol: float = 1e-10,
-    nonlinear: bool = True,
 ) -> PicardResult:
     """Iterate the mild form from the free window until the update
     distance drops under tol.
@@ -229,7 +222,7 @@ def picard_iterate(
     sup_norms: list[float] = []
     ratios: tuple[float, ...] = ()
     for n in range(1, n_max + 1):
-        cur = duhamel_apply(f, prev, nonlinear=nonlinear)
+        cur = duhamel_apply(f, prev)
         d = window_distance(cur, prev, sigma1, sigma2)
         distances.append(d)
         sup_norms.append(_sup_norm(cur.grid, cur.half, sigma1, sigma2))

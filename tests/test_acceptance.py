@@ -2,20 +2,23 @@
 
 The suite object caches the expensive six-member contraction runs, so the
 doubling and agreement criteria share work. Criteria run in their published
-order; each test prints the formatted verdict line for the log.
+order through the same ``run`` as ``kp5 accept``; each test prints the
+verdict line for the log.  A table of planted defects checks that each one
+fails the criterion check meant to catch it.
 """
 
-import time
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
 
 import kp5.acceptance
 import kp5.integrator
-from kp5.acceptance import AcceptanceSuite
+import kp5.picard
+from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
 from kp5.config import DEFAULT_C_EMP
-from kp5.diagnostics import RadiusDecayResult, RadiusSample
+from kp5.diagnostics import RadiusDecayResult, RadiusFit, RadiusSample
+from kp5.spectral import SpectralField
 
 import conftest
 
@@ -29,9 +32,8 @@ def suite():
 
 @pytest.mark.parametrize("cid", AcceptanceSuite.ORDER)
 def test_criterion(suite, cid):
-    start = time.perf_counter()
-    result = getattr(suite, cid.lower())()
-    line = replace(result, elapsed=time.perf_counter() - start).line
+    (result,) = suite.run([cid])
+    line = result.line
     _RESULTS[cid] = line
     conftest.ACCEPTANCE_LINES.append(line)
     print(line)
@@ -57,10 +59,59 @@ def test_a7_floor_is_the_shipped_constant(monkeypatch, c_emp, passed):
     assert AcceptanceSuite().a7().passed is passed
 
 
-def test_a12_fails_on_a_kp1_sign(monkeypatch):
-    """A12's residual is built without the dispersion symbol, so the KP-I
-    sign on the eta^2 / xi term, planted where the stepper reads the
-    symbol, fails it."""
+@pytest.mark.parametrize("check, passed", [
+    (Check("reported", 3.0), True),
+    (Check("reported", math.inf), False),
+    (Check("bounded", 1.0, "<=", 1.0), True),
+    (Check("bounded", 1.0, "<", 1.0), False),
+    (Check("bounded", math.nan, ">=", 0.0), False),
+    (Check("bounded", -math.inf, "<=", 0.0), False),
+])
+def test_check_needs_a_finite_value_within_its_bound(check, passed):
+    assert check.passed is passed
+
+
+def test_result_line_is_built_from_its_checks():
+    result = CriterionResult("A0", "title", (
+        Check("gap", 1.00512e-12, "<=", 1e-11), Check("steps", 48),
+    ), elapsed=1.5)
+    assert result.passed
+    assert result.line == "A0 PASS [   1.5s] title: gap 1.0051e-12 (<= 1e-11), steps 48"
+    assert not CriterionResult("A0", "title", ()).passed
+
+
+def _plant_identity_step(monkeypatch):
+    monkeypatch.setattr(kp5.acceptance, "step", lambda u, dt, t=0.0: u)
+
+
+def _plant_nan_radius_fit(monkeypatch):
+    fit = RadiusFit(math.nan, (0.0, 0.0), math.nan, 0)
+    monkeypatch.setattr(kp5.acceptance, "radius_estimate", lambda field: fit)
+
+
+def _plant_nan_semigroup(monkeypatch):
+    monkeypatch.setattr(
+        kp5.acceptance, "semigroup_apply",
+        lambda field, t: SpectralField(field.grid, np.full_like(field.half, np.nan)),
+    )
+
+
+def _plant_simpson_trapezoid_odd_end(monkeypatch):
+    """Odd endpoints of the cumulative rule weighted (6, 6, 0)/12, the
+    trapezoid over the first half pair, in place of (5, 8, -1)/12."""
+    simpson = kp5.picard.cumulative_simpson_uniform
+
+    def planted(values, h):
+        out = simpson(values, h)
+        out[1::2] = out[0:-1:2] + 0.5 * h * (values[0:-2:2] + values[1:-1:2])
+        return out
+
+    monkeypatch.setattr(kp5.picard, "cumulative_simpson_uniform", planted)
+
+
+def _plant_kp1_sign(monkeypatch):
+    """The KP-I sign on the eta^2 / xi term where the stepper reads the
+    dispersion symbol; A12's residual is built without that symbol."""
 
     def kp1_symbol(grid):
         xi, eta = grid.xi_col, grid.eta_row
@@ -70,8 +121,22 @@ def test_a12_fails_on_a_kp1_sign(monkeypatch):
 
     monkeypatch.setattr(kp5.integrator, "dispersion_symbol", kp1_symbol)
     kp5.integrator._half_phases.cache_clear()
+
+
+@pytest.mark.parametrize("plant, cid, check", [
+    pytest.param(_plant_identity_step, "A2", "order", id="identity-step"),
+    pytest.param(_plant_nan_radius_fit, "A8", "fit error (0.3)", id="nan-radius-fit"),
+    pytest.param(_plant_nan_semigroup, "A11", "semigroup-unitary", id="nan-semigroup"),
+    pytest.param(_plant_simpson_trapezoid_odd_end, "A4", "worst sup-slice gap",
+                 id="simpson-odd-end"),
+    pytest.param(_plant_kp1_sign, "A12", "centred-difference residual at h=1e-3",
+                 id="kp1-sign"),
+])
+def test_planted_defect_fails_its_check(monkeypatch, plant, cid, check):
+    plant(monkeypatch)
     try:
-        result = AcceptanceSuite().a12()
+        (result,) = AcceptanceSuite().run([cid])
     finally:
         kp5.integrator._half_phases.cache_clear()
-    assert not result.passed, result.line
+    failed = [c.name for c in result.checks if not c.passed]
+    assert check in failed, result.line
