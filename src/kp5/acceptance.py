@@ -36,6 +36,7 @@ from .diagnostics import (
     radius_estimate,
     uniqueness_gap,
 )
+from .errors import ConfigError
 from .initial_data import exp_spectrum
 from .integrator import cfl_dt, initial_field, simulate, step
 from .operators import (
@@ -409,10 +410,12 @@ class AcceptanceSuite:
 
     def run(self, only=None) -> list[CriterionResult]:
         wanted = list(self.ORDER) if not only else list(only)
-        results = []
+        known = f"{self.ORDER[0]}..{self.ORDER[-1]}"
         for cid in wanted:
             if cid not in self.ORDER:
-                raise ValueError(f"unknown criterion {cid!r}")
+                raise ConfigError("only", f"unknown criterion {cid!r} (known: {known})")
+        results = []
+        for cid in wanted:
             fn = getattr(self, cid.lower())
             start = time.perf_counter()
             res = fn()

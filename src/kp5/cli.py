@@ -2,8 +2,13 @@
 
 Subcommands: simulate, picard, radius-decay, sigma-ladder, bilinear,
 uniqueness, accept.  Exit codes: 0 success, 2 invalid configuration
-(nothing written), 3 blow-up (partial series flushed), 1 any other
-toolkit failure.
+(nothing written), 3 blow-up (partial table and a blow-up manifest
+written), 1 any other toolkit failure.
+
+Each run command is a function ``(cfg, args) -> _Run`` listed in
+``_COMMANDS`` with its CSV file and table function; ``_cmd_run`` loads the
+config, times the run, writes the table, snapshots and manifest, and
+handles a blow-up, the same way for all of them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .acceptance import run_acceptance
@@ -26,263 +33,203 @@ from .errors import BlowUpError, ConfigError, Kp5Error
 from .integrator import initial_field, simulate
 from .operators import GevreyParams
 from .picard import doubling_check, picard_from_config
-from .reporting import ensure_dir, write_csv, write_manifest, write_series_csv
+from .reporting import write_csv, write_manifest
 from .spectral import save_snapshot
 
 
-def _load_config(args) -> SimConfig:
-    cfg = load_config(args.config) if args.config else SimConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+@dataclass(frozen=True)
+class _Run:
+    """What a run command hands ``_cmd_run``: the records its table function
+    turns into rows, its manifest keys, its summary line (``{path}`` stands
+    for the table's path), its phase wall times (None: ``_cmd_run`` times
+    the whole run as "run") and its snapshots (time, field)."""
+
+    records: Sequence
+    keys: dict
+    summary: str
+    phase_s: dict[str, float] | None = None
+    snapshots: Sequence = ()
 
 
-def _out_dir(args, cfg: SimConfig, command: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    if cfg.output.dir:
-        return Path(cfg.output.dir)
-    return Path("runs") / command
+def _attrs(obj, names: str) -> dict:
+    """{name: obj.name} for each space-separated name: the manifest keys
+    that are a result's (or the arguments') own field names."""
+    return {name: getattr(obj, name) for name in names.split()}
 
 
-def _say(args, msg: str) -> None:
-    if not args.quiet:
-        print(msg)
-
-
-def _run_phases(t0: float, t_write: float) -> dict[str, float]:
-    """Wall seconds of a command that ran from t0 and began writing at
-    t_write: its "run" and, up to now (just before the manifest), its
-    "writing"."""
-    return {"run": t_write - t0, "writing": time.perf_counter() - t_write}
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg, "simulate")
-    try:
-        result = simulate(cfg, snapshot_times=cfg.output.snapshot_times)
-    except BlowUpError as exc:
-        ensure_dir(out)
-        write_series_csv(out / "series.csv", cfg, exc.records)
-        write_manifest(
-            out / "manifest.json",
-            cfg,
-            "simulate",
-            {"status": "blow-up", "aborted_at": exc.time},
-        )
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
-    t_write = time.perf_counter()
-    ensure_dir(out)
-    write_series_csv(out / "series.csv", cfg, result.records)
-    if result.snapshots:
-        snap_dir = ensure_dir(out / "snapshots")
-        for t, field in result.snapshots:
-            save_snapshot(field, snap_dir / f"t{t:.6f}.kp5s")
-    # the manifest is written last, so "writing" covers the series and snapshots
-    phase_s = dict(result.phase_s, writing=time.perf_counter() - t_write)
-    write_manifest(
-        out / "manifest.json",
-        cfg,
-        "simulate",
-        {
-            "status": "ok",
-            "steps": result.steps,
-            "dt": result.dt,
-            "grid_dt": result.grid_dt,
-            "dt_source": result.dt_source,
-            "phase_s": phase_s,
-            "l2_drift": result.l2_drift,
-        },
+def _run_simulate(cfg: SimConfig, args) -> _Run:
+    result = simulate(cfg, snapshot_times=cfg.output.snapshot_times)
+    return _Run(
+        result.records,
+        _attrs(result, "steps dt grid_dt dt_source l2_drift"),
+        f"wrote {len(result.records)} records to {{path}}",
+        result.phase_s,
+        result.snapshots,
     )
-    _say(args, f"wrote {len(result.records)} records to {out / 'series.csv'}")
-    return 0
 
 
-def _cmd_picard(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg, "picard")
+def _series_table(cfg: SimConfig, records):
+    header = (
+        ["t", "l2"]
+        + [f"gevrey_{repr(s)}" for s in cfg.gevrey.ladder]
+        + ["sigma_est", "residual", "remainder_l2", "steps"]
+    )
+    rows = [
+        [r.t, r.l2, *r.gevrey, r.sigma_est, r.residual, r.remainder_l2, r.steps]
+        for r in records
+    ]
+    return header, rows
+
+
+def _run_picard(cfg: SimConfig, args) -> _Run:
     f = initial_field(cfg)
     clock = time.perf_counter
     t0 = clock()
     norm, delta, result = picard_from_config(cfg, f)
     t_doubling = clock()
     check = doubling_check(norm, result.sup_norms[-1])
-    t_write = clock()
-    ensure_dir(out)
-    rows = []
-    for i, d in enumerate(result.distances):
-        ratio = result.ratios[i - 1] if i >= 1 and i - 1 < len(result.ratios) else float("nan")
-        rows.append((i + 1, d, ratio, result.sup_norms[i]))
-    write_csv(out / "picard.csv", ["n", "distance", "ratio", "sup_norm"], rows)
-    # the manifest is written last, so "writing" covers picard.csv
-    phase_s = {
-        "iterate": t_doubling - t0,
-        "doubling": t_write - t_doubling,
-        "writing": clock() - t_write,
-    }
-    write_manifest(
-        out / "manifest.json",
-        cfg,
-        "picard",
+    phase_s = {"iterate": t_doubling - t0, "doubling": clock() - t_doubling}
+    return _Run(
+        list(zip(result.distances, (float("nan"), *result.ratios), result.sup_norms)),
         {
-            "status": "ok",
             "delta": delta,
             "data_norm": norm,
-            "converged": result.converged,
-            "iterations": result.iterations,
+            **_attrs(result, "converged iterations distances ratios"),
             "doubling_ratio": check.ratio,
             "doubling_passed": check.passed,
-            "distances": result.distances,
-            "ratios": result.ratios,
-            "phase_s": phase_s,
         },
-    )
-    _say(
-        args,
         f"delta={delta:.6g} converged={result.converged} in "
         f"{result.iterations} iterations; doubling ratio {check.ratio:.4f}",
+        phase_s,
     )
-    return 0
 
 
-def _cmd_radius_decay(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg, "radius-decay")
+def _run_radius_decay(cfg: SimConfig, args) -> _Run:
     result = radius_decay_run(cfg)
-    t_write = time.perf_counter()
-    ensure_dir(out)
-    write_csv(
-        out / "decay.csv",
-        ["t", "sigma_est", "residual"],
-        [(s.t, s.sigma_est, s.residual) for s in result.samples],
+    keys = _attrs(
+        result,
+        "delta sigma0 tail_p tail_amp collapse_time fit_failures "
+        "steps dt grid_dt dt_source",
     )
-    write_manifest(
-        out / "manifest.json",
-        cfg,
-        "radius-decay",
-        {
-            "status": "ok",
-            "delta": result.delta,
-            "sigma0": result.sigma0,
-            "tail_p": result.tail_p,
-            "tail_amp": result.tail_amp,
-            "constants": {"c_emp": result.c_emp},
-            "collapse_time": result.collapse_time,
-            "fit_failures": result.fit_failures,
-            "steps": result.steps,
-            "dt": result.dt,
-            "grid_dt": result.grid_dt,
-            "dt_source": result.dt_source,
-            "phase_s": dict(result.phase_s, writing=time.perf_counter() - t_write),
-        },
-    )
-    _say(
-        args,
+    return _Run(
+        result.samples,
+        {**keys, "constants": {"c_emp": result.c_emp}},
         f"{len(result.samples)} samples; sigma0={result.sigma0:.4f} "
         f"tail p={result.tail_p:.3f} C_emp={result.c_emp:.4f}",
+        result.phase_s,
     )
-    return 0
 
 
-def _cmd_sigma_ladder(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg, "sigma-ladder")
-    t0 = time.perf_counter()
+def _run_sigma_ladder(cfg: SimConfig, args) -> _Run:
     result = almost_conservation_run(cfg)
-    t_write = time.perf_counter()
-    ensure_dir(out)
-    write_csv(
-        out / "ladder.csv",
-        ["sigma", "D", "slope"],
-        [
-            (s, d, result.slope)
-            for s, d in zip(result.sigmas, result.increments)
-        ],
+    return _Run(
+        [(s, d, result.slope) for s, d in zip(result.sigmas, result.increments)],
+        _attrs(result, "delta slope"),
+        f"slope {result.slope:.3f} over {len(result.sigmas)} rates",
     )
-    write_manifest(
-        out / "manifest.json",
-        cfg,
-        "sigma-ladder",
-        {
-            "status": "ok",
-            "delta": result.delta,
-            "slope": result.slope,
-            "phase_s": _run_phases(t0, t_write),
-        },
-    )
-    _say(args, f"slope {result.slope:.3f} over {len(result.sigmas)} rates")
-    return 0
 
 
-def _cmd_bilinear(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg, "bilinear")
-    params = GevreyParams(
-        s1=args.s1, s2=args.s2, b=args.b, beta=args.beta, eps=args.eps
-    )
-    t0 = time.perf_counter()
+def _run_bilinear(cfg: SimConfig, args) -> _Run:
+    params = _attrs(args, "s1 s2 b beta eps")
     result = bilinear_ratio_trials(
-        params, args.trials, cfg.seed, nx=args.nx, ny=args.ny
+        GevreyParams(**params), args.trials, cfg.seed, nx=args.nx, ny=args.ny
     )
-    t_write = time.perf_counter()
-    ensure_dir(out)
-    write_csv(
-        out / "bilinear.csv",
-        ["trial", "ratio"],
-        list(enumerate(result.ratios)),
+    return _Run(
+        result.ratios,
+        {**_attrs(result, "max_ratio q95"), **_attrs(args, "trials nx ny"),
+         "params": params},
+        f"max ratio {result.max_ratio:.4f}, q95 {result.q95:.4f}",
     )
-    write_manifest(
-        out / "manifest.json",
-        cfg,
-        "bilinear",
-        {
-            "status": "ok",
-            "max_ratio": result.max_ratio,
-            "q95": result.q95,
-            "trials": args.trials,
-            "nx": args.nx,
-            "ny": args.ny,
-            "params": {
-                "s1": args.s1,
-                "s2": args.s2,
-                "b": args.b,
-                "beta": args.beta,
-                "eps": args.eps,
-            },
-            "phase_s": _run_phases(t0, t_write),
-        },
-    )
-    _say(args, f"max ratio {result.max_ratio:.4f}, q95 {result.q95:.4f}")
-    return 0
 
 
-def _cmd_uniqueness(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg, "uniqueness")
-    t0 = time.perf_counter()
+def _run_uniqueness(cfg: SimConfig, args) -> _Run:
     result = uniqueness_gap(cfg, args.eps)
-    t_write = time.perf_counter()
-    ensure_dir(out)
-    write_csv(
-        out / "uniqueness.csv",
-        ["t", "gap", "bound"],
-        [(s.t, s.gap, s.bound) for s in result.samples],
+    return _Run(
+        result.samples,
+        _attrs(result, "eps max_ratio passed"),
+        f"max gap/bound {result.max_ratio:.4f}; passed={result.passed}",
     )
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    run: Callable[[SimConfig, argparse.Namespace], _Run]
+    csv: str
+    table: Callable  # (cfg, records) -> (header, rows)
+    flags: tuple = ()  # (flag, type, default) beyond the four common ones
+
+
+_COMMANDS = {
+    "simulate": _Command(
+        "run the flow, write the record series", _run_simulate, "series.csv",
+        _series_table,
+    ),
+    "picard": _Command(
+        "successive approximation on one window", _run_picard, "picard.csv",
+        lambda cfg, rs: (["n", "distance", "ratio", "sup_norm"],
+                         [(n, *r) for n, r in enumerate(rs, 1)]),
+    ),
+    "radius-decay": _Command(
+        "track the fitted radius over time", _run_radius_decay, "decay.csv",
+        lambda cfg, rs: (["t", "sigma_est", "residual"],
+                         [(s.t, s.sigma_est, s.residual) for s in rs]),
+    ),
+    "sigma-ladder": _Command(
+        "almost-conservation increments", _run_sigma_ladder, "ladder.csv",
+        lambda cfg, rs: (["sigma", "D", "slope"], rs),
+    ),
+    "bilinear": _Command(
+        "bilinear norm ratio trials", _run_bilinear, "bilinear.csv",
+        lambda cfg, rs: (["trial", "ratio"], enumerate(rs)),
+        (("--trials", int, 100), ("--nx", int, 32), ("--ny", int, 32),
+         ("--s1", float, -1.0), ("--s2", float, 0.0), ("--b", float, 0.55),
+         ("--beta", float, 0.45), ("--eps", float, 0.0)),
+    ),
+    "uniqueness": _Command(
+        "perturbation gap vs Gronwall bound", _run_uniqueness, "uniqueness.csv",
+        lambda cfg, rs: (["t", "gap", "bound"], [(s.t, s.gap, s.bound) for s in rs]),
+        (("--eps", float, 1e-6),),
+    ),
+}
+
+
+def _cmd_run(name: str, args) -> int:
+    """Run one command: load the config, time the run, then write its
+    table, snapshots and, last, its manifest.  A blow-up writes the partial
+    table from the error's records and a "blow-up" manifest, then re-raises."""
+    command = _COMMANDS[name]
+    cfg = load_config(args.config) if args.config else SimConfig()
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    out = Path(args.out or cfg.output.dir or Path("runs") / name)
+    clock = time.perf_counter
+    t0 = clock()
+    try:
+        run = command.run(cfg, args)
+    except BlowUpError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / command.csv, *command.table(cfg, exc.records))
+        write_manifest(
+            out / "manifest.json", cfg, name,
+            {"status": "blow-up", "aborted_at": exc.time},
+        )
+        raise  # main reports it and exits 3
+    t_write = clock()
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / command.csv, *command.table(cfg, run.records))
+    if run.snapshots:
+        (out / "snapshots").mkdir(exist_ok=True)
+        for t, field in run.snapshots:
+            save_snapshot(field, out / "snapshots" / f"t{t:.6f}.kp5s")
+    # the manifest is written last, so "writing" covers the table and snapshots
+    phase_s = dict(run.phase_s or {"run": t_write - t0}, writing=clock() - t_write)
     write_manifest(
-        out / "manifest.json",
-        cfg,
-        "uniqueness",
-        {
-            "status": "ok",
-            "eps": result.eps,
-            "max_ratio": result.max_ratio,
-            "passed": result.passed,
-            "phase_s": _run_phases(t0, t_write),
-        },
+        out / "manifest.json", cfg, name,
+        {"status": "ok", **run.keys, "phase_s": phase_s},
     )
-    _say(args, f"max gap/bound {result.max_ratio:.4f}; passed={result.passed}")
+    if not args.quiet:
+        print(run.summary.format(path=out / command.csv))
     return 0
 
 
@@ -304,50 +251,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pseudo-spectral toolkit for a fifth-order KP-II equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="YAML config file (defaults when omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--quiet", action="store_true", help="suppress summaries")
-
-    p = sub.add_parser("simulate", help="run the flow, write the record series")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("picard", help="successive approximation on one window")
-    common(p)
-    p.set_defaults(func=_cmd_picard)
-
-    p = sub.add_parser("radius-decay", help="track the fitted radius over time")
-    common(p)
-    p.set_defaults(func=_cmd_radius_decay)
-
-    p = sub.add_parser("sigma-ladder", help="almost-conservation increments")
-    common(p)
-    p.set_defaults(func=_cmd_sigma_ladder)
-
-    p = sub.add_parser("bilinear", help="bilinear norm ratio trials")
-    common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--nx", type=int, default=32)
-    p.add_argument("--ny", type=int, default=32)
-    p.add_argument("--s1", type=float, default=-1.0)
-    p.add_argument("--s2", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.55)
-    p.add_argument("--beta", type=float, default=0.45)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.set_defaults(func=_cmd_bilinear)
-
-    p = sub.add_parser("uniqueness", help="perturbation gap vs Gronwall bound")
-    common(p)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_uniqueness)
+        for flag, kind, default in command.flags:
+            p.add_argument(flag, type=kind, default=default)
+        p.set_defaults(func=partial(_cmd_run, name))
 
     p = sub.add_parser("accept", help="run the acceptance criteria")
     p.add_argument("--only", help="comma-separated criteria ids, e.g. A1,A8")
     p.set_defaults(func=_cmd_accept)
-
     return parser
 
 

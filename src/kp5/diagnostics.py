@@ -409,16 +409,24 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     horizon).  The samples come from the sample loop of ``simulate``
     (``integrator._sampled_run``), so their times snap to the same
     sampling grid and the steps between them follow the same
-    ``step_plan``.  A sample whose fit fails carries sigma_est = nan and
-    counts in ``fit_failures``; only a fit clamped at 0 counts as a
-    collapse.  Each sample computes the radius fit and nothing else.  Data
-    that leave no contraction window raise ``BlowUpError``."""
+    ``step_plan``; a window shorter than the grid step samples every grid
+    point, where its times would snap.  A sample whose fit fails carries
+    sigma_est = nan and counts in ``fit_failures``; only a fit clamped at 0
+    counts as a collapse.  Each sample computes the radius fit and nothing
+    else.  Data that leave no contraction window raise ``BlowUpError``."""
     f = initial_field(cfg)
     delta = contraction_window(cfg, f)
     if math.isnan(delta):
         raise BlowUpError("initial data leave no contraction window", time=0.0)
     span = cfg.time.horizon
-    times = np.arange(0, int(np.floor(span / delta)) + 1) * delta
+    grid_dt, _ = resolve_dt(cfg, f.grid, span)
+    count = np.floor(span / delta)
+    if delta < grid_dt:
+        # times under one grid step apart snap to every grid point up to
+        # the last one: pass those, not span / delta times (a huge count)
+        times = np.arange(round(min(count * delta, span) / grid_dt) + 1) * grid_dt
+    else:
+        times = np.arange(int(count) + 1) * delta
     run = _sampled_run(
         cfg, f, delta, times, (), lambda t, steps, field: radius_sample(t, field)
     )
@@ -466,7 +474,8 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     ||v_x||_inf)).  The run passes when no gap exceeds GRONWALL_ENVELOPE
     times its bound.
 
-    The perturbation is a unit-L2 Gaussian bump scaled by eps.
+    The perturbation is a unit-L2 Gaussian bump scaled by eps.  A
+    non-finite step raises ``BlowUpError`` carrying the samples so far.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -488,14 +497,17 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     integral = 0.0
     prev = dx_sup(u) + dx_sup(v)
     samples = [GapSample(0.0, gap0, gap0)]
-    for k in range(1, n + 1):
-        u, v = step(u, dt, (k - 1) * dt), step(v, dt, (k - 1) * dt)
-        cur = dx_sup(u) + dx_sup(v)
-        integral += 0.5 * dt * (prev + cur)
-        prev = cur
-        samples.append(
-            GapSample(k * dt, gap_of(u, v), gap0 * math.exp(0.25 * integral))
-        )
+    try:
+        for k in range(1, n + 1):
+            u, v = step(u, dt, (k - 1) * dt), step(v, dt, (k - 1) * dt)
+            cur = dx_sup(u) + dx_sup(v)
+            integral += 0.5 * dt * (prev + cur)
+            prev = cur
+            samples.append(
+                GapSample(k * dt, gap_of(u, v), gap0 * math.exp(0.25 * integral))
+            )
+    except BlowUpError as exc:
+        raise BlowUpError(str(exc), time=exc.time, records=samples) from None
     ratios = [s.gap / s.bound for s in samples if s.bound > 0]
     # the t = 0 ratio is 1 by construction: report the worst later one
     max_ratio = max(ratios[1:] or ratios)

@@ -192,7 +192,7 @@ def _sup_norm(grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float) -> f
 class PicardResult:
     window: TimeWindowField
     distances: tuple[float, ...]  # d_n = sup-slice norm of u_n - u_{n-1}
-    ratios: tuple[float, ...]  # d_n / d_{n-1}
+    ratios: tuple[float, ...]  # d_n / d_{n-1}, one per n >= 2
     sup_norms: tuple[float, ...]  # sup-slice norm of each iterate
     converged: bool
     iterations: int
@@ -217,33 +217,27 @@ def picard_iterate(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    prev = free_window(f, delta, slices)
+    window = free_window(f, delta, slices)
     distances: list[float] = []
     sup_norms: list[float] = []
-    ratios: tuple[float, ...] = ()
     for n in range(1, n_max + 1):
-        cur = duhamel_apply(f, prev)
-        d = window_distance(cur, prev, sigma1, sigma2)
-        distances.append(d)
+        cur = duhamel_apply(f, window)
+        distances.append(window_distance(cur, window, sigma1, sigma2))
         sup_norms.append(_sup_norm(cur.grid, cur.half, sigma1, sigma2))
-        ratios = tuple(
-            distances[i] / distances[i - 1]
-            for i in range(1, len(distances))
-            if distances[i - 1] > 0
-        )
-        if d <= tol:
-            return PicardResult(
-                cur, tuple(distances), ratios, tuple(sup_norms), True, n
-            )
+        window = cur
+        if distances[-1] <= tol:
+            break
         if n >= 3 and distances[-1] >= distances[-2] >= distances[-3]:
             raise PicardDivergenceError(
                 f"update distance stopped contracting after {n} iterations "
                 f"({distances[-3]:.3e} -> {distances[-2]:.3e} -> "
                 f"{distances[-1]:.3e}); use a shorter window (smaller delta)"
             )
-        prev = cur
+    # with tol >= 0 a zero distance ends the loop, so no ratio divides by 0
+    ratios = tuple(b / a for a, b in zip(distances, distances[1:]))
     return PicardResult(
-        prev, tuple(distances), ratios, tuple(sup_norms), False, n_max
+        window, tuple(distances), ratios, tuple(sup_norms),
+        distances[-1] <= tol, n,
     )
 
 

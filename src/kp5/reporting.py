@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from pathlib import Path
 
 from . import __version__
 from .config import DEFAULT_C_EMP, SimConfig, config_to_dict
-from .integrator import DiagnosticsRecord
 
 
 def _fmt(value) -> str:
@@ -31,19 +29,6 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def write_series_csv(path, cfg: SimConfig, records: list[DiagnosticsRecord]) -> None:
-    header = (
-        ["t", "l2"]
-        + [f"gevrey_{repr(s)}" for s in cfg.gevrey.ladder]
-        + ["sigma_est", "residual", "remainder_l2", "steps"]
-    )
-    rows = [
-        [r.t, r.l2, *r.gevrey, r.sigma_est, r.residual, r.remainder_l2, r.steps]
-        for r in records
-    ]
-    write_csv(path, header, rows)
 
 
 def _finite_or_null(value):
@@ -78,9 +63,3 @@ def write_manifest(path, cfg: SimConfig, command: str, extras: dict) -> None:
             _finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False
         )
         fh.write("\n")
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
