@@ -54,8 +54,6 @@ from .spectral import (
     dealias,
     dealiased_square,
     full_plane,
-    inverse_transform,
-    physical_l2_norm,
     physical_values,
     x_antiderivative,
     x_derivative,
@@ -361,6 +359,7 @@ class AcceptanceSuite:
             return peak(a - b) / peak(b)
 
         n0, l2 = gevrey_norm(f, 0.2, 0.1), gevrey_norm(f, 0.0, 0.0)
+        phys_l2 = math.sqrt(np.sum(physical_values(grid, f.half) ** 2) * grid.cell_area)
         n1 = gevrey_norm(semigroup_apply(f, 1.7), 0.2, 0.1)
         comp = apply_gevrey(apply_gevrey(f, 0.3, 0.2), 0.4, 0.1)
         group = semigroup_apply(semigroup_apply(f, 0.4), 0.9)
@@ -379,8 +378,7 @@ class AcceptanceSuite:
                       rel(group.half, semigroup_apply(f, 1.3).half), "<=", 1e-13),
                 Check("dx-roundtrip",
                       rel(x_antiderivative(x_derivative(f)).half, f.half), "<=", 1e-13),
-                Check("parseval", abs(physical_l2_norm(inverse_transform(f)) - l2) / l2,
-                      "<=", 1e-12),
+                Check("parseval", abs(phys_l2 - l2) / l2, "<=", 1e-12),
                 Check("remainder-zero-sigma",
                       peak(remainder_n(f, 0.0, 0.0).half), "<=", 0.0),
                 Check("remainder-single-mode",

@@ -124,7 +124,7 @@ def _run_sigma_ladder(cfg: SimConfig, args) -> _Run:
     result = almost_conservation_run(cfg)
     return _Run(
         [(s, d, result.slope) for s, d in zip(result.sigmas, result.increments)],
-        _attrs(result, "delta slope"),
+        _attrs(result, "delta slope fit_failures"),
         f"slope {result.slope:.3f} over {len(result.sigmas)} rates",
     )
 

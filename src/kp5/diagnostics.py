@@ -51,6 +51,7 @@ from .spectral import (
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
 GRONWALL_ENVELOPE = 1.1  # uniqueness_gap passes with every gap/bound below this
+BILINEAR_SLICES = 16  # time slices of each bilinear trial window
 
 
 # --- radius of analyticity from the spectral tail ---------------------------
@@ -274,7 +275,6 @@ def bilinear_ratio_trials(
     *,
     nx: int = 32,
     ny: int = 32,
-    n_t: int = 16,
     stream: int = 0,
 ) -> BilinearResult:
     """Monte Carlo sup of the bilinear-output-to-input norm ratio,
@@ -282,20 +282,21 @@ def bilinear_ratio_trials(
         || dx(u v) ||_{X^{s1,s2,-beta,eps}} /
             (||u||_{X^{s1,s2,b,eps}} ||v||_{X^{s1,s2,b,eps}}),
 
-    over random tapered windows of unit duration on the 32 pi x 32 pi
-    torus.  Boundedness of the maximum as the grid is refined is the
-    finite-dimensional shadow of the continuum estimate.
+    over random tapered windows of unit duration, BILINEAR_SLICES slices
+    each, on the 32 pi x 32 pi torus.  Boundedness of the maximum as the
+    grid is refined is the finite-dimensional shadow of the continuum
+    estimate.
     """
     check_bilinear_admissible(params)
     grid = Grid2D(nx, ny, 32.0 * math.pi, 32.0 * math.pi)
-    slice_dt = 1.0 / n_t
+    slice_dt = 1.0 / BILINEAR_SLICES
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
     in_params = params
     out_params = replace(params, b=-params.beta)
     ratios = []
     for _ in range(trials):
-        u = _random_window(grid, n_t, rng)
-        v = _random_window(grid, n_t, rng)
+        u = _random_window(grid, BILINEAR_SLICES, rng)
+        v = _random_window(grid, BILINEAR_SLICES, rng)
         # dx of the dealiased product, through the square kernel's transform pair
         prod = dealiased_coefficients(
             grid, physical_values(grid, u) * physical_values(grid, v)
@@ -323,6 +324,7 @@ class AlmostConservationResult:
     increments: tuple[float, ...]  # D(sigma): extremal signed energy deviation
     slope: float  # d log|D| / d log sigma over the positive-sigma entries
     delta: float
+    fit_failures: int  # positive rates left out of the slope fit as D == 0
 
 
 def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
@@ -334,7 +336,9 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
     one-sided sup would read 0 on data whose weighted energy decreases).
     The window length is set once, from the data norm at the largest
     sigma, so deviations are comparable across the ladder; D(0) is the L2
-    drift and sits at integrator-roundoff scale.
+    drift and sits at integrator-roundoff scale.  The slope is fitted on the
+    positive rates with D != 0 (nan with fewer than two); ``fit_failures``
+    counts those with D == 0, as when the window holds no step.
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
@@ -353,14 +357,17 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
             if abs(d) > abs(dev[s]):
                 dev[s] = d
     increments = tuple(dev[s] for s in sigmas)
-    usable = [(s, abs(d)) for s, d in zip(sigmas, increments) if s > 0 and d != 0]
+    positive = [(s, abs(d)) for s, d in zip(sigmas, increments) if s > 0]
+    usable = [(s, d) for s, d in positive if d != 0]
     if len(usable) >= 2:
         xs = np.log([s for s, _ in usable])
         ys = np.log([d for _, d in usable])
         slope = _line_fit(xs, ys)[0]
     else:
         slope = float("nan")
-    return AlmostConservationResult(sigmas, increments, slope, delta)
+    return AlmostConservationResult(
+        sigmas, increments, slope, delta, len(positive) - len(usable)
+    )
 
 
 # --- long-horizon radius decay ----------------------------------------------
@@ -428,7 +435,7 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     else:
         times = np.arange(int(count) + 1) * delta
     run = _sampled_run(
-        cfg, f, delta, times, (), lambda t, steps, field: radius_sample(t, field)
+        cfg, f, delta, times, (), lambda t, steps, field, l2: radius_sample(t, field)
     )
     samples = tuple(run.records)
     sigma0 = samples[0].sigma_est

@@ -1,10 +1,13 @@
 """Initial-condition families used by the simulations and experiments.
 
 All constructors return a zero-x-mean ``SpectralField``: the flow map needs
-dx^{-1}, so the j = 0 fiber is projected out.  ``amplitude`` means the peak
-physical value before that projection (for the synthetic-spectrum family
-the raw spectrum is rescaled to hit the requested peak), so data sizes are
-comparable across families.
+dx^{-1}, so the j = 0 fiber is projected out: collocation values become
+``rfft2(values, norm="forward")`` with row j = 0 zeroed.  ``amplitude`` means
+the peak physical value before that projection (for the synthetic-spectrum
+family the raw spectrum is rescaled to hit the requested peak), so data
+sizes are comparable across families.  ``KINDS`` maps each config
+``initial.kind`` to its constructor, and ``make_initial_field``, where
+configured data enter, rejects data that overflow a double.
 """
 
 from __future__ import annotations
@@ -12,21 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import (
-    Grid2D,
-    PhysicalField,
-    SpectralField,
-    _mirror,
-    forward_transform,
-    inverse_transform,
-    project_zero_x_mean,
-)
-
-KINDS = ("gaussian", "gaussian_dx", "line_soliton", "exp_spectrum")
+from .spectral import Grid2D, SpectralField, _mirror, physical_values
 
 
 def _from_values(grid: Grid2D, values: np.ndarray) -> SpectralField:
-    return project_zero_x_mean(forward_transform(PhysicalField(grid, values)))
+    half = np.fft.rfft2(values, norm="forward")
+    half[0, :] = 0.0
+    return SpectralField(grid, half)
 
 
 def gaussian(grid: Grid2D, amplitude: float, width: float) -> SpectralField:
@@ -93,29 +88,35 @@ def exp_spectrum(
         theta = 0.5 * (theta - _mirror(theta))
         coeffs = mag * np.exp(1j * theta[:, : g.ny // 2 + 1])
     field = SpectralField(g, coeffs)
-    peak = float(np.max(np.abs(inverse_transform(field).values)))
+    peak = float(np.max(np.abs(physical_values(g, field.half))))
     if peak == 0.0:
         return field
     return SpectralField(g, field.half * (amplitude / peak))
 
 
+KINDS = {
+    "gaussian": lambda g, i, rng: gaussian(g, i.amplitude, i.width),
+    "gaussian_dx": lambda g, i, rng: gaussian_dx(g, i.amplitude, i.width),
+    "line_soliton": lambda g, i, rng: line_soliton(g, i.amplitude, i.width, i.ky),
+    "exp_spectrum": lambda g, i, rng: exp_spectrum(
+        g, i.amplitude, i.decay_x, i.decay_y, rng if i.phases == "random" else None
+    ),
+}
+
+
 def make_initial_field(
     grid: Grid2D, init, rng: np.random.Generator | None = None
 ) -> SpectralField:
-    """Dispatch on an ``InitialConfig``-shaped object (see config module)."""
-    kind = init.kind
-    if kind == "gaussian":
-        return gaussian(grid, init.amplitude, init.width)
-    if kind == "gaussian_dx":
-        return gaussian_dx(grid, init.amplitude, init.width)
-    if kind == "line_soliton":
-        return line_soliton(grid, init.amplitude, init.width, init.ky)
-    if kind == "exp_spectrum":
-        return exp_spectrum(
-            grid,
-            init.amplitude,
-            init.decay_x,
-            init.decay_y,
-            rng=rng if init.phases == "random" else None,
+    """The field of an ``InitialConfig``-shaped object (see config module),
+    built by its kind's constructor in ``KINDS``; data that are not finite
+    raise ``ConfigError``."""
+    build = KINDS.get(init.kind)
+    if build is None:
+        raise ConfigError("initial.kind", f"unknown kind {init.kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = build(grid, init, rng)
+    if not np.all(np.isfinite(field.half)):
+        raise ConfigError(
+            "initial.amplitude", f"{init.amplitude:g} overflows the {init.kind} data"
         )
-    raise ConfigError("initial.kind", f"unknown kind {kind!r}")
+    return field

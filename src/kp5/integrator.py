@@ -44,10 +44,7 @@ import numpy as np
 from .config import SimConfig, rng_from_seed
 from .errors import BlowUpError
 from .initial_data import make_initial_field
-from .operators import (
-    _norm_weight, _weighted_norm, assert_sigma_within_guard,
-    dispersion_symbol, gevrey_norm, remainder_n,
-)
+from .operators import dispersion_symbol, gevrey_norm, remainder_n
 from .picard import delta_rule
 from .spectral import Grid2D, SpectralField, dealias, dealiased_square
 
@@ -228,23 +225,14 @@ def step_plan(
 
 
 def _record(
-    cfg: SimConfig, t: float, steps: int, field: SpectralField
+    cfg: SimConfig, t: float, steps: int, field: SpectralField, l2: float
 ) -> DiagnosticsRecord:
-    """The series row of a field at time t, reached in ``steps`` steps.
-
-    The L2 norm and the ladder share one amplitude array |c|, and the
-    remainder is exactly 0 (not computed) when both sigmas are 0.
+    """The series row of a field at time t, reached in ``steps`` steps, with
+    the L2 norm ``l2`` the sample loop already took.  The remainder is
+    exactly 0 (not computed) when both sigmas are 0.
     """
     # imported here: diagnostics builds on this module
     from .diagnostics import radius_sample
-
-    grid = field.grid
-    amp = np.abs(field.half)
-
-    def norm(sigma1: float) -> float:
-        assert_sigma_within_guard(grid, sigma1, 0.0)
-        table = _norm_weight(grid, sigma1, 0.0)
-        return float(_weighted_norm(amp.copy(), table, grid.measure))
 
     s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
     if s1 == 0.0 and s2 == 0.0:
@@ -254,8 +242,8 @@ def _record(
     fit = radius_sample(t, field)
     return DiagnosticsRecord(
         t=t,
-        l2=norm(0.0),
-        gevrey=tuple(norm(s) for s in cfg.gevrey.ladder),
+        l2=l2,
+        gevrey=tuple(gevrey_norm(field, s, 0.0) for s in cfg.gevrey.ladder),
         sigma_est=fit.sigma_est,
         residual=fit.residual,
         remainder_l2=remainder_l2,
@@ -287,8 +275,8 @@ def _sampled_run(
     cfg: SimConfig, f: SpectralField, delta: float, times, snapshot_times, record
 ) -> SimulationOutput:
     """Step f to the last of ``times`` and ``snapshot_times``, calling
-    ``record(t, steps, field)`` at each sample time and keeping the field
-    at each snapshot time.
+    ``record(t, steps, field, l2)`` at each sample time (l2 the field's L2
+    norm) and keeping the field at each snapshot time.
 
     Times snap to the nearest point n*grid_dt of the sampling grid over the
     configured horizon, a shift below grid_dt/2, and each sample carries
@@ -317,13 +305,13 @@ def _sampled_run(
             for k in range(m):
                 f = step(f, dt, t + k * dt)
             t, steps = b * grid_dt, steps + m
+            l2 = gevrey_norm(f, 0.0, 0.0)
             t_record = clock()
             if b in want_snap:
                 snapshots.append((t, f))
             if b in want:
-                records.append(record(t, steps, f))
+                records.append(record(t, steps, f, l2))
             records_s += clock() - t_record
-            l2 = gevrey_norm(f, 0.0, 0.0)
             if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
                 raise BlowUpError(
                     f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={t:g}",
@@ -338,17 +326,13 @@ def _sampled_run(
     )
 
 
-def simulate(
-    cfg: SimConfig, sample_times=None, snapshot_times=()
-) -> SimulationOutput:
-    """The series rows at ``sample_times`` (by default ``time.samples``
-    times evenly spaced over the horizon) and the fields at
-    ``snapshot_times``, stepped by ``_sampled_run`` with the contraction
-    window of the configured data."""
+def simulate(cfg: SimConfig, snapshot_times=()) -> SimulationOutput:
+    """The series rows at ``time.samples`` times evenly spaced over the
+    horizon and the fields at ``snapshot_times``, stepped by
+    ``_sampled_run`` with the contraction window of the configured data."""
     f = initial_field(cfg)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, cfg.time.horizon, cfg.time.samples)
     return _sampled_run(
-        cfg, f, contraction_window(cfg, f), sample_times, snapshot_times,
+        cfg, f, contraction_window(cfg, f),
+        np.linspace(0.0, cfg.time.horizon, cfg.time.samples), snapshot_times,
         partial(_record, cfg),
     )

@@ -2,9 +2,9 @@
 
 Conventions
 -----------
-A field u(x, y) on [0, lx) x [0, ly) is stored either on the collocation
-grid (``PhysicalField``, shape (nx, ny), axis 0 = x) or as Fourier-series
-coefficients (``SpectralField``)::
+A field u(x, y) on [0, lx) x [0, ly) is stored as Fourier-series
+coefficients (``SpectralField``); its collocation values (shape (nx, ny),
+axis 0 = x) are plain arrays, read with ``physical_values``::
 
     u(x, y) = sum_{j,k} c[j, k] * exp(i * (xi_j * x + eta_k * y))
 
@@ -13,8 +13,10 @@ stores ``a/2`` at the paired modes +-j.  A real field has c[-j, -k] =
 conj(c[j, k]), so it is fixed by its ``rfft2`` half plane: the (nx, ny//2 + 1)
 columns k = 0..ny/2, rows j in FFT order.  That half plane is the one layout
 of a field, of a stepper state, of a Picard window and of a space-time stack
-(leading axes batch time slices).  Forward transform is ``rfft2/(nx*ny)``,
-inverse is ``irfft2 * nx * ny``; every multiplier acts on the half plane
+(leading axes batch time slices).  Forward transform is ``rfft2/(nx*ny)``
+(``np.fft.rfft2(values, norm="forward")``, whose half plane a
+``SpectralField`` takes over), inverse is ``irfft2 * nx * ny``
+(``physical_values``); every multiplier acts on the half plane
 (``Grid2D.xi_col`` and ``Grid2D.eta_row`` broadcast over it).  Each column
 0 < k < ny/2 stands for itself and its conjugate partner, so half-plane norms
 count it twice (``Grid2D.half_multiplicity``).  The Nyquist row (j = nx/2)
@@ -176,26 +178,6 @@ def _mirror(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PhysicalField:
-    """Real field values on the collocation grid, shape (nx, ny)."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("physical field contains non-finite values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralField:
     """A real field as its read-only rfft2 half plane, shape (nx, ny//2 + 1).
 
@@ -251,16 +233,6 @@ class SpectralField:
                 "a real field needs c[-j, -k] = conj(c[j, k])"
             )
         return cls(grid, c[:, : grid.ny // 2 + 1].copy())
-
-
-def forward_transform(field: PhysicalField) -> SpectralField:
-    """Collocation values -> half-plane coefficients (rfft2 / (nx*ny))."""
-    return SpectralField(field.grid, np.fft.rfft2(field.values, norm="forward"))
-
-
-def inverse_transform(field: SpectralField) -> PhysicalField:
-    """Half-plane coefficients -> real collocation values (irfft2)."""
-    return PhysicalField(field.grid, physical_values(field.grid, field.half))
 
 
 def x_derivative(field: SpectralField) -> SpectralField:
@@ -348,11 +320,6 @@ def dealiased_square(grid: Grid2D, half: np.ndarray) -> np.ndarray:
     u = physical_values(grid, half)
     u *= u
     return dealiased_coefficients(grid, u)
-
-
-def physical_l2_norm(field: PhysicalField) -> float:
-    """sqrt(sum u^2 * dx * dy), the discrete L2 norm."""
-    return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_area))
 
 
 # --- binary snapshots -------------------------------------------------------

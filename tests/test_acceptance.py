@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import kp5.acceptance
+import kp5.diagnostics
 import kp5.integrator
 import kp5.picard
+import kp5.spectral
 from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
 from kp5.config import DEFAULT_C_EMP
 from kp5.diagnostics import RadiusDecayResult, RadiusFit, RadiusSample
@@ -123,6 +125,35 @@ def _plant_kp1_sign(monkeypatch):
     kp5.integrator._half_phases.cache_clear()
 
 
+def _plant_undealiased_product(monkeypatch):
+    """The product kernel's forward pass without the 2/3 band: the
+    remainder keeps its aliased modes."""
+    monkeypatch.setattr(
+        kp5.spectral, "dealiased_coefficients",
+        lambda grid, values: np.fft.rfft2(values, norm="forward"),
+    )
+
+
+def _plant_rhs_coefficient(monkeypatch):
+    """-0.45 i xi in place of -1/2 i xi on the stepper's transport term."""
+    monkeypatch.setattr(
+        kp5.integrator, "_rhs_multiplier",
+        lambda grid: np.ascontiguousarray(
+            np.broadcast_to(-0.45j * grid.xi_col, (grid.nx, grid.ny // 2 + 1))
+        ),
+    )
+
+
+def _plant_unscaled_taper(monkeypatch):
+    """The window taper normalised to discrete sum 1, raw / raw.sum(),
+    instead of mass 1 (sum times slice_dt)."""
+    taper = kp5.diagnostics.window_taper
+    monkeypatch.setattr(
+        kp5.diagnostics, "window_taper",
+        lambda n_t, slice_dt: taper(n_t, slice_dt) * slice_dt,
+    )
+
+
 @pytest.mark.parametrize("plant, cid, check", [
     pytest.param(_plant_identity_step, "A2", "order", id="identity-step"),
     pytest.param(_plant_nan_radius_fit, "A8", "fit error (0.3)", id="nan-radius-fit"),
@@ -131,6 +162,13 @@ def _plant_kp1_sign(monkeypatch):
                  id="simpson-odd-end"),
     pytest.param(_plant_kp1_sign, "A12", "centred-difference residual at h=1e-3",
                  id="kp1-sign"),
+    pytest.param(_plant_undealiased_product, "A11", "remainder-oracle",
+                 id="undealiased-product"),
+    pytest.param(_plant_rhs_coefficient, "A12", "centred-difference residual at h=1e-3",
+                 id="rhs-coefficient"),
+    pytest.param(_plant_unscaled_taper, "A10",
+                 "zero-parameter norm vs tapered physical L2 rel err",
+                 id="unscaled-taper"),
 ])
 def test_planted_defect_fails_its_check(monkeypatch, plant, cid, check):
     plant(monkeypatch)

@@ -452,6 +452,36 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_overflowing_initial_data_is_a_config_error(tmp_path, capsys):
+    # amplitude / peak overflows to inf, and inf * 0 at the edges to nan
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 32\n  ny: 32\n"
+        "initial:\n  kind: gaussian_dx\n  amplitude: 1.0e+308\n  width: 0.5\n",
+    )
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: initial.amplitude")
+    assert not out.exists()
+
+
+def test_cli_sigma_ladder_manifest_counts_failed_fits(tmp_path):
+    # the contraction window underflows below one step, so every D is 0
+    # and no rate is left for the slope fit
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 32\n  ny: 32\ntime:\n  horizon: 0.1\n"
+        "initial:\n  kind: gaussian\n  amplitude: 1.0e+100\n  width: 2.0\n",
+    )
+    out = tmp_path / "ladder"
+    assert main(["sigma-ladder", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert m["fit_failures"] == 4 and m["slope"] is None
+    rows = (out / "ladder.csv").read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [0.0] * 4
+
+
 @pytest.mark.parametrize("command, table, header", [
     pytest.param(*case, id=case[0]) for case in [
         ("simulate", "series.csv", "t,l2,gevrey_"),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from kp5.diagnostics import (
 )
 from kp5.errors import InadmissibleParamsError, InsufficientSupportError
 from kp5.initial_data import exp_spectrum, gaussian
-from kp5.integrator import _record, cfl_dt, initial_field, simulate, step
+from kp5.integrator import (
+    _record,
+    _sampled_run,
+    cfl_dt,
+    contraction_window,
+    initial_field,
+    step,
+)
 from kp5.operators import GevreyParams, gevrey_norm, remainder_n, semigroup_apply
 from kp5.picard import free_window
 from kp5.spectral import Grid2D, SpectralField, full_plane
@@ -189,13 +197,13 @@ def test_admissibility_gate():
 
 def test_bilinear_trials_deterministic():
     params = GevreyParams(s1=-1.0, s2=0.0, b=0.55, beta=0.45, eps=0.0)
-    a = bilinear_ratio_trials(params, trials=4, seed=99, nx=16, ny=16, n_t=8)
-    b = bilinear_ratio_trials(params, trials=4, seed=99, nx=16, ny=16, n_t=8)
+    a = bilinear_ratio_trials(params, trials=4, seed=99, nx=16, ny=16)
+    b = bilinear_ratio_trials(params, trials=4, seed=99, nx=16, ny=16)
     assert a.ratios == b.ratios
     assert all(r > 0 and math.isfinite(r) for r in a.ratios)
     assert a.max_ratio == max(a.ratios)
     other = bilinear_ratio_trials(
-        params, trials=4, seed=99, nx=16, ny=16, n_t=8, stream=1
+        params, trials=4, seed=99, nx=16, ny=16, stream=1
     )
     assert other.ratios != a.ratios
 
@@ -208,6 +216,7 @@ def test_almost_conservation_scaling():
     assert all(m > 0 for m in mags)
     assert mags == sorted(mags)  # larger weight, larger defect
     assert 0.5 <= res.slope <= 1.5
+    assert res.fit_failures == 0
 
 
 def test_uniqueness_gap_bound():
@@ -257,7 +266,8 @@ def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     import kp5.diagnostics
 
     # a Gaussian on 16^2 leaves too few shells to fit
-    rec = _record(small_cfg(), 0.0, 0, gaussian(grid16, 1.0, 2.0))
+    field = gaussian(grid16, 1.0, 2.0)
+    rec = _record(small_cfg(), 0.0, 0, field, gevrey_norm(field, 0.0, 0.0))
     assert math.isnan(rec.sigma_est) and math.isnan(rec.residual)
 
     fit = kp5.diagnostics.radius_estimate
@@ -308,7 +318,7 @@ def test_half_plane_record_matches_full_plane_diagnostics():
     field = initial_field(cfg, grid)
     for _ in range(3):
         field = step(field, dt)
-    rec = _record(cfg, 3 * dt, 3, field)
+    rec = _record(cfg, 3 * dt, 3, field, gevrey_norm(field, 0.0, 0.0))
     c2 = np.abs(full_plane(grid, field.half)) ** 2
 
     def rel(got, want):
@@ -328,7 +338,7 @@ def test_half_plane_record_matches_full_plane_diagnostics():
     fit = radius_estimate(field)
     assert (rec.sigma_est, rec.residual) == (fit.sigma_est, fit.residual)
     flat = replace(cfg, gevrey=replace(cfg.gevrey, sigma1=0.0, sigma2=0.0))
-    zero = _record(flat, 3 * dt, 3, field)
+    zero = _record(flat, 3 * dt, 3, field, rec.l2)
     assert zero.remainder_l2 == 0.0
     assert (zero.l2, zero.gevrey) == (rec.l2, rec.gevrey)
 
@@ -339,9 +349,13 @@ def test_radius_decay_samples_match_record_path():
     cfg = spectrum_cfg(64, 0.3, sigma1=1.0, sigma2=0.0)
     res = radius_decay_run(cfg)
     assert len(res.samples) >= 3 and res.fit_failures == 0
-    # the contraction-window times radius_decay_run samples at
+    # the contraction-window times radius_decay_run samples at, through
+    # the sample loop and record function of simulate
     times = np.arange(len(res.samples)) * res.delta
-    records = simulate(cfg, sample_times=times).records
+    f = initial_field(cfg)
+    records = _sampled_run(
+        cfg, f, contraction_window(cfg, f), times, (), partial(_record, cfg)
+    ).records
     assert [r.t for r in records] == [s.t for s in res.samples]
     assert [(r.sigma_est, r.residual) for r in records] == [
         (s.sigma_est, s.residual) for s in res.samples

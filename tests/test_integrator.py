@@ -215,6 +215,31 @@ def test_blow_up_when_the_window_underflows(monkeypatch):
     _assert_blow_up_on_grid_steps(monkeypatch, 1e200)
 
 
+def test_runaway_norm_is_blow_up_at_its_sample(monkeypatch):
+    """A norm past RUNAWAY_FACTOR times the initial one aborts the run at
+    the sample that shows it; that sample is the last record kept."""
+    real = kp5.integrator.step
+
+    def tenfold(field, dt, t=0.0):
+        return SpectralField(field.grid, 10.0 * real(field, dt, t).half)
+
+    monkeypatch.setattr(kp5.integrator, "step", tenfold)
+    # every grid step is a sample, and the data stay small enough that
+    # a 1e9-fold larger field still steps finitely
+    cfg = small_cfg(
+        initial=InitialConfig(kind="gaussian", amplitude=1e-6, width=2.0),
+        time=TimeConfig(horizon=0.02, samples=21, dt=0.001),
+    )
+    with pytest.raises(BlowUpError) as info:
+        simulate(cfg)
+    records = info.value.records
+    limit = kp5.integrator.RUNAWAY_FACTOR * records[0].l2
+    assert records[-1].l2 > limit
+    assert all(r.l2 <= limit for r in records[:-1])
+    assert len(records) == records[-1].steps + 1 < 21
+    assert info.value.time == records[-1].t
+
+
 def test_contraction_window_is_nan_without_a_window():
     """No window: c0 / (1 + norm)^2 underflows to 0, or the weighted norm
     itself overflows."""
@@ -284,7 +309,9 @@ def test_explicit_dt_takes_every_grid_step_bitwise(monkeypatch):
     grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.1)
     assert (grid_dt, n) == (0.01, 10)
     run = _sampled_run(cfg, f, 1.0, [0.0, 0.05, 0.1], (), lambda *sample: sample)
-    got = {steps: (t, field) for t, steps, field in run.records}
+    got = {steps: (t, field) for t, steps, field, _ in run.records}
+    # the record function gets the L2 norm of the field it records
+    assert all(l2 == gevrey_norm(field, 0.0, 0.0) for _, _, field, l2 in run.records)
     assert sorted(got) == [0, 5, 10]
     by_hand = f
     for k in range(1, n + 1):

@@ -8,23 +8,24 @@ from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymm
 from kp5.operators import gevrey_norm
 from kp5.spectral import (
     Grid2D,
-    PhysicalField,
     SNAPSHOT_MAGIC,
     SpectralField,
     dealias,
     dealiased_coefficients,
     dealiased_square,
-    forward_transform,
     full_plane,
-    inverse_transform,
     load_snapshot,
-    physical_l2_norm,
     physical_values,
     project_zero_x_mean,
     save_snapshot,
     x_antiderivative,
     x_derivative,
 )
+
+
+def physical_l2(grid, u):
+    """sqrt(sum u^2 * dx * dy), the discrete L2 norm of collocation values."""
+    return np.sqrt(np.sum(u**2) * grid.cell_area)
 
 
 def test_grid_rejects_odd_and_tiny_sizes():
@@ -64,7 +65,7 @@ def test_forward_matches_direct_dft():
     grid = Grid2D(8, 8, 2 * np.pi, 5.0)
     rng = np.random.default_rng(3)
     u = rng.standard_normal((8, 8))
-    c = full_plane(grid, forward_transform(PhysicalField(grid, u)).half)
+    c = full_plane(grid, SpectralField(grid, np.fft.rfft2(u, norm="forward")).half)
     for j in (0, 1, 3, 5):
         for k in (0, 2, 7):
             acc = 0.0j
@@ -77,35 +78,35 @@ def test_forward_matches_direct_dft():
 
 def test_transform_round_trip(grid16):
     f = random_band_field(grid16, seed=11)
-    u = inverse_transform(f)
-    back = forward_transform(u)
+    u = physical_values(grid16, f.half)
+    back = SpectralField(grid16, np.fft.rfft2(u, norm="forward"))
     assert np.allclose(back.half, f.half, rtol=0, atol=1e-14)
-    again = inverse_transform(back)
-    assert np.allclose(again.values, u.values, rtol=0, atol=1e-13)
+    again = physical_values(grid16, back.half)
+    assert np.allclose(again, u, rtol=0, atol=1e-13)
 
 
 def test_parseval(grid16):
     """Discrete integral of u^2 equals the weighted coefficient sum."""
     f = random_band_field(grid16, seed=5)
-    u = inverse_transform(f)
-    phys = physical_l2_norm(u)
+    u = physical_values(grid16, f.half)
+    phys = physical_l2(grid16, u)
     spec = np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(full_plane(grid16, f.half)) ** 2))
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
-def test_inverse_requires_hermitian_flag(grid16):
+def test_only_hermitian_coefficients_become_a_field(grid16):
     """Only Hermitian coefficients become a field, so nothing else can
-    reach inverse_transform."""
+    reach physical_values through one."""
     c = np.zeros((16, 16), dtype=complex)
     c[grid16.mode_index(2, 1)] = 1.0  # no conjugate partner
     with pytest.raises(SpectralSymmetryError):
         SpectralField.from_coefficients(grid16, c)
     c[grid16.mode_index(-2, -1)] = 1.0
-    u = inverse_transform(SpectralField.from_coefficients(grid16, c))
-    assert u.values.dtype == np.float64
+    u = physical_values(grid16, SpectralField.from_coefficients(grid16, c).half)
+    assert u.dtype == np.float64
 
 
-def test_flag_detection(grid16):
+def test_from_coefficients_checks_symmetry_and_x_mean(grid16):
     """from_coefficients detects the Hermitian symmetry; the zero-x-mean
     property is read off the j = 0 fiber."""
     c = np.zeros((16, 16), dtype=complex)
@@ -146,10 +147,10 @@ def test_half_plane_column_zero_is_paired(grid16):
     half[1, 0] = 1j
     f = SpectralField(grid16, half)
     assert (f.half[1, 0], f.half[-1, 0]) == (0.5j, -0.5j)
-    u = inverse_transform(f)
-    assert np.allclose(u.values, -np.sin(grid16.x_nodes)[:, None], atol=1e-15)
+    u = physical_values(grid16, f.half)
+    assert np.allclose(u, -np.sin(grid16.x_nodes)[:, None], atol=1e-15)
     assert gevrey_norm(f, 0.0, 0.0) == pytest.approx(np.pi * np.sqrt(2), rel=1e-14)
-    assert physical_l2_norm(u) == pytest.approx(np.pi * np.sqrt(2), rel=1e-14)
+    assert physical_l2(grid16, u) == pytest.approx(np.pi * np.sqrt(2), rel=1e-14)
     # a paired plane is taken over as it is
     assert SpectralField(grid16, f.half).half is f.half
 
@@ -169,7 +170,7 @@ def test_full_plane_rebuilds_hermitian_field():
     assert not full[16, :].any() and not full[:, 24].any()
     # a transformed real field comes back to roundoff
     f = random_band_field(grid, seed=6)
-    want = np.fft.fft2(inverse_transform(f).values) / (32 * 48)
+    want = np.fft.fft2(physical_values(grid, f.half)) / (32 * 48)
     assert np.max(np.abs(full_plane(grid, f.half) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -177,10 +178,10 @@ def test_x_derivative_on_planted_wave(grid16):
     x = grid16.x_nodes[:, None]
     y = grid16.y_nodes[None, :]
     u = np.sin(2 * x) * np.cos(3 * y)
-    f = forward_transform(PhysicalField(grid16, u))
-    du = inverse_transform(x_derivative(f))
+    f = SpectralField(grid16, np.fft.rfft2(u, norm="forward"))
+    du = physical_values(grid16, x_derivative(f).half)
     expected = 2 * np.cos(2 * x) * np.cos(3 * y)
-    assert np.allclose(du.values, expected, atol=1e-12)
+    assert np.allclose(du, expected, atol=1e-12)
 
 
 def test_x_antiderivative_round_trip(grid16):
@@ -194,7 +195,7 @@ def test_x_antiderivative_round_trip(grid16):
 def test_x_antiderivative_rejects_x_mean(grid16):
     y = grid16.y_nodes[None, :]
     u = np.tile(np.cos(3 * y), (16, 1))  # pure y-dependence, j=0 fiber mass
-    f = forward_transform(PhysicalField(grid16, u))
+    f = SpectralField(grid16, np.fft.rfft2(u, norm="forward"))
     with pytest.raises(IllPosedInversionError):
         x_antiderivative(f)
 
@@ -203,7 +204,7 @@ def test_square_of_single_cosine(grid16):
     """cos(2x)^2 = 1/2 + cos(4x)/2, all inside the dealiased band."""
     x = grid16.x_nodes[:, None]
     u = np.broadcast_to(np.cos(2 * x), (16, 16)).copy()
-    f = forward_transform(PhysicalField(grid16, u))
+    f = SpectralField(grid16, np.fft.rfft2(u, norm="forward"))
     c = full_plane(grid16, dealiased_square(grid16, f.half))
     assert c[grid16.mode_index(0, 0)] == pytest.approx(0.5, abs=1e-14)
     assert c[grid16.mode_index(4, 0)] == pytest.approx(0.25, abs=1e-14)
@@ -219,7 +220,7 @@ def test_square_alias_is_removed(grid16):
     # 2*5 = 10 wraps to mode -6, outside the band kept by the 2/3 rule
     x = grid16.x_nodes[:, None]
     u = np.broadcast_to(np.cos(5 * x), (16, 16)).copy()
-    f = dealias(forward_transform(PhysicalField(grid16, u)))
+    f = dealias(SpectralField(grid16, np.fft.rfft2(u, norm="forward")))
     c = full_plane(grid16, dealiased_square(grid16, f.half))
     assert c[grid16.mode_index(0, 0)] == pytest.approx(0.5, abs=1e-14)
     c[grid16.mode_index(0, 0)] = 0.0
@@ -232,7 +233,8 @@ def test_batched_square_matches_full_plane_square():
     grid = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
     rng = np.random.default_rng(8)
     fields = [random_band_field(grid, seed=s) for s in (1, 2, 3)]
-    fields.append(forward_transform(PhysicalField(grid, rng.standard_normal((32, 48)))))
+    noise = rng.standard_normal((32, 48))
+    fields.append(SpectralField(grid, np.fft.rfft2(noise, norm="forward")))
     stack = np.stack([f.half for f in fields])
     got = full_plane(grid, dealiased_square(grid, stack))
     assert got.shape == (4, 32, 48)
@@ -269,9 +271,8 @@ def test_transform_pair_equals_2d_transforms(nx, ny, batch):
 
 
 def test_dealias_idempotent(grid16):
-    f = forward_transform(
-        PhysicalField(grid16, np.random.default_rng(2).standard_normal((16, 16)))
-    )
+    u = np.random.default_rng(2).standard_normal((16, 16))
+    f = SpectralField(grid16, np.fft.rfft2(u, norm="forward"))
     once = dealias(f)
     twice = dealias(once)
     assert np.array_equal(once.half, twice.half)
@@ -282,9 +283,9 @@ def test_dealias_idempotent(grid16):
 def test_parseval_property(seed):
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     f = random_band_field(grid, seed=seed)
-    u = inverse_transform(f)
+    u = physical_values(grid, f.half)
     spec = np.sqrt(grid.lx * grid.ly * np.sum(np.abs(full_plane(grid, f.half)) ** 2))
-    assert physical_l2_norm(u) == pytest.approx(spec, rel=1e-11, abs=1e-13)
+    assert physical_l2(grid, u) == pytest.approx(spec, rel=1e-11, abs=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
@@ -292,7 +293,8 @@ def test_parseval_property(seed):
 def test_round_trip_property(seed):
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     f = random_band_field(grid, seed=seed)
-    back = forward_transform(inverse_transform(f))
+    u = physical_values(grid, f.half)
+    back = SpectralField(grid, np.fft.rfft2(u, norm="forward"))
     scale = np.max(np.abs(f.half)) + 1e-30
     assert np.max(np.abs(back.half - f.half)) <= 1e-13 * scale
 
