@@ -2,12 +2,15 @@
 """Sweep the contraction-window constant and freeze a safe default.
 
 For each candidate c0 the six-member data suite is run through the fixed
-point iteration on the window delta = c0 / (1 + norm)^2, recording the
-worst sup-window norm ratio. A candidate is admissible when every member
-converges and the worst ratio clears the doubling bound with at least 10%
-headroom (ratio <= 1.8). The shipped default should be the largest
-round-number candidate that is admissible here; anything tighter wastes
-window, anything looser eats the safety margin.
+point iteration on the window delta = c0 / (1 + norm)^2, recording two
+worst cases over the suite: the sup-window norm ratio, and the Picard
+contraction ratio (the largest ratio of successive update distances, the
+proof's contraction constant).  A candidate is admissible when every member
+converges, the worst norm ratio clears the doubling bound with at least 10%
+headroom (ratio <= 1.8) and the worst contraction ratio is at most 1/2.
+The shipped default should be the largest round-number candidate that is
+admissible here; anything tighter wastes window, anything looser eats the
+safety margin.
 
 Usage: python3 scripts/calibrate_c0.py [--candidates 0.2,0.4,0.8,1.6]
 """
@@ -22,25 +25,34 @@ from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
 from kp5.picard import doubling_check, picard_from_config
 
-HEADROOM_RATIO = 1.8  # doubling bound 2.0 minus 10% margin
+# the largest admissible worst-case ratio of each kind
+BOUNDS = {
+    "doubling": 1.8,  # doubling bound 2.0 minus 10% margin
+    "contraction": 0.5,  # each Picard update at most half the last one
+}
 
 
 def sweep_candidate(c0: float):
-    worst_name, worst_ratio = "", 0.0
+    """The worst ratios over the suite at c0, {kind: (ratio, member)}, or
+    the name of the first member that diverges or does not converge."""
+    worst = {kind: (0.0, "") for kind in BOUNDS}
     for name, init in SUITE_MEMBERS:
         cfg = suite_cfg(init)
         cfg = replace(cfg, delta=DeltaConfig(c0=c0, exponent=cfg.delta.exponent))
         f = initial_field(cfg)
         try:
-            norm, _, result = picard_from_config(cfg, f)
+            norm, result = picard_from_config(cfg, f)
         except PicardDivergenceError:
-            return None, name
+            return name
         if not result.converged:
-            return None, name
-        check = doubling_check(norm, result.sup_norms[-1])
-        if check.ratio > worst_ratio:
-            worst_name, worst_ratio = name, check.ratio
-    return worst_ratio, worst_name
+            return name
+        ratios = {
+            "doubling": doubling_check(norm, result.sup_norms[-1]).ratio,
+            "contraction": max(result.ratios, default=0.0),
+        }
+        for kind, ratio in ratios.items():
+            worst[kind] = max(worst[kind], (ratio, name), key=lambda w: w[0])
+    return worst
 
 
 def main(argv=None) -> int:
@@ -53,23 +65,34 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     candidates = [float(tok) for tok in args.candidates.split(",")]
 
-    print(f"{'c0':>6}  {'worst ratio':>12}  note")
-    admissible = []
+    print(f"{'c0':>6}  {'worst doubling':>14}  {'worst contraction':>17}  note")
+    admissible, swept = [], {}
     for c0 in candidates:
-        ratio, name = sweep_candidate(c0)
-        if ratio is None:
-            print(f"{c0:>6g}  {'-':>12}  diverged on {name}")
+        worst = sweep_candidate(c0)
+        if isinstance(worst, str):
+            print(f"{c0:>6g}  {'-':>14}  {'-':>17}  diverged on {worst}")
             continue
-        ok = ratio <= HEADROOM_RATIO
-        tag = "ok" if ok else f"ratio > {HEADROOM_RATIO} (worst: {name})"
-        print(f"{c0:>6g}  {ratio:>12.6f}  {tag}")
-        if ok:
+        swept[c0] = worst
+        over = [
+            f"{kind} > {BOUNDS[kind]:g} (worst: {name})"
+            for kind, (ratio, name) in worst.items()
+            if not ratio <= BOUNDS[kind]
+        ]
+        print(f"{c0:>6g}  {worst['doubling'][0]:>14.6f}  "
+              f"{worst['contraction'][0]:>17.6f}  {'; '.join(over) or 'ok'}")
+        if not over:
             admissible.append(c0)
 
     if not admissible:
         print("no admissible candidate; the default cannot be certified")
         return 1
     print(f"\nlargest admissible candidate: {max(admissible):g}")
+    if DEFAULT_C0 in swept:
+        margins = ", ".join(
+            f"{BOUNDS[kind] - ratio:.6f} to the {kind} bound {BOUNDS[kind]:g}"
+            for kind, (ratio, _) in swept[DEFAULT_C0].items()
+        )
+        print(f"shipped default margin: {margins}")
     print(f"shipped default c0 = {DEFAULT_C0:g}", end=" ")
     if DEFAULT_C0 in admissible:
         print("(certified by this sweep)")

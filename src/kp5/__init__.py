@@ -1,130 +1,7 @@
-"""kp5: pseudo-spectral simulation and analysis of a fifth-order KP-II flow."""
+"""kp5: pseudo-spectral simulation and analysis of a fifth-order KP-II flow.
+
+The package exports only ``__version__``; import each name from the module
+that defines it (``kp5.spectral``, ``kp5.integrator``, ``kp5.picard``, ...).
+"""
 
 __version__ = "0.1.0"
-
-from .config import (
-    SimConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    rng_from_seed,
-)
-from .diagnostics import (
-    RadiusFit,
-    SpaceTimeField,
-    almost_conservation_run,
-    bilinear_ratio_trials,
-    bourgain_norm,
-    check_bilinear_admissible,
-    energy_identity_check,
-    radius_decay_run,
-    radius_estimate,
-    uniqueness_gap,
-)
-from .errors import (
-    BlowUpError,
-    ConfigError,
-    IllPosedInversionError,
-    InadmissibleParamsError,
-    InsufficientSupportError,
-    Kp5Error,
-    PicardDivergenceError,
-    SigmaOverflowError,
-    SnapshotFormatError,
-    SpectralSymmetryError,
-)
-from .initial_data import exp_spectrum, gaussian, gaussian_dx, line_soliton
-from .integrator import (
-    DiagnosticsRecord,
-    cfl_dt,
-    max_group_speed,
-    simulate,
-    step,
-)
-from .operators import (
-    GevreyParams,
-    apply_gevrey,
-    dispersion_symbol,
-    gevrey_norm,
-    half_plane_norms,
-    remainder_n,
-    semigroup_apply,
-)
-from .picard import (
-    TimeWindowField,
-    delta_rule,
-    doubling_check,
-    duhamel_apply,
-    free_window,
-    picard_iterate,
-)
-from .spectral import (
-    Grid2D,
-    SpectralField,
-    dealias,
-    dealiased_square,
-    load_snapshot,
-    project_zero_x_mean,
-    save_snapshot,
-    x_antiderivative,
-    x_derivative,
-)
-
-__all__ = [
-    "SimConfig",
-    "config_from_dict",
-    "config_to_dict",
-    "load_config",
-    "rng_from_seed",
-    "RadiusFit",
-    "SpaceTimeField",
-    "almost_conservation_run",
-    "bilinear_ratio_trials",
-    "bourgain_norm",
-    "check_bilinear_admissible",
-    "energy_identity_check",
-    "radius_decay_run",
-    "radius_estimate",
-    "uniqueness_gap",
-    "BlowUpError",
-    "ConfigError",
-    "IllPosedInversionError",
-    "InadmissibleParamsError",
-    "InsufficientSupportError",
-    "Kp5Error",
-    "PicardDivergenceError",
-    "SigmaOverflowError",
-    "SnapshotFormatError",
-    "SpectralSymmetryError",
-    "exp_spectrum",
-    "gaussian",
-    "gaussian_dx",
-    "line_soliton",
-    "DiagnosticsRecord",
-    "cfl_dt",
-    "max_group_speed",
-    "simulate",
-    "step",
-    "GevreyParams",
-    "apply_gevrey",
-    "dispersion_symbol",
-    "gevrey_norm",
-    "half_plane_norms",
-    "remainder_n",
-    "semigroup_apply",
-    "TimeWindowField",
-    "delta_rule",
-    "doubling_check",
-    "duhamel_apply",
-    "free_window",
-    "picard_iterate",
-    "Grid2D",
-    "SpectralField",
-    "dealias",
-    "dealiased_square",
-    "load_snapshot",
-    "project_zero_x_mean",
-    "save_snapshot",
-    "x_antiderivative",
-    "x_derivative",
-]

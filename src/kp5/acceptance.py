@@ -168,8 +168,7 @@ class AcceptanceSuite:
             for name, init in SUITE_MEMBERS:
                 cfg = suite_cfg(init)
                 f = initial_field(cfg)
-                norm, delta, result = picard_from_config(cfg, f)
-                out.append((name, cfg, f, norm, delta, result))
+                out.append((name, f, *picard_from_config(cfg, f)))
             self._windows = out
         return self._windows
 
@@ -207,7 +206,7 @@ class AcceptanceSuite:
         ratios = tuple(
             Check(name, doubling_check(norm, result.sup_norms[-1]).ratio,
                   "<=", DOUBLING_BOUND)
-            for name, cfg, f, norm, delta, result in suite
+            for name, f, norm, result in suite
         )
         unconverged = sum(not result.converged for *_, result in suite)
         return CriterionResult("A3", "doubling bound on the contraction window", (
@@ -216,7 +215,7 @@ class AcceptanceSuite:
 
     def a4(self) -> CriterionResult:
         gaps, ratios = [], []
-        for name, cfg, f, norm, delta, result in self.picard_suite():
+        for name, f, norm, result in self.picard_suite():
             window = result.window
             slice_dt = window.slice_dt
             sub = max(1, math.ceil(slice_dt / cfl_dt(f.grid, 1.0)))
@@ -508,6 +507,3 @@ def _equation_residual(f: SpectralField, t: float, h: float) -> float:
     norms = half_plane_norms(grid, np.stack([diff, rhs]), 0.0, 0.0)
     return float(norms[0] / norms[1])
 
-
-def run_acceptance(only=None) -> list[CriterionResult]:
-    return AcceptanceSuite().run(only)

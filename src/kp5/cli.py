@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .acceptance import run_acceptance
+from .acceptance import AcceptanceSuite
 from .config import SimConfig, load_config
 from .diagnostics import (
     almost_conservation_run,
@@ -85,7 +85,8 @@ def _run_picard(cfg: SimConfig, args) -> _Run:
     f = initial_field(cfg)
     clock = time.perf_counter
     t0 = clock()
-    norm, delta, result = picard_from_config(cfg, f)
+    norm, result = picard_from_config(cfg, f)
+    delta = result.window.delta
     t_doubling = clock()
     check = doubling_check(norm, result.sup_norms[-1])
     phase_s = {"iterate": t_doubling - t0, "doubling": clock() - t_doubling}
@@ -235,7 +236,7 @@ def _cmd_run(name: str, args) -> int:
 
 def _cmd_accept(args) -> int:
     only = args.only.split(",") if args.only else None
-    results = run_acceptance(only)
+    results = AcceptanceSuite().run(only)
     for r in results:
         print(r.line)
     failed = [r.cid for r in results if not r.passed]

@@ -129,7 +129,8 @@ class SpaceTimeField:
     k = 0..ny/2 (the field is real, so the rest follow by conjugate
     reflection in (tau, xi, eta) and norms count columns 0 < k < ny/2
     twice); norms carry the measure lx * ly * duration.  The slice count
-    must be a power of two.
+    must be a power of two.  The field takes the coefficient array over
+    and makes it read-only.
     """
 
     grid: Grid2D
@@ -137,10 +138,10 @@ class SpaceTimeField:
     coeffs_tau: np.ndarray
 
     def __post_init__(self):
-        n_t = self.coeffs_tau.shape[0]
+        c = np.asarray(self.coeffs_tau, dtype=np.complex128)
+        n_t = c.shape[0]
         if n_t < 4 or n_t & (n_t - 1):
             raise ValueError("slice count must be a power of two, at least 4")
-        c = np.array(self.coeffs_tau, dtype=np.complex128)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs_tau", c)
 
@@ -151,10 +152,6 @@ class SpaceTimeField:
     @property
     def duration(self) -> float:
         return self.n_t * self.slice_dt
-
-    @property
-    def tau(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_t, d=self.slice_dt)
 
     @classmethod
     def from_slices(
@@ -169,7 +166,8 @@ class SpaceTimeField:
             )
         n_t = slices.shape[0]
         taper = window_taper(n_t, slice_dt)
-        coeffs = np.fft.fft(taper[:, None, None] * slices, axis=0) / n_t
+        coeffs = np.fft.fft(taper[:, None, None] * slices, axis=0)
+        coeffs /= n_t
         return cls(grid, slice_dt, coeffs)
 
 
@@ -273,8 +271,8 @@ def bilinear_ratio_trials(
     trials: int,
     seed: int,
     *,
-    nx: int = 32,
-    ny: int = 32,
+    nx: int,
+    ny: int,
     stream: int = 0,
 ) -> BilinearResult:
     """Monte Carlo sup of the bilinear-output-to-input norm ratio,

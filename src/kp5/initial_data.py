@@ -104,9 +104,7 @@ KINDS = {
 }
 
 
-def make_initial_field(
-    grid: Grid2D, init, rng: np.random.Generator | None = None
-) -> SpectralField:
+def make_initial_field(grid: Grid2D, init, rng: np.random.Generator) -> SpectralField:
     """The field of an ``InitialConfig``-shaped object (see config module),
     built by its kind's constructor in ``KINDS``; data that are not finite
     raise ``ConfigError``."""

@@ -81,7 +81,7 @@ def max_group_speed(grid: Grid2D) -> float:
     return float(speed[live].max())
 
 
-def cfl_dt(grid: Grid2D, cfl: float = 1.0) -> float:
+def cfl_dt(grid: Grid2D, cfl: float) -> float:
     return cfl / max_group_speed(grid)
 
 

@@ -65,10 +65,6 @@ class TimeWindowField:
         object.__setattr__(self, "half", h)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.delta, self.half.shape[0])
-
-    @property
     def slice_dt(self) -> float:
         return self.delta / (self.half.shape[0] - 1)
 
@@ -141,9 +137,7 @@ def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
     return phases
 
 
-def free_window(
-    f: SpectralField, delta: float, slices: int = 64
-) -> TimeWindowField:
+def free_window(f: SpectralField, delta: float, slices: int) -> TimeWindowField:
     """Free evolution S(t) f sampled on the window grid."""
     phases = _window_phases(f.grid, delta, slices + 1)
     return TimeWindowField(f.grid, delta, phases * f.half)
@@ -202,11 +196,11 @@ def picard_iterate(
     f: SpectralField,
     delta: float,
     *,
-    sigma1: float = 0.0,
-    sigma2: float = 0.0,
-    slices: int = 64,
-    n_max: int = 30,
-    tol: float = 1e-10,
+    sigma1: float,
+    sigma2: float,
+    slices: int,
+    n_max: int,
+    tol: float,
 ) -> PicardResult:
     """Iterate the mild form from the free window until the update
     distance drops under tol.
@@ -243,10 +237,11 @@ def picard_iterate(
 
 def picard_from_config(
     cfg: SimConfig, f: SpectralField
-) -> tuple[float, float, PicardResult]:
-    """The data norm, the window delta and the Picard iteration that ``cfg``
-    sets for the data f; the norm and the iteration distance are taken at
-    the config's rates (sigma1, sigma2)."""
+) -> tuple[float, PicardResult]:
+    """The data norm and the Picard iteration that ``cfg`` sets for the data
+    f, on the window ``result.window.delta`` that the norm gives; the norm
+    and the iteration distance are taken at the config's rates (sigma1,
+    sigma2)."""
     g, p = cfg.gevrey, cfg.picard
     norm = gevrey_norm(f, g.sigma1, g.sigma2)
     delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
@@ -254,7 +249,7 @@ def picard_from_config(
         f, delta, sigma1=g.sigma1, sigma2=g.sigma2,
         slices=p.slices, n_max=p.n_max, tol=p.tol,
     )
-    return norm, delta, result
+    return norm, result
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ fails the criterion check meant to catch it.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import kp5.spectral
 from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
 from kp5.config import DEFAULT_C_EMP
 from kp5.diagnostics import RadiusDecayResult, RadiusFit, RadiusSample
-from kp5.spectral import SpectralField
+from kp5.spectral import Grid2D, SpectralField
 
 import conftest
 
@@ -84,6 +85,39 @@ def test_result_line_is_built_from_its_checks():
 
 def _plant_identity_step(monkeypatch):
     monkeypatch.setattr(kp5.acceptance, "step", lambda u, dt, t=0.0: u)
+
+
+def _lawson_step(weights):
+    """An IF-RK4 step in Lawson form with update weights ``weights`` / 6,
+    built from the stepper's own phases and right-hand side: at (1, 2, 2, 1)
+    it is ``step``."""
+    b1, b2, b3, b4 = (w / 6.0 for w in weights)
+
+    def lawson(field, dt, t=0.0):
+        grid, c = field.grid, field.half
+        e = kp5.integrator._half_phases(grid, dt)
+        rhs = partial(kp5.integrator._half_rhs, grid)
+        k1 = rhs(c)
+        k2 = rhs(e * (c + 0.5 * dt * k1))
+        k3 = rhs(e * c + 0.5 * dt * k2)
+        k4 = rhs(e * (e * c + dt * k3))
+        new = e * (e * c + dt * (b1 * e * k1 + b2 * k2 + b3 * k3)) + dt * b4 * k4
+        return SpectralField(grid, new)
+
+    return lawson
+
+
+def test_lawson_step_at_classical_weights_is_the_stepper():
+    f = conftest.random_band_field(Grid2D(32, 32, 32 * np.pi, 32 * np.pi), seed=4)
+    want = kp5.integrator.step(f, 0.01).half
+    got = _lawson_step((1, 2, 2, 1))(f, 0.01).half
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _plant_rk4_weights(monkeypatch):
+    """RK4 update weights (1, 1.5, 1.5, 2)/6: they still sum to 1, so the
+    step is consistent, but only first order."""
+    monkeypatch.setattr(kp5.acceptance, "step", _lawson_step((1, 1.5, 1.5, 2)))
 
 
 def _plant_nan_radius_fit(monkeypatch):
@@ -156,6 +190,7 @@ def _plant_unscaled_taper(monkeypatch):
 
 @pytest.mark.parametrize("plant, cid, check", [
     pytest.param(_plant_identity_step, "A2", "order", id="identity-step"),
+    pytest.param(_plant_rk4_weights, "A2", "order", id="rk4-weights"),
     pytest.param(_plant_nan_radius_fit, "A8", "fit error (0.3)", id="nan-radius-fit"),
     pytest.param(_plant_nan_semigroup, "A11", "semigroup-unitary", id="nan-semigroup"),
     pytest.param(_plant_simpson_trapezoid_odd_end, "A4", "worst sup-slice gap",

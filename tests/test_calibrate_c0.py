@@ -1,0 +1,41 @@
+"""The c0 calibration sweep (scripts/calibrate_c0.py) certifies the shipped
+window constant, and refuses it when a member's Picard contraction ratio
+exceeds the proof's 1/2."""
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+from kp5.config import DEFAULT_C0
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_c0.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("calibrate_c0", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_c0_is_certified(capsys):
+    calibrate = _load_script()
+    assert calibrate.main(["--candidates", str(DEFAULT_C0)]) == 0
+    out = capsys.readouterr().out
+    assert f"shipped default c0 = {DEFAULT_C0:g} (certified by this sweep)" in out
+    assert "to the contraction bound 0.5" in out
+
+
+def test_contraction_ratio_above_half_refuses_c0(monkeypatch, capsys):
+    calibrate = _load_script()
+    iterate = calibrate.picard_from_config
+
+    def slow_contraction(cfg, f):
+        norm, result = iterate(cfg, f)
+        return norm, replace(result, ratios=(*result.ratios, 0.6))
+
+    monkeypatch.setattr(calibrate, "picard_from_config", slow_contraction)
+    assert calibrate.main(["--candidates", str(DEFAULT_C0)]) == 1
+    out = capsys.readouterr().out
+    assert "contraction > 0.5" in out
+    assert "no admissible candidate" in out

@@ -123,7 +123,24 @@ def test_space_time_field_shape_rules(grid16):
     field = SpaceTimeField.from_slices(grid16, slices[:8], 0.01)
     assert field.n_t == 8
     assert field.duration == pytest.approx(0.08)
-    assert np.allclose(field.tau, 2 * np.pi * np.fft.fftfreq(8, 0.01))
+
+
+def test_space_time_field_takes_its_coefficients_over(monkeypatch, grid16):
+    """``from_slices`` hands its transform to the field, which makes that
+    array read-only instead of copying it."""
+    made = []
+    fft = np.fft.fft
+
+    def recording_fft(*args, **kwargs):
+        made.append(fft(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    f = random_band_field(grid16, seed=1)
+    slices = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(8)])
+    field = SpaceTimeField.from_slices(grid16, slices, 0.01)
+    assert len(made) == 1 and field.coeffs_tau is made[0]
+    assert not field.coeffs_tau.flags.writeable
 
 
 def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
@@ -314,7 +331,7 @@ def spectrum_cfg(n, horizon, **kw):
 def test_half_plane_record_matches_full_plane_diagnostics():
     cfg = spectrum_cfg(64, 0.1, sigma1=0.5, sigma2=0.1)
     grid = cfg.make_grid()
-    dt = cfl_dt(grid)
+    dt = cfl_dt(grid, 1.0)
     field = initial_field(cfg, grid)
     for _ in range(3):
         field = step(field, dt)

@@ -117,8 +117,7 @@ def test_free_window_matches_semigroup(grid16):
     f = random_band_field(grid16, seed=2)
     w = free_window(f, delta=0.3, slices=8)
     assert w.half.shape == (9, 16, 9)
-    assert w.times[0] == 0.0 and w.times[-1] == pytest.approx(0.3)
-    for t, s in zip(w.times, w.half):
+    for t, s in zip(np.linspace(0.0, w.delta, w.half.shape[0]), w.half):
         exact = semigroup_apply(f, float(t))
         assert np.allclose(s, exact.half, rtol=0, atol=1e-15)
 
@@ -152,7 +151,8 @@ def test_duhamel_matches_derivative_before_quadrature():
     f = picard_setup(amplitude=2.0)
     grid = f.grid
     w = free_window(f, 0.05, slices=16)
-    phases = np.exp(1j * w.times[:, None, None] * dispersion_symbol(grid)[None])
+    times = np.linspace(0.0, w.delta, w.half.shape[0])
+    phases = np.exp(1j * times[:, None, None] * dispersion_symbol(grid)[None])
     forcing = (1j * grid.xi_col) * dealiased_square(grid, w.half)
     cum = cumulative_simpson_uniform(np.conj(phases) * forcing, w.slice_dt)
     want = phases * (f.half - 0.5 * cum)
@@ -180,7 +180,8 @@ def test_duhamel_single_mode_closed_form(grid16):
     mq = m[grid16.mode_index(*q)]
     xi_q = 2 * np.pi * (2 * j0) / grid16.lx
     omega = 2 * m0 - mq
-    for t, s in zip(w.times, full_plane(grid16, out.half)):
+    times = np.linspace(0.0, w.delta, w.half.shape[0])
+    for t, s in zip(times, full_plane(grid16, out.half)):
         t = float(t)
         if omega != 0.0:
             integral = (np.exp(1j * omega * t) - 1.0) / (1j * omega)
@@ -253,8 +254,8 @@ def test_doubling_check_reuses_the_iteration_norms(n_max):
     sigma1 = 0.25
     norm = gevrey_norm(f, sigma1, 0.0)
     res = picard_iterate(
-        f, delta_rule(norm, DEFAULT_C0, 2.0), sigma1=sigma1, slices=32,
-        n_max=n_max, tol=1e-10,
+        f, delta_rule(norm, DEFAULT_C0, 2.0), sigma1=sigma1, sigma2=0.0,
+        slices=32, n_max=n_max, tol=1e-10,
     )
     assert res.converged == (n_max == 20)
     recomputed = doubling_check(
