@@ -23,7 +23,7 @@ from kp5.acceptance import SUITE_MEMBERS, suite_cfg
 from kp5.config import DEFAULT_C0, DeltaConfig
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
-from kp5.picard import doubling_check, picard_from_config
+from kp5.picard import picard_from_config
 
 # the largest admissible worst-case ratio of each kind
 BOUNDS = {
@@ -32,27 +32,27 @@ BOUNDS = {
 }
 
 
-def sweep_candidate(c0: float):
-    """The worst ratios over the suite at c0, {kind: (ratio, member)}, or
-    the name of the first member that diverges or does not converge."""
+def sweep_candidate(c0: float) -> tuple[dict[str, tuple[float, str]], str]:
+    """The worst ratios over the suite at c0, {kind: (ratio, member)}, and
+    the name of the first member that diverges or does not converge ("" when
+    every member converges; the sweep stops there)."""
     worst = {kind: (0.0, "") for kind in BOUNDS}
     for name, init in SUITE_MEMBERS:
         cfg = suite_cfg(init)
         cfg = replace(cfg, delta=DeltaConfig(c0=c0, exponent=cfg.delta.exponent))
-        f = initial_field(cfg)
         try:
-            norm, result = picard_from_config(cfg, f)
+            result = picard_from_config(cfg, initial_field(cfg))
         except PicardDivergenceError:
-            return name
+            return worst, name
         if not result.converged:
-            return name
+            return worst, name
         ratios = {
-            "doubling": doubling_check(norm, result.sup_norms[-1]).ratio,
+            "doubling": result.doubling_ratio,
             "contraction": max(result.ratios, default=0.0),
         }
         for kind, ratio in ratios.items():
             worst[kind] = max(worst[kind], (ratio, name), key=lambda w: w[0])
-    return worst
+    return worst, ""
 
 
 def main(argv=None) -> int:
@@ -68,9 +68,9 @@ def main(argv=None) -> int:
     print(f"{'c0':>6}  {'worst doubling':>14}  {'worst contraction':>17}  note")
     admissible, swept = [], {}
     for c0 in candidates:
-        worst = sweep_candidate(c0)
-        if isinstance(worst, str):
-            print(f"{c0:>6g}  {'-':>14}  {'-':>17}  diverged on {worst}")
+        worst, failed = sweep_candidate(c0)
+        if failed:
+            print(f"{c0:>6g}  {'-':>14}  {'-':>17}  diverged on {failed}")
             continue
         swept[c0] = worst
         over = [

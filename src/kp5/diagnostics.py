@@ -20,7 +20,6 @@ from .initial_data import gaussian
 from .integrator import (
     _sampled_run,
     cfl_dt,
-    contraction_window,
     initial_field,
     resolve_dt,
     step,
@@ -336,7 +335,8 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
     sigma, so deviations are comparable across the ladder; D(0) is the L2
     drift and sits at integrator-roundoff scale.  The slope is fitted on the
     positive rates with D != 0 (nan with fewer than two); ``fit_failures``
-    counts those with D == 0, as when the window holds no step.
+    counts those with D == 0, as when the window holds no step.  Data that
+    leave no contraction window raise ``BlowUpError``.
     """
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
@@ -344,6 +344,8 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
     delta = delta_rule(
         gevrey_norm(f, max(sigmas), 0.0), cfg.delta.c0, cfg.delta.exponent
     )
+    if math.isnan(delta):
+        raise BlowUpError("initial data leave no contraction window", time=0.0)
     dt, n = resolve_dt(cfg, grid, delta)
     init = {s: gevrey_norm(f, s, 0.0) ** 2 for s in sigmas}
     dev = {s: 0.0 for s in sigmas}
@@ -420,7 +422,9 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     counts as a collapse.  Each sample computes the radius fit and nothing
     else.  Data that leave no contraction window raise ``BlowUpError``."""
     f = initial_field(cfg)
-    delta = contraction_window(cfg, f)
+    delta = delta_rule(
+        gevrey_norm(f, cfg.gevrey.sigma1, 0.0), cfg.delta.c0, cfg.delta.exponent
+    )
     if math.isnan(delta):
         raise BlowUpError("initial data leave no contraction window", time=0.0)
     span = cfg.time.horizon

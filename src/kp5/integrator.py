@@ -34,7 +34,6 @@ explicit ``time.dt``, which is the step itself.  ``simulate`` and
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -180,17 +179,6 @@ def dt_source(cfg: SimConfig) -> str:
     return "window" if cfg.time.dt is None else "explicit"
 
 
-def contraction_window(cfg: SimConfig, f: SpectralField) -> float:
-    """delta = c0 / (1 + ||f||_{G^sigma1})^exponent, the window over which
-    the paper chains local solutions; nan when there is none (the norm is
-    not finite, or the window underflows to 0)."""
-    norm = gevrey_norm(f, cfg.gevrey.sigma1, 0.0)
-    if not math.isfinite(norm):
-        return math.nan
-    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
-    return delta if delta > 0.0 else math.nan
-
-
 def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float | None:
     """The longest step between samples, cfl * delta; None (step on the
     grid) for an explicit dt and for a delta that is nan or below grid_dt."""
@@ -329,10 +317,14 @@ def _sampled_run(
 def simulate(cfg: SimConfig, snapshot_times=()) -> SimulationOutput:
     """The series rows at ``time.samples`` times evenly spaced over the
     horizon and the fields at ``snapshot_times``, stepped by
-    ``_sampled_run`` with the contraction window of the configured data."""
+    ``_sampled_run`` with the contraction window of the configured data at
+    the rate sigma1 (``picard.delta_rule``)."""
     f = initial_field(cfg)
+    delta = delta_rule(
+        gevrey_norm(f, cfg.gevrey.sigma1, 0.0), cfg.delta.c0, cfg.delta.exponent
+    )
     return _sampled_run(
-        cfg, f, contraction_window(cfg, f),
+        cfg, f, delta,
         np.linspace(0.0, cfg.time.horizon, cfg.time.samples), snapshot_times,
         partial(_record, cfg),
     )

@@ -5,16 +5,17 @@ The mild form of the flow on [0, delta],
     u(t) = S(t) f - 1/2 integral_0^t S(t - t') dx(w(t')^2) dt',
 
 is iterated from the free evolution u_0(t) = S(t) f.  The data f is a
-``SpectralField`` and a window (``TimeWindowField``) is one read-only
-complex array ``half`` of shape (n, nx, ny//2 + 1): the rfft2 half planes
-of the real field at the n uniform slice times, the layout of the field
-itself, so a window is real by construction.  Every operation works on the
-whole stack at once: the forcing is one call of the dealiased-square kernel
-over all slices, the time integral is a cumulative composite Simpson rule
-along axis 0 (an even slice count, so Simpson pairs tile the window), and
-the iteration distance is the sup over slices of the half-plane Gevrey norm
-of the difference (columns 0 < k < ny/2 counted twice).  With contraction the per-iterate
-ratios sit well below 1 and the window length rule
+``SpectralField`` and a window is one complex array of shape
+(slices + 1, nx, ny//2 + 1): the rfft2 half planes of the real field at
+the slice times i * delta / slices, the layout of the field itself, so a
+window is real by construction.  Every operation works on the whole stack
+at once: the forcing is one call of the dealiased-square kernel over all
+slices, the time integral is a cumulative composite Simpson rule along
+axis 0 (an even slice count, so Simpson pairs tile the window), and the
+iteration distance is the sup over slices of the half-plane Gevrey norm of
+the difference (``operators.half_plane_norms``), written into the spent
+window's buffer.  With contraction the per-iterate ratios sit well below 1
+and the window length rule
 
     delta = c0 / (1 + ||f||)^exponent,  exponent > 1
 
@@ -23,64 +24,35 @@ keeps them there uniformly in the data size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import SimConfig
-from .errors import PicardDivergenceError
+from .errors import BlowUpError, PicardDivergenceError
 from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
 from .spectral import Grid2D, SpectralField, dealiased_square
 
 DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
 
 
-@dataclass(frozen=True, eq=False)
-class TimeWindowField:
-    """Half planes of the field at times i * delta / (n - 1), i = 0 .. n-1.
-
-    ``half`` has shape (n, nx, ny//2 + 1) with n odd and at least 3; the
-    window takes the array over and makes it read-only.
-    """
-
-    grid: Grid2D
-    delta: float
-    half: np.ndarray
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("window length must be positive")
-        h = np.asarray(self.half, dtype=np.complex128)
-        if h.ndim != 3 or h.shape[1:] != (self.grid.nx, self.grid.ny // 2 + 1):
-            raise ValueError(
-                f"window shape {h.shape} is not (n, {self.grid.nx}, "
-                f"{self.grid.ny // 2 + 1}) for this grid"
-            )
-        if h.shape[0] < 3 or h.shape[0] % 2 == 0:
-            raise ValueError(
-                "window needs an even slice count (odd number of sample points)"
-            )
-        h.setflags(write=False)
-        object.__setattr__(self, "half", h)
-
-    @property
-    def slice_dt(self) -> float:
-        return self.delta / (self.half.shape[0] - 1)
-
-
 def delta_rule(f_norm: float, c0: float, exponent: float) -> float:
-    """Contraction window length; decreasing in the data norm."""
+    """Contraction window length c0 / (1 + f_norm)^exponent, decreasing in
+    the data norm; nan when the data leave no window (the norm is not
+    finite, or the window underflows to 0)."""
     if c0 <= 0:
         raise ValueError("c0 must be positive")
     if not exponent > 1:
         raise ValueError("exponent must exceed 1")
-    if not (np.isfinite(f_norm) and f_norm >= 0):
-        raise ValueError("data norm must be finite and >= 0")
+    if f_norm < 0:
+        raise ValueError("data norm must be >= 0")
     try:
-        return c0 / (1.0 + f_norm) ** exponent
+        delta = c0 / (1.0 + f_norm) ** exponent
     except OverflowError:  # the window is below the smallest double
-        return 0.0
+        return math.nan
+    return delta if delta > 0.0 else math.nan
 
 
 def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
@@ -137,59 +109,55 @@ def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
     return phases
 
 
-def free_window(f: SpectralField, delta: float, slices: int) -> TimeWindowField:
-    """Free evolution S(t) f sampled on the window grid."""
-    phases = _window_phases(f.grid, delta, slices + 1)
-    return TimeWindowField(f.grid, delta, phases * f.half)
+def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
+    """Free evolution S(t) f at the slices + 1 window times, a new
+    (slices + 1, nx, ny//2 + 1) array."""
+    return _window_phases(f.grid, delta, slices + 1) * f.half
 
 
-def duhamel_apply(f: SpectralField, w: TimeWindowField) -> TimeWindowField:
-    """One mild-form application: free flow of f plus the driven integral.
+def duhamel_apply(f: SpectralField, window: np.ndarray, delta: float) -> np.ndarray:
+    """One mild-form application to a window of length delta: free flow of
+    f plus the driven integral, as a new array of the window's shape.
 
     The propagator is commuted through the integral,
     S(t - t') = S(t) S(-t'), so a single cumulative quadrature in the
     rotated frame serves every output slice; the x-derivative commutes
     with the quadrature too and is applied once, after it.
     """
-    if f.grid != w.grid:
-        raise ValueError("data and window must share a grid")
-    grid = w.grid
-    c = f.half
-    phases = _window_phases(grid, w.delta, w.half.shape[0])
+    grid = f.grid
+    n = window.shape[0]
+    phases = _window_phases(grid, delta, n)
     # rotate the square back by conj(phases) as conj(conj(F) * phases), in
     # place: no conjugated copy of the phase stack is made
-    forcing = dealiased_square(grid, w.half)
+    forcing = dealiased_square(grid, window)
     np.conjugate(forcing, out=forcing)
     forcing *= phases
-    cum = cumulative_simpson_uniform(forcing, w.slice_dt)
+    cum = cumulative_simpson_uniform(forcing, delta / (n - 1))
     np.conjugate(cum, out=cum)
     cum *= -0.5j * grid.xi_col
-    cum += c
+    cum += f.half
     cum *= phases
-    return TimeWindowField(grid, w.delta, cum)
-
-
-def window_distance(
-    a: TimeWindowField, b: TimeWindowField, sigma1: float, sigma2: float
-) -> float:
-    """sup over slices of the Gevrey-norm difference."""
-    if a.half.shape != b.half.shape or a.grid != b.grid:
-        raise ValueError("windows must share grid and slicing")
-    return _sup_norm(a.grid, a.half - b.half, sigma1, sigma2)
-
-
-def _sup_norm(grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float) -> float:
-    return float(half_plane_norms(grid, half, sigma1, sigma2).max())
+    return cum
 
 
 @dataclass(frozen=True)
 class PicardResult:
-    window: TimeWindowField
+    """One Picard run on the window [0, delta]."""
+
+    window: np.ndarray  # read-only (slices + 1, nx, ny//2 + 1) last iterate
+    delta: float
+    data_norm: float  # ||f|| at the iteration's rates
     distances: tuple[float, ...]  # d_n = sup-slice norm of u_n - u_{n-1}
     ratios: tuple[float, ...]  # d_n / d_{n-1}, one per n >= 2
     sup_norms: tuple[float, ...]  # sup-slice norm of each iterate
     converged: bool
     iterations: int
+
+    @property
+    def doubling_ratio(self) -> float:
+        """The window norm over the data norm, at most DOUBLING_BOUND on a
+        contraction window; 0 for zero data."""
+        return self.sup_norms[-1] / self.data_norm if self.data_norm else 0.0
 
 
 def picard_iterate(
@@ -211,13 +179,21 @@ def picard_iterate(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not delta > 0:
+        raise ValueError("window length must be positive")
+    if slices < 2 or slices % 2:  # Simpson pairs tile the window
+        raise ValueError("slices must be even and >= 2")
+    grid = f.grid
     window = free_window(f, delta, slices)
     distances: list[float] = []
     sup_norms: list[float] = []
     for n in range(1, n_max + 1):
-        cur = duhamel_apply(f, window)
-        distances.append(window_distance(cur, window, sigma1, sigma2))
-        sup_norms.append(_sup_norm(cur.grid, cur.half, sigma1, sigma2))
+        cur = duhamel_apply(f, window, delta)
+        # the spent window's buffer takes the difference; rebinding
+        # ``window`` frees it before the next application
+        np.subtract(window, cur, out=window)
+        distances.append(float(half_plane_norms(grid, window, sigma1, sigma2).max()))
+        sup_norms.append(float(half_plane_norms(grid, cur, sigma1, sigma2).max()))
         window = cur
         if distances[-1] <= tol:
             break
@@ -227,47 +203,26 @@ def picard_iterate(
                 f"({distances[-3]:.3e} -> {distances[-2]:.3e} -> "
                 f"{distances[-1]:.3e}); use a shorter window (smaller delta)"
             )
+    window.setflags(write=False)
     # with tol >= 0 a zero distance ends the loop, so no ratio divides by 0
     ratios = tuple(b / a for a, b in zip(distances, distances[1:]))
     return PicardResult(
-        window, tuple(distances), ratios, tuple(sup_norms),
-        distances[-1] <= tol, n,
+        window, delta, gevrey_norm(f, sigma1, sigma2), tuple(distances), ratios,
+        tuple(sup_norms), distances[-1] <= tol, n,
     )
 
 
-def picard_from_config(
-    cfg: SimConfig, f: SpectralField
-) -> tuple[float, PicardResult]:
-    """The data norm and the Picard iteration that ``cfg`` sets for the data
-    f, on the window ``result.window.delta`` that the norm gives; the norm
-    and the iteration distance are taken at the config's rates (sigma1,
-    sigma2)."""
+def picard_from_config(cfg: SimConfig, f: SpectralField) -> PicardResult:
+    """The Picard iteration that ``cfg`` sets for the data f, on the
+    window ``delta_rule`` gives for the data norm at the config's rates
+    (sigma1, sigma2); ``BlowUpError`` when the data leave no window."""
     g, p = cfg.gevrey, cfg.picard
-    norm = gevrey_norm(f, g.sigma1, g.sigma2)
-    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
-    result = picard_iterate(
+    delta = delta_rule(
+        gevrey_norm(f, g.sigma1, g.sigma2), cfg.delta.c0, cfg.delta.exponent
+    )
+    if math.isnan(delta):
+        raise BlowUpError("initial data leave no contraction window", time=0.0)
+    return picard_iterate(
         f, delta, sigma1=g.sigma1, sigma2=g.sigma2,
         slices=p.slices, n_max=p.n_max, tol=p.tol,
     )
-    return norm, result
-
-
-@dataclass(frozen=True)
-class DoublingResult:
-    ratio: float  # sup-slice norm over data norm; 0 for zero data
-    passed: bool
-    sup_norm: float
-    f_norm: float
-
-
-def doubling_check(f_norm: float, sup_norm: float) -> DoublingResult:
-    """Is the window norm at most DOUBLING_BOUND times the data norm?
-
-    ``f_norm`` and ``sup_norm`` are what ``picard_from_config`` measured:
-    the data norm and ``PicardResult.sup_norms[-1]``, the sup-slice norm
-    of the returned window, both at the iteration's rates.
-    """
-    if f_norm == 0.0:
-        return DoublingResult(0.0, sup_norm == 0.0, sup_norm, f_norm)
-    ratio = sup_norm / f_norm
-    return DoublingResult(ratio, ratio <= DOUBLING_BOUND, sup_norm, f_norm)

@@ -31,8 +31,8 @@ def test_contraction_ratio_above_half_refuses_c0(monkeypatch, capsys):
     iterate = calibrate.picard_from_config
 
     def slow_contraction(cfg, f):
-        norm, result = iterate(cfg, f)
-        return norm, replace(result, ratios=(*result.ratios, 0.6))
+        result = iterate(cfg, f)
+        return replace(result, ratios=(*result.ratios, 0.6))
 
     monkeypatch.setattr(calibrate, "picard_from_config", slow_contraction)
     assert calibrate.main(["--candidates", str(DEFAULT_C0)]) == 1

@@ -398,7 +398,7 @@ def test_cli_radius_decay_manifest_is_strict_json(tmp_path):
 @pytest.mark.parametrize("argv, phases", [
     pytest.param(argv, phases, id=argv[0]) for argv, phases in [
         (["simulate"], {"stepping", "records", "writing"}),
-        (["picard"], {"iterate", "doubling", "writing"}),
+        (["picard"], {"run", "writing"}),
         (["radius-decay"], {"stepping", "samples", "writing"}),
         (["sigma-ladder"], {"run", "writing"}),
         (["uniqueness"], {"run", "writing"}),
@@ -506,6 +506,25 @@ def test_cli_blow_up_exit_code_and_partial_output(tmp_path, command, table, head
     assert len(lines) == 2 and lines[1].startswith("0.0,")  # the t = 0 row
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "blow-up"
+    assert manifest["command"] == command
+
+
+@pytest.mark.parametrize("command", ["picard", "sigma-ladder", "radius-decay"])
+def test_cli_no_window_is_a_blow_up(tmp_path, capsys, command):
+    # c0 / (1 + ||f||)^2 is below the smallest double: no contraction window
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 32\n  ny: 32\n"
+        "initial:\n  kind: gaussian\n  amplitude: 1.0e+200\n  width: 2.0\n",
+    )
+    out = tmp_path / "none"
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["blow-up: initial data leave no contraction window"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "blow-up" and manifest["aborted_at"] == 0.0
     assert manifest["command"] == command
 
 

@@ -31,7 +31,6 @@ from kp5.integrator import (
     _record,
     _sampled_run,
     cfl_dt,
-    contraction_window,
     initial_field,
     step,
 )
@@ -148,11 +147,11 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
     tapered window: sqrt(sum_t dt * psi(t)^2 * ||u(t)||^2) by Parseval."""
     f = random_band_field(grid16, seed=7)
     w = free_window(f, 0.2, slices=16)
-    field = SpaceTimeField.from_slices(grid16, w.half[:-1], w.slice_dt)
+    field = SpaceTimeField.from_slices(grid16, w[:-1], 0.2 / 16)
     psi = window_taper(field.n_t, field.slice_dt)
     slice_l2 = [
         np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(c) ** 2))
-        for c in full_plane(grid16, w.half[:-1])
+        for c in full_plane(grid16, w[:-1])
     ]
     direct = np.sqrt(
         sum(
@@ -167,7 +166,7 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
 def test_bourgain_norm_monotone_in_b(grid16):
     f = random_band_field(grid16, seed=3)
     w = free_window(f, 0.25, slices=16)
-    field = SpaceTimeField.from_slices(grid16, w.half[:-1], w.slice_dt)
+    field = SpaceTimeField.from_slices(grid16, w[:-1], 0.25 / 16)
     lo = bourgain_norm(field, GevreyParams(b=0.0))
     hi = bourgain_norm(field, GevreyParams(b=0.55))
     assert 0 < lo <= hi
@@ -370,9 +369,7 @@ def test_radius_decay_samples_match_record_path():
     # the sample loop and record function of simulate
     times = np.arange(len(res.samples)) * res.delta
     f = initial_field(cfg)
-    records = _sampled_run(
-        cfg, f, contraction_window(cfg, f), times, (), partial(_record, cfg)
-    ).records
+    records = _sampled_run(cfg, f, res.delta, times, (), partial(_record, cfg)).records
     assert [r.t for r in records] == [s.t for s in res.samples]
     assert [(r.sigma_est, r.residual) for r in records] == [
         (s.sigma_est, s.residual) for s in res.samples

@@ -14,7 +14,6 @@ from kp5.integrator import (
     _sampled_run,
     aligned_dt,
     cfl_dt,
-    contraction_window,
     initial_field,
     max_group_speed,
     resolve_dt,
@@ -24,6 +23,7 @@ from kp5.integrator import (
     window_cap,
 )
 from kp5.operators import gevrey_norm, semigroup_apply
+from kp5.picard import delta_rule
 from kp5.spectral import Grid2D, SpectralField, dealias, full_plane, x_derivative
 
 GRID_32x48 = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
@@ -241,15 +241,16 @@ def test_runaway_norm_is_blow_up_at_its_sample(monkeypatch):
 
 
 def test_contraction_window_is_nan_without_a_window():
-    """No window: c0 / (1 + norm)^2 underflows to 0, or the weighted norm
+    """No window: c0 / (1 + norm)^2 underflows, or the weighted norm
     itself overflows."""
     cfg = small_cfg()
     half = np.zeros((32, 17), dtype=complex)
     for amp, finite_norm in ((1e200, True), (1e308, False)):
         half[10, 2] = amp
         f = SpectralField(cfg.make_grid(), half.copy())
-        assert math.isfinite(gevrey_norm(f, cfg.gevrey.sigma1, 0.0)) == finite_norm
-        assert math.isnan(contraction_window(cfg, f))
+        norm = gevrey_norm(f, cfg.gevrey.sigma1, 0.0)
+        assert math.isfinite(norm) == finite_norm
+        assert math.isnan(delta_rule(norm, cfg.delta.c0, cfg.delta.exponent))
 
 
 def test_radius_decay_rejects_data_without_a_window():

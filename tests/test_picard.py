@@ -17,15 +17,12 @@ from kp5.operators import (
     semigroup_apply,
 )
 from kp5.picard import (
-    TimeWindowField,
     _window_phases,
     cumulative_simpson_uniform,
     delta_rule,
-    doubling_check,
     duhamel_apply,
     free_window,
     picard_iterate,
-    window_distance,
 )
 from kp5.spectral import SpectralField, dealiased_square, full_plane
 
@@ -39,7 +36,12 @@ def test_delta_rule_values():
     with pytest.raises(ValueError):
         delta_rule(1.0, 0.4, 1.0)  # window must shrink faster than 1/norm
     with pytest.raises(ValueError):
-        delta_rule(float("nan"), 0.4, 2.0)
+        delta_rule(-1.0, 0.4, 2.0)
+    # no window: a norm that is not finite, or a window below the
+    # smallest double
+    assert math.isnan(delta_rule(float("nan"), 0.4, 2.0))
+    assert math.isnan(delta_rule(float("inf"), 0.4, 2.0))
+    assert math.isnan(delta_rule(1e200, 0.4, 2.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -107,17 +109,22 @@ def test_cumulative_simpson_stacked_arrays():
 
 
 def test_window_validation(grid16):
-    with pytest.raises(ValueError):
-        TimeWindowField(grid16, 0.1, np.zeros((2, 16, 9), complex))  # even count
-    with pytest.raises(ValueError):
-        TimeWindowField(grid16, 0.1, np.zeros((1, 16, 9), complex))
+    """An odd slice count, fewer than two slices and a window length
+    <= 0 are refused."""
+    f = random_band_field(grid16, seed=1)
+    for delta, slices in ((0.1, 3), (0.1, 1), (0.1, 0), (0.0, 8), (-0.1, 8)):
+        with pytest.raises(ValueError):
+            picard_iterate(
+                f, delta, sigma1=0.0, sigma2=0.0, slices=slices, n_max=2,
+                tol=1e-10,
+            )
 
 
 def test_free_window_matches_semigroup(grid16):
     f = random_band_field(grid16, seed=2)
     w = free_window(f, delta=0.3, slices=8)
-    assert w.half.shape == (9, 16, 9)
-    for t, s in zip(np.linspace(0.0, w.delta, w.half.shape[0]), w.half):
+    assert w.shape == (9, 16, 9)
+    for t, s in zip(np.linspace(0.0, 0.3, 9), w):
         exact = semigroup_apply(f, float(t))
         assert np.allclose(s, exact.half, rtol=0, atol=1e-15)
 
@@ -131,8 +138,8 @@ def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
     )
     f = random_band_field(grid16, seed=3)
     w = free_window(f, delta=0.2, slices=8)
-    out = duhamel_apply(f, w)
-    assert np.allclose(out.half, w.half, rtol=0, atol=1e-15)
+    out = duhamel_apply(f, w, 0.2)
+    assert np.allclose(out, w, rtol=0, atol=1e-15)
 
 
 def test_window_phases_match_the_exponential(grid16):
@@ -151,12 +158,12 @@ def test_duhamel_matches_derivative_before_quadrature():
     f = picard_setup(amplitude=2.0)
     grid = f.grid
     w = free_window(f, 0.05, slices=16)
-    times = np.linspace(0.0, w.delta, w.half.shape[0])
+    times = np.linspace(0.0, 0.05, 17)
     phases = np.exp(1j * times[:, None, None] * dispersion_symbol(grid)[None])
-    forcing = (1j * grid.xi_col) * dealiased_square(grid, w.half)
-    cum = cumulative_simpson_uniform(np.conj(phases) * forcing, w.slice_dt)
+    forcing = (1j * grid.xi_col) * dealiased_square(grid, w)
+    cum = cumulative_simpson_uniform(np.conj(phases) * forcing, 0.05 / 16)
     want = phases * (f.half - 0.5 * cum)
-    got = duhamel_apply(f, w).half
+    got = duhamel_apply(f, w, 0.05)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -173,15 +180,15 @@ def test_duhamel_single_mode_closed_form(grid16):
     f = SpectralField.from_coefficients(grid16, c)
     delta = 0.05
     w = free_window(f, delta, slices=64)
-    out = duhamel_apply(f, w)
+    out = duhamel_apply(f, w, delta)
     m = dispersion_symbol(grid16)
     m0 = m[grid16.mode_index(j0, k0)]
     q = (2 * j0, 2 * k0)
     mq = m[grid16.mode_index(*q)]
     xi_q = 2 * np.pi * (2 * j0) / grid16.lx
     omega = 2 * m0 - mq
-    times = np.linspace(0.0, w.delta, w.half.shape[0])
-    for t, s in zip(times, full_plane(grid16, out.half)):
+    times = np.linspace(0.0, delta, 65)
+    for t, s in zip(times, full_plane(grid16, out)):
         t = float(t)
         if omega != 0.0:
             integral = (np.exp(1j * omega * t) - 1.0) / (1j * omega)
@@ -201,15 +208,18 @@ def test_duhamel_single_mode_closed_form(grid16):
         assert np.max(np.abs(rest)) < 1e-15
 
 
-def test_window_distance_closed_form(grid16):
-    f = random_band_field(grid16, seed=4)
-    w1 = free_window(f, 0.1, slices=8)
-    lam = 1.75
-    w2 = free_window(SpectralField(grid16, lam * f.half), 0.1, slices=8)
-    assert window_distance(w1, w1, 0.0, 0.0) == 0.0
-    # the free flow is unitary on L2, so the gap is constant in time
-    want = (lam - 1.0) * gevrey_norm(f, 0.0, 0.0)
-    assert window_distance(w1, w2, 0.0, 0.0) == pytest.approx(want, rel=1e-12)
+def test_window_distance_closed_form():
+    """The first recorded distance is the sup-slice norm of the free
+    window minus the first iterate."""
+    f = picard_setup(amplitude=2.0)
+    delta, slices, sigma1 = 0.05, 16, 0.25
+    res = picard_iterate(
+        f, delta, sigma1=sigma1, sigma2=0.0, slices=slices, n_max=3, tol=1e-10,
+    )
+    free = free_window(f, delta, slices)
+    first = duhamel_apply(f, free, delta)
+    want = half_plane_norms(f.grid, free - first, sigma1, 0.0).max()
+    assert res.distances[0] == want > 0.0
 
 
 def picard_setup(amplitude=0.8):
@@ -239,17 +249,16 @@ def test_picard_converges_and_contracts():
     assert len(res.sup_norms) == res.iterations
     assert all(math.isfinite(s) and s > 0 for s in res.sup_norms)
     # iteration starts from the free window anchored at the data
-    assert np.array_equal(res.window.half[0], f.half)
-
-    doubling = doubling_check(norm, res.sup_norms[-1])
-    assert 1.0 - 1e-12 <= doubling.ratio <= 2.0
+    assert np.array_equal(res.window[0], f.half)
+    assert res.delta == delta and res.data_norm == norm
+    assert 1.0 - 1e-12 <= res.doubling_ratio <= 2.0
 
 
 @pytest.mark.parametrize("n_max", [20, 2])
 def test_doubling_check_reuses_the_iteration_norms(n_max):
-    """The iteration's data norm and last sup norm give the same check,
-    bit for bit, as norms recomputed from the data and the window, for a
-    converged run and for one that stops at n_max."""
+    """The derived doubling ratio equals, bit for bit, the ratio of norms
+    recomputed from the data and the window, for a converged run and for
+    one that stops at n_max."""
     f = picard_setup()
     sigma1 = 0.25
     norm = gevrey_norm(f, sigma1, 0.0)
@@ -258,11 +267,11 @@ def test_doubling_check_reuses_the_iteration_norms(n_max):
         slices=32, n_max=n_max, tol=1e-10,
     )
     assert res.converged == (n_max == 20)
-    recomputed = doubling_check(
-        gevrey_norm(f, sigma1, 0.0),
-        float(half_plane_norms(f.grid, res.window.half, sigma1, 0.0).max()),
+    recomputed = (
+        float(half_plane_norms(f.grid, res.window, sigma1, 0.0).max())
+        / gevrey_norm(f, sigma1, 0.0)
     )
-    assert doubling_check(norm, res.sup_norms[-1]) == recomputed
+    assert res.doubling_ratio == recomputed
 
 
 def test_picard_divergence_detected():
@@ -283,6 +292,9 @@ def test_picard_rejects_bad_iteration_budget():
 
 
 def test_window_is_read_only_half_plane(grid16):
-    w = free_window(random_band_field(grid16, seed=5), 0.1, slices=4)
-    assert w.half.shape == (5, 16, 9) and not w.half.flags.writeable
+    res = picard_iterate(
+        random_band_field(grid16, seed=5), 0.1, sigma1=0.0, sigma2=0.0,
+        slices=4, n_max=2, tol=1e-10,
+    )
+    assert res.window.shape == (5, 16, 9) and not res.window.flags.writeable
 
