@@ -134,6 +134,16 @@ class Check:
         return text if self.op is None else f"{text} ({self.op} {self.bound:g})"
 
 
+def doubling_ratio_check(name: str, result) -> Check:
+    """A3's check of a Picard run, and ``kp5 picard``'s ``doubling_passed``."""
+    return Check(name, result.doubling_ratio, "<=", DOUBLING_BOUND)
+
+
+def gronwall_check(result) -> Check:
+    """A9's check of a uniqueness run, and ``kp5 uniqueness``'s ``passed``."""
+    return Check("max gap/bound over t > 0", result.max_ratio, "<=", GRONWALL_ENVELOPE)
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     """A criterion passes when it has checks and every one of them passes."""
@@ -203,10 +213,7 @@ class AcceptanceSuite:
 
     def a3(self) -> CriterionResult:
         suite = self.picard_suite()
-        ratios = tuple(
-            Check(name, result.doubling_ratio, "<=", DOUBLING_BOUND)
-            for name, f, result in suite
-        )
+        ratios = tuple(doubling_ratio_check(name, result) for name, f, result in suite)
         unconverged = sum(not result.converged for *_, result in suite)
         return CriterionResult("A3", "doubling bound on the contraction window", (
             *ratios, Check("unconverged members", unconverged, "<=", 0),
@@ -312,9 +319,8 @@ class AcceptanceSuite:
         result = uniqueness_gap(cfg, 1e-6)
         return CriterionResult(
             "A9", "perturbation gap under the Gronwall envelope", (
-                Check("max gap/bound over t > 0", result.max_ratio,
-                      "<=", GRONWALL_ENVELOPE),
-                Check("steps", len(result.samples) - 1),
+                gronwall_check(result),
+                Check("steps", result.run.steps),
             ))
 
     def a10(self) -> CriterionResult:

@@ -6,14 +6,16 @@ uniqueness, accept.  Exit codes: 0 success, 2 invalid configuration
 written), 1 any other toolkit failure.
 
 Each run command is a function ``(cfg, args) -> _Run`` listed in
-``_COMMANDS`` with its CSV file and table function; ``_cmd_run`` loads the
-config, times the run, writes the table, snapshots and manifest, and
+``_COMMANDS`` with its CSV file, table function and flags; ``_cmd_run``
+checks the flags, loads the config, times the run, writes the table,
+snapshots and manifest (with the step telemetry of a sampled run), and
 handles a blow-up, the same way for all of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -21,18 +23,19 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .acceptance import AcceptanceSuite
-from .config import SimConfig, load_config
+from .acceptance import AcceptanceSuite, doubling_ratio_check, gronwall_check
+from .config import _AT_LEAST_ONE, _GRID_SIZE, _POSITIVE, SimConfig, load_config
 from .diagnostics import (
     almost_conservation_run,
     bilinear_ratio_trials,
+    increment_fit,
     radius_decay_run,
     uniqueness_gap,
 )
 from .errors import BlowUpError, ConfigError, Kp5Error
-from .integrator import initial_field, simulate
+from .integrator import SimulationOutput, initial_field, simulate
 from .operators import GevreyParams
-from .picard import DOUBLING_BOUND, picard_from_config
+from .picard import picard_from_config
 from .reporting import write_csv, write_manifest
 from .spectral import save_snapshot
 
@@ -41,14 +44,13 @@ from .spectral import save_snapshot
 class _Run:
     """What a run command hands ``_cmd_run``: the records its table function
     turns into rows, its manifest keys, its summary line (``{path}`` stands
-    for the table's path), its phase wall times (None: ``_cmd_run`` times
-    the whole run as "run") and its snapshots (time, field)."""
+    for the table's path) and a sampled run's ``SimulationOutput``, whose
+    telemetry, phases and snapshots are written (None: one "run" phase)."""
 
     records: Sequence
     keys: dict
     summary: str
-    phase_s: dict[str, float] | None = None
-    snapshots: Sequence = ()
+    sampled: SimulationOutput | None = None
 
 
 def _attrs(obj, names: str) -> dict:
@@ -61,10 +63,9 @@ def _run_simulate(cfg: SimConfig, args) -> _Run:
     result = simulate(cfg, snapshot_times=cfg.output.snapshot_times)
     return _Run(
         result.records,
-        _attrs(result, "steps dt grid_dt dt_source l2_drift"),
+        _attrs(result, "l2_drift"),
         f"wrote {len(result.records)} records to {{path}}",
-        result.phase_s,
-        result.snapshots,
+        result,
     )
 
 
@@ -83,7 +84,6 @@ def _series_table(cfg: SimConfig, records):
 
 def _run_picard(cfg: SimConfig, args) -> _Run:
     result = picard_from_config(cfg, initial_field(cfg))
-    ratio = result.doubling_ratio
     return _Run(
         list(zip(result.distances, (float("nan"), *result.ratios), result.sup_norms)),
         {
@@ -91,36 +91,41 @@ def _run_picard(cfg: SimConfig, args) -> _Run:
                 result,
                 "delta data_norm converged iterations distances ratios doubling_ratio",
             ),
-            "doubling_passed": ratio <= DOUBLING_BOUND,
+            "doubling_passed": doubling_ratio_check("doubling ratio", result).passed,
         },
         f"delta={result.delta:.6g} converged={result.converged} in "
-        f"{result.iterations} iterations; doubling ratio {ratio:.4f}",
+        f"{result.iterations} iterations; doubling ratio {result.doubling_ratio:.4f}",
     )
 
 
 def _run_radius_decay(cfg: SimConfig, args) -> _Run:
     result = radius_decay_run(cfg)
-    keys = _attrs(
-        result,
-        "delta sigma0 tail_p tail_amp collapse_time fit_failures "
-        "steps dt grid_dt dt_source",
-    )
+    keys = _attrs(result, "delta sigma0 tail_p tail_amp collapse_time fit_failures")
     return _Run(
         result.samples,
         {**keys, "constants": {"c_emp": result.c_emp}},
         f"{len(result.samples)} samples; sigma0={result.sigma0:.4f} "
         f"tail p={result.tail_p:.3f} C_emp={result.c_emp:.4f}",
-        result.phase_s,
+        result.run,
     )
 
 
 def _run_sigma_ladder(cfg: SimConfig, args) -> _Run:
     result = almost_conservation_run(cfg)
     return _Run(
-        [(s, d, result.slope) for s, d in zip(result.sigmas, result.increments)],
+        result.run.records,
         _attrs(result, "delta slope fit_failures"),
         f"slope {result.slope:.3f} over {len(result.sigmas)} rates",
+        result.run,
     )
+
+
+def _ladder_table(cfg: SimConfig, records):
+    """Per rate: the increment D as of the last record and their slope."""
+    sigmas = cfg.gevrey.ladder
+    increments = records[-1] if records else ()
+    slope, _ = increment_fit(sigmas, increments)
+    return ["sigma", "D", "slope"], [(s, d, slope) for s, d in zip(sigmas, increments)]
 
 
 def _run_bilinear(cfg: SimConfig, args) -> _Run:
@@ -138,10 +143,12 @@ def _run_bilinear(cfg: SimConfig, args) -> _Run:
 
 def _run_uniqueness(cfg: SimConfig, args) -> _Run:
     result = uniqueness_gap(cfg, args.eps)
+    passed = gronwall_check(result).passed
     return _Run(
         result.samples,
-        _attrs(result, "eps max_ratio passed"),
-        f"max gap/bound {result.max_ratio:.4f}; passed={result.passed}",
+        {**_attrs(result, "eps max_ratio"), "passed": passed},
+        f"max gap/bound {result.max_ratio:.4f}; passed={passed}",
+        result.run,
     )
 
 
@@ -151,7 +158,8 @@ class _Command:
     run: Callable[[SimConfig, argparse.Namespace], _Run]
     csv: str
     table: Callable  # (cfg, records) -> (header, rows)
-    flags: tuple = ()  # (flag, type, default) beyond the four common ones
+    # (flag, type, default, config range rule or None) beyond the common four
+    flags: tuple = ()
 
 
 _COMMANDS = {
@@ -171,28 +179,41 @@ _COMMANDS = {
     ),
     "sigma-ladder": _Command(
         "almost-conservation increments", _run_sigma_ladder, "ladder.csv",
-        lambda cfg, rs: (["sigma", "D", "slope"], rs),
+        _ladder_table,
     ),
     "bilinear": _Command(
         "bilinear norm ratio trials", _run_bilinear, "bilinear.csv",
         lambda cfg, rs: (["trial", "ratio"], enumerate(rs)),
-        (("--trials", int, 100), ("--nx", int, 32), ("--ny", int, 32),
-         ("--s1", float, -1.0), ("--s2", float, 0.0), ("--b", float, 0.55),
-         ("--beta", float, 0.45), ("--eps", float, 0.0)),
+        (("--trials", int, 100, _AT_LEAST_ONE), ("--nx", int, 32, _GRID_SIZE),
+         ("--ny", int, 32, _GRID_SIZE), ("--s1", float, -1.0, None),
+         ("--s2", float, 0.0, None), ("--b", float, 0.55, None),
+         ("--beta", float, 0.45, None), ("--eps", float, 0.0, None)),
     ),
     "uniqueness": _Command(
         "perturbation gap vs Gronwall bound", _run_uniqueness, "uniqueness.csv",
         lambda cfg, rs: (["t", "gap", "bound"], [(s.t, s.gap, s.bound) for s in rs]),
-        (("--eps", float, 1e-6),),
+        (("--eps", float, 1e-6, _POSITIVE),),
     ),
 }
 
 
+def _check_flags(command: _Command, args) -> None:
+    """Refuse by name, as a config value, a non-finite float or a broken rule."""
+    for flag, kind, _, rule in command.flags:
+        value = getattr(args, flag[2:])
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(flag, f"must be finite, got {value!r}")
+        if rule is not None and not rule[0](value):
+            raise ConfigError(flag, f"{rule[1]}, got {value!r}")
+
+
 def _cmd_run(name: str, args) -> int:
-    """Run one command: load the config, time the run, then write its
-    table, snapshots and, last, its manifest.  A blow-up writes the partial
+    """Run one command: check its flags, load the config, time the run,
+    then write its table, snapshots and, last, its manifest; a sampled run
+    adds its step telemetry and its phases.  A blow-up writes the partial
     table from the error's records and a "blow-up" manifest, then re-raises."""
     command = _COMMANDS[name]
+    _check_flags(command, args)
     cfg = load_config(args.config) if args.config else SimConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -210,17 +231,20 @@ def _cmd_run(name: str, args) -> int:
         )
         raise  # main reports it and exits 3
     t_write = clock()
+    sampled = run.sampled
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / command.csv, *command.table(cfg, run.records))
-    if run.snapshots:
+    if sampled and sampled.snapshots:
         (out / "snapshots").mkdir(exist_ok=True)
-        for t, field in run.snapshots:
+        for t, field in sampled.snapshots:
             save_snapshot(field, out / "snapshots" / f"t{t:.6f}.kp5s")
+    telemetry = _attrs(sampled, "steps dt grid_dt dt_source") if sampled else {}
     # the manifest is written last, so "writing" covers the table and snapshots
-    phase_s = dict(run.phase_s or {"run": t_write - t0}, writing=clock() - t_write)
+    phase_s = sampled.phase_s if sampled else {"run": t_write - t0}
+    phase_s = dict(phase_s, writing=clock() - t_write)
     write_manifest(
         out / "manifest.json", cfg, name,
-        {"status": "ok", **run.keys, "phase_s": phase_s},
+        {"status": "ok", **telemetry, **run.keys, "phase_s": phase_s},
     )
     if not args.quiet:
         print(run.summary.format(path=out / command.csv))
@@ -251,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--quiet", action="store_true", help="suppress summaries")
-        for flag, kind, default in command.flags:
+        for flag, kind, default, _ in command.flags:
             p.add_argument(flag, type=kind, default=default)
         p.set_defaults(func=partial(_cmd_run, name))
 

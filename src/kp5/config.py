@@ -117,12 +117,14 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # --- parsing ----------------------------------------------------------------
 
 # range rules by dotted key; "name[]" applies to every element of a list
-# a grid size must also convert to a float, as the overflow guard needs
+# (the command-line flags reuse some); a grid size must also convert to a
+# float, as the overflow guard needs
 _GRID_SIZE = (
     lambda v: 8 <= v <= sys.float_info.max and v % 2 == 0,
     "must be even, >= 8 and within the float range",
 )
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _RULES = {
     "grid.nx": _GRID_SIZE,
@@ -132,7 +134,7 @@ _RULES = {
     "time.cfl": _POSITIVE,
     "time.dt": _POSITIVE,
     "time.horizon": _NONNEGATIVE,
-    "time.samples": (lambda v: v >= 1, "must be >= 1"),
+    "time.samples": _AT_LEAST_ONE,
     "initial.kind": (lambda v: v in KINDS, f"must be one of {', '.join(KINDS)}"),
     "initial.width": _POSITIVE,
     "initial.decay_x": _NONNEGATIVE,
@@ -145,7 +147,7 @@ _RULES = {
     "delta.c0": _POSITIVE,
     "delta.exponent": (lambda v: v > 1, "must be > 1"),
     "picard.slices": (lambda v: v >= 2 and v % 2 == 0, "must be even and >= 2"),
-    "picard.n_max": (lambda v: v >= 1, "must be >= 1"),
+    "picard.n_max": _AT_LEAST_ONE,
     "picard.tol": _POSITIVE,
     "output.snapshot_times[]": _NONNEGATIVE,
     "seed": _NONNEGATIVE,

@@ -15,9 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SimConfig
-from .errors import BlowUpError, InadmissibleParamsError, InsufficientSupportError
+from .errors import InadmissibleParamsError, InsufficientSupportError
 from .initial_data import gaussian
 from .integrator import (
+    SimulationOutput,
     _sampled_run,
     cfl_dt,
     initial_field,
@@ -35,12 +36,14 @@ from .operators import (
     gevrey_norm,
     half_plane_norms,
     l2_inner,
+    ladder_norms,
     remainder_n,
 )
-from .picard import delta_rule
+from .picard import data_window
 from .spectral import (
     Grid2D,
     SpectralField,
+    _frozen,
     _mirror,
     dealias,
     dealiased_coefficients,
@@ -49,7 +52,7 @@ from .spectral import (
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
-GRONWALL_ENVELOPE = 1.1  # uniqueness_gap passes with every gap/bound below this
+GRONWALL_ENVELOPE = 1.1  # A9 bounds the worst gap/bound over t > 0 by this
 BILINEAR_SLICES = 16  # time slices of each bilinear trial window
 
 
@@ -141,8 +144,7 @@ class SpaceTimeField:
         n_t = c.shape[0]
         if n_t < 4 or n_t & (n_t - 1):
             raise ValueError("slice count must be a power of two, at least 4")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs_tau", c)
+        object.__setattr__(self, "coeffs_tau", _frozen(c))
 
     @property
     def n_t(self) -> int:
@@ -189,9 +191,7 @@ def _xtsb_weight(
     if params.s2 != 0.0:
         w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
     w = np.sqrt(w) * _weight(grid, params.sigma1, params.sigma2)
-    w = np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h)))
-    w.setflags(write=False)
-    return w
+    return _frozen(np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h))))
 
 
 def bourgain_norm(field: SpaceTimeField, params: GevreyParams) -> float:
@@ -322,6 +322,21 @@ class AlmostConservationResult:
     slope: float  # d log|D| / d log sigma over the positive-sigma entries
     delta: float
     fit_failures: int  # positive rates left out of the slope fit as D == 0
+    run: SimulationOutput  # each record: the increments up to its time
+
+
+def increment_fit(sigmas, increments) -> tuple[float, int]:
+    """The slope of log|D| against log sigma over the positive rates with
+    D != 0 (nan with fewer than two), and the count of those with D == 0."""
+    positive = [(s, abs(d)) for s, d in zip(sigmas, increments) if s > 0]
+    usable = [(s, d) for s, d in positive if d != 0]
+    if len(usable) >= 2:
+        xs = np.log([s for s, _ in usable])
+        ys = np.log([d for _, d in usable])
+        slope = _line_fit(xs, ys)[0]
+    else:
+        slope = float("nan")
+    return slope, len(positive) - len(usable)
 
 
 def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
@@ -331,43 +346,30 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
     D(sigma) is the signed deviation ||u(t)||^2 - ||f||^2 of largest
     magnitude over the window (the flux can carry either sign, so the
     one-sided sup would read 0 on data whose weighted energy decreases).
-    The window length is set once, from the data norm at the largest
+    The window length delta is set once, from the data norm at the largest
     sigma, so deviations are comparable across the ladder; D(0) is the L2
-    drift and sits at integrator-roundoff scale.  The slope is fitted on the
-    positive rates with D != 0 (nan with fewer than two); ``fit_failures``
-    counts those with D == 0, as when the window holds no step.  Data that
-    leave no contraction window raise ``BlowUpError``.
+    drift and sits at integrator-roundoff scale.  ``_sampled_run`` samples
+    every grid point of a horizon delta, each record holding the increments
+    so far; the slope and ``fit_failures`` are ``increment_fit``'s.  Data
+    that leave no contraction window raise ``BlowUpError``.
     """
-    grid = cfg.make_grid()
-    f = initial_field(cfg, grid)
+    f = initial_field(cfg)
     sigmas = tuple(cfg.gevrey.ladder)
-    delta = delta_rule(
-        gevrey_norm(f, max(sigmas), 0.0), cfg.delta.c0, cfg.delta.exponent
-    )
-    if math.isnan(delta):
-        raise BlowUpError("initial data leave no contraction window", time=0.0)
-    dt, n = resolve_dt(cfg, grid, delta)
-    init = {s: gevrey_norm(f, s, 0.0) ** 2 for s in sigmas}
-    dev = {s: 0.0 for s in sigmas}
-    u = f
-    for k in range(n):
-        u = step(u, dt, k * dt)
-        for s in sigmas:
-            d = gevrey_norm(u, s, 0.0) ** 2 - init[s]
-            if abs(d) > abs(dev[s]):
-                dev[s] = d
-    increments = tuple(dev[s] for s in sigmas)
-    positive = [(s, abs(d)) for s, d in zip(sigmas, increments) if s > 0]
-    usable = [(s, d) for s, d in positive if d != 0]
-    if len(usable) >= 2:
-        xs = np.log([s for s, _ in usable])
-        ys = np.log([d for _, d in usable])
-        slope = _line_fit(xs, ys)[0]
-    else:
-        slope = float("nan")
-    return AlmostConservationResult(
-        sigmas, increments, slope, delta, len(positive) - len(usable)
-    )
+    delta = data_window(cfg, f, max(sigmas))
+    init = [n**2 for n in ladder_norms(f, sigmas)]
+    dev = [0.0] * len(sigmas)
+
+    def record(t, steps, u, l2):
+        for i, n in enumerate(ladder_norms(u, sigmas)):
+            if abs(n**2 - init[i]) > abs(dev[i]):
+                dev[i] = n**2 - init[i]
+        return tuple(dev)
+
+    window = replace(cfg, time=replace(cfg.time, horizon=delta))
+    run = _sampled_run(window, f, delta, None, (), record)
+    increments = run.records[-1]
+    slope, failures = increment_fit(sigmas, increments)
+    return AlmostConservationResult(sigmas, increments, slope, delta, failures, run)
 
 
 # --- long-horizon radius decay ----------------------------------------------
@@ -390,11 +392,7 @@ class RadiusDecayResult:
     c_emp: float  # min over tail samples of t * sigma_est
     collapse_time: float | None  # first sample where the fit hit zero
     fit_failures: int  # samples whose fit found too few shells (sigma_est nan)
-    steps: int  # IF-RK4 steps taken
-    dt: float  # the largest step taken
-    grid_dt: float  # the sampling grid step
-    dt_source: str  # "window" or "explicit"
-    phase_s: dict[str, float]  # wall seconds in "stepping" and "samples"
+    run: SimulationOutput  # its records are the samples
 
 
 def radius_sample(t: float, field: SpectralField) -> RadiusSample:
@@ -422,11 +420,7 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     counts as a collapse.  Each sample computes the radius fit and nothing
     else.  Data that leave no contraction window raise ``BlowUpError``."""
     f = initial_field(cfg)
-    delta = delta_rule(
-        gevrey_norm(f, cfg.gevrey.sigma1, 0.0), cfg.delta.c0, cfg.delta.exponent
-    )
-    if math.isnan(delta):
-        raise BlowUpError("initial data leave no contraction window", time=0.0)
+    delta = data_window(cfg, f, cfg.gevrey.sigma1)
     span = cfg.time.horizon
     grid_dt, _ = resolve_dt(cfg, f.grid, span)
     count = np.floor(span / delta)
@@ -453,9 +447,7 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     else:
         tail_p, tail_amp, c_emp = float("nan"), float("nan"), float("nan")
     return RadiusDecayResult(
-        samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures,
-        run.steps, run.dt, run.grid_dt, run.dt_source,
-        {"stepping": run.phase_s["stepping"], "samples": run.phase_s["records"]},
+        samples, delta, sigma0, tail_p, tail_amp, c_emp, collapse, failures, run
     )
 
 
@@ -472,57 +464,48 @@ class GapSample:
 @dataclass(frozen=True)
 class UniquenessResult:
     samples: tuple[GapSample, ...]
-    max_ratio: float  # worst gap / bound over t > 0
-    passed: bool
+    max_ratio: float  # worst gap / bound over t > 0, nan if any is nan
     eps: float
+    run: SimulationOutput  # its records are the samples
 
 
 def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     """Evolve data and an eps-perturbation to the horizon; compare their L2
     gap with the Gronwall envelope gap(0) * exp(1/4 int (||u_x||_inf +
-    ||v_x||_inf)).  The run passes when no gap exceeds GRONWALL_ENVELOPE
-    times its bound.
+    ||v_x||_inf)), the integral by the trapezoid rule on the sampling grid.
 
-    The perturbation is a unit-L2 Gaussian bump scaled by eps.  A
-    non-finite step raises ``BlowUpError`` carrying the samples so far.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    The unit-L2 Gaussian bump scaled by eps > 0 perturbs; both fields step
+    as one stack through ``_sampled_run`` at every grid point, and a blow-up
+    raises its ``BlowUpError``, with the samples so far."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     grid = cfg.make_grid()
     u = initial_field(cfg, grid)
     bump = dealias(gaussian(grid, 1.0, 2.0))
     bump_l2 = gevrey_norm(bump, 0.0, 0.0)
-    v = SpectralField(grid, u.half + eps * (bump.half / bump_l2))
-    dt, n = resolve_dt(cfg, grid, cfg.time.horizon)
+    pair = SpectralField(grid, np.stack([u.half, u.half + eps * (bump.half / bump_l2)]))
+    grid_dt, _ = resolve_dt(cfg, grid, cfg.time.horizon)
 
-    def dx_sup(w: SpectralField) -> float:
+    def gap_of(w: SpectralField) -> float:
+        return float(half_plane_norms(grid, w.half[0] - w.half[1], 0.0, 0.0))
+
+    gap0, integral, prev = gap_of(pair), 0.0, None
+
+    def record(t, steps, w, l2):
+        nonlocal integral, prev
         u_x = physical_values(grid, 1j * grid.xi_col * w.half)
-        return float(np.max(np.abs(u_x)))
+        cur = float(np.max(np.abs(u_x), axis=(1, 2)).sum())  # sup|u_x| + sup|v_x|
+        if prev is not None:
+            integral += 0.5 * grid_dt * (prev + cur)
+        prev = cur
+        return GapSample(t, gap_of(w), gap0 * math.exp(0.25 * integral))
 
-    def gap_of(a: SpectralField, b: SpectralField) -> float:
-        return float(half_plane_norms(grid, a.half - b.half, 0.0, 0.0))
-
-    gap0 = gap_of(u, v)
-    integral = 0.0
-    prev = dx_sup(u) + dx_sup(v)
-    samples = [GapSample(0.0, gap0, gap0)]
-    try:
-        for k in range(1, n + 1):
-            u, v = step(u, dt, (k - 1) * dt), step(v, dt, (k - 1) * dt)
-            cur = dx_sup(u) + dx_sup(v)
-            integral += 0.5 * dt * (prev + cur)
-            prev = cur
-            samples.append(
-                GapSample(k * dt, gap_of(u, v), gap0 * math.exp(0.25 * integral))
-            )
-    except BlowUpError as exc:
-        raise BlowUpError(str(exc), time=exc.time, records=samples) from None
+    run = _sampled_run(cfg, pair, math.nan, None, (), record)
+    samples = tuple(run.records)
     ratios = [s.gap / s.bound for s in samples if s.bound > 0]
     # the t = 0 ratio is 1 by construction: report the worst later one
-    max_ratio = max(ratios[1:] or ratios)
-    return UniquenessResult(
-        tuple(samples), max_ratio, max(ratios) <= GRONWALL_ENVELOPE, eps
-    )
+    max_ratio = float(np.max(ratios[1:] or ratios))
+    return UniquenessResult(samples, max_ratio, eps, run)
 
 
 # --- weighted energy identity -----------------------------------------------

@@ -7,7 +7,8 @@ nonlinearity vanishes a step multiplies by exp(i*dt*m) exactly, i.e. the
 stepper degenerates to the free propagator.
 
 ``step`` advances a ``SpectralField``, the ``rfft2`` half plane (modes
-k = 0..ny/2) of the real solution, so realness holds by construction:
+k = 0..ny/2) of the real solution or a stack of them, each slice stepped as
+it would be alone, so realness holds by construction:
 each right-hand side is one call of the dealiased-square kernel
 (``spectral.dealiased_square``, an inverse and a band-pruned forward pair
 of 1-D passes), and every stage multiply touches half the modes.  The RK4
@@ -28,8 +29,9 @@ of g grid steps between wanted samples is crossed in min(g, ceil(g *
 grid_dt / (cfl * delta))) equal steps, where delta is the paper's
 contraction window c0 / (1 + ||f||_{G^sigma1})^exponent.  A non-finite
 data norm or a window shorter than grid_dt steps on the grid, and so does an
-explicit ``time.dt``, which is the step itself.  ``simulate`` and
-``diagnostics.radius_decay_run`` share this plan and one sample loop.
+explicit ``time.dt``, which is the step itself.  Every sampled run
+(``simulate`` and three in ``diagnostics``) shares this plan and one sample
+loop, ``_sampled_run``; only the fixed-step checks call ``step`` themselves.
 """
 
 from __future__ import annotations
@@ -43,16 +45,11 @@ import numpy as np
 from .config import SimConfig, rng_from_seed
 from .errors import BlowUpError
 from .initial_data import make_initial_field
-from .operators import dispersion_symbol, gevrey_norm, remainder_n
+from .operators import dispersion_symbol, gevrey_norm, half_plane_norms, remainder_n
 from .picard import delta_rule
-from .spectral import Grid2D, SpectralField, dealias, dealiased_square
+from .spectral import Grid2D, SpectralField, _frozen, dealias, dealiased_square
 
 RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -174,11 +171,6 @@ def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:
     return aligned_dt(span, base)
 
 
-def dt_source(cfg: SimConfig) -> str:
-    """Where the steps come from: "window" (``window_cap``) or "explicit"."""
-    return "window" if cfg.time.dt is None else "explicit"
-
-
 def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float | None:
     """The longest step between samples, cfl * delta; None (step on the
     grid) for an explicit dt and for a delta that is nan or below grid_dt."""
@@ -189,7 +181,9 @@ def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float | None:
 
 def sample_steps(times, dt: float, steps: int) -> set[int]:
     """The sampling-grid indices nearest the given times, clamped to
-    [0, steps]: a shift below dt/2."""
+    [0, steps]: a shift below dt/2; every index for ``times=None``."""
+    if times is None:
+        return set(range(steps + 1))
     return {min(steps, max(0, round(float(t) / dt))) for t in times}
 
 
@@ -216,8 +210,8 @@ def _record(
     cfg: SimConfig, t: float, steps: int, field: SpectralField, l2: float
 ) -> DiagnosticsRecord:
     """The series row of a field at time t, reached in ``steps`` steps, with
-    the L2 norm ``l2`` the sample loop already took.  The remainder is
-    exactly 0 (not computed) when both sigmas are 0.
+    the L2 norm ``l2`` the sample loop already took (a 0-d array).  The
+    remainder is exactly 0 (not computed) when both sigmas are 0.
     """
     # imported here: diagnostics builds on this module
     from .diagnostics import radius_sample
@@ -230,7 +224,7 @@ def _record(
     fit = radius_sample(t, field)
     return DiagnosticsRecord(
         t=t,
-        l2=l2,
+        l2=float(l2),
         gevrey=tuple(gevrey_norm(field, s, 0.0) for s in cfg.gevrey.ladder),
         sigma_est=fit.sigma_est,
         residual=fit.residual,
@@ -246,7 +240,7 @@ class SimulationOutput:
     dt: float  # the largest step taken
     grid_dt: float  # the sampling grid step
     steps: int  # IF-RK4 steps taken
-    dt_source: str  # "window" or "explicit"
+    dt_source: str  # "window" (``window_cap``) or "explicit" (``time.dt``)
     phase_s: dict[str, float]  # wall seconds in "stepping" and "records"
 
     @property
@@ -262,19 +256,20 @@ class SimulationOutput:
 def _sampled_run(
     cfg: SimConfig, f: SpectralField, delta: float, times, snapshot_times, record
 ) -> SimulationOutput:
-    """Step f to the last of ``times`` and ``snapshot_times``, calling
-    ``record(t, steps, field, l2)`` at each sample time (l2 the field's L2
-    norm) and keeping the field at each snapshot time.
+    """Step f, a field or a stack of fields, to the last of ``times`` (None:
+    every grid point) and ``snapshot_times``, calling ``record(t, steps,
+    field, l2)`` at each sample time (l2 the ``half_plane_norms`` L2 norm of
+    each slice) and keeping the field at each snapshot time.
 
     Times snap to the nearest point n*grid_dt of the sampling grid over the
     configured horizon, a shift below grid_dt/2, and each sample carries
     that exact time; the steps between them follow ``step_plan`` with the
-    ``window_cap`` of the contraction window delta.  A non-finite step
-    raises ``BlowUpError``, and so does a sampled field whose L2 norm
-    exceeds RUNAWAY_FACTOR times the initial one (its sample is kept); the
-    error carries the samples taken so far (snapshots are not kept).
-    ``phase_s`` splits the wall time between stepping and the samples and
-    snapshots.
+    ``window_cap`` of the contraction window delta (sampling every grid
+    point steps on the grid).  A non-finite step raises ``BlowUpError``,
+    and so does a sampled slice whose L2 norm exceeds RUNAWAY_FACTOR times
+    its initial one (its sample is kept); the error carries the samples
+    taken so far (snapshots are not kept).  ``phase_s`` splits the wall
+    time between stepping and the samples and snapshots.
     """
     grid_dt, n_total = resolve_dt(cfg, f.grid, cfg.time.horizon)
     want = sample_steps(times, grid_dt, n_total)
@@ -286,32 +281,32 @@ def _sampled_run(
     snapshots: list[tuple[float, SpectralField]] = []
     records_s = 0.0
     t0 = clock()
-    initial_l2 = gevrey_norm(f, 0.0, 0.0)
+    limit = RUNAWAY_FACTOR * half_plane_norms(f.grid, f.half, 0.0, 0.0)
     t, steps = 0.0, 0
     try:
         for b, dt, m in plan:
             for k in range(m):
                 f = step(f, dt, t + k * dt)
             t, steps = b * grid_dt, steps + m
-            l2 = gevrey_norm(f, 0.0, 0.0)
+            l2 = half_plane_norms(f.grid, f.half, 0.0, 0.0)
             t_record = clock()
             if b in want_snap:
                 snapshots.append((t, f))
             if b in want:
                 records.append(record(t, steps, f, l2))
             records_s += clock() - t_record
-            if initial_l2 > 0 and l2 > RUNAWAY_FACTOR * initial_l2:
+            if (l2 > limit).any():
                 raise BlowUpError(
-                    f"L2 norm {l2:.3e} exceeds {RUNAWAY_FACTOR:g} x initial at t={t:g}",
+                    f"L2 norm {np.max(l2):.3e} exceeds {RUNAWAY_FACTOR:g} x "
+                    f"initial at t={t:g}",
                     time=t,
                 )
     except BlowUpError as exc:
         raise BlowUpError(str(exc), time=exc.time, records=records) from None
     phase_s = {"stepping": clock() - t0 - records_s, "records": records_s}
     dt_max = max((dt for _, dt, m in plan if m), default=grid_dt)
-    return SimulationOutput(
-        records, snapshots, dt_max, grid_dt, steps, dt_source(cfg), phase_s
-    )
+    source = "window" if cfg.time.dt is None else "explicit"
+    return SimulationOutput(records, snapshots, dt_max, grid_dt, steps, source, phase_s)
 
 
 def simulate(cfg: SimConfig, snapshot_times=()) -> SimulationOutput:

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SigmaOverflowError
-from .spectral import Grid2D, SpectralField, dealiased_square
+from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
 
 # exp argument budget: exp(650) ~ 1e282 leaves headroom for the mode sums
 SIGMA_GUARD_LIMIT = 650.0
@@ -119,18 +119,14 @@ def _weighted_norm(
 @lru_cache(maxsize=8)
 def _weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """exp(sigma1*|xi| + sigma2*|eta|) on the half plane."""
-    w = np.exp(sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta_row))
-    w.setflags(write=False)
-    return w
+    return _frozen(np.exp(sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta_row)))
 
 
 @lru_cache(maxsize=8)
 def _norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """``_weight`` times the square root of the column multiplicity: the
     table that turns |c| into the amplitudes of a half-plane norm."""
-    w = _weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity)
-    w.setflags(write=False)
-    return w
+    return _frozen(_weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity))
 
 
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
@@ -141,10 +137,7 @@ def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> Spectral
 
 def gevrey_norm(field: SpectralField, sigma1: float, sigma2: float) -> float:
     """Exponentially weighted L2 norm; equals physical L2 at sigma = 0."""
-    grid = field.grid
-    assert_sigma_within_guard(grid, sigma1, sigma2)
-    table = _norm_weight(grid, sigma1, sigma2)
-    return float(_weighted_norm(np.abs(field.half), table, grid.measure))
+    return float(half_plane_norms(field.grid, field.half, sigma1, sigma2))
 
 
 def half_plane_norms(
@@ -157,6 +150,13 @@ def half_plane_norms(
     return _weighted_norm(np.abs(half), table, grid.measure)
 
 
+def ladder_norms(field: SpectralField, sigmas) -> list[float]:
+    """``gevrey_norm`` at each rate sigma1 of a ladder (sigma2 = 0), as one sum."""
+    assert_sigma_within_guard(field.grid, max(sigmas), 0.0)
+    tables = np.stack([_norm_weight(field.grid, s, 0.0) for s in sigmas])
+    return _weighted_norm(np.abs(field.half) * tables, 1.0, field.grid.measure).tolist()
+
+
 @lru_cache(maxsize=8)
 def dispersion_symbol(grid: Grid2D) -> np.ndarray:
     """m(xi, eta) = xi^5 - eta^2/xi on the half plane, zero on the xi = 0
@@ -166,9 +166,8 @@ def dispersion_symbol(grid: Grid2D) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         m = xi**5 - eta**2 / xi
     m = np.where(xi == 0.0, 0.0, m)
-    m = np.ascontiguousarray(np.broadcast_to(m, (grid.nx, grid.ny // 2 + 1)))
-    m.setflags(write=False)
-    return m
+    shape = (grid.nx, grid.ny // 2 + 1)
+    return _frozen(np.ascontiguousarray(np.broadcast_to(m, shape)))
 
 
 def semigroup_apply(field: SpectralField, t: float) -> SpectralField:

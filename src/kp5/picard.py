@@ -33,7 +33,7 @@ import numpy as np
 from .config import SimConfig
 from .errors import BlowUpError, PicardDivergenceError
 from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
-from .spectral import Grid2D, SpectralField, dealiased_square
+from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
 
 DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
 
@@ -53,6 +53,16 @@ def delta_rule(f_norm: float, c0: float, exponent: float) -> float:
     except OverflowError:  # the window is below the smallest double
         return math.nan
     return delta if delta > 0.0 else math.nan
+
+
+def data_window(cfg: SimConfig, f: SpectralField, sigma1: float, sigma2=0.0) -> float:
+    """``delta_rule`` for the norm of the data f at the rates (sigma1, sigma2)
+    and the configured constants; ``BlowUpError`` when the data leave none."""
+    norm = gevrey_norm(f, sigma1, sigma2)
+    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
+    if math.isnan(delta):
+        raise BlowUpError("initial data leave no contraction window", time=0.0)
+    return delta
 
 
 def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
@@ -105,8 +115,7 @@ def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
     np.multiply(times[:, None, None], 1j * m[None, :top], out=upper)
     np.exp(upper, out=upper)
     np.conjugate(phases[:, top - 2 : 0 : -1], out=phases[:, top:])
-    phases.setflags(write=False)
-    return phases
+    return _frozen(phases)
 
 
 def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
@@ -214,14 +223,9 @@ def picard_iterate(
 
 def picard_from_config(cfg: SimConfig, f: SpectralField) -> PicardResult:
     """The Picard iteration that ``cfg`` sets for the data f, on the
-    window ``delta_rule`` gives for the data norm at the config's rates
-    (sigma1, sigma2); ``BlowUpError`` when the data leave no window."""
+    ``data_window`` at the config's rates (sigma1, sigma2)."""
     g, p = cfg.gevrey, cfg.picard
-    delta = delta_rule(
-        gevrey_norm(f, g.sigma1, g.sigma2), cfg.delta.c0, cfg.delta.exponent
-    )
-    if math.isnan(delta):
-        raise BlowUpError("initial data leave no contraction window", time=0.0)
+    delta = data_window(cfg, f, g.sigma1, g.sigma2)
     return picard_iterate(
         f, delta, sigma1=g.sigma1, sigma2=g.sigma2,
         slices=p.slices, n_max=p.n_max, tol=p.tol,

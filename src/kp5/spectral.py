@@ -12,10 +12,10 @@ with xi_j = 2*pi*j/lx and eta_k = 2*pi*k/ly, so a real cosine ``a*cos(xi*x)``
 stores ``a/2`` at the paired modes +-j.  A real field has c[-j, -k] =
 conj(c[j, k]), so it is fixed by its ``rfft2`` half plane: the (nx, ny//2 + 1)
 columns k = 0..ny/2, rows j in FFT order.  That half plane is the one layout
-of a field, of a stepper state, of a Picard window and of a space-time stack
-(leading axes batch time slices).  Forward transform is ``rfft2/(nx*ny)``
-(``np.fft.rfft2(values, norm="forward")``, whose half plane a
-``SpectralField`` takes over), inverse is ``irfft2 * nx * ny``
+of a field, of a stack of fields stepped together, of a Picard window and of
+a space-time stack (leading axes batch fields or time slices).  Forward
+transform is ``rfft2/(nx*ny)`` (``np.fft.rfft2(values, norm="forward")``,
+whose half plane a ``SpectralField`` takes over), inverse is ``irfft2 * nx * ny``
 (``physical_values``); every multiplier acts on the half plane
 (``Grid2D.xi_col`` and ``Grid2D.eta_row`` broadcast over it).  Each column
 0 < k < ny/2 stands for itself and its conjugate partner, so half-plane norms
@@ -55,6 +55,11 @@ HERMITIAN_RTOL = 1e-10  # relative symmetry defect ``from_coefficients`` accepts
 X_MEAN_RTOL = 1e-13  # relative zero-x-fiber mass tolerated by the antiderivative
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Periodic rectangle [0, lx) x [0, ly) sampled on an nx-by-ny lattice.
@@ -78,53 +83,37 @@ class Grid2D:
     @cached_property
     def j_index(self) -> np.ndarray:
         """Integer x-frequency indices in FFT order: 0, 1, ..., -1."""
-        j = np.fft.fftfreq(self.nx, d=1.0 / self.nx).astype(np.int64)
-        j.setflags(write=False)
-        return j
+        return _frozen(np.fft.fftfreq(self.nx, d=1.0 / self.nx).astype(np.int64))
 
     @cached_property
     def k_index(self) -> np.ndarray:
-        k = np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(np.int64)
-        k.setflags(write=False)
-        return k
+        return _frozen(np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(np.int64))
 
     @cached_property
     def xi(self) -> np.ndarray:
         """x wavenumbers xi_j = 2*pi*j/lx, FFT order."""
-        v = 2.0 * np.pi * self.j_index / self.lx
-        v.setflags(write=False)
-        return v
+        return _frozen(2.0 * np.pi * self.j_index / self.lx)
 
     @cached_property
     def eta(self) -> np.ndarray:
-        v = 2.0 * np.pi * self.k_index / self.ly
-        v.setflags(write=False)
-        return v
+        return _frozen(2.0 * np.pi * self.k_index / self.ly)
 
     @cached_property
     def xi_col(self) -> np.ndarray:
-        v = self.xi[:, None].copy()
-        v.setflags(write=False)
-        return v
+        return _frozen(self.xi[:, None].copy())
 
     @cached_property
     def eta_row(self) -> np.ndarray:
         """eta on the half-plane columns k = 0..ny/2, shape (1, ny//2 + 1)."""
-        v = self.eta[None, : self.ny // 2 + 1].copy()
-        v.setflags(write=False)
-        return v
+        return _frozen(self.eta[None, : self.ny // 2 + 1].copy())
 
     @cached_property
     def x_nodes(self) -> np.ndarray:
-        v = (self.lx / self.nx) * np.arange(self.nx)
-        v.setflags(write=False)
-        return v
+        return _frozen((self.lx / self.nx) * np.arange(self.nx))
 
     @cached_property
     def y_nodes(self) -> np.ndarray:
-        v = (self.ly / self.ny) * np.arange(self.ny)
-        v.setflags(write=False)
-        return v
+        return _frozen((self.ly / self.ny) * np.arange(self.ny))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -132,9 +121,7 @@ class Grid2D:
         3|k| <= ny)."""
         keep_x = 3 * np.abs(self.j_index) <= self.nx
         keep_y = 3 * np.abs(self.k_index[: self.ny // 2 + 1]) <= self.ny
-        m = keep_x[:, None] & keep_y[None, :]
-        m.setflags(write=False)
-        return m
+        return _frozen(keep_x[:, None] & keep_y[None, :])
 
     @cached_property
     def half_multiplicity(self) -> np.ndarray:
@@ -142,8 +129,7 @@ class Grid2D:
         1 at k = 0 and k = ny/2, 2 in between."""
         w = np.full(self.ny // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
-        w.setflags(write=False)
-        return w
+        return _frozen(w)
 
     @property
     def xi_max(self) -> float:
@@ -179,13 +165,14 @@ def _mirror(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A real field as its read-only rfft2 half plane, shape (nx, ny//2 + 1).
+    """A real field as its read-only rfft2 half plane, shape (nx, ny//2 + 1),
+    or a stack of real fields, whose leading axes index the slices.
 
     The field takes the array over and makes it read-only.  It copies only
     to zero the Nyquist row and column or to pair column k = 0, which
     stands for itself: it keeps c[j, 0] <- (c[j, 0] + conj(c[-j, 0])) / 2,
-    the part of that column that ``irfft2`` reads.  Every transform and
-    multiplier here keeps the pairing up to rounding.
+    the part of that column that ``irfft2`` reads, in every slice.  Every
+    transform and multiplier here keeps the pairing up to rounding.
     """
 
     grid: Grid2D
@@ -194,23 +181,22 @@ class SpectralField:
     def __post_init__(self):
         g = self.grid
         h = np.asarray(self.half, dtype=np.complex128)
-        if h.shape != (g.nx, g.ny // 2 + 1):
+        if h.shape[-2:] != (g.nx, g.ny // 2 + 1):
             raise ValueError(
-                f"half-plane shape {h.shape} does not match grid "
+                f"half-plane shape {h.shape} does not end in the grid's "
                 f"({g.nx}, {g.ny // 2 + 1})"
             )
-        column = h[:, 0]
-        paired = 0.5 * (column + np.conj(column[-g.j_index]))
+        column = h[..., 0]
+        paired = 0.5 * (column + np.conj(column[..., -g.j_index]))
         if (
-            h[g.nx // 2].any() or h[:, -1].any()
+            h[..., g.nx // 2, :].any() or h[..., -1].any()
             or not np.array_equal(paired, column)
         ):
             h = h.copy()
-            h[:, 0] = paired
-            h[g.nx // 2] = 0.0
-            h[:, -1] = 0.0
-        h.setflags(write=False)
-        object.__setattr__(self, "half", h)
+            h[..., 0] = paired
+            h[..., g.nx // 2, :] = 0.0
+            h[..., -1] = 0.0
+        object.__setattr__(self, "half", _frozen(h))
 
     @classmethod
     def from_coefficients(cls, grid: Grid2D, coeffs: np.ndarray) -> "SpectralField":

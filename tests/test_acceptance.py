@@ -21,6 +21,7 @@ import kp5.spectral
 from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
 from kp5.config import DEFAULT_C_EMP
 from kp5.diagnostics import RadiusDecayResult, RadiusFit, RadiusSample
+from kp5.integrator import SimulationOutput
 from kp5.spectral import Grid2D, SpectralField
 
 import conftest
@@ -55,9 +56,8 @@ def test_a7_floor_is_the_shipped_constant(monkeypatch, c_emp, passed):
     # 1, flat tail, no failed or collapsed fit
     samples = (RadiusSample(0.0, 1.0, 0.0), RadiusSample(25.0, 1.0, 0.0),
                RadiusSample(50.0, 1.0, 0.0))
-    result = RadiusDecayResult(
-        samples, 0.01, 1.0, 0.0, 1.0, c_emp, None, 0, 3, 0.01, 0.01, "window", {},
-    )
+    run = SimulationOutput(list(samples), [], 0.01, 0.01, 3, "window", {})
+    result = RadiusDecayResult(samples, 0.01, 1.0, 0.0, 1.0, c_emp, None, 0, run)
     monkeypatch.setattr(kp5.acceptance, "radius_decay_run", lambda cfg: result)
     assert AcceptanceSuite().a7().passed is passed
 

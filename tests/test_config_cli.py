@@ -1,10 +1,15 @@
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import kp5.acceptance
+import kp5.cli
+import kp5.integrator
 from conftest import window_rule
 from kp5.acceptance import AcceptanceSuite
 from kp5.cli import main
@@ -15,9 +20,12 @@ from kp5.config import (
     load_config,
     rng_from_seed,
 )
+from kp5.diagnostics import uniqueness_gap
 from kp5.errors import ConfigError
+from kp5.integrator import initial_field
+from kp5.picard import picard_from_config
 from kp5.reporting import write_csv, write_manifest
-from kp5.spectral import load_snapshot
+from kp5.spectral import SpectralField, load_snapshot
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -395,13 +403,17 @@ def test_cli_radius_decay_manifest_is_strict_json(tmp_path):
     assert m["sigma0"] > 0.0
 
 
+_SAMPLED = {"stepping", "records", "writing"}
+_TELEMETRY = {"steps", "dt", "grid_dt", "dt_source"}
+
+
 @pytest.mark.parametrize("argv, phases", [
     pytest.param(argv, phases, id=argv[0]) for argv, phases in [
-        (["simulate"], {"stepping", "records", "writing"}),
+        (["simulate"], _SAMPLED),
         (["picard"], {"run", "writing"}),
-        (["radius-decay"], {"stepping", "samples", "writing"}),
-        (["sigma-ladder"], {"run", "writing"}),
-        (["uniqueness"], {"run", "writing"}),
+        (["radius-decay"], _SAMPLED),
+        (["sigma-ladder"], _SAMPLED),
+        (["uniqueness"], _SAMPLED),
         (["bilinear", "--trials", "4"], {"run", "writing"}),
     ]
 ])
@@ -413,6 +425,11 @@ def test_cli_run_manifest_is_strict_json_with_phases(tmp_path, argv, phases):
     assert m["command"] == argv[0] and m["status"] == "ok"
     assert set(m["phase_s"]) == phases
     assert all(v >= 0.0 for v in m["phase_s"].values())
+    # every sampled run reports the step telemetry, and only those do
+    assert (_TELEMETRY <= set(m)) == (phases == _SAMPLED)
+    if phases == _SAMPLED:
+        assert m["steps"] >= 1 and m["dt"] >= m["grid_dt"] > 0.0
+        assert m["dt_source"] == "window"
 
 
 def test_manifest_writes_non_finite_floats_as_null(tmp_path):
@@ -507,6 +524,80 @@ def test_cli_blow_up_exit_code_and_partial_output(tmp_path, command, table, head
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "blow-up"
     assert manifest["command"] == command
+
+
+def test_cli_sigma_ladder_blow_up_writes_ladder_rows(tmp_path, monkeypatch):
+    """A sigma-ladder run that runs away still writes one sigma,D,slope row
+    per rate, its increments up to the blow-up, not its samples."""
+    real = kp5.integrator.step
+
+    def tenfold(field, dt, t=0.0):
+        return SpectralField(field.grid, 10.0 * real(field, dt, t).half)
+
+    monkeypatch.setattr(kp5.integrator, "step", tenfold)
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 32\n  ny: 32\n"
+        "initial:\n  kind: gaussian\n  amplitude: 1.0e-6\n  width: 2.0\n",
+    )
+    out = tmp_path / "ladder"
+    assert main(["sigma-ladder", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "blow-up" and manifest["aborted_at"] > 0.0
+    lines = (out / "ladder.csv").read_text().strip().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert lines[0] == "sigma,D,slope"
+    assert [r[0] for r in rows] == list(load_config(cfg).gevrey.ladder)
+    # the energy grew a hundredfold a step until the runaway stop, more
+    # at the larger rates, and one slope is fitted on all of them
+    assert all(len(r) == 3 for r in rows) and len({r[2] for r in rows}) == 1
+    increments = [r[1] for r in rows]
+    assert increments == sorted(increments) and increments[0] > 1e3
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in [
+        ["uniqueness", "--eps", "0"],
+        ["uniqueness", "--eps", "-1"],
+        ["uniqueness", "--eps", "nan"],
+        ["bilinear", "--trials", "0"],
+        ["bilinear", "--nx", "7"],
+    ]
+])
+def test_cli_bad_flag_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {argv[1]}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.5, math.nan])
+def test_manifest_verdicts_are_their_criterion_checks(tmp_path, monkeypatch, ratio):
+    """``doubling_passed`` is A3's check and ``passed`` is A9's, on the same
+    result: a ratio past the bound fails both, and so does a nan one."""
+    cfg = write(tmp_path, SMALL_YAML)
+    sim = load_config(cfg)
+    picard = picard_from_config(sim, initial_field(sim))
+    # doubling ratio = last sup norm / data norm
+    picard = replace(
+        picard, sup_norms=(*picard.sup_norms[:-1], ratio * picard.data_norm)
+    )
+    gap = replace(uniqueness_gap(sim, 1e-6), max_ratio=ratio)
+    monkeypatch.setattr(kp5.cli, "picard_from_config", lambda cfg, f: picard)
+    monkeypatch.setattr(kp5.cli, "uniqueness_gap", lambda cfg, eps: gap)
+    monkeypatch.setattr(kp5.acceptance, "uniqueness_gap", lambda cfg, eps: gap)
+    monkeypatch.setattr(
+        AcceptanceSuite, "picard_suite", lambda self: [("member", None, picard)]
+    )
+    verdicts = {}
+    for command, key in (("picard", "doubling_passed"), ("uniqueness", "passed")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        verdicts[command] = json.loads((out / "manifest.json").read_text())[key]
+    suite = AcceptanceSuite()
+    assert verdicts["picard"] is suite.a3().checks[0].passed is (ratio == 1.0)
+    assert verdicts["uniqueness"] is suite.a9().checks[0].passed is (ratio == 1.0)
 
 
 @pytest.mark.parametrize("command", ["picard", "sigma-ladder", "radius-decay"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_band_field, window_rule
+from kp5.acceptance import gronwall_check
 from kp5.config import (
     GevreyConfig,
     GridConfig,
@@ -32,11 +33,18 @@ from kp5.integrator import (
     _sampled_run,
     cfl_dt,
     initial_field,
+    resolve_dt,
     step,
 )
-from kp5.operators import GevreyParams, gevrey_norm, remainder_n, semigroup_apply
+from kp5.operators import (
+    GevreyParams,
+    gevrey_norm,
+    half_plane_norms,
+    remainder_n,
+    semigroup_apply,
+)
 from kp5.picard import free_window
-from kp5.spectral import Grid2D, SpectralField, full_plane
+from kp5.spectral import Grid2D, SpectralField, dealias, full_plane, physical_values
 
 
 def small_cfg(**kw):
@@ -235,13 +243,85 @@ def test_almost_conservation_scaling():
     assert res.fit_failures == 0
 
 
+def ladder_by_grid_steps(cfg):
+    """The almost-conservation increments written out: every grid step of
+    the window delta = c0 / (1 + ||f||_{G^max sigma})^exponent, keeping
+    for each rate the signed deviation of largest magnitude (the first of
+    equal ones)."""
+    grid = cfg.make_grid()
+    u = initial_field(cfg, grid)
+    sigmas = cfg.gevrey.ladder
+    delta = cfg.delta.c0 / (1.0 + gevrey_norm(u, max(sigmas), 0.0)) ** (
+        cfg.delta.exponent
+    )
+    grid_dt, n = resolve_dt(cfg, grid, delta)
+    init = [gevrey_norm(u, s, 0.0) ** 2 for s in sigmas]
+    dev = [0.0] * len(sigmas)
+    for _ in range(n):
+        u = step(u, grid_dt)
+        for i, s in enumerate(sigmas):
+            d = gevrey_norm(u, s, 0.0) ** 2 - init[i]
+            if abs(d) > abs(dev[i]):
+                dev[i] = d
+    return tuple(dev), grid_dt, n
+
+
+def gap_by_grid_steps(cfg, eps):
+    """The uniqueness samples written out: data and perturbation each step
+    alone on every grid step of the horizon, and the envelope integral is
+    the trapezoid rule over those steps."""
+    grid = cfg.make_grid()
+    u = initial_field(cfg, grid)
+    bump = dealias(gaussian(grid, 1.0, 2.0))
+    v = SpectralField(grid, u.half + eps * (bump.half / gevrey_norm(bump, 0.0, 0.0)))
+    grid_dt, n = resolve_dt(cfg, grid, cfg.time.horizon)
+
+    def dx_sup(w):
+        return float(np.max(np.abs(physical_values(grid, 1j * grid.xi_col * w.half))))
+
+    def gap(a, b):
+        return float(half_plane_norms(grid, a.half - b.half, 0.0, 0.0))
+
+    gap0, integral, prev = gap(u, v), 0.0, dx_sup(u) + dx_sup(v)
+    samples = [(0.0, gap0, gap0)]
+    for k in range(1, n + 1):
+        u, v = step(u, grid_dt), step(v, grid_dt)
+        cur = dx_sup(u) + dx_sup(v)
+        integral += 0.5 * grid_dt * (prev + cur)
+        prev = cur
+        samples.append((k * grid_dt, gap(u, v), gap0 * math.exp(0.25 * integral)))
+    return samples, grid_dt
+
+
+def test_ladder_and_gap_equal_their_grid_step_loops():
+    cfg = small_cfg(initial=InitialConfig(kind="gaussian", amplitude=0.4, width=2.0))
+    want, grid_dt, n = ladder_by_grid_steps(cfg)
+    ladder = almost_conservation_run(cfg)
+    assert ladder.increments == want and all(d != 0.0 for d in want)
+    # one record per grid point of the window, the last holding the result
+    assert (ladder.run.steps, ladder.run.dt, ladder.run.grid_dt) == (n, grid_dt, grid_dt)
+    assert len(ladder.run.records) == n + 1 and ladder.run.records[0] == (0.0,) * 4
+
+    want, grid_dt = gap_by_grid_steps(cfg, 1e-6)
+    gap = uniqueness_gap(cfg, 1e-6)
+    assert [(s.t, s.gap, s.bound) for s in gap.samples] == want
+    assert (gap.run.steps, gap.run.dt, gap.run.grid_dt) == (len(want) - 1, grid_dt, grid_dt)
+    assert gap.max_ratio == max(g / b for _, g, b in want[1:])
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_uniqueness_gap_refuses_eps_not_positive(eps):
+    with pytest.raises(ValueError, match="eps"):
+        uniqueness_gap(small_cfg(), eps)
+
+
 def test_uniqueness_gap_bound():
     cfg = small_cfg()
     eps = 1e-6
     res = uniqueness_gap(cfg, eps)
     assert res.samples[0].gap == pytest.approx(eps, rel=1e-9)
     assert res.samples[0].bound == pytest.approx(res.samples[0].gap, rel=1e-12)
-    assert res.passed
+    assert gronwall_check(res).passed
     assert res.max_ratio <= 1.1
     # reported over t > 0: the t = 0 ratio is 1 by construction
     assert res.max_ratio == max(s.gap / s.bound for s in res.samples[1:]) < 1.0
@@ -375,8 +455,9 @@ def test_radius_decay_samples_match_record_path():
         (s.sigma_est, s.residual) for s in res.samples
     ]
     grid_dt, idx, steps, dt_max = window_rule(cfg, times)
-    assert (res.grid_dt, res.steps) == (grid_dt, steps)
-    assert res.dt == pytest.approx(dt_max, rel=1e-15)
+    run = res.run
+    assert (run.grid_dt, run.steps) == (grid_dt, steps)
+    assert run.dt == pytest.approx(dt_max, rel=1e-15)
     assert [s.t for s in res.samples] == [b * grid_dt for b in idx]
-    assert res.steps < idx[-1] and res.dt_source == "window"
-    assert set(res.phase_s) == {"stepping", "samples"}
+    assert run.steps < idx[-1] and run.dt_source == "window"
+    assert set(run.phase_s) == {"stepping", "records"}

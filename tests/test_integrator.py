@@ -148,6 +148,18 @@ def test_half_plane_steps_match_full_plane_rk4(monkeypatch, grid, nonlinear, sig
     assert _rel_err(full_plane(grid, u.half), want) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_stacked_step_is_bitwise_per_field_steps(n):
+    grid = Grid2D(n, n, 32 * np.pi, 32 * np.pi)
+    fields = [random_band_field(grid, seed, 0.3) for seed in (1, 2, 3)]
+    stack = SpectralField(grid, np.stack([f.half for f in fields]))
+    dt = cfl_dt(grid, 1.0)
+    for k in range(20):
+        stack = step(stack, dt, k * dt)
+        fields = [step(f, dt, k * dt) for f in fields]
+    assert all(np.array_equal(stack.half[i], f.half) for i, f in enumerate(fields))
+
+
 def test_l2_conserved_on_nonlinear_run(grid32):
     cfg = small_cfg()
     out = simulate(cfg)

@@ -1,5 +1,7 @@
+import importlib
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +51,17 @@ def test_benchmark_tracer_contract():
     grid = Grid2D(8, 8, 1.0, 1.0)
     field = SpectralField.from_coefficients(grid, np.zeros((8, 8)))
     assert kp5.operators.gevrey_norm(field, 0.0, 0.0) == 0.0
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every module in kp5bench/tracer.py's LAYERS and every classmethod in
+    its CLASSMETHODS is still in kp5, so a refactor that deletes one fails
+    here, not with an AttributeError inside a traced benchmark run.  The
+    tracer file is run from its source, which writes no bytecode there."""
+    path = Path(__file__).resolve().parent.parent / "kp5bench" / "tracer.py"
+    tracer = runpy.run_path(str(path))
+    for layer in tracer["LAYERS"]:
+        importlib.import_module(f"kp5.{layer}")
+    for layer, cls_name, meth in tracer["CLASSMETHODS"]:
+        cls = getattr(importlib.import_module(f"kp5.{layer}"), cls_name)
+        assert isinstance(cls.__dict__[meth], classmethod), (cls_name, meth)

@@ -155,6 +155,25 @@ def test_half_plane_column_zero_is_paired(grid16):
     assert SpectralField(grid16, f.half).half is f.half
 
 
+def test_stacked_field_pairs_and_zeroes_every_slice(grid16):
+    """A stack of half planes is a stack of real fields: each slice is
+    what it would be as a field of its own."""
+    rng = np.random.default_rng(5)
+    halves = rng.standard_normal((2, 3, 16, 9)) + 1j * rng.standard_normal((2, 3, 16, 9))
+    stack = SpectralField(grid16, halves)
+    assert stack.half.shape == (2, 3, 16, 9) and not stack.half.flags.writeable
+    for index in np.ndindex(2, 3):
+        single = SpectralField(grid16, halves[index])
+        assert np.array_equal(stack.half[index], single.half)
+        column = stack.half[index][:, 0]
+        assert np.array_equal(column, np.conj(column[-grid16.j_index]))
+        assert not stack.half[index][8].any() and not stack.half[index][:, 8].any()
+    # a stack of paired planes is taken over as it is
+    assert SpectralField(grid16, stack.half).half is stack.half
+    with pytest.raises(ValueError):
+        SpectralField(grid16, halves[..., :8])
+
+
 def test_full_plane_rebuilds_hermitian_field():
     grid = Grid2D(32, 48, 2 * np.pi, 3 * np.pi)
     rng = np.random.default_rng(4)
