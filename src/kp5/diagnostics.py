@@ -361,8 +361,7 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
 
     def record(t, steps, u, l2):
         for i, n in enumerate(ladder_norms(u, sigmas)):
-            if abs(n**2 - init[i]) > abs(dev[i]):
-                dev[i] = n**2 - init[i]
+            dev[i] = max(dev[i], n**2 - init[i], key=abs)  # the first of equals
         return tuple(dev)
 
     window = replace(cfg, time=replace(cfg.time, horizon=delta))

@@ -207,7 +207,7 @@ def step_plan(
 
 
 def _record(
-    cfg: SimConfig, t: float, steps: int, field: SpectralField, l2: float
+    cfg: SimConfig, t: float, steps: int, field: SpectralField, l2: np.ndarray
 ) -> DiagnosticsRecord:
     """The series row of a field at time t, reached in ``steps`` steps, with
     the L2 norm ``l2`` the sample loop already took (a 0-d array).  The
