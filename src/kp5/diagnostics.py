@@ -361,7 +361,7 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
 
     def record(t, steps, u, l2):
         for i, n in enumerate(ladder_norms(u, sigmas)):
-            dev[i] = max(dev[i], n**2 - init[i], key=abs)  # the first of equals
+            dev[i] = max(dev[i], n**2 - init[i], key=abs)  # a tie keeps dev[i]
         return tuple(dev)
 
     window = replace(cfg, time=replace(cfg.time, horizon=delta))
@@ -473,9 +473,9 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     gap with the Gronwall envelope gap(0) * exp(1/4 int (||u_x||_inf +
     ||v_x||_inf)), the integral by the trapezoid rule on the sampling grid.
 
-    The unit-L2 Gaussian bump scaled by eps > 0 perturbs; both fields step
-    as one stack through ``_sampled_run`` at every grid point, and a blow-up
-    raises its ``BlowUpError``, with the samples so far."""
+    The perturbation is the unit-L2 Gaussian bump times eps > 0; both fields
+    step as one stack through ``_sampled_run`` at every grid point, and a
+    blow-up raises its ``BlowUpError`` with the samples so far."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     grid = cfg.make_grid()
