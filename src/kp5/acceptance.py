@@ -134,6 +134,25 @@ class Check:
         return text if self.op is None else f"{text} ({self.op} {self.bound:g})"
 
 
+def window_gap(f: SpectralField, result) -> float:
+    """A4's gap of one Picard run from the data f: the sup-slice norm at
+    SUITE_SIGMA1 of the integrator's states at the slice times (each slice
+    crossed in equal steps no longer than the CFL step) minus the window;
+    ``scripts/calibrate_c0.py`` bounds it too."""
+    window = result.window
+    slice_dt = result.delta / (len(window) - 1)
+    sub = max(1, math.ceil(slice_dt / cfl_dt(f.grid, 1.0)))
+    u = f
+    stepped = [u.half]
+    while len(stepped) < len(window):
+        for _ in range(sub):
+            u = step(u, slice_dt / sub)
+        stepped.append(u.half)
+    return float(
+        half_plane_norms(f.grid, np.stack(stepped) - window, SUITE_SIGMA1, 0.0).max()
+    )
+
+
 def doubling_ratio_check(name: str, result) -> Check:
     """A3's check of a Picard run, and ``kp5 picard``'s ``doubling_passed``."""
     return Check(name, result.doubling_ratio, "<=", DOUBLING_BOUND)
@@ -222,18 +241,7 @@ class AcceptanceSuite:
     def a4(self) -> CriterionResult:
         gaps, ratios = [], []
         for name, f, result in self.picard_suite():
-            window = result.window
-            slice_dt = result.delta / (len(window) - 1)
-            sub = max(1, math.ceil(slice_dt / cfl_dt(f.grid, 1.0)))
-            u = f
-            stepped = [u.half]
-            while len(stepped) < len(window):
-                for _ in range(sub):
-                    u = step(u, slice_dt / sub)
-                stepped.append(u.half)
-            gaps.append(half_plane_norms(
-                f.grid, np.stack(stepped) - window, SUITE_SIGMA1, 0.0
-            ).max())
+            gaps.append(window_gap(f, result))
             ratios.extend(result.ratios)
         return CriterionResult("A4", "picard window matches the integrator", (
             Check("worst sup-slice gap", _worst(gaps), "<=", WINDOW_GAP_TOL),

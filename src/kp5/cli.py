@@ -24,7 +24,14 @@ from functools import partial
 from pathlib import Path
 
 from .acceptance import AcceptanceSuite, doubling_ratio_check, gronwall_check
-from .config import _AT_LEAST_ONE, _GRID_SIZE, _POSITIVE, SimConfig, load_config
+from .config import (
+    _AT_LEAST_ONE,
+    _GRID_SIZE,
+    _POSITIVE,
+    GridConfig,
+    SimConfig,
+    load_config,
+)
 from .diagnostics import (
     almost_conservation_run,
     bilinear_ratio_trials,
@@ -44,13 +51,16 @@ from .spectral import save_snapshot
 class _Run:
     """What a run command hands ``_cmd_run``: the records its table function
     turns into rows, its manifest keys, its summary line (``{path}`` stands
-    for the table's path) and a sampled run's ``SimulationOutput``, whose
-    telemetry, phases and snapshots are written (None: one "run" phase)."""
+    for the table's path), a sampled run's ``SimulationOutput``, whose
+    telemetry, phases and snapshots are written (None: one "run" phase), and
+    the config the run ran on when its flags set part of it (None: the loaded
+    one), which the manifest records."""
 
     records: Sequence
     keys: dict
     summary: str
     sampled: SimulationOutput | None = None
+    cfg: SimConfig | None = None
 
 
 def _attrs(obj, names: str) -> dict:
@@ -138,6 +148,8 @@ def _run_bilinear(cfg: SimConfig, args) -> _Run:
         {**_attrs(result, "max_ratio q95"), **_attrs(args, "trials nx ny"),
          "params": params},
         f"max ratio {result.max_ratio:.4f}, q95 {result.q95:.4f}",
+        # the trials' grid: --nx x --ny on the default 32 pi x 32 pi torus
+        cfg=replace(cfg, grid=GridConfig(nx=args.nx, ny=args.ny)),
     )
 
 
@@ -243,7 +255,7 @@ def _cmd_run(name: str, args) -> int:
     phase_s = sampled.phase_s if sampled else {"run": t_write - t0}
     phase_s = dict(phase_s, writing=clock() - t_write)
     write_manifest(
-        out / "manifest.json", cfg, name,
+        out / "manifest.json", run.cfg or cfg, name,
         {"status": "ok", **telemetry, **run.keys, "phase_s": phase_s},
     )
     if not args.quiet:

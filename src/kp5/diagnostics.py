@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SimConfig
+from .config import DEFAULT_LENGTH, SimConfig
 from .errors import InadmissibleParamsError, InsufficientSupportError
 from .initial_data import gaussian
 from .integrator import (
@@ -280,12 +280,12 @@ def bilinear_ratio_trials(
             (||u||_{X^{s1,s2,b,eps}} ||v||_{X^{s1,s2,b,eps}}),
 
     over random tapered windows of unit duration, BILINEAR_SLICES slices
-    each, on the 32 pi x 32 pi torus.  Boundedness of the maximum as the
-    grid is refined is the finite-dimensional shadow of the continuum
-    estimate.
+    each, on the 32 pi x 32 pi torus (``DEFAULT_LENGTH``, the config
+    default).  Boundedness of the maximum as the grid is refined is the
+    finite-dimensional shadow of the continuum estimate.
     """
     check_bilinear_admissible(params)
-    grid = Grid2D(nx, ny, 32.0 * math.pi, 32.0 * math.pi)
+    grid = Grid2D(nx, ny, DEFAULT_LENGTH, DEFAULT_LENGTH)
     slice_dt = 1.0 / BILINEAR_SLICES
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
     in_params = params

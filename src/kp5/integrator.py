@@ -240,7 +240,9 @@ class SimulationOutput:
     dt: float  # the largest step taken
     grid_dt: float  # the sampling grid step
     steps: int  # IF-RK4 steps taken
-    dt_source: str  # "window" (``window_cap``) or "explicit" (``time.dt``)
+    # "window" (a step of ``window_cap`` is longer than grid_dt), "grid" (no
+    # step is) or "explicit" (``time.dt``)
+    dt_source: str
     phase_s: dict[str, float]  # wall seconds in "stepping" and "records"
 
     @property
@@ -305,7 +307,10 @@ def _sampled_run(
         raise BlowUpError(str(exc), time=exc.time, records=records) from None
     phase_s = {"stepping": clock() - t0 - records_s, "records": records_s}
     dt_max = max((dt for _, dt, m in plan if m), default=grid_dt)
-    source = "window" if cfg.time.dt is None else "explicit"
+    if cfg.time.dt is not None:
+        source = "explicit"
+    else:  # a window step is one longer than the grid step
+        source = "window" if dt_max > grid_dt else "grid"
     return SimulationOutput(records, snapshots, dt_max, grid_dt, steps, source, phase_s)
 
 

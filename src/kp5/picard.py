@@ -8,14 +8,15 @@ is iterated from the free evolution u_0(t) = S(t) f.  The data f is a
 ``SpectralField`` and a window is one complex array of shape
 (slices + 1, nx, ny//2 + 1): the rfft2 half planes of the real field at
 the slice times i * delta / slices, the layout of the field itself, so a
-window is real by construction.  Every operation works on the whole stack
-at once: the forcing is one call of the dealiased-square kernel over all
-slices, the time integral is a cumulative composite Simpson rule along
-axis 0 (an even slice count, so Simpson pairs tile the window), and the
-iteration distance is the sup over slices of the half-plane Gevrey norm of
-the difference (``operators.half_plane_norms``), written into the spent
-window's buffer.  With contraction the per-iterate ratios sit well below 1
-and the window length rule
+window is real by construction.  A run keeps one such buffer: each
+iteration sweeps it one Simpson pair of slices at a time (an even slice
+count, so the pairs tile the window), squaring the pair with the
+dealiased-square kernel, advancing the cumulative Simpson integral from the
+slice before, and writing the new pair over the old one once its update
+distance and norm are taken (``operators.half_plane_norms``), so every
+temporary holds a few slices and stays in cache.  The iteration distance is the
+sup over slices of the half-plane Gevrey norm of the update.  With
+contraction the per-iterate ratios sit well below 1 and the window rule
 
     delta = c0 / (1 + ||f||)^exponent,  exponent > 1
 
@@ -65,37 +66,27 @@ def data_window(cfg: SimConfig, f: SpectralField, sigma1: float, sigma2=0.0) -> 
     return delta
 
 
-def cumulative_simpson_uniform(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral of uniformly spaced samples along axis 0.
+def _simpson_pair(left, mid, right, h, carry, odd, pair) -> None:
+    """One Simpson pair of a cumulative integral of samples spaced h apart.
 
-    Even endpoints use composite Simpson pairs, h/3 * (l + 4m + r);
-    odd endpoints integrate the local parabola through the surrounding
-    three samples over its first half, h/12 * (5l + 8m - r), taken from
-    the pair sum as h/6 * ((l + 4m + r) + 3/2 (l - r)).  Works on complex
-    data (axis 0 is time, trailing axes ride along) and fills one new
-    array, with no temporaries of the pair size.
+    ``pair`` gets the integral to ``right``, h/3 * (l + 4m + r), and ``odd``
+    the integral to ``mid`` of the parabola through the three samples,
+    h/12 * (5l + 8m - r), taken from the pair sum as
+    h/6 * ((l + 4m + r) + 3/2 (l - r)); both add ``carry``, the integral to
+    ``left`` (None at the start, where it is 0).  Works on complex arrays
+    of any shape, with no temporaries.
     """
-    n = values.shape[0]
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need an odd number of samples (even interval count)")
-    left, mid, right = values[0:-2:2], values[1:-1:2], values[2::2]
-    out = np.empty_like(values)
-    out[0] = 0.0
-    pairs, odd = out[2::2], out[1::2]
-    np.multiply(mid, 4.0, out=pairs)
-    pairs += left
-    pairs += right
+    np.multiply(mid, 4.0, out=pair)
+    pair += left
+    pair += right
     np.subtract(left, right, out=odd)
     odd *= 1.5
-    odd += pairs
+    odd += pair
     odd *= h / 6.0
-    pairs *= h / 3.0
-    # a running sum slice by slice: np.cumsum along axis 0 is several
-    # times slower on this layout
-    for i in range(1, pairs.shape[0]):
-        pairs[i] += pairs[i - 1]
-    odd[1:] += pairs[:-1]
-    return out
+    pair *= h / 3.0
+    if carry is not None:
+        pair += carry
+        odd += carry
 
 
 @lru_cache(maxsize=1)
@@ -124,29 +115,51 @@ def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
     return _window_phases(f.grid, delta, slices + 1) * f.half
 
 
-def duhamel_apply(f: SpectralField, window: np.ndarray, delta: float) -> np.ndarray:
-    """One mild-form application to a window of length delta: free flow of
-    f plus the driven integral, as a new array of the window's shape.
+def duhamel_apply(
+    f: SpectralField, window: np.ndarray, delta: float, sigma1: float, sigma2: float
+) -> tuple[float, float]:
+    """One mild-form application to a window of length delta, free flow of
+    f plus the driven integral, written over the window.  Returns the
+    update distance and the sup norm of the new window: the sup-slice
+    norms at the rates (sigma1, sigma2) of old - new and of new.
 
     The propagator is commuted through the integral,
-    S(t - t') = S(t) S(-t'), so a single cumulative quadrature in the
-    rotated frame serves every output slice; the x-derivative commutes
-    with the quadrature too and is applied once, after it.
+    S(t - t') = S(t) S(-t'), so one cumulative quadrature in the rotated
+    frame serves every output slice; the x-derivative commutes with the
+    quadrature too and is applied once, after it.  The sweep takes one
+    Simpson pair (slices p+1, p+2) at a time, so every temporary holds a
+    few slices: a new slice depends only on old slices at or before it,
+    whose squares are taken before they are overwritten.
     """
-    grid = f.grid
-    n = window.shape[0]
+    grid, n = f.grid, window.shape[0]
     phases = _window_phases(grid, delta, n)
-    # rotate the square back by conj(phases) as conj(conj(F) * phases), in
-    # place: no conjugated copy of the phase stack is made
-    forcing = dealiased_square(grid, window)
-    np.conjugate(forcing, out=forcing)
-    forcing *= phases
-    cum = cumulative_simpson_uniform(forcing, delta / (n - 1))
-    np.conjugate(cum, out=cum)
-    cum *= -0.5j * grid.xi_col
-    cum += f.half
-    cum *= phases
-    return cum
+    kick = -0.5j * grid.xi_col
+    norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||
+    left = carry = None
+    # slice 0 alone, then the pairs
+    for s in [slice(0, 1)] + [slice(p, p + 2) for p in range(1, n, 2)]:
+        # the square rotated back by conj(phases) as conj(conj(F) * phases),
+        # in place: no conjugated copy of the phases is made
+        forcing = dealiased_square(grid, window[s])
+        np.conjugate(forcing, out=forcing)
+        forcing *= phases[s]
+        # the update and the new slices side by side, for one norm call
+        out = np.empty((2,) + forcing.shape, dtype=np.complex128)
+        update, cum = out
+        if left is None:  # the integral to slice 0 is 0
+            cum[...] = 0.0
+        else:
+            _simpson_pair(left, *forcing, delta / (n - 1), carry, *cum)
+            carry = cum[1].copy()
+        left = forcing[-1]
+        np.conjugate(cum, out=cum)
+        cum *= kick
+        cum += f.half
+        cum *= phases[s]
+        np.subtract(window[s], cum, out=update)
+        norms[:, s] = half_plane_norms(grid, out, sigma1, sigma2)
+        window[s] = cum
+    return float(norms[0].max()), float(norms[1].max())
 
 
 @dataclass(frozen=True)
@@ -192,18 +205,13 @@ def picard_iterate(
         raise ValueError("window length must be positive")
     if slices < 2 or slices % 2:  # Simpson pairs tile the window
         raise ValueError("slices must be even and >= 2")
-    grid = f.grid
     window = free_window(f, delta, slices)
     distances: list[float] = []
     sup_norms: list[float] = []
     for n in range(1, n_max + 1):
-        cur = duhamel_apply(f, window, delta)
-        # the spent window's buffer takes the difference; rebinding
-        # ``window`` frees it before the next application
-        np.subtract(window, cur, out=window)
-        distances.append(float(half_plane_norms(grid, window, sigma1, sigma2).max()))
-        sup_norms.append(float(half_plane_norms(grid, cur, sigma1, sigma2).max()))
-        window = cur
+        distance, sup_norm = duhamel_apply(f, window, delta, sigma1, sigma2)
+        distances.append(distance)
+        sup_norms.append(sup_norm)
         if distances[-1] <= tol:
             break
         if n >= 3 and distances[-1] >= distances[-2] >= distances[-3]:

@@ -134,15 +134,17 @@ def _plant_nan_semigroup(monkeypatch):
 
 def _plant_simpson_trapezoid_odd_end(monkeypatch):
     """Odd endpoints of the cumulative rule weighted (6, 6, 0)/12, the
-    trapezoid over the first half pair, in place of (5, 8, -1)/12."""
-    simpson = kp5.picard.cumulative_simpson_uniform
+    trapezoid over the first half pair, in place of (5, 8, -1)/12, in the
+    pair step of the Duhamel map."""
+    simpson = kp5.picard._simpson_pair
 
-    def planted(values, h):
-        out = simpson(values, h)
-        out[1::2] = out[0:-1:2] + 0.5 * h * (values[0:-2:2] + values[1:-1:2])
-        return out
+    def planted(left, mid, right, h, carry, odd, pair):
+        simpson(left, mid, right, h, carry, odd, pair)
+        np.multiply(left + mid, 0.5 * h, out=odd)
+        if carry is not None:
+            odd += carry
 
-    monkeypatch.setattr(kp5.picard, "cumulative_simpson_uniform", planted)
+    monkeypatch.setattr(kp5.picard, "_simpson_pair", planted)
 
 
 def _plant_kp1_sign(monkeypatch):

@@ -407,17 +407,18 @@ _SAMPLED = {"stepping", "records", "writing"}
 _TELEMETRY = {"steps", "dt", "grid_dt", "dt_source"}
 
 
-@pytest.mark.parametrize("argv, phases", [
-    pytest.param(argv, phases, id=argv[0]) for argv, phases in [
-        (["simulate"], _SAMPLED),
-        (["picard"], {"run", "writing"}),
-        (["radius-decay"], _SAMPLED),
-        (["sigma-ladder"], _SAMPLED),
-        (["uniqueness"], _SAMPLED),
-        (["bilinear", "--trials", "4"], {"run", "writing"}),
+@pytest.mark.parametrize("argv, phases, source", [
+    pytest.param(argv, phases, source, id=argv[0]) for argv, phases, source in [
+        (["simulate"], _SAMPLED, "window"),
+        (["picard"], {"run", "writing"}, None),
+        (["radius-decay"], _SAMPLED, "window"),
+        # every grid point is a sample, so no step is longer than grid_dt
+        (["sigma-ladder"], _SAMPLED, "grid"),
+        (["uniqueness"], _SAMPLED, "grid"),
+        (["bilinear", "--trials", "4"], {"run", "writing"}, None),
     ]
 ])
-def test_cli_run_manifest_is_strict_json_with_phases(tmp_path, argv, phases):
+def test_cli_run_manifest_is_strict_json_with_phases(tmp_path, argv, phases, source):
     cfg = write(tmp_path, SMALL_YAML)
     out = tmp_path / argv[0]
     assert main([*argv, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -429,7 +430,23 @@ def test_cli_run_manifest_is_strict_json_with_phases(tmp_path, argv, phases):
     assert (_TELEMETRY <= set(m)) == (phases == _SAMPLED)
     if phases == _SAMPLED:
         assert m["steps"] >= 1 and m["dt"] >= m["grid_dt"] > 0.0
-        assert m["dt_source"] == "window"
+        assert m["dt_source"] == source
+        assert (m["dt"] > m["grid_dt"]) == (source == "window")
+
+
+def test_cli_bilinear_manifest_records_the_trial_grid(tmp_path):
+    """The manifest's config grid is the one the trials ran on: --nx x --ny
+    over 32 pi x 32 pi, whatever grid the config file names (32^2 here);
+    the seed still comes from the config."""
+    cfg = write(tmp_path, SMALL_YAML + "seed: 5\n")
+    out = tmp_path / "bilinear"
+    argv = ["bilinear", "--trials", "2", "--nx", "16", "--ny", "24"]
+    assert main([*argv, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text())
+    assert m["config"]["grid"] == {
+        "nx": 16, "ny": 24, "lx": 32.0 * math.pi, "ly": 32.0 * math.pi,
+    }
+    assert (m["nx"], m["ny"], m["config"]["seed"]) == (16, 24, 5)
 
 
 def test_manifest_writes_non_finite_floats_as_null(tmp_path):

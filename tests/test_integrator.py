@@ -6,7 +6,14 @@ import pytest
 
 import kp5.integrator
 from conftest import full_plane_square, random_band_field, window_rule
-from kp5.config import GevreyConfig, GridConfig, InitialConfig, SimConfig, TimeConfig
+from kp5.config import (
+    DeltaConfig,
+    GevreyConfig,
+    GridConfig,
+    InitialConfig,
+    SimConfig,
+    TimeConfig,
+)
 from kp5.diagnostics import radius_decay_run
 from kp5.errors import BlowUpError
 from kp5.integrator import (
@@ -289,6 +296,15 @@ def test_window_cap_is_cfl_times_delta_or_none():
     assert window_cap(cfg, 0.005, 0.01) is None  # window below the grid step
     assert window_cap(cfg, math.nan, 0.01) is None  # no finite data norm
     assert window_cap(replace(cfg, time=replace(cfg.time, dt=0.01)), 0.1, 0.01) is None
+
+
+def test_dt_source_is_grid_without_a_longer_step():
+    """A window below the grid step steps on the grid, and the telemetry of
+    ``simulate`` and ``radius-decay`` says so."""
+    cfg = small_cfg(delta=DeltaConfig(c0=1e-4))
+    for run in (simulate(cfg), radius_decay_run(cfg).run):
+        assert run.dt_source == "grid" and run.dt == run.grid_dt
+        assert run.steps == round(run.records[-1].t / run.grid_dt)
 
 
 @pytest.mark.parametrize("cfl", [1.0, 0.8])

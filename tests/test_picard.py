@@ -17,14 +17,14 @@ from kp5.operators import (
     semigroup_apply,
 )
 from kp5.picard import (
+    _simpson_pair,
     _window_phases,
-    cumulative_simpson_uniform,
     delta_rule,
     duhamel_apply,
     free_window,
     picard_iterate,
 )
-from kp5.spectral import SpectralField, dealiased_square, full_plane
+from kp5.spectral import Grid2D, SpectralField, dealiased_square, full_plane
 
 
 def test_delta_rule_values():
@@ -51,12 +51,64 @@ def test_delta_rule_monotone(a, b):
     assert delta_rule(hi, DEFAULT_C0, 2.0) <= delta_rule(lo, DEFAULT_C0, 2.0)
 
 
+def cumulative_simpson_reference(values: np.ndarray, h: float) -> np.ndarray:
+    """The whole-stack cumulative Simpson rule the Duhamel map once used,
+    kept as the oracle of the pair step: even endpoints sum Simpson pairs,
+    odd ones take h/12 * (5l + 8m - r) from the pair sums."""
+    left, mid, right = values[0:-2:2], values[1:-1:2], values[2::2]
+    out = np.empty_like(values)
+    out[0] = 0.0
+    pairs, odd = out[2::2], out[1::2]
+    np.multiply(mid, 4.0, out=pairs)
+    pairs += left
+    pairs += right
+    np.subtract(left, right, out=odd)
+    odd *= 1.5
+    odd += pairs
+    odd *= h / 6.0
+    pairs *= h / 3.0
+    for i in range(1, pairs.shape[0]):
+        pairs[i] += pairs[i - 1]
+    odd[1:] += pairs[:-1]
+    return out
+
+
+def duhamel_reference(f: SpectralField, window: np.ndarray, delta: float) -> np.ndarray:
+    """The whole-stack Duhamel map, one new array: the square of every
+    slice at once, rotated back, integrated by the reference rule, then
+    the derivative, the data and the phases."""
+    grid = f.grid
+    n = window.shape[0]
+    phases = _window_phases(grid, delta, n)
+    forcing = dealiased_square(grid, window)
+    np.conjugate(forcing, out=forcing)
+    forcing *= phases
+    cum = cumulative_simpson_reference(forcing, delta / (n - 1))
+    np.conjugate(cum, out=cum)
+    cum *= -0.5j * grid.xi_col
+    cum += f.half
+    cum *= phases
+    return cum
+
+
+def pair_cumulative(values, h: float) -> np.ndarray:
+    """The cumulative integral along axis 0 of an odd number of samples,
+    one ``_simpson_pair`` step at a time."""
+    v = np.asarray(values).reshape(len(values), -1)
+    out = np.zeros_like(v)
+    carry = None
+    for p in range(0, len(v) - 1, 2):
+        _simpson_pair(v[p], v[p + 1], v[p + 2], h, carry, out[p + 1], out[p + 2])
+        carry = out[p + 2]
+    return out.reshape(np.shape(values))
+
+
 def test_cumulative_simpson_exact_on_quadratics():
     h = 0.23
     x = np.arange(7) * h
     f = 2 * x**2 - x + 3
     exact = 2 * x**3 / 3 - x**2 / 2 + 3 * x
-    got = cumulative_simpson_uniform(f, h)
+    got = pair_cumulative(f, h)
     assert np.allclose(got, exact, atol=1e-13)
 
 
@@ -67,7 +119,7 @@ def test_cumulative_simpson_even_points_exact_on_cubics():
     x = np.arange(7) * h
     f = x**3 - 2 * x**2 + 3
     exact = x**4 / 4 - 2 * x**3 / 3 + 3 * x
-    got = cumulative_simpson_uniform(f, h)
+    got = pair_cumulative(f, h)
     assert np.allclose(got[::2], exact[::2], atol=1e-13)
 
 
@@ -75,7 +127,7 @@ def test_cumulative_simpson_three_points():
     h = 0.5
     x = np.arange(3) * h
     f = x**2
-    got = cumulative_simpson_uniform(f, h)
+    got = pair_cumulative(f, h)
     assert got[0] == 0.0
     assert got[2] == pytest.approx(x[2] ** 3 / 3, abs=1e-14)
     assert got[1] == pytest.approx(x[1] ** 3 / 3, abs=1e-14)
@@ -89,7 +141,7 @@ def test_cumulative_simpson_complex_fourth_order():
         x = np.arange(n + 1) * h
         f = np.exp(1j * 3 * x)
         exact = (np.exp(1j * 3 * x) - 1.0) / (3j)
-        got = cumulative_simpson_uniform(f, h)
+        got = pair_cumulative(f, h)
         assert got.dtype == np.complex128
         return np.max(np.abs(got - exact))
 
@@ -100,12 +152,11 @@ def test_cumulative_simpson_complex_fourth_order():
 def test_cumulative_simpson_stacked_arrays():
     h = 0.1
     x = np.arange(9) * h
-    flat = cumulative_simpson_uniform(x**2, h)
-    stacked = cumulative_simpson_uniform(
-        np.stack([x**2, x**2]).T.reshape(9, 2, 1), h
-    )
+    flat = pair_cumulative(x**2, h)
+    stacked = pair_cumulative(np.stack([x**2, x**2]).T.reshape(9, 2, 1), h)
     assert np.allclose(stacked[:, 0, 0], flat)
     assert np.allclose(stacked[:, 1, 0], flat)
+    assert np.array_equal(flat, cumulative_simpson_reference(x**2, h))
 
 
 def test_window_validation(grid16):
@@ -138,7 +189,8 @@ def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
     )
     f = random_band_field(grid16, seed=3)
     w = free_window(f, delta=0.2, slices=8)
-    out = duhamel_apply(f, w, 0.2)
+    out = w.copy()
+    duhamel_apply(f, out, 0.2, 0.0, 0.0)
     assert np.allclose(out, w, rtol=0, atol=1e-15)
 
 
@@ -161,9 +213,10 @@ def test_duhamel_matches_derivative_before_quadrature():
     times = np.linspace(0.0, 0.05, 17)
     phases = np.exp(1j * times[:, None, None] * dispersion_symbol(grid)[None])
     forcing = (1j * grid.xi_col) * dealiased_square(grid, w)
-    cum = cumulative_simpson_uniform(np.conj(phases) * forcing, 0.05 / 16)
+    cum = cumulative_simpson_reference(np.conj(phases) * forcing, 0.05 / 16)
     want = phases * (f.half - 0.5 * cum)
-    got = duhamel_apply(f, w, 0.05)
+    got = w.copy()
+    duhamel_apply(f, got, 0.05, 0.0, 0.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -179,8 +232,8 @@ def test_duhamel_single_mode_closed_form(grid16):
     c[grid16.mode_index(-j0, -k0)] = amp
     f = SpectralField.from_coefficients(grid16, c)
     delta = 0.05
-    w = free_window(f, delta, slices=64)
-    out = duhamel_apply(f, w, delta)
+    out = free_window(f, delta, slices=64)
+    duhamel_apply(f, out, delta, 0.0, 0.0)
     m = dispersion_symbol(grid16)
     m0 = m[grid16.mode_index(j0, k0)]
     q = (2 * j0, 2 * k0)
@@ -217,9 +270,31 @@ def test_window_distance_closed_form():
         f, delta, sigma1=sigma1, sigma2=0.0, slices=slices, n_max=3, tol=1e-10,
     )
     free = free_window(f, delta, slices)
-    first = duhamel_apply(f, free, delta)
+    first = free.copy()
+    duhamel_apply(f, first, delta, sigma1, 0.0)
     want = half_plane_norms(f.grid, free - first, sigma1, 0.0).max()
     assert res.distances[0] == want > 0.0
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (32, 16)])
+@pytest.mark.parametrize("slices", [2, 4, 16, 64])
+def test_streamed_duhamel_matches_whole_stack_bitwise(nx, ny, slices):
+    """The pair sweep writes, bit for bit, the whole-stack map's window,
+    and its distance and sup norm are the whole-stack norms' maxima, over
+    three iterations from the free window."""
+    grid = Grid2D(nx, ny, 8.0 * math.pi, 8.0 * math.pi)
+    f = random_band_field(grid, seed=slices, scale=4.0)
+    delta, sigma1, sigma2 = 0.05, 0.25, 0.1
+    window = free_window(f, delta, slices)
+    for _ in range(3):
+        want = duhamel_reference(f, window, delta)
+        got = window.copy()
+        distance, sup_norm = duhamel_apply(f, got, delta, sigma1, sigma2)
+        assert got.tobytes() == want.tobytes()
+        assert distance == half_plane_norms(grid, window - want, sigma1, sigma2).max()
+        assert sup_norm == half_plane_norms(grid, want, sigma1, sigma2).max()
+        assert distance > 0.0
+        window = want
 
 
 def picard_setup(amplitude=0.8):
