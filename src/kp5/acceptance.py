@@ -27,7 +27,10 @@ from .config import (
 from .diagnostics import (
     GRONWALL_ENVELOPE,
     SpaceTimeField,
-    _random_window,
+    _HARMONICS,
+    _basis_window,
+    _random_bases,
+    _tapered_dft,
     almost_conservation_run,
     bilinear_ratio_trials,
     bourgain_norm,
@@ -183,6 +186,28 @@ class CriterionResult:
         return f"{self.cid} {status} [{self.elapsed:6.1f}s] {self.title}: {checks}"
 
 
+def bilinear_scale_checks() -> tuple[Check, Check]:
+    """A10's scale pin, which its growth ratio cancels: at zero parameters a
+    32^2 trial window's norm, per base and by ``from_slices``, is its tapered
+    L2 norm sqrt(slice_dt * sum_t psi(t)^2 ||u(t)||^2), psi restated here."""
+    n_t, slice_dt = 16, 1.0 / 16
+    grid = Grid2D(32, 32, 32.0 * math.pi, 32.0 * math.pi)
+    bases = _random_bases(grid, np.random.Generator(np.random.Philox(key=1234)))
+    u = np.tensordot(_HARMONICS, bases, axes=(0, 0))
+    raw = (1.0 - (2.0 * np.arange(n_t) / n_t - 1.0) ** 2) ** 3
+    psi = raw / (slice_dt * raw.sum())
+    l2_sq = grid.cell_area * np.sum(physical_values(grid, u) ** 2, axis=(1, 2))
+    want = math.sqrt(slice_dt * np.sum(psi**2 * l2_sq))
+    spectra = _tapered_dft(_HARMONICS.T, slice_dt)
+    fields = {"": SpaceTimeField.from_slices(grid, u, slice_dt),
+              "per-base ": _basis_window(grid, bases, spectra, slice_dt)[1]}
+    return tuple(
+        Check(f"{name}zero-parameter norm vs tapered physical L2 rel err",
+              abs(bourgain_norm(f, GevreyParams(b=0.0)) - want) / want, "<=", 1e-12)
+        for name, f in fields.items()
+    )
+
+
 class AcceptanceSuite:
     """Caches the shared Picard windows so A3/A4 pay for them once."""
 
@@ -335,28 +360,13 @@ class AcceptanceSuite:
         params = GevreyParams(s1=-1.0, s2=0.0, b=0.55, beta=0.45, eps=0.0)
         coarse = bilinear_ratio_trials(params, 200, seed=1234, nx=32, ny=32, stream=0)
         fine = bilinear_ratio_trials(params, 200, seed=1234, nx=64, ny=64, stream=1)
-        # the growth ratio cancels a global scale error, so pin the scale:
-        # at all-zero parameters the norm of a trial window is its tapered
-        # space-time L2 norm, sqrt(slice_dt * sum_t psi(t)^2 ||u(t)||^2),
-        # with the taper restated here and ||u(t)|| from physical values
-        n_t, slice_dt = 16, 1.0 / 16
-        grid = Grid2D(32, 32, 32.0 * math.pi, 32.0 * math.pi)
-        u = _random_window(grid, n_t, np.random.Generator(np.random.Philox(key=1234)))
-        raw = (1.0 - (2.0 * np.arange(n_t) / n_t - 1.0) ** 2) ** 3
-        psi = raw / (slice_dt * raw.sum())
-        l2_sq = grid.cell_area * np.sum(physical_values(grid, u) ** 2, axis=(1, 2))
-        want = math.sqrt(slice_dt * np.sum(psi**2 * l2_sq))
-        got = bourgain_norm(
-            SpaceTimeField.from_slices(grid, u, slice_dt), GevreyParams(b=0.0)
-        )
         return CriterionResult(
             "A10", "bilinear ratio stays bounded under grid refinement", (
                 Check("max ratio 32^2", coarse.max_ratio),
                 Check("max ratio 64^2", fine.max_ratio),
                 Check("growth", fine.max_ratio / coarse.max_ratio, "<=", 2.0),
                 Check("q95", fine.q95),
-                Check("zero-parameter norm vs tapered physical L2 rel err",
-                      abs(got - want) / want, "<=", 1e-12),
+                *bilinear_scale_checks(),
             ))
 
     def a11(self) -> CriterionResult:

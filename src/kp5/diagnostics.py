@@ -44,16 +44,18 @@ from .spectral import (
     Grid2D,
     SpectralField,
     _frozen,
-    _mirror,
     dealias,
     dealiased_coefficients,
     physical_values,
-    project_zero_x_mean,
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
 GRONWALL_ENVELOPE = 1.1  # A9 bounds the worst gap/bound over t > 0 by this
 BILINEAR_SLICES = 16  # time slices of each bilinear trial window
+_PHASE = 2.0 * np.pi * np.arange(BILINEAR_SLICES) / BILINEAR_SLICES
+# the five slow time harmonics of a bilinear trial window, one row each
+_HARMONICS = _frozen(np.stack([np.ones(BILINEAR_SLICES), np.cos(_PHASE),
+                               np.sin(_PHASE), np.cos(2 * _PHASE), np.sin(2 * _PHASE)]))
 
 
 # --- radius of analyticity from the spectral tail ---------------------------
@@ -122,6 +124,12 @@ def window_taper(n_t: int, slice_dt: float) -> np.ndarray:
     return raw / (raw.sum() * slice_dt)
 
 
+def _tapered_dft(stack: np.ndarray, slice_dt: float) -> np.ndarray:
+    """fft(psi * stack) / n_t along axis 0, psi the ``window_taper`` of call time."""
+    psi = window_taper(len(stack), slice_dt)
+    return np.fft.fft((psi * stack.T).T, axis=0, norm="forward")  # psi along axis 0
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
     """Time-DFT of a tapered stack of half-plane field slices.
@@ -165,11 +173,7 @@ class SpaceTimeField:
             raise ValueError(
                 f"slices of shape {slices.shape[1:]} are not half planes of the grid"
             )
-        n_t = slices.shape[0]
-        taper = window_taper(n_t, slice_dt)
-        coeffs = np.fft.fft(taper[:, None, None] * slices, axis=0)
-        coeffs /= n_t
-        return cls(grid, slice_dt, coeffs)
+        return cls(grid, slice_dt, _tapered_dft(slices, slice_dt))
 
 
 @lru_cache(maxsize=8)
@@ -237,24 +241,36 @@ def check_bilinear_admissible(params: GevreyParams) -> None:
         )
 
 
-def _random_window(grid: Grid2D, n_t: int, rng: np.random.Generator) -> np.ndarray:
-    """Half planes, shape (n_t, nx, ny//2 + 1), of random real fields,
-    smooth in time (5 temporal harmonics) and with an exponentially
-    decaying spatial envelope, dealiased and zero-x-mean."""
+@lru_cache(maxsize=8)
+def _band_tables(grid: Grid2D) -> tuple:
+    """Full-plane tables of the band 0 < 3|j| <= nx, 3k <= ny, of its mirror
+    (-j, -k), and of the trial envelope on each."""
+    rows = np.flatnonzero((grid.j_index != 0) & (3 * np.abs(grid.j_index) <= grid.nx))
+    cols = np.arange(grid.ny // 3 + 1)
+    at = np.ix_(rows, cols)
+    mirror = np.ix_(-grid.j_index[rows] % grid.nx, -cols % grid.ny)
     envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta)))
-    bases = []
-    for _ in range(5):
-        raw = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal(
-            (grid.nx, grid.ny)
-        )
-        c = raw * envelope
-        # the Hermitian part of full-plane noise: a real field
-        f = SpectralField(grid, (0.5 * (c + np.conj(_mirror(c))))[:, : grid.ny // 2 + 1])
-        bases.append(project_zero_x_mean(dealias(f)).half)
-    phase = 2.0 * np.pi * np.arange(n_t) / n_t
-    weights = np.stack([np.ones(n_t), np.cos(phase), np.sin(phase),
-                        np.cos(2 * phase), np.sin(2 * phase)])
-    return np.tensordot(weights, np.stack(bases), axes=(0, 0))
+    return at, mirror, _frozen(envelope[at]), _frozen(envelope[mirror])
+
+
+def _random_bases(grid: Grid2D, rng: np.random.Generator) -> np.ndarray:
+    """Half planes (5, nx, ny//2 + 1) of five random real fields: each draws
+    full-plane noise c (real, then imaginary part) times exp(-(|xi| + |eta|))
+    and keeps its Hermitian part (c[j, k] + conj(c[-j, -k])) / 2 on the band."""
+    at, mirror, envelope, mirror_envelope = _band_tables(grid)
+    bases = np.zeros((5, grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
+    for base in bases:
+        re, im = rng.standard_normal((2, grid.nx, grid.ny))
+        c = (re[at] + 1j * im[at]) * envelope
+        base[at] = 0.5 * (c + np.conj((re[mirror] + 1j * im[mirror]) * mirror_envelope))
+    return bases
+
+
+def _basis_window(grid: Grid2D, bases, spectra, slice_dt: float):
+    """Physical values and ``SpaceTimeField`` of the window sum_b _HARMONICS[b]
+    bases[b], per base; ``spectra`` is ``_tapered_dft(_HARMONICS.T)``."""
+    values = np.tensordot(_HARMONICS, physical_values(grid, bases), axes=(0, 0))
+    return values, SpaceTimeField(grid, slice_dt, np.tensordot(spectra, bases, 1))
 
 
 @dataclass(frozen=True)
@@ -279,31 +295,32 @@ def bilinear_ratio_trials(
         || dx(u v) ||_{X^{s1,s2,-beta,eps}} /
             (||u||_{X^{s1,s2,b,eps}} ||v||_{X^{s1,s2,b,eps}}),
 
-    over random tapered windows of unit duration, BILINEAR_SLICES slices
-    each, on the 32 pi x 32 pi torus (``DEFAULT_LENGTH``, the config
-    default).  Boundedness of the maximum as the grid is refined is the
-    finite-dimensional shadow of the continuum estimate.
+    over random tapered windows of unit duration, BILINEAR_SLICES slices of
+    five bases times five time harmonics, transformed per base, on the 32 pi
+    torus (``DEFAULT_LENGTH``).  Boundedness of the maximum under grid
+    refinement is the finite-dimensional shadow of the continuum estimate.
     """
     check_bilinear_admissible(params)
     grid = Grid2D(nx, ny, DEFAULT_LENGTH, DEFAULT_LENGTH)
     slice_dt = 1.0 / BILINEAR_SLICES
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-    in_params = params
     out_params = replace(params, b=-params.beta)
-    ratios = []
-    for _ in range(trials):
-        u = _random_window(grid, BILINEAR_SLICES, rng)
-        v = _random_window(grid, BILINEAR_SLICES, rng)
+    spectra = _tapered_dft(_HARMONICS.T, slice_dt)
+
+    def window() -> tuple[np.ndarray, float]:
+        values, field = _basis_window(grid, _random_bases(grid, rng), spectra, slice_dt)
+        return values, bourgain_norm(field, params)
+
+    def ratio() -> float:
+        (u, du), (v, dv) = window(), window()
+        u *= v  # the product u v
         # dx of the dealiased product, through the square kernel's transform pair
-        prod = dealiased_coefficients(
-            grid, physical_values(grid, u) * physical_values(grid, v)
-        )
+        prod = dealiased_coefficients(grid, u)
         prod *= 1j * grid.xi_col
         nu = bourgain_norm(SpaceTimeField.from_slices(grid, prod, slice_dt), out_params)
-        du = bourgain_norm(SpaceTimeField.from_slices(grid, u, slice_dt), in_params)
-        dv = bourgain_norm(SpaceTimeField.from_slices(grid, v, slice_dt), in_params)
-        ratios.append(nu / (du * dv))
-    arr = np.sort(np.asarray(ratios))
+        return nu / (du * dv)
+
+    arr = np.sort([ratio() for _ in range(trials)])  # a trial's arrays go on return
     return BilinearResult(
         ratios=tuple(arr.tolist()),
         max_ratio=float(arr[-1]),

@@ -252,13 +252,6 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.half * field.grid.dealias_mask)
 
 
-def project_zero_x_mean(field: SpectralField) -> SpectralField:
-    """Zero the j = 0 fiber, making the x-antiderivative well defined."""
-    c = field.half.copy()
-    c[0, :] = 0.0
-    return SpectralField(field.grid, c)
-
-
 # --- full plane and the dealiased-square kernel -----------------------------
 
 

@@ -15,7 +15,12 @@ from kp5.config import (
     TimeConfig,
 )
 from kp5.diagnostics import (
+    BILINEAR_SLICES,
     SpaceTimeField,
+    _HARMONICS,
+    _basis_window,
+    _random_bases,
+    _tapered_dft,
     almost_conservation_run,
     bilinear_ratio_trials,
     bourgain_norm,
@@ -230,6 +235,63 @@ def test_bilinear_trials_deterministic():
         params, trials=4, seed=99, nx=16, ny=16, stream=1
     )
     assert other.ratios != a.ratios
+
+
+def full_plane_bases(grid, rng):
+    """The trial bases built on the full plane: per base, Philox noise (real
+    part, then imaginary part) times the envelope exp(-(|xi| + |eta|)), its
+    Hermitian part (c + conj(c[-j, -k])) / 2, the 2/3 mask, zero x-mean."""
+    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta)))
+    bases = []
+    for _ in range(5):
+        re = rng.standard_normal((grid.nx, grid.ny))
+        c = (re + 1j * rng.standard_normal((grid.nx, grid.ny))) * envelope
+        mirror = np.roll(c[::-1, ::-1], shift=(1, 1), axis=(0, 1))
+        half = (0.5 * (c + np.conj(mirror)))[:, : grid.ny // 2 + 1] * grid.dealias_mask
+        half[0] = 0.0
+        bases.append(half)
+    return np.stack(bases)
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 24), (32, 32), (64, 64)])
+def test_random_bases_equal_the_full_plane_construction(nx, ny):
+    grid = Grid2D(nx, ny, 32 * np.pi, 32 * np.pi)
+    for seed, stream in ((0, 0), (7, 1), (1234, 0), (1234, 3)):
+        rngs = [np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+                for _ in range(2)]
+        for _ in range(2):
+            got, want = _random_bases(grid, rngs[0]), full_plane_bases(grid, rngs[1])
+            assert np.array_equal(got, want)
+        # the same draws, so the streams stay in step
+        assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 24), (64, 64)])
+def test_basis_window_matches_the_assembled_slices(nx, ny):
+    """Per-base physical values and space-time coefficients agree with the
+    transforms of the assembled window, slice by slice."""
+    grid = Grid2D(nx, ny, 32 * np.pi, 32 * np.pi)
+    slice_dt = 1.0 / BILINEAR_SLICES
+    bases = _random_bases(grid, np.random.Generator(np.random.Philox(key=5)))
+    spectra = _tapered_dft(_HARMONICS.T, slice_dt)
+    values, field = _basis_window(grid, bases, spectra, slice_dt)
+    u = np.tensordot(_HARMONICS, bases, axes=(0, 0))
+    assert u.shape == (BILINEAR_SLICES, nx, ny // 2 + 1)
+    for got, want in (
+        (values, physical_values(grid, u)),
+        (field.coeffs_tau, SpaceTimeField.from_slices(grid, u, slice_dt).coeffs_tau),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_bilinear_trials_reproduce_the_full_plane_reference():
+    """The bilinear-64 benchmark configuration reproduces the maximum and
+    q95 of the slice-by-slice trials on full-plane bases."""
+    params = GevreyParams(s1=-1.0, s2=0.0, b=0.55, beta=0.45, eps=0.0)
+    result = bilinear_ratio_trials(params, trials=64, seed=0, nx=64, ny=64)
+    assert result.max_ratio == pytest.approx(0.00022354187290446077, rel=1e-12)
+    assert result.q95 == pytest.approx(0.00022141900554283495, rel=1e-12)
 
 
 def test_almost_conservation_scaling():
