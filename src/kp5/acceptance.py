@@ -56,6 +56,7 @@ from .spectral import (
     SpectralField,
     dealias,
     dealiased_square,
+    from_band,
     full_plane,
     physical_values,
     x_antiderivative,
@@ -151,9 +152,8 @@ def window_gap(f: SpectralField, result) -> float:
         for _ in range(sub):
             u = step(u, slice_dt / sub)
         stepped.append(u.half)
-    return float(
-        half_plane_norms(f.grid, np.stack(stepped) - window, SUITE_SIGMA1, 0.0).max()
-    )
+    gap = np.stack(stepped) - from_band(f.grid, window)
+    return float(half_plane_norms(f.grid, gap, SUITE_SIGMA1, 0.0).max())
 
 
 def doubling_ratio_check(name: str, result) -> Check:

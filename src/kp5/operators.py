@@ -22,8 +22,8 @@ norm of the weighted amplitudes a = |c| * sqrt(multiplicity) * A, divided
 by their largest value before squaring, so sigma values near the overflow
 guard stay finite and the dominant shell is summed at full precision.
 ``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of half planes),
-the integrator's ladder and the space-time ``bourgain_norm`` share that one
-sum.
+the integrator's ladder, the Picard window's band norms and the space-time
+``bourgain_norm`` share that one sum.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SigmaOverflowError
-from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
+from .spectral import Grid2D, SpectralField, _frozen, dealiased_square, to_band
 
 # exp argument budget: exp(650) ~ 1e282 leaves headroom for the mode sums
 SIGMA_GUARD_LIMIT = 650.0
@@ -127,6 +127,13 @@ def _norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """``_weight`` times the square root of the column multiplicity: the
     table that turns |c| into the amplitudes of a half-plane norm."""
     return _frozen(_weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity))
+
+
+@lru_cache(maxsize=8)
+def _band_norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
+    """``_norm_weight`` on the 2/3 band (``spectral.to_band``): the table of
+    the norms of a Picard window."""
+    return _frozen(to_band(grid, _norm_weight(grid, sigma1, sigma2)))
 
 
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:

@@ -5,18 +5,21 @@ The mild form of the flow on [0, delta],
     u(t) = S(t) f - 1/2 integral_0^t S(t - t') dx(w(t')^2) dt',
 
 is iterated from the free evolution u_0(t) = S(t) f.  The data f is a
-``SpectralField`` and a window is one complex array of shape
-(slices + 1, nx, ny//2 + 1): the rfft2 half planes of the real field at
-the slice times i * delta / slices, the layout of the field itself, so a
-window is real by construction.  A run keeps one such buffer: each
-iteration sweeps it one Simpson pair of slices at a time (an even slice
-count, so the pairs tile the window), squaring the pair with the
-dealiased-square kernel, advancing the cumulative Simpson integral from the
-slice before, and writing the new pair over the old one once its update
-distance and norm are taken (``operators.half_plane_norms``), so every
-temporary holds a few slices and stays in cache.  The iteration distance is the
-sup over slices of the half-plane Gevrey norm of the update.  With
-contraction the per-iterate ratios sit well below 1 and the window rule
+``SpectralField`` whose modes lie on the 2/3 band, and so does every
+iterate: S(t) is diagonal and the forcing is a dealiased square.  So a
+window is one complex array of shape (slices + 1, 2*(nx//3) + 1, ny//3 + 1):
+the rfft2 half planes of the real field at the slice times
+i * delta / slices, kept on the band only (``spectral.to_band``; rows in FFT
+order), so a window is real and dealiased by construction, and every
+elementwise step and norm skips the modes the 2/3 rule drops.  A run keeps
+one such buffer: each iteration sweeps it one Simpson pair of slices at a
+time (an even slice count, so the pairs tile the window), squaring the pair
+with the dealiased-square kernel (through ``spectral.from_band``), advancing
+the cumulative Simpson integral from the slice before, and writing the new
+pair over the old one once its update distance and norm are taken, so every
+temporary holds a few slices and stays in cache.  The iteration distance is
+the sup over slices of the Gevrey norm of the update.  With contraction the
+per-iterate ratios sit well below 1 and the window rule
 
     delta = c0 / (1 + ||f||)^exponent,  exponent > 1
 
@@ -33,8 +36,21 @@ import numpy as np
 
 from .config import SimConfig
 from .errors import BlowUpError, PicardDivergenceError
-from .operators import dispersion_symbol, gevrey_norm, half_plane_norms
-from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
+from .operators import (
+    _band_norm_weight,
+    _weighted_norm,
+    assert_sigma_within_guard,
+    dispersion_symbol,
+    gevrey_norm,
+)
+from .spectral import (
+    Grid2D,
+    SpectralField,
+    _frozen,
+    dealiased_square,
+    from_band,
+    to_band,
+)
 
 DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
 
@@ -91,37 +107,45 @@ def _simpson_pair(left, mid, right, h, carry, odd, pair) -> None:
 
 @lru_cache(maxsize=1)
 def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
-    """exp(i * t_i * m) on the half plane for every slice time, stacked
+    """exp(i * t_i * m) on the 2/3 band for every slice time, stacked
     along axis 0 (only the latest window's phases are kept).
 
-    Since m(-xi, eta) = -m(xi, eta), only rows 0 <= j <= nx/2 take an
+    Since m(-xi, eta) = -m(xi, eta), only rows 0 <= j <= nx//3 take an
     exponential; rows -j are their conjugates.  The table is filled in
     place.
     """
     times = np.linspace(0.0, delta, n_slices)
-    m = dispersion_symbol(grid)
-    top = grid.nx // 2 + 1
+    m = to_band(grid, dispersion_symbol(grid))
+    top = grid.nx // 3 + 1
     phases = np.empty((n_slices,) + m.shape, dtype=np.complex128)
     upper = phases[:, :top]
     np.multiply(times[:, None, None], 1j * m[None, :top], out=upper)
     np.exp(upper, out=upper)
-    np.conjugate(phases[:, top - 2 : 0 : -1], out=phases[:, top:])
+    np.conjugate(phases[:, top - 1 : 0 : -1], out=phases[:, top:])
     return _frozen(phases)
 
 
 def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
     """Free evolution S(t) f at the slices + 1 window times, a new
-    (slices + 1, nx, ny//2 + 1) array."""
-    return _window_phases(f.grid, delta, slices + 1) * f.half
+    (slices + 1, 2*(nx//3) + 1, ny//3 + 1) band array.  Data with modes
+    off the 2/3 band raise ``ValueError``: the window could not hold them."""
+    grid = f.grid
+    if f.half[..., ~grid.dealias_mask].any():
+        raise ValueError(
+            "Picard data have modes outside the 2/3 band (3|j| <= nx, "
+            "3|k| <= ny) that a window keeps; dealias the data first"
+        )
+    return _window_phases(grid, delta, slices + 1) * to_band(grid, f.half)
 
 
 def duhamel_apply(
     f: SpectralField, window: np.ndarray, delta: float, sigma1: float, sigma2: float
 ) -> tuple[float, float]:
-    """One mild-form application to a window of length delta, free flow of
-    f plus the driven integral, written over the window.  Returns the
-    update distance and the sup norm of the new window: the sup-slice
-    norms at the rates (sigma1, sigma2) of old - new and of new.
+    """One mild-form application to a band window of length delta, free
+    flow of f plus the driven integral, written over the window.  Returns
+    the update distance and the sup norm of the new window: the sup-slice
+    norms at the rates (sigma1, sigma2) of old - new and of new.  The rates
+    must pass the overflow guard, which ``picard_iterate`` checks.
 
     The propagator is commuted through the integral,
     S(t - t') = S(t) S(-t'), so one cumulative quadrature in the rotated
@@ -133,14 +157,16 @@ def duhamel_apply(
     """
     grid, n = f.grid, window.shape[0]
     phases = _window_phases(grid, delta, n)
-    kick = -0.5j * grid.xi_col
+    table = _band_norm_weight(grid, sigma1, sigma2)
+    data = to_band(grid, f.half)
+    kick = -0.5j * to_band(grid, grid.xi_col)
     norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||
     left = carry = None
     # slice 0 alone, then the pairs
     for s in [slice(0, 1)] + [slice(p, p + 2) for p in range(1, n, 2)]:
         # the square rotated back by conj(phases) as conj(conj(F) * phases),
         # in place: no conjugated copy of the phases is made
-        forcing = dealiased_square(grid, window[s])
+        forcing = to_band(grid, dealiased_square(grid, from_band(grid, window[s])))
         np.conjugate(forcing, out=forcing)
         forcing *= phases[s]
         # the update and the new slices side by side, for one norm call
@@ -154,10 +180,10 @@ def duhamel_apply(
         left = forcing[-1]
         np.conjugate(cum, out=cum)
         cum *= kick
-        cum += f.half
+        cum += data
         cum *= phases[s]
         np.subtract(window[s], cum, out=update)
-        norms[:, s] = half_plane_norms(grid, out, sigma1, sigma2)
+        norms[:, s] = _weighted_norm(np.abs(out), table, grid.measure)
         window[s] = cum
     return float(norms[0].max()), float(norms[1].max())
 
@@ -166,7 +192,7 @@ def duhamel_apply(
 class PicardResult:
     """One Picard run on the window [0, delta]."""
 
-    window: np.ndarray  # read-only (slices + 1, nx, ny//2 + 1) last iterate
+    window: np.ndarray  # read-only band window of the last iterate
     delta: float
     data_norm: float  # ||f|| at the iteration's rates
     distances: tuple[float, ...]  # d_n = sup-slice norm of u_n - u_{n-1}
@@ -205,6 +231,7 @@ def picard_iterate(
         raise ValueError("window length must be positive")
     if slices < 2 or slices % 2:  # Simpson pairs tile the window
         raise ValueError("slices must be even and >= 2")
+    assert_sigma_within_guard(f.grid, sigma1, sigma2)
     window = free_window(f, delta, slices)
     distances: list[float] = []
     sup_norms: list[float] = []

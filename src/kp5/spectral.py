@@ -12,9 +12,10 @@ with xi_j = 2*pi*j/lx and eta_k = 2*pi*k/ly, so a real cosine ``a*cos(xi*x)``
 stores ``a/2`` at the paired modes +-j.  A real field has c[-j, -k] =
 conj(c[j, k]), so it is fixed by its ``rfft2`` half plane: the (nx, ny//2 + 1)
 columns k = 0..ny/2, rows j in FFT order.  That half plane is the one layout
-of a field, of a stack of fields stepped together, of a Picard window and of
-a space-time stack (leading axes batch fields or time slices).  Forward
-transform is ``rfft2/(nx*ny)`` (``np.fft.rfft2(values, norm="forward")``,
+of a field, of a stack of fields stepped together and of a space-time stack
+(leading axes batch fields or time slices); a Picard window, whose slices
+are all dealiased, keeps only its 2/3 band (``to_band``/``from_band``).
+Forward transform is ``rfft2/(nx*ny)`` (``np.fft.rfft2(values, norm="forward")``,
 whose half plane a ``SpectralField`` takes over), inverse is ``irfft2 * nx * ny``
 (``physical_values``); every multiplier acts on the half plane
 (``Grid2D.xi_col`` and ``Grid2D.eta_row`` broadcast over it).  Each column
@@ -34,7 +35,9 @@ pointwise square, and ``dealiased_coefficients`` (an ``rfft`` along y,
 then the x pass only on the ny//3 + 1 columns the 2/3 band keeps), over
 all leading axes at once.  A product u*v uses the same transform pair.
 The 2/3 rule drops modes with 3*|j| > nx or 3*|k| > ny, so squares of
-band-limited fields are alias-free.
+band-limited fields are alias-free.  The modes it keeps, cut from a half
+plane, are the band: rows j = 0..nx//3 then -(nx//3)..-1, columns
+k = 0..ny//3.
 """
 
 from __future__ import annotations
@@ -299,6 +302,29 @@ def dealiased_square(grid: Grid2D, half: np.ndarray) -> np.ndarray:
     u = physical_values(grid, half)
     u *= u
     return dealiased_coefficients(grid, u)
+
+
+# --- the 2/3 band -----------------------------------------------------------
+
+
+def to_band(grid: Grid2D, half: np.ndarray) -> np.ndarray:
+    """The half-plane coefficients on the 2/3 band, a new array of shape
+    (..., 2*(nx//3) + 1, ny//3 + 1): rows j = 0..nx//3, then -(nx//3)..-1
+    (FFT order), columns k = 0..ny//3 (indexing only)."""
+    jx, cols = grid.nx // 3, grid.ny // 3 + 1
+    return np.concatenate(
+        (half[..., : jx + 1, :cols], half[..., grid.nx - jx :, :cols]), axis=-2
+    )
+
+
+def from_band(grid: Grid2D, band: np.ndarray) -> np.ndarray:
+    """The half plane, a new array, with ``band`` (the layout of ``to_band``)
+    on the 2/3 band and zero off it."""
+    jx, cols = grid.nx // 3, grid.ny // 3 + 1
+    half = np.zeros(band.shape[:-2] + (grid.nx, grid.ny // 2 + 1), np.complex128)
+    half[..., : jx + 1, :cols] = band[..., : jx + 1, :]
+    half[..., grid.nx - jx :, :cols] = band[..., jx + 1 :, :]
+    return half
 
 
 # --- binary snapshots -------------------------------------------------------

@@ -49,7 +49,14 @@ from kp5.operators import (
     semigroup_apply,
 )
 from kp5.picard import free_window
-from kp5.spectral import Grid2D, SpectralField, dealias, full_plane, physical_values
+from kp5.spectral import (
+    Grid2D,
+    SpectralField,
+    dealias,
+    from_band,
+    full_plane,
+    physical_values,
+)
 
 
 def small_cfg(**kw):
@@ -159,7 +166,7 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
     """With every exponent off, the norm is the spacetime L2 of the
     tapered window: sqrt(sum_t dt * psi(t)^2 * ||u(t)||^2) by Parseval."""
     f = random_band_field(grid16, seed=7)
-    w = free_window(f, 0.2, slices=16)
+    w = from_band(grid16, free_window(f, 0.2, slices=16))
     field = SpaceTimeField.from_slices(grid16, w[:-1], 0.2 / 16)
     psi = window_taper(field.n_t, field.slice_dt)
     slice_l2 = [
@@ -178,7 +185,7 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
 
 def test_bourgain_norm_monotone_in_b(grid16):
     f = random_band_field(grid16, seed=3)
-    w = free_window(f, 0.25, slices=16)
+    w = from_band(grid16, free_window(f, 0.25, slices=16))
     field = SpaceTimeField.from_slices(grid16, w[:-1], 0.25 / 16)
     lo = bourgain_norm(field, GevreyParams(b=0.0))
     hi = bourgain_norm(field, GevreyParams(b=0.55))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 import kp5.picard
 from conftest import random_band_field
+from kp5.acceptance import SUITE_MEMBERS, suite_cfg
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
 from kp5.operators import (
+    _band_norm_weight,
+    _weighted_norm,
     dispersion_symbol,
     gevrey_norm,
-    half_plane_norms,
     semigroup_apply,
 )
 from kp5.picard import (
@@ -24,7 +27,14 @@ from kp5.picard import (
     free_window,
     picard_iterate,
 )
-from kp5.spectral import Grid2D, SpectralField, dealiased_square, full_plane
+from kp5.spectral import (
+    Grid2D,
+    SpectralField,
+    dealiased_square,
+    from_band,
+    full_plane,
+    to_band,
+)
 
 
 def test_delta_rule_values():
@@ -73,13 +83,33 @@ def cumulative_simpson_reference(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def band_norms(grid, band, sigma1, sigma2):
+    """The Gevrey norm of each slice of a band window."""
+    table = _band_norm_weight(grid, sigma1, sigma2)
+    return _weighted_norm(np.abs(band), table, grid.measure)
+
+
+def half_plane_phases(grid, delta: float, n: int) -> np.ndarray:
+    """exp(i * t_i * m) on the whole half plane, taken on rows
+    0 <= j <= nx/2 and conjugated onto rows -j, as ``_window_phases`` does
+    on the band."""
+    times = np.linspace(0.0, delta, n)[:, None, None]
+    m = dispersion_symbol(grid)
+    top = grid.nx // 2 + 1
+    phases = np.empty((n,) + m.shape, dtype=np.complex128)
+    phases[:, :top] = np.exp(times * (1j * m[None, :top]))
+    phases[:, top:] = np.conj(phases[:, top - 2 : 0 : -1])
+    return phases
+
+
 def duhamel_reference(f: SpectralField, window: np.ndarray, delta: float) -> np.ndarray:
-    """The whole-stack Duhamel map, one new array: the square of every
-    slice at once, rotated back, integrated by the reference rule, then
-    the derivative, the data and the phases."""
+    """The whole-stack Duhamel map on the whole half plane, one new array:
+    the square of every slice of the (n, nx, ny//2 + 1) ``window`` at once,
+    rotated back, integrated by the reference rule, then the derivative,
+    the data and the phases."""
     grid = f.grid
     n = window.shape[0]
-    phases = _window_phases(grid, delta, n)
+    phases = half_plane_phases(grid, delta, n)
     forcing = dealiased_square(grid, window)
     np.conjugate(forcing, out=forcing)
     forcing *= phases
@@ -174,10 +204,33 @@ def test_window_validation(grid16):
 def test_free_window_matches_semigroup(grid16):
     f = random_band_field(grid16, seed=2)
     w = free_window(f, delta=0.3, slices=8)
-    assert w.shape == (9, 16, 9)
-    for t, s in zip(np.linspace(0.0, 0.3, 9), w):
+    assert w.shape == (9, 11, 6)
+    for t, s in zip(np.linspace(0.0, 0.3, 9), from_band(grid16, w)):
         exact = semigroup_apply(f, float(t))
         assert np.allclose(s, exact.half, rtol=0, atol=1e-15)
+
+
+def test_free_window_refuses_data_off_the_band(grid16):
+    """A window holds the 2/3 band only, so data with modes off it are
+    refused rather than cut."""
+    half = random_band_field(grid16, seed=2).half.copy()
+    half[grid16.mode_index(6, 1)] = 1e-3  # 3*6 > 16: outside the band
+    f = SpectralField(grid16, half)
+    with pytest.raises(ValueError, match="2/3 band"):
+        free_window(f, 0.1, slices=4)
+    with pytest.raises(ValueError, match="2/3 band"):
+        picard_iterate(
+            f, 0.1, sigma1=0.0, sigma2=0.0, slices=4, n_max=2, tol=1e-10,
+        )
+
+
+@pytest.mark.parametrize("name, init", SUITE_MEMBERS)
+def test_initial_field_data_fit_the_band(name, init):
+    """Every initial-data kind the suite uses is dealiased, so its window
+    holds all of it."""
+    f = initial_field(suite_cfg(init))
+    w = free_window(f, 0.01, slices=2)
+    assert np.array_equal(from_band(f.grid, w[0]), f.half)
 
 
 def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
@@ -195,12 +248,13 @@ def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
 
 
 def test_window_phases_match_the_exponential(grid16):
-    """Rows -j are filled as conjugates of rows j."""
+    """The band phases are the exponential on the band; rows -j are
+    filled as conjugates of rows j."""
     delta, n = 0.3, 9
     got = _window_phases(grid16, delta, n)
     times = np.linspace(0.0, delta, n)[:, None, None]
-    want = np.exp(1j * times * dispersion_symbol(grid16)[None])
-    assert got.shape == want.shape and not got.flags.writeable
+    want = to_band(grid16, np.exp(1j * times * dispersion_symbol(grid16)[None]))
+    assert got.shape == want.shape == (n, 11, 6) and not got.flags.writeable
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -212,11 +266,12 @@ def test_duhamel_matches_derivative_before_quadrature():
     w = free_window(f, 0.05, slices=16)
     times = np.linspace(0.0, 0.05, 17)
     phases = np.exp(1j * times[:, None, None] * dispersion_symbol(grid)[None])
-    forcing = (1j * grid.xi_col) * dealiased_square(grid, w)
+    forcing = (1j * grid.xi_col) * dealiased_square(grid, from_band(grid, w))
     cum = cumulative_simpson_reference(np.conj(phases) * forcing, 0.05 / 16)
     want = phases * (f.half - 0.5 * cum)
     got = w.copy()
     duhamel_apply(f, got, 0.05, 0.0, 0.0)
+    got = from_band(grid, got)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -241,7 +296,7 @@ def test_duhamel_single_mode_closed_form(grid16):
     xi_q = 2 * np.pi * (2 * j0) / grid16.lx
     omega = 2 * m0 - mq
     times = np.linspace(0.0, delta, 65)
-    for t, s in zip(times, full_plane(grid16, out)):
+    for t, s in zip(times, full_plane(grid16, from_band(grid16, out))):
         t = float(t)
         if omega != 0.0:
             integral = (np.exp(1j * omega * t) - 1.0) / (1j * omega)
@@ -272,27 +327,30 @@ def test_window_distance_closed_form():
     free = free_window(f, delta, slices)
     first = free.copy()
     duhamel_apply(f, first, delta, sigma1, 0.0)
-    want = half_plane_norms(f.grid, free - first, sigma1, 0.0).max()
+    want = band_norms(f.grid, free - first, sigma1, 0.0).max()
     assert res.distances[0] == want > 0.0
 
 
 @pytest.mark.parametrize("nx, ny", [(32, 32), (32, 16)])
 @pytest.mark.parametrize("slices", [2, 4, 16, 64])
 def test_streamed_duhamel_matches_whole_stack_bitwise(nx, ny, slices):
-    """The pair sweep writes, bit for bit, the whole-stack map's window,
-    and its distance and sup norm are the whole-stack norms' maxima, over
+    """The pair sweep writes, bit for bit, the band of the whole-stack
+    half-plane map's window, which is exactly 0 off the band, and its
+    distance and sup norm are the whole-stack band norms' maxima, over
     three iterations from the free window."""
     grid = Grid2D(nx, ny, 8.0 * math.pi, 8.0 * math.pi)
     f = random_band_field(grid, seed=slices, scale=4.0)
     delta, sigma1, sigma2 = 0.05, 0.25, 0.1
     window = free_window(f, delta, slices)
     for _ in range(3):
-        want = duhamel_reference(f, window, delta)
+        reference = duhamel_reference(f, from_band(grid, window), delta)
+        assert not reference[:, ~grid.dealias_mask].any()
+        want = to_band(grid, reference)
         got = window.copy()
         distance, sup_norm = duhamel_apply(f, got, delta, sigma1, sigma2)
         assert got.tobytes() == want.tobytes()
-        assert distance == half_plane_norms(grid, window - want, sigma1, sigma2).max()
-        assert sup_norm == half_plane_norms(grid, want, sigma1, sigma2).max()
+        assert distance == band_norms(grid, window - want, sigma1, sigma2).max()
+        assert sup_norm == band_norms(grid, want, sigma1, sigma2).max()
         assert distance > 0.0
         window = want
 
@@ -324,7 +382,7 @@ def test_picard_converges_and_contracts():
     assert len(res.sup_norms) == res.iterations
     assert all(math.isfinite(s) and s > 0 for s in res.sup_norms)
     # iteration starts from the free window anchored at the data
-    assert np.array_equal(res.window[0], f.half)
+    assert np.array_equal(from_band(f.grid, res.window[0]), f.half)
     assert res.delta == delta and res.data_norm == norm
     assert 1.0 - 1e-12 <= res.doubling_ratio <= 2.0
 
@@ -343,7 +401,7 @@ def test_doubling_check_reuses_the_iteration_norms(n_max):
     )
     assert res.converged == (n_max == 20)
     recomputed = (
-        float(half_plane_norms(f.grid, res.window, sigma1, 0.0).max())
+        float(band_norms(f.grid, res.window, sigma1, 0.0).max())
         / gevrey_norm(f, sigma1, 0.0)
     )
     assert res.doubling_ratio == recomputed
@@ -366,10 +424,31 @@ def test_picard_rejects_bad_iteration_budget():
         )
 
 
-def test_window_is_read_only_half_plane(grid16):
+def test_window_is_read_only_band(grid16):
     res = picard_iterate(
         random_band_field(grid16, seed=5), 0.1, sigma1=0.0, sigma2=0.0,
         slices=4, n_max=2, tol=1e-10,
     )
-    assert res.window.shape == (5, 16, 9) and not res.window.flags.writeable
+    assert res.window.shape == (5, 11, 6) and not res.window.flags.writeable
 
+
+
+def test_picard_run_peaks_under_three_band_windows():
+    """A run allocates its window and its phase table, one band window
+    each, and temporaries of a few slices, so its traced peak stays under
+    three band windows; the half-plane layout peaked at 5."""
+    grid = Grid2D(64, 64, 16 * math.pi, 16 * math.pi)
+    f = random_band_field(grid, seed=6)
+    slices = 64
+    band_window = (slices + 1) * (2 * (64 // 3) + 1) * (64 // 3 + 1) * 16
+    _window_phases.cache_clear()  # the table is built inside the run
+    tracemalloc.start()
+    try:
+        res = picard_iterate(
+            f, 0.01, sigma1=0.25, sigma2=0.0, slices=slices, n_max=3, tol=1e-10,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 3
+    assert band_window < peak < 3 * band_window

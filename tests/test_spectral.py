@@ -13,10 +13,12 @@ from kp5.spectral import (
     dealias,
     dealiased_coefficients,
     dealiased_square,
+    from_band,
     full_plane,
     load_snapshot,
     physical_values,
     save_snapshot,
+    to_band,
     x_antiderivative,
     x_derivative,
 )
@@ -287,6 +289,28 @@ def test_transform_pair_equals_2d_transforms(nx, ny, batch):
         np.fft.irfft2(half, s=(nx, ny), norm="forward"),
     )
     assert np.array_equal(half, kept)
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (64, 64)])
+def test_band_round_trip(nx, ny):
+    """``to_band`` keeps exactly the modes of ``dealias_mask``, rows in FFT
+    order, and ``from_band`` puts them back with zeros off the band; both
+    copy and batch over leading axes."""
+    grid = Grid2D(nx, ny, 2 * np.pi, 2 * np.pi)
+    rng = np.random.default_rng(nx + ny)
+    shape = (3, nx, ny // 2 + 1)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    band = to_band(grid, half)
+    jx = nx // 3
+    assert band.shape == (3, 2 * jx + 1, ny // 3 + 1)
+    rows = np.r_[0 : jx + 1, -jx:0]  # j = 0..jx, then -jx..-1
+    assert np.array_equal(band, half[:, rows, : ny // 3 + 1])
+    rebuilt = from_band(grid, band)
+    assert np.array_equal(rebuilt, half * grid.dealias_mask)
+    assert np.array_equal(to_band(grid, rebuilt), band)
+    assert np.array_equal(to_band(grid, half[1]), band[1])
+    band[:] = 0.0  # a copy: the half plane is untouched
+    assert np.array_equal(rebuilt, half * grid.dealias_mask)
 
 
 def test_dealias_idempotent(grid16):
