@@ -45,7 +45,9 @@ import numpy as np
 from .config import SimConfig, rng_from_seed
 from .errors import BlowUpError
 from .initial_data import make_initial_field
-from .operators import dispersion_symbol, gevrey_norm, half_plane_norms, remainder_n
+from .operators import (
+    dispersion_symbol, gevrey_norm, half_plane_norms, ladder_norms, remainder_n,
+)
 from .picard import delta_rule
 from .spectral import Grid2D, SpectralField, _frozen, dealias, dealiased_square
 
@@ -225,7 +227,7 @@ def _record(
     return DiagnosticsRecord(
         t=t,
         l2=float(l2),
-        gevrey=tuple(gevrey_norm(field, s, 0.0) for s in cfg.gevrey.ladder),
+        gevrey=tuple(ladder_norms(field, cfg.gevrey.ladder)),
         sigma_est=fit.sigma_est,
         residual=fit.residual,
         remainder_l2=remainder_l2,

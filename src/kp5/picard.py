@@ -48,6 +48,7 @@ from .spectral import (
     SpectralField,
     _frozen,
     dealiased_square,
+    field_band,
     from_band,
     to_band,
 )
@@ -129,13 +130,7 @@ def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
     """Free evolution S(t) f at the slices + 1 window times, a new
     (slices + 1, 2*(nx//3) + 1, ny//3 + 1) band array.  Data with modes
     off the 2/3 band raise ``ValueError``: the window could not hold them."""
-    grid = f.grid
-    if f.half[..., ~grid.dealias_mask].any():
-        raise ValueError(
-            "Picard data have modes outside the 2/3 band (3|j| <= nx, "
-            "3|k| <= ny) that a window keeps; dealias the data first"
-        )
-    return _window_phases(grid, delta, slices + 1) * to_band(grid, f.half)
+    return _window_phases(f.grid, delta, slices + 1) * field_band(f)
 
 
 def duhamel_apply(

@@ -13,8 +13,9 @@ stores ``a/2`` at the paired modes +-j.  A real field has c[-j, -k] =
 conj(c[j, k]), so it is fixed by its ``rfft2`` half plane: the (nx, ny//2 + 1)
 columns k = 0..ny/2, rows j in FFT order.  That half plane is the one layout
 of a field, of a stack of fields stepped together and of a space-time stack
-(leading axes batch fields or time slices); a Picard window, whose slices
-are all dealiased, keeps only its 2/3 band (``to_band``/``from_band``).
+(leading axes batch fields or time slices); a Picard window and a snapshot,
+whose fields are all dealiased, keep only their 2/3 band (``field_band``,
+``to_band``/``from_band``).
 Forward transform is ``rfft2/(nx*ny)`` (``np.fft.rfft2(values, norm="forward")``,
 whose half plane a ``SpectralField`` takes over), inverse is ``irfft2 * nx * ny``
 (``physical_values``); every multiplier acts on the half plane
@@ -24,10 +25,10 @@ count it twice (``Grid2D.half_multiplicity``).  The Nyquist row (j = nx/2)
 and column (k = ny/2) are exactly zero.
 
 Full-plane coefficients enter only through ``SpectralField.from_coefficients``,
-the one place that checks Hermitian symmetry; a half plane is real by
-construction, as a field keeps only the Hermitian part of its column k = 0
-(the one column paired with itself).  ``full_plane`` rebuilds the full
-plane for the snapshot writer and for reference computations.
+the one place that checks Hermitian symmetry, and no run command uses it; a
+half plane is real by construction, as a field keeps only the Hermitian
+part of its column k = 0 (the one column paired with itself).
+``full_plane`` rebuilds the full plane for reference computations only.
 
 Every product of fields goes through one kernel: ``dealiased_square`` is
 ``physical_values`` (an ``ifft`` along x and an ``irfft`` along y), the
@@ -327,33 +328,39 @@ def from_band(grid: Grid2D, band: np.ndarray) -> np.ndarray:
     return half
 
 
+def field_band(field: SpectralField) -> np.ndarray:
+    """``to_band`` of the field's half plane.  A field with modes off the
+    2/3 band raises ``ValueError``: the band could not hold them."""
+    g = field.grid
+    if field.half[..., ~g.dealias_mask].any():
+        raise ValueError("field has modes off the 2/3 band; dealias it first")
+    return to_band(g, field.half)
+
+
 # --- binary snapshots -------------------------------------------------------
 #
 # Layout (little endian): magic "KP5S", version u32, nx u32, ny u32,
-# lx f64, ly f64, then nx*ny complex128 coefficients in C (row-major) order:
-# the full plane, rebuilt from the half plane on save and checked for
-# Hermitian symmetry on load.
+# lx f64, ly f64, then the field's 2/3 band (``field_band``), the
+# (2*(nx//3) + 1) * (ny//3 + 1) complex128 coefficients in C (row-major)
+# order.  Version 1 (the full plane) is refused.
 
 SNAPSHOT_MAGIC = b"KP5S"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sIIIdd")
 
 
 def save_snapshot(field: SpectralField, path) -> None:
     g = field.grid
-    header = _HEADER.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.nx, g.ny, g.lx, g.ly
-    )
-    body = np.ascontiguousarray(full_plane(g, field.half), dtype="<c16").tobytes()
+    header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.nx, g.ny, g.lx, g.ly)
+    body = np.ascontiguousarray(field_band(field), dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
 
 
 def load_snapshot(path) -> SpectralField:
-    """Read a snapshot; a payload that is not the full plane of a real field
-    (non-finite, Nyquist content, not Hermitian) raises
-    ``SnapshotFormatError``."""
+    """Read a snapshot; a payload that is not the band of a real field
+    (non-finite, or column k = 0 not paired) raises ``SnapshotFormatError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -363,25 +370,19 @@ def load_snapshot(path) -> SpectralField:
         raise SnapshotFormatError(f"bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
-    expected = _HEADER.size + nx * ny * 16
-    if len(raw) != expected:
-        raise SnapshotFormatError(
-            f"snapshot length {len(raw)} != expected {expected}"
-        )
     try:
         grid = Grid2D(nx, ny, lx, ly)
     except ValueError as exc:
         raise SnapshotFormatError(str(exc)) from exc
-    coeffs = (
-        np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-        .reshape(nx, ny)
-        .astype(np.complex128)
-    )
-    if not np.all(np.isfinite(coeffs.view(np.float64))):
+    shape = (2 * (nx // 3) + 1, ny // 3 + 1)
+    expected = _HEADER.size + 16 * shape[0] * shape[1]
+    if len(raw) != expected:
+        raise SnapshotFormatError(f"snapshot length {len(raw)} != expected {expected}")
+    band = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
+    if not np.all(np.isfinite(band)):
         raise SnapshotFormatError("snapshot contains non-finite coefficients")
-    if np.any(coeffs[nx // 2, :] != 0.0) or np.any(coeffs[:, ny // 2] != 0.0):
-        raise SnapshotFormatError("snapshot violates the Nyquist-zero invariant")
-    try:
-        return SpectralField.from_coefficients(grid, coeffs)
-    except SpectralSymmetryError as exc:
-        raise SnapshotFormatError(f"snapshot is not a real field: {exc}") from exc
+    # pairing column 0 is idempotent, so only an unpaired payload changes
+    field = SpectralField(grid, from_band(grid, band))
+    if not np.array_equal(to_band(grid, field.half), band):
+        raise SnapshotFormatError("snapshot column k = 0 is unpaired: not a real field")
+    return field

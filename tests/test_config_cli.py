@@ -467,6 +467,9 @@ def test_cli_snapshots_load(tmp_path):
     field = load_snapshot(snaps[0])
     assert field.grid.nx == 32
     assert field.half.shape == (32, 17)
+    # the v2 payload is the 2/3 band, (2*(nx//3) + 1) x (ny//3 + 1) modes
+    nx, ny = field.grid.nx, field.grid.ny
+    assert snaps[0].stat().st_size == 32 + 16 * (2 * (nx // 3) + 1) * (ny // 3 + 1)
 
 
 def test_cli_simulate_zero_horizon_one_row(tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import full_plane_mask, full_plane_square, random_band_field
 from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymmetryError
+from kp5.initial_data import gaussian
 from kp5.operators import gevrey_norm
 from kp5.spectral import (
     Grid2D,
@@ -349,72 +352,104 @@ def test_snapshot_round_trip(tmp_path, grid16):
     g = load_snapshot(path)
     assert g.grid == grid16
     assert np.array_equal(g.half, f.half)
-    # the v1 layout: header, then the full plane in row-major order
+    # the v2 layout: header, then the 2/3 band in row-major order
     raw = path.read_bytes()
-    assert len(raw) == 32 + 16 * 16 * 16
-    body = np.frombuffer(raw, dtype="<c16", offset=32).reshape(16, 16)
-    assert np.array_equal(body, full_plane(grid16, f.half))
+    assert len(raw) == 32 + 16 * 11 * 6
+    assert struct.unpack_from("<4sIIIdd", raw) == (
+        SNAPSHOT_MAGIC, 2, 16, 16, 2 * np.pi, 2 * np.pi,
+    )
+    body = np.frombuffer(raw, dtype="<c16", offset=32).reshape(11, 6)
+    assert np.array_equal(body, to_band(grid16, f.half))
+
+
+def _saved_snapshot(tmp_path, grid, seed=1):
+    """The bytes (a bytearray) and path of a random band field's snapshot."""
+    path = tmp_path / "field.kp5s"
+    save_snapshot(random_band_field(grid, seed=seed), path)
+    return bytearray(path.read_bytes()), path
+
+
+def test_snapshot_writer_refuses_modes_off_the_band(tmp_path, grid16):
+    """A snapshot holds the 2/3 band only, so a field with modes off it is
+    refused rather than cut."""
+    f = gaussian(grid16, 1.0, 1.0)
+    assert f.half[..., ~grid16.dealias_mask].any()
+    with pytest.raises(ValueError, match="2/3 band"):
+        save_snapshot(f, tmp_path / "field.kp5s")
 
 
 def test_snapshot_rejects_non_hermitian_payload(tmp_path, grid16):
-    f = random_band_field(grid16, seed=2)
-    path = tmp_path / "field.kp5s"
-    save_snapshot(f, path)
-    raw = bytearray(path.read_bytes())
-    header = len(raw) - 16 * 16 * 16
-    c = np.zeros((16, 16), dtype="<c16")
-    c[1, 1] = 1.0  # c[-1, -1] stays zero
-    raw[header:] = c.tobytes()
+    """Column k = 0 is its own conjugate partner: an entry c[1, 0] without
+    c[-1, 0] = conj(c[1, 0]) is not a real field."""
+    raw, path = _saved_snapshot(tmp_path, grid16, seed=2)
+    offset = 32 + (1 * 6 + 0) * 16  # band row j = 1, column k = 0
+    raw[offset : offset + 16] = np.complex128(1.0 + 0.5j).tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError):
+    with pytest.raises(SnapshotFormatError, match="column k = 0 is unpaired"):
         load_snapshot(path)
 
 
 def test_snapshot_bad_magic(tmp_path, grid16):
-    f = random_band_field(grid16, seed=1)
-    path = tmp_path / "field.kp5s"
-    save_snapshot(f, path)
-    raw = bytearray(path.read_bytes())
+    raw, path = _saved_snapshot(tmp_path, grid16)
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError):
+    with pytest.raises(SnapshotFormatError, match="bad magic"):
         load_snapshot(path)
 
 
 def test_snapshot_truncated(tmp_path, grid16):
-    f = random_band_field(grid16, seed=1)
-    path = tmp_path / "field.kp5s"
-    save_snapshot(f, path)
-    raw = path.read_bytes()
+    raw, path = _saved_snapshot(tmp_path, grid16)
     path.write_bytes(raw[: len(raw) - 8])
-    with pytest.raises(SnapshotFormatError):
+    with pytest.raises(SnapshotFormatError, match="length"):
         load_snapshot(path)
     path.write_bytes(raw[:10])
-    with pytest.raises(SnapshotFormatError):
-        load_snapshot(path)
-
-
-def test_snapshot_rejects_nyquist_content(tmp_path, grid16):
-    f = random_band_field(grid16, seed=1)
-    path = tmp_path / "field.kp5s"
-    save_snapshot(f, path)
-    raw = bytearray(path.read_bytes())
-    header = len(raw) - 16 * 16 * 16
-    # poke a nonzero value into the Nyquist row (array row nx//2 = 8)
-    offset = header + (8 * 16 + 0) * 16
-    raw[offset : offset + 16] = np.complex128(1.0 + 0j).tobytes()
-    path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError):
+    with pytest.raises(SnapshotFormatError, match="before header end"):
         load_snapshot(path)
 
 
 def test_snapshot_rejects_bad_version(tmp_path, grid16):
-    f = random_band_field(grid16, seed=1)
-    path = tmp_path / "field.kp5s"
-    save_snapshot(f, path)
-    raw = bytearray(path.read_bytes())
+    raw, path = _saved_snapshot(tmp_path, grid16)
     assert raw[:4] == SNAPSHOT_MAGIC
     raw[4] = 99
     path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError):
+    with pytest.raises(SnapshotFormatError, match="version 99"):
+        load_snapshot(path)
+
+
+def test_snapshot_refuses_a_v1_file(tmp_path, grid16):
+    """Version 1 stored the full plane; it is refused, not read."""
+    path = tmp_path / "field.kp5s"
+    header = struct.pack("<4sIIIdd", SNAPSHOT_MAGIC, 1, 16, 16, 2 * np.pi, 2 * np.pi)
+    full = full_plane(grid16, random_band_field(grid16, seed=1).half)
+    path.write_bytes(header + full.astype("<c16").tobytes())
+    with pytest.raises(SnapshotFormatError, match="version 1$"):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_a_payload_sized_for_another_grid(tmp_path, grid16):
+    raw, path = _saved_snapshot(tmp_path, grid16)
+    struct.pack_into("<I", raw, 8, 32)  # nx = 32: a 21-row band
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="length"):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_non_finite_values(tmp_path, grid16):
+    raw, path = _saved_snapshot(tmp_path, grid16)
+    raw[-16:] = np.complex128(complex(1.0, np.nan)).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="non-finite"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("offset, fmt, value", [
+    (8, "<I", 15),  # odd nx
+    (12, "<I", 6),  # ny below 8
+    (16, "<d", -1.0),  # negative lx
+])
+def test_snapshot_rejects_an_invalid_grid(tmp_path, grid16, offset, fmt, value):
+    raw, path = _saved_snapshot(tmp_path, grid16)
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="grid sizes|domain lengths"):
         load_snapshot(path)
