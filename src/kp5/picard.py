@@ -12,8 +12,9 @@ the rfft2 half planes of the real field at the slice times
 i * delta / slices, kept on the band only (``spectral.to_band``; rows in FFT
 order), so a window is real and dealiased by construction, and every
 elementwise step and norm skips the modes the 2/3 rule drops.  A run keeps
-one such buffer: each iteration sweeps it one Simpson pair of slices at a
-time (an even slice count, so the pairs tile the window), squaring the pair
+one such buffer and no other array of its size: each iteration sweeps it
+one Simpson pair of slices at a time (an even slice count, so the pairs tile
+the window), making the pair's phases exp(i t m) afresh, squaring the pair
 with the dealiased-square kernel (through ``spectral.from_band``), advancing
 the cumulative Simpson integral from the slice before, and writing the new
 pair over the old one once its update distance and norm are taken, so every
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .operators import (
 from .spectral import (
     Grid2D,
     SpectralField,
-    _frozen,
     dealiased_square,
     field_band,
     from_band,
@@ -106,31 +105,39 @@ def _simpson_pair(left, mid, right, h, carry, odd, pair) -> None:
         odd += carry
 
 
-@lru_cache(maxsize=1)
-def _window_phases(grid: Grid2D, delta: float, n_slices: int) -> np.ndarray:
-    """exp(i * t_i * m) on the 2/3 band for every slice time, stacked
-    along axis 0 (only the latest window's phases are kept).
+def _block_phases(grid: Grid2D, delta: float, n_slices: int):
+    """Slice 0 alone, then each Simpson pair (slices p+1, p+2), as
+    (slice, phases): exp(i * t_i * m) on the 2/3 band at the block's times,
+    written into one reused contiguous (2, band) buffer, so a block's
+    phases hold only until the next block is taken.
 
     Since m(-xi, eta) = -m(xi, eta), only rows 0 <= j <= nx//3 take an
-    exponential; rows -j are their conjugates.  The table is filled in
-    place.
+    exponential; rows -j are their conjugates.
     """
     times = np.linspace(0.0, delta, n_slices)
     m = to_band(grid, dispersion_symbol(grid))
     top = grid.nx // 3 + 1
-    phases = np.empty((n_slices,) + m.shape, dtype=np.complex128)
-    upper = phases[:, :top]
-    np.multiply(times[:, None, None], 1j * m[None, :top], out=upper)
-    np.exp(upper, out=upper)
-    np.conjugate(phases[:, top - 1 : 0 : -1], out=phases[:, top:])
-    return _frozen(phases)
+    rate = 1j * m[None, :top]
+    buffer = np.empty((2,) + m.shape, dtype=np.complex128)
+    for s in [slice(0, 1)] + [slice(p, p + 2) for p in range(1, n_slices, 2)]:
+        t = times[s]
+        phases = buffer[: len(t)]
+        upper = phases[:, :top]
+        np.multiply(t[:, None, None], rate, out=upper)
+        np.exp(upper, out=upper)
+        np.conjugate(phases[:, top - 1 : 0 : -1], out=phases[:, top:])
+        yield s, phases
 
 
 def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
     """Free evolution S(t) f at the slices + 1 window times, a new
     (slices + 1, 2*(nx//3) + 1, ny//3 + 1) band array.  Data with modes
     off the 2/3 band raise ``ValueError``: the window could not hold them."""
-    return _window_phases(f.grid, delta, slices + 1) * field_band(f)
+    band = field_band(f)
+    window = np.empty((slices + 1,) + band.shape, dtype=np.complex128)
+    for s, phases in _block_phases(f.grid, delta, slices + 1):
+        np.multiply(phases, band, out=window[s])
+    return window
 
 
 def duhamel_apply(
@@ -151,19 +158,17 @@ def duhamel_apply(
     whose squares are taken before they are overwritten.
     """
     grid, n = f.grid, window.shape[0]
-    phases = _window_phases(grid, delta, n)
     table = _band_norm_weight(grid, sigma1, sigma2)
     data = to_band(grid, f.half)
     kick = -0.5j * to_band(grid, grid.xi_col)
     norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||
     left = carry = None
-    # slice 0 alone, then the pairs
-    for s in [slice(0, 1)] + [slice(p, p + 2) for p in range(1, n, 2)]:
+    for s, phases in _block_phases(grid, delta, n):
         # the square rotated back by conj(phases) as conj(conj(F) * phases),
         # in place: no conjugated copy of the phases is made
         forcing = to_band(grid, dealiased_square(grid, from_band(grid, window[s])))
         np.conjugate(forcing, out=forcing)
-        forcing *= phases[s]
+        forcing *= phases
         # the update and the new slices side by side, for one norm call
         out = np.empty((2,) + forcing.shape, dtype=np.complex128)
         update, cum = out
@@ -176,7 +181,7 @@ def duhamel_apply(
         np.conjugate(cum, out=cum)
         cum *= kick
         cum += data
-        cum *= phases[s]
+        cum *= phases
         np.subtract(window[s], cum, out=update)
         norms[:, s] = _weighted_norm(np.abs(out), table, grid.measure)
         window[s] = cum

@@ -13,6 +13,8 @@ import csv
 import json
 import math
 
+import numpy as np
+
 from . import __version__
 from .config import DEFAULT_C_EMP, SimConfig, config_to_dict
 
@@ -53,6 +55,7 @@ def write_manifest(path, cfg: SimConfig, command: str, extras: dict) -> None:
     payload = {
         "tool": "kp5",
         "version": __version__,
+        "numpy_version": np.__version__,
         "command": command,
         "config": config_to_dict(cfg),
         "constants": constants,

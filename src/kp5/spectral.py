@@ -43,6 +43,7 @@ k = 0..ny//3.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,8 +82,8 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 8 or self.nx % 2 or self.ny < 8 or self.ny % 2:
             raise ValueError("grid sizes must be even and at least 8")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError("domain lengths must be positive")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise ValueError("domain lengths must be positive and finite")
 
     @cached_property
     def j_index(self) -> np.ndarray:

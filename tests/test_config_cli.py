@@ -311,6 +311,7 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
     m1 = json.loads((out1 / "manifest.json").read_text())
     assert m1["tool"] == "kp5"
+    assert m1["numpy_version"] == np.__version__
     assert m1["command"] == "simulate"
     assert m1["constants"]["c0"] > 0
     assert m1["constants"]["c_emp"] > 0

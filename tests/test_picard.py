@@ -20,8 +20,8 @@ from kp5.operators import (
     semigroup_apply,
 )
 from kp5.picard import (
+    _block_phases,
     _simpson_pair,
-    _window_phases,
     delta_rule,
     duhamel_apply,
     free_window,
@@ -91,7 +91,7 @@ def band_norms(grid, band, sigma1, sigma2):
 
 def half_plane_phases(grid, delta: float, n: int) -> np.ndarray:
     """exp(i * t_i * m) on the whole half plane, taken on rows
-    0 <= j <= nx/2 and conjugated onto rows -j, as ``_window_phases`` does
+    0 <= j <= nx/2 and conjugated onto rows -j, as ``_block_phases`` does
     on the band."""
     times = np.linspace(0.0, delta, n)[:, None, None]
     m = dispersion_symbol(grid)
@@ -247,15 +247,22 @@ def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
     assert np.allclose(out, w, rtol=0, atol=1e-15)
 
 
-def test_window_phases_match_the_exponential(grid16):
-    """The band phases are the exponential on the band; rows -j are
-    filled as conjugates of rows j."""
-    delta, n = 0.3, 9
-    got = _window_phases(grid16, delta, n)
-    times = np.linspace(0.0, delta, n)[:, None, None]
-    want = to_band(grid16, np.exp(1j * times * dispersion_symbol(grid16)[None]))
-    assert got.shape == want.shape == (n, 11, 6) and not got.flags.writeable
-    assert np.max(np.abs(got - want)) <= 1e-14
+@pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (128, 128)])
+def test_block_phases_are_the_oracle_phases_on_the_band(nx, ny):
+    """Slice 0 alone, then the Simpson pairs, tile the window, and their
+    phases joined are the whole-stack oracle's phases on the band, bit for
+    bit; at t = 0 they are exactly 1."""
+    grid = Grid2D(nx, ny, 2 * math.pi, 2 * math.pi)
+    delta, n = 0.3, 65
+    blocks = [(s, phases.copy()) for s, phases in _block_phases(grid, delta, n)]
+    assert [(s.start, s.stop) for s, _ in blocks] == (
+        [(0, 1)] + [(p, p + 2) for p in range(1, n, 2)]
+    )
+    got = np.concatenate([phases for _, phases in blocks])
+    want = to_band(grid, half_plane_phases(grid, delta, n))
+    assert got.shape == want.shape == (n, 2 * (nx // 3) + 1, ny // 3 + 1)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[0] == 1.0)
 
 
 def test_duhamel_matches_derivative_before_quadrature():
@@ -433,15 +440,15 @@ def test_window_is_read_only_band(grid16):
 
 
 
-def test_picard_run_peaks_under_three_band_windows():
-    """A run allocates its window and its phase table, one band window
-    each, and temporaries of a few slices, so its traced peak stays under
-    three band windows; the half-plane layout peaked at 5."""
+def test_picard_run_holds_one_band_window():
+    """A run allocates one band window and temporaries of a few slices:
+    each Simpson pair makes its own phases in a (2, band) buffer, so no
+    window-sized phase table is held, and the traced peak stays under 1.6
+    band windows (2.4 with the table; the half-plane layout peaked at 5)."""
     grid = Grid2D(64, 64, 16 * math.pi, 16 * math.pi)
     f = random_band_field(grid, seed=6)
     slices = 64
     band_window = (slices + 1) * (2 * (64 // 3) + 1) * (64 // 3 + 1) * 16
-    _window_phases.cache_clear()  # the table is built inside the run
     tracemalloc.start()
     try:
         res = picard_iterate(
@@ -451,4 +458,4 @@ def test_picard_run_peaks_under_three_band_windows():
     finally:
         tracemalloc.stop()
     assert res.iterations == 3
-    assert band_window < peak < 3 * band_window
+    assert band_window < peak < 1.6 * band_window

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -446,6 +447,9 @@ def test_snapshot_rejects_non_finite_values(tmp_path, grid16):
     (8, "<I", 15),  # odd nx
     (12, "<I", 6),  # ny below 8
     (16, "<d", -1.0),  # negative lx
+    (16, "<d", math.inf),  # infinite lx
+    (24, "<d", math.inf),  # infinite ly
+    (16, "<d", math.nan),  # lx not a number
 ])
 def test_snapshot_rejects_an_invalid_grid(tmp_path, grid16, offset, fmt, value):
     raw, path = _saved_snapshot(tmp_path, grid16)
