@@ -28,8 +28,10 @@ from .config import (
     _AT_LEAST_ONE,
     _GRID_SIZE,
     _POSITIVE,
+    _RULES,
     GridConfig,
     SimConfig,
+    _check_rule,
     load_config,
 )
 from .diagnostics import (
@@ -210,13 +212,15 @@ _COMMANDS = {
 
 
 def _check_flags(command: _Command, args) -> None:
-    """Refuse by name, as a config value, a non-finite float or a broken rule."""
+    """Refuse by name, as a config value, a non-finite float or a broken
+    rule; a given ``--seed`` meets the config's seed rule."""
     for flag, kind, _, rule in command.flags:
         value = getattr(args, flag[2:])
         if kind is float and not math.isfinite(value):
             raise ConfigError(flag, f"must be finite, got {value!r}")
-        if rule is not None and not rule[0](value):
-            raise ConfigError(flag, f"{rule[1]}, got {value!r}")
+        _check_rule(rule, value, flag)
+    if args.seed is not None:
+        _check_rule(_RULES["seed"], args.seed, "--seed")
 
 
 def _cmd_run(name: str, args) -> int:

@@ -150,7 +150,7 @@ _RULES = {
     "picard.n_max": _AT_LEAST_ONE,
     "picard.tol": _POSITIVE,
     "output.snapshot_times[]": _NONNEGATIVE,
-    "seed": _NONNEGATIVE,
+    "seed": (lambda v: 0 <= v < 2**128, "must be >= 0 and below 2**128 (a Philox key)"),
 }
 
 
@@ -194,10 +194,14 @@ def _value(hint, val, where: str):
         val = _as_float(val, where)
     elif isinstance(val, bool) or not isinstance(val, hint):
         raise ConfigError(where, f"expected {hint.__name__}, got {val!r}")
-    rule = _RULES.get(re.sub(r"\[\d+\]$", "[]", where))
+    _check_rule(_RULES.get(re.sub(r"\[\d+\]$", "[]", where)), val, where)
+    return val
+
+
+def _check_rule(rule, val, where: str) -> None:
+    """Refuse ``val``, named ``where``, when it breaks the range rule (if any)."""
     if rule is not None and not rule[0](val):
         raise ConfigError(where, f"{rule[1]}, got {val!r}")
-    return val
 
 
 def _as_float(val, where: str) -> float:

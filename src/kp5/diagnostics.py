@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_LENGTH, SimConfig
-from .errors import InadmissibleParamsError, InsufficientSupportError
+from .errors import InadmissibleParamsError
 from .initial_data import gaussian
 from .integrator import (
     SimulationOutput,
@@ -61,16 +61,6 @@ _HARMONICS = _frozen(np.stack([np.ones(BILINEAR_SLICES), np.cos(_PHASE),
 # --- radius of analyticity from the spectral tail ---------------------------
 
 
-@dataclass(frozen=True)
-class RadiusFit:
-    """Least-squares decay rate of log max_eta |c| against |xi|."""
-
-    sigma_est: float
-    band: tuple[float, float]
-    residual: float  # rms misfit of the log-linear model
-    shells: int
-
-
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and intercept of y against x, in closed form."""
     xm, ym = x.mean(), y.mean()
@@ -79,37 +69,38 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(ym - slope * xm)
 
 
-def radius_estimate(field: SpectralField) -> RadiusFit:
-    """Fit exp(-sigma |xi|) to the positive-xi spectral envelope.
+def _log2_ratio(a: float, b: float) -> float:
+    """log2(a / b) for positive errors a and b, else nan."""
+    return math.log2(a / b) if a > 0 and b > 0 else math.nan
+
+
+def radius_estimate(field: SpectralField) -> tuple[float, float]:
+    """Fit exp(-sigma |xi|) to the positive-xi spectral envelope: the decay
+    rate sigma_est, clamped at 0, and the rms misfit of the log-linear model.
 
     The envelope of shell j is max_k |c[j, k]| over the full plane, read
     off the half plane: full-plane row j holds half-plane row j and,
     conjugated, columns 1..ny/2-1 of row -j, so the envelope is the larger
     of their maxima.  The fit band is [0.25, 0.75] of the dealiased
-    cutoff; shells below the relative floor are dropped, and fewer than 8
-    surviving shells raises ``InsufficientSupportError``.
+    cutoff; shells below the relative floor are dropped.  An empty spectrum
+    or fewer than 8 surviving shells gives (nan, nan): no fit is not a
+    collapse, a genuine 0.0 comes only from the clamp.
     """
     g = field.grid
-    band = (0.25 * g.xi_dealias, 0.75 * g.xi_dealias)
-    lo, hi = band
+    lo, hi = 0.25 * g.xi_dealias, 0.75 * g.xi_dealias
     n = g.nx // 2
     mag = np.abs(field.half)
     envelope = np.maximum(mag[1:n].max(axis=1), mag[:n:-1, 1 : g.ny // 2].max(axis=1))
     peak = float(mag.max())
-    if peak == 0.0:
-        raise InsufficientSupportError("empty spectrum")
     freqs = g.xi[1:n]
     keep = (freqs >= lo) & (freqs <= hi) & (envelope > SPECTRAL_FLOOR * peak)
-    used = int(np.count_nonzero(keep))
-    if used < 8:
-        raise InsufficientSupportError(
-            f"only {used} usable spectral shells in band [{lo:g}, {hi:g}]; need 8"
-        )
+    if np.count_nonzero(keep) < 8:  # an empty spectrum keeps no shell
+        return math.nan, math.nan
     x = freqs[keep]
     y = np.log(envelope[keep])
     slope, intercept = _line_fit(x, y)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RadiusFit(max(0.0, -slope), band, resid, used)
+    return max(0.0, -slope), resid
 
 
 # --- tapered space-time fields and Bourgain-type norms ----------------------
@@ -244,25 +235,26 @@ def check_bilinear_admissible(params: GevreyParams) -> None:
 @lru_cache(maxsize=8)
 def _band_tables(grid: Grid2D) -> tuple:
     """Full-plane tables of the band 0 < 3|j| <= nx, 3k <= ny, of its mirror
-    (-j, -k), and of the trial envelope on each."""
+    (-j, -k), and of the trial envelope on the band, which is also the one
+    on the mirror: |xi_-j| = |xi_j| and |eta_-k| = |eta_k| exactly."""
     rows = np.flatnonzero((grid.j_index != 0) & (3 * np.abs(grid.j_index) <= grid.nx))
     cols = np.arange(grid.ny // 3 + 1)
     at = np.ix_(rows, cols)
     mirror = np.ix_(-grid.j_index[rows] % grid.nx, -cols % grid.ny)
     envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta)))
-    return at, mirror, _frozen(envelope[at]), _frozen(envelope[mirror])
+    return at, mirror, _frozen(envelope[at])
 
 
 def _random_bases(grid: Grid2D, rng: np.random.Generator) -> np.ndarray:
     """Half planes (5, nx, ny//2 + 1) of five random real fields: each draws
     full-plane noise c (real, then imaginary part) times exp(-(|xi| + |eta|))
     and keeps its Hermitian part (c[j, k] + conj(c[-j, -k])) / 2 on the band."""
-    at, mirror, envelope, mirror_envelope = _band_tables(grid)
+    at, mirror, envelope = _band_tables(grid)
     bases = np.zeros((5, grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
     for base in bases:
         re, im = rng.standard_normal((2, grid.nx, grid.ny))
         c = (re[at] + 1j * im[at]) * envelope
-        base[at] = 0.5 * (c + np.conj((re[mirror] + 1j * im[mirror]) * mirror_envelope))
+        base[at] = 0.5 * (c + np.conj((re[mirror] + 1j * im[mirror]) * envelope))
     return bases
 
 
@@ -411,19 +403,6 @@ class RadiusDecayResult:
     run: SimulationOutput  # its records are the samples
 
 
-def radius_sample(t: float, field: SpectralField) -> RadiusSample:
-    """``radius_estimate`` of a field at time t.
-
-    A fit that finds too few shells gives sigma_est = residual = nan: no
-    fit is not a collapse, a genuine 0.0 comes only from the clamp.
-    """
-    try:
-        fit = radius_estimate(field)
-    except InsufficientSupportError:
-        return RadiusSample(t, float("nan"), float("nan"))
-    return RadiusSample(t, fit.sigma_est, fit.residual)
-
-
 def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     """Track the fitted radius at contraction-window spacing out to the
     horizon, then fit a power law on the tail (t past a tenth of the
@@ -447,7 +426,8 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     else:
         times = np.arange(int(count) + 1) * delta
     run = _sampled_run(
-        cfg, f, delta, times, (), lambda t, steps, field, l2: radius_sample(t, field)
+        cfg, f, delta, times, (),
+        lambda t, steps, field, l2: RadiusSample(t, *radius_estimate(field)),
     )
     samples = tuple(run.records)
     sigma0 = samples[0].sigma_est
@@ -538,7 +518,7 @@ class EnergyIdentityRow:
 @dataclass(frozen=True)
 class EnergyIdentityResult:
     rows: tuple[EnergyIdentityRow, ...]
-    orders: tuple[float, ...]  # log2(rel_err_i / rel_err_{i+1})
+    orders: tuple[float, ...]  # log2(rel_err_i / rel_err_{i+1}), nan at a 0
 
 
 def energy_identity_check(cfg: SimConfig) -> EnergyIdentityResult:
@@ -571,10 +551,5 @@ def energy_identity_check(cfg: SimConfig) -> EnergyIdentityResult:
         rhs = (flux(f) + 4.0 * flux(mid) + flux(end)) / 6.0
         scale = max(abs(lhs), abs(rhs), 1e-300)
         rows.append(EnergyIdentityRow(dt, lhs, rhs, abs(lhs - rhs) / scale))
-    orders = tuple(
-        math.log2(rows[i].rel_err / rows[i + 1].rel_err)
-        if rows[i + 1].rel_err > 0
-        else float("inf")
-        for i in range(len(rows) - 1)
-    )
+    orders = tuple(_log2_ratio(a.rel_err, b.rel_err) for a, b in zip(rows, rows[1:]))
     return EnergyIdentityResult(tuple(rows), orders)

@@ -35,10 +35,6 @@ class PicardDivergenceError(Kp5Error):
     """Successive-approximation distances stopped contracting."""
 
 
-class InsufficientSupportError(Kp5Error):
-    """Too few spectral shells above the noise floor to fit a decay rate."""
-
-
 class BlowUpError(Kp5Error):
     """The numerical solution left the trusted regime (NaN/Inf or runaway norm).
 

@@ -173,11 +173,11 @@ def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:
     return aligned_dt(span, base)
 
 
-def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float | None:
-    """The longest step between samples, cfl * delta; None (step on the
+def window_cap(cfg: SimConfig, delta: float, grid_dt: float) -> float:
+    """The longest step between samples, cfl * delta; grid_dt (step on the
     grid) for an explicit dt and for a delta that is nan or below grid_dt."""
     if cfg.time.dt is not None or not delta >= grid_dt:
-        return None
+        return grid_dt
     return cfg.time.cfl * delta
 
 
@@ -190,17 +190,18 @@ def sample_steps(times, dt: float, steps: int) -> set[int]:
 
 
 def step_plan(
-    wanted: set[int], grid_dt: float, cap: float | None
+    wanted: set[int], grid_dt: float, cap: float
 ) -> list[tuple[int, float, int]]:
     """(grid index, step size, step count) for each wanted grid index in
     order.  The gap of g grid steps from the previous index (0 at first) is
     crossed in ceil(g * grid_dt / cap) equal steps when that is fewer than
-    g, and otherwise (or with no cap) in g steps of exactly grid_dt."""
+    g, and otherwise in g steps of exactly grid_dt: always, under a cap of
+    at most grid_dt (``window_cap`` of a run that steps on the grid)."""
     plan = []
     prev = 0
     for b in sorted(wanted):
         gap = b - prev
-        dt, m = (grid_dt, gap) if cap is None else aligned_dt(gap * grid_dt, cap)
+        dt, m = aligned_dt(gap * grid_dt, cap)
         if m >= gap:
             dt, m = grid_dt, gap
         plan.append((b, dt, m))
@@ -212,25 +213,22 @@ def _record(
     cfg: SimConfig, t: float, steps: int, field: SpectralField, l2: np.ndarray
 ) -> DiagnosticsRecord:
     """The series row of a field at time t, reached in ``steps`` steps, with
-    the L2 norm ``l2`` the sample loop already took (a 0-d array).  The
-    remainder is exactly 0 (not computed) when both sigmas are 0.
+    the L2 norm ``l2`` the sample loop already took (a 0-d array).  A failed
+    radius fit reads sigma_est = residual = nan; at sigma1 = sigma2 = 0 the
+    remainder is exactly 0.
     """
     # imported here: diagnostics builds on this module
-    from .diagnostics import radius_sample
+    from .diagnostics import radius_estimate
 
+    sigma_est, residual = radius_estimate(field)
     s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
-    if s1 == 0.0 and s2 == 0.0:
-        remainder_l2 = 0.0
-    else:
-        remainder_l2 = gevrey_norm(remainder_n(field, s1, s2), 0.0, 0.0)
-    fit = radius_sample(t, field)
     return DiagnosticsRecord(
         t=t,
         l2=float(l2),
         gevrey=tuple(ladder_norms(field, cfg.gevrey.ladder)),
-        sigma_est=fit.sigma_est,
-        residual=fit.residual,
-        remainder_l2=remainder_l2,
+        sigma_est=sigma_est,
+        residual=residual,
+        remainder_l2=gevrey_norm(remainder_n(field, s1, s2), 0.0, 0.0),
         steps=steps,
     )
 

@@ -20,7 +20,7 @@ import kp5.picard
 import kp5.spectral
 from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
 from kp5.config import DEFAULT_C_EMP
-from kp5.diagnostics import RadiusDecayResult, RadiusFit, RadiusSample
+from kp5.diagnostics import RadiusDecayResult, RadiusSample
 from kp5.integrator import SimulationOutput
 from kp5.spectral import Grid2D, SpectralField
 
@@ -121,8 +121,9 @@ def _plant_rk4_weights(monkeypatch):
 
 
 def _plant_nan_radius_fit(monkeypatch):
-    fit = RadiusFit(math.nan, (0.0, 0.0), math.nan, 0)
-    monkeypatch.setattr(kp5.acceptance, "radius_estimate", lambda field: fit)
+    monkeypatch.setattr(
+        kp5.acceptance, "radius_estimate", lambda field: (math.nan, math.nan)
+    )
 
 
 def _plant_nan_semigroup(monkeypatch):

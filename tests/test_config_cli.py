@@ -169,6 +169,7 @@ REJECTED = [
     ("grid", [32], "grid"),
     ("grids", {}, "config.grids"),
     ("time.horizons", 2.0, "time.horizons"),
+    ("seed", 2**128, "seed"),  # past the Philox key range
 ]
 
 # (key, accepted boundary value, parsed value): the parsed type is checked too
@@ -203,6 +204,7 @@ ACCEPTED = [
     ("output.snapshot_times", (0, 0.5), (0.0, 0.5)),
     ("seed", 0, 0),
     ("grid", None, SimConfig().grid),
+    ("seed", 2**128 - 1, 2**128 - 1),
 ]
 
 
@@ -490,6 +492,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_seed_beyond_the_philox_key_range_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, f"seed: {2**130}\n")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: seed: ")
+    assert not out.exists()
+
+
 def test_cli_overflowing_initial_data_is_a_config_error(tmp_path, capsys):
     # amplitude / peak overflows to inf, and inf * 0 at the edges to nan
     cfg = write(
@@ -583,6 +594,10 @@ def test_cli_sigma_ladder_blow_up_writes_ladder_rows(tmp_path, monkeypatch):
         ["uniqueness", "--eps", "nan"],
         ["bilinear", "--trials", "0"],
         ["bilinear", "--nx", "7"],
+        # --seed meets the config's seed rule, a Philox key in [0, 2**128)
+        *(["simulate", "--seed", seed] for seed in ("-1", str(2**128))),
+        *(["bilinear", "--seed", seed, "--trials", "1", "--nx", "8", "--ny", "8"]
+          for seed in ("-1", str(2**128))),
     ]
 ])
 def test_cli_bad_flag_is_a_config_error(tmp_path, capsys, argv):

@@ -284,18 +284,18 @@ def test_step_plan_crosses_each_gap_in_window_steps():
     assert [(b, m) for b, _, m in plan] == [(0, 0), (10, 3), (13, 1), (25, 4)]
     assert [dt for _, dt, _ in plan[1:]] == pytest.approx([1.0 / 3, 0.3, 0.3])
     assert step_plan({4}, 0.1, 1.0) == [(4, pytest.approx(0.4), 1)]
-    # no cap, or one below the grid step: every grid step, of exactly grid_dt
-    for cap in (None, 0.05):
+    # a cap of the grid step or below: every grid step, of exactly grid_dt
+    for cap in (0.1, 0.05):
         assert step_plan({0, 10, 13}, 0.1, cap) == [(0, 0.1, 0), (10, 0.1, 10), (13, 0.1, 3)]
 
 
-def test_window_cap_is_cfl_times_delta_or_none():
+def test_window_cap_is_cfl_times_delta_or_the_grid_step():
     cfg = small_cfg()
     assert window_cap(cfg, 0.1, 0.01) == 0.1
     assert window_cap(replace(cfg, time=replace(cfg.time, cfl=0.5)), 0.1, 0.01) == 0.05
-    assert window_cap(cfg, 0.005, 0.01) is None  # window below the grid step
-    assert window_cap(cfg, math.nan, 0.01) is None  # no finite data norm
-    assert window_cap(replace(cfg, time=replace(cfg.time, dt=0.01)), 0.1, 0.01) is None
+    assert window_cap(cfg, 0.005, 0.01) == 0.01  # window below the grid step
+    assert window_cap(cfg, math.nan, 0.01) == 0.01  # no finite data norm
+    assert window_cap(replace(cfg, time=replace(cfg.time, dt=0.01)), 0.1, 0.01) == 0.01
 
 
 def test_dt_source_is_grid_without_a_longer_step():

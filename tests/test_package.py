@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import runpy
@@ -65,3 +66,30 @@ def test_benchmark_tracer_targets_resolve():
     for layer, cls_name, meth in tracer["CLASSMETHODS"]:
         cls = getattr(importlib.import_module(f"kp5.{layer}"), cls_name)
         assert isinstance(cls.__dict__[meth], classmethod), (cls_name, meth)
+
+
+def test_benchmark_layer_metrics_name_live_functions():
+    """Each per-layer metric of BENCHMARK.json that names a function of a
+    traced module, ``<layer>.<function>.<stat>`` or
+    ``<layer>.<Class>.<method>.<stat>``, resolves in ``kp5.<layer>``, apart
+    from five whose functions are already gone (the next benchmark change
+    drops them): deleting a traced function leaves a metric that reads 0
+    in every run, so it fails here instead."""
+    root = Path(__file__).resolve().parent.parent
+    layers = runpy.run_path(str(root / "kp5bench" / "tracer.py"))["LAYERS"]
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    dead = set()
+    for metric in metrics:
+        layer, *path, _ = metric["name"].split(".")
+        if layer not in layers or not path:
+            continue  # not a traced module, or a whole-layer metric
+        target = importlib.import_module(f"kp5.{layer}")
+        for name in path:
+            target = getattr(target, name, None)
+        if not callable(target):
+            dead.add(".".join([layer, *path]))
+    assert dead == {
+        "picard.window_distance", "picard.doubling_check",
+        "spectral.pointwise_square", "spectral.pointwise_product",
+        "spectral.hermitian_part",
+    }
