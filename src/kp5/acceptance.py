@@ -26,6 +26,7 @@ from .config import (
 )
 from .diagnostics import (
     GRONWALL_ENVELOPE,
+    GevreyParams,
     SpaceTimeField,
     _HARMONICS,
     _basis_window,
@@ -44,7 +45,6 @@ from .errors import ConfigError
 from .initial_data import exp_spectrum
 from .integrator import cfl_dt, initial_field, simulate, step
 from .operators import (
-    GevreyParams,
     apply_gevrey,
     gevrey_norm,
     half_plane_norms,

@@ -35,15 +35,15 @@ from .config import (
     load_config,
 )
 from .diagnostics import (
+    GevreyParams,
     almost_conservation_run,
     bilinear_ratio_trials,
     increment_fit,
     radius_decay_run,
     uniqueness_gap,
 )
-from .errors import BlowUpError, ConfigError, Kp5Error
+from .errors import BlowUpError, ConfigError, InadmissibleParamsError, Kp5Error
 from .integrator import SimulationOutput, initial_field, simulate
-from .operators import GevreyParams
 from .picard import picard_from_config
 from .reporting import write_csv, write_manifest
 from .spectral import save_snapshot
@@ -72,7 +72,7 @@ def _attrs(obj, names: str) -> dict:
 
 
 def _run_simulate(cfg: SimConfig, args) -> _Run:
-    result = simulate(cfg, snapshot_times=cfg.output.snapshot_times)
+    result = simulate(cfg)
     return _Run(
         result.records,
         _attrs(result, "l2_drift"),
@@ -142,9 +142,12 @@ def _ladder_table(cfg: SimConfig, records):
 
 def _run_bilinear(cfg: SimConfig, args) -> _Run:
     params = _attrs(args, "s1 s2 b beta eps")
-    result = bilinear_ratio_trials(
-        GevreyParams(**params), args.trials, cfg.seed, nx=args.nx, ny=args.ny
-    )
+    try:
+        result = bilinear_ratio_trials(
+            GevreyParams(**params), args.trials, cfg.seed, nx=args.nx, ny=args.ny
+        )
+    except InadmissibleParamsError as exc:  # raised before any trial runs
+        raise ConfigError(f"--{exc.field}", exc.reason) from None
     return _Run(
         result.ratios,
         {**_attrs(result, "max_ratio q95"), **_attrs(args, "trials nx ny"),

@@ -26,12 +26,8 @@ from .integrator import (
     step,
 )
 from .operators import (
-    GevreyParams,
-    _weight,
     _weighted_norm,
     apply_gevrey,
-    assert_sigma_within_guard,
-    bracket,
     dispersion_symbol,
     gevrey_norm,
     half_plane_norms,
@@ -104,6 +100,25 @@ def radius_estimate(field: SpectralField) -> tuple[float, float]:
 
 
 # --- tapered space-time fields and Bourgain-type norms ----------------------
+
+
+def bracket(x):
+    """Smoothed absolute value <x> = sqrt(1 + x^2)."""
+    return np.sqrt(1.0 + np.square(x))
+
+
+@dataclass(frozen=True)
+class GevreyParams:
+    """Orders of ``bourgain_norm``: Sobolev orders s1/s2, modulation order b
+    (<tau - m>^b), reduced modulation order beta of bilinear outputs and
+    auxiliary order eps.  No exponential weight: it is submultiplicative, so
+    the Gevrey bilinear estimate follows from the one at sigma = 0."""
+
+    s1: float = 0.0
+    s2: float = 0.0
+    b: float = 0.55
+    beta: float = 0.45
+    eps: float = 0.0
 
 
 def window_taper(n_t: int, slice_dt: float) -> np.ndarray:
@@ -185,19 +200,18 @@ def _xtsb_weight(
         w = w * bracket(grid.xi_col)[None, :, :] ** (2.0 * params.s1)
     if params.s2 != 0.0:
         w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
-    w = np.sqrt(w) * _weight(grid, params.sigma1, params.sigma2)
+    w = np.sqrt(w)
     return _frozen(np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h))))
 
 
 def bourgain_norm(field: SpaceTimeField, params: GevreyParams) -> float:
     """Weighted space-time L2 with dispersive modulation weights.
 
-    lambda^2 = <xi>^2s1 <eta>^2s2 <tau - m>^2b <(tau - m)/(1+|xi|^5)>^2eps
-    times the squared exponential weight.  At all-zero parameters this is
-    the plain space-time L2 norm of the tapered window.
+    lambda^2 = <xi>^2s1 <eta>^2s2 <tau - m>^2b <(tau - m)/(1+|xi|^5)>^2eps.
+    At all-zero parameters this is the plain space-time L2 norm of the
+    tapered window.
     """
     g = field.grid
-    assert_sigma_within_guard(g, params.sigma1, params.sigma2)
     w = _xtsb_weight(g, field.n_t, field.slice_dt, params)
     amp = np.abs(field.coeffs_tau)
     return float(_weighted_norm(amp, w, g.measure * field.duration, axes=3))
@@ -214,20 +228,20 @@ def check_bilinear_admissible(params: GevreyParams) -> None:
     """
     s = max(0.0, -params.s1)
     if not params.s1 > -1.25:
-        raise InadmissibleParamsError(f"s1 must exceed -5/4, got {params.s1}")
+        raise InadmissibleParamsError("s1", f"must exceed -5/4, got {params.s1}")
     if params.s2 < 0:
-        raise InadmissibleParamsError(f"s2 must be >= 0, got {params.s2}")
+        raise InadmissibleParamsError("s2", f"must be >= 0, got {params.s2}")
     if not params.b > 0.5:
-        raise InadmissibleParamsError(f"b must exceed 1/2, got {params.b}")
+        raise InadmissibleParamsError("b", f"must exceed 1/2, got {params.b}")
     eps_max = min(0.4 * (1.25 - s), 0.15)
     if not 0.0 <= params.eps <= eps_max:
         raise InadmissibleParamsError(
-            f"eps must lie in [0, {eps_max:g}] at s1={params.s1}, got {params.eps}"
+            "eps", f"must lie in [0, {eps_max:g}] at s1={params.s1}, got {params.eps}"
         )
     beta_lo = max(0.45, 0.5 - 0.5 * (1.25 - s) + params.eps)
     if not beta_lo <= params.beta < 0.5:
         raise InadmissibleParamsError(
-            f"beta must lie in [{beta_lo:g}, 0.5) at s1={params.s1}, "
+            "beta", f"must lie in [{beta_lo:g}, 0.5) at s1={params.s1}, "
             f"eps={params.eps}; got {params.beta}"
         )
 
@@ -270,7 +284,6 @@ class BilinearResult:
     ratios: tuple[float, ...]
     max_ratio: float
     q95: float
-    params: GevreyParams
 
 
 def bilinear_ratio_trials(
@@ -317,7 +330,6 @@ def bilinear_ratio_trials(
         ratios=tuple(arr.tolist()),
         max_ratio=float(arr[-1]),
         q95=float(arr[min(len(arr) - 1, int(0.95 * len(arr)))]),
-        params=params,
     )
 
 
@@ -460,7 +472,7 @@ class GapSample:
 @dataclass(frozen=True)
 class UniquenessResult:
     samples: tuple[GapSample, ...]
-    max_ratio: float  # worst gap / bound over t > 0, nan if any is nan
+    max_ratio: float  # worst gap / bound over t > 0, nan if any is nan or none
     eps: float
     run: SimulationOutput  # its records are the samples
 
@@ -498,9 +510,9 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
 
     run = _sampled_run(cfg, pair, math.nan, None, (), record)
     samples = tuple(run.records)
-    ratios = [s.gap / s.bound for s in samples if s.bound > 0]
-    # the t = 0 ratio is 1 by construction: report the worst later one
-    max_ratio = float(np.max(ratios[1:] or ratios))
+    # the t = 0 ratio is 1 by construction: the worst later one, nan if none
+    ratios = [s.gap / s.bound for s in samples if s.t > 0 and s.bound > 0]
+    max_ratio = float(np.max(ratios)) if ratios else math.nan
     return UniquenessResult(samples, max_ratio, eps, run)
 
 

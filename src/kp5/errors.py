@@ -54,10 +54,12 @@ class ConfigError(Kp5Error):
     def __init__(self, field: str, msg: str):
         super().__init__(f"{field}: {msg}")
         self.field = field
+        self.reason = msg
 
 
-class InadmissibleParamsError(Kp5Error):
-    """Norm parameters violate the admissible range for the bilinear estimate."""
+class InadmissibleParamsError(ConfigError):
+    """Norm orders violate the admissible range for the bilinear estimate.
+    The field is the order whose range broke."""
 
 
 class SnapshotFormatError(Kp5Error):

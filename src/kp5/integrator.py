@@ -314,9 +314,9 @@ def _sampled_run(
     return SimulationOutput(records, snapshots, dt_max, grid_dt, steps, source, phase_s)
 
 
-def simulate(cfg: SimConfig, snapshot_times=()) -> SimulationOutput:
+def simulate(cfg: SimConfig) -> SimulationOutput:
     """The series rows at ``time.samples`` times evenly spaced over the
-    horizon and the fields at ``snapshot_times``, stepped by
+    horizon and the fields at ``output.snapshot_times``, stepped by
     ``_sampled_run`` with the contraction window of the configured data at
     the rate sigma1 (``picard.delta_rule``)."""
     f = initial_field(cfg)
@@ -325,6 +325,7 @@ def simulate(cfg: SimConfig, snapshot_times=()) -> SimulationOutput:
     )
     return _sampled_run(
         cfg, f, delta,
-        np.linspace(0.0, cfg.time.horizon, cfg.time.samples), snapshot_times,
+        np.linspace(0.0, cfg.time.horizon, cfg.time.samples),
+        cfg.output.snapshot_times,
         partial(_record, cfg),
     )

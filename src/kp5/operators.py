@@ -28,47 +28,16 @@ the integrator's ladder, the Picard window's band norms and the space-time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import SigmaOverflowError
-from .spectral import Grid2D, SpectralField, _frozen, dealiased_square, to_band
+from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
 
 # exp argument budget: exp(650) ~ 1e282 leaves headroom for the mode sums
 SIGMA_GUARD_LIMIT = 650.0
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
-
-
-def bracket(x):
-    """Smoothed absolute value <x> = sqrt(1 + x^2)."""
-    return np.sqrt(1.0 + np.square(x))
-
-
-@dataclass(frozen=True)
-class GevreyParams:
-    """Weight and regularity parameters for the analytic-norm family.
-
-    sigma1/sigma2 are the exponential weight rates in xi and eta; s1/s2 are
-    polynomial Sobolev orders; b is the modulation order <tau - m>^b; beta
-    is the reduced modulation order used on bilinear outputs; eps is the
-    auxiliary modulation-over-dispersion order.  Only the sigmas are
-    constrained at construction; the (b, beta, eps, s1, s2) ranges matter
-    only where the bilinear estimate is invoked and are checked there.
-    """
-
-    sigma1: float = 0.0
-    sigma2: float = 0.0
-    s1: float = 0.0
-    s2: float = 0.0
-    b: float = 0.55
-    beta: float = 0.45
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ValueError("analyticity radii sigma1, sigma2 must be >= 0")
 
 
 def max_admissible_sigma1(grid: Grid2D, sigma2: float = 0.0) -> float:
@@ -127,13 +96,6 @@ def _norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """``_weight`` times the square root of the column multiplicity: the
     table that turns |c| into the amplitudes of a half-plane norm."""
     return _frozen(_weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity))
-
-
-@lru_cache(maxsize=8)
-def _band_norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
-    """``_norm_weight`` on the 2/3 band (``spectral.to_band``): the table of
-    the norms of a Picard window."""
-    return _frozen(to_band(grid, _norm_weight(grid, sigma1, sigma2)))
 
 
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:

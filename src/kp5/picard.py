@@ -37,7 +37,7 @@ import numpy as np
 from .config import SimConfig
 from .errors import BlowUpError, PicardDivergenceError
 from .operators import (
-    _band_norm_weight,
+    _norm_weight,
     _weighted_norm,
     assert_sigma_within_guard,
     dispersion_symbol,
@@ -158,7 +158,7 @@ def duhamel_apply(
     whose squares are taken before they are overwritten.
     """
     grid, n = f.grid, window.shape[0]
-    table = _band_norm_weight(grid, sigma1, sigma2)
+    table = to_band(grid, _norm_weight(grid, sigma1, sigma2))
     data = to_band(grid, f.half)
     kick = -0.5j * to_band(grid, grid.xi_col)
     norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||

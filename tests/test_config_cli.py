@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from kp5.config import (
     load_config,
     rng_from_seed,
 )
-from kp5.diagnostics import uniqueness_gap
+from kp5.diagnostics import GevreyParams, uniqueness_gap
 from kp5.errors import ConfigError
 from kp5.integrator import initial_field
 from kp5.picard import picard_from_config
@@ -598,6 +598,10 @@ def test_cli_sigma_ladder_blow_up_writes_ladder_rows(tmp_path, monkeypatch):
         *(["simulate", "--seed", seed] for seed in ("-1", str(2**128))),
         *(["bilinear", "--seed", seed, "--trials", "1", "--nx", "8", "--ny", "8"]
           for seed in ("-1", str(2**128))),
+        # an order outside the bilinear estimate's admissible region
+        *(["bilinear", flag, value, "--trials", "1", "--nx", "8", "--ny", "8"]
+          for flag, value in (("--b", "0.4"), ("--s1", "-2"), ("--eps", "0.5"),
+                              ("--beta", "0.6"))),
     ]
 ])
 def test_cli_bad_flag_is_a_config_error(tmp_path, capsys, argv):
@@ -606,6 +610,15 @@ def test_cli_bad_flag_is_a_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {argv[1]}: ")
     assert not out.exists()
+
+
+def test_bilinear_orders_are_its_flags():
+    """Each field of ``GevreyParams`` is an order flag of ``kp5 bilinear``
+    and each order flag a field, so no order is left that no run can set."""
+    flags = [flag[2:] for flag, *_ in kp5.cli._COMMANDS["bilinear"].flags]
+    orders = [f.name for f in fields(GevreyParams)]
+    assert orders == ["s1", "s2", "b", "beta", "eps"]
+    assert [f for f in flags if f not in ("trials", "nx", "ny")] == orders
 
 
 @pytest.mark.parametrize("ratio", [1.0, 2.5, math.nan])

@@ -16,6 +16,7 @@ from kp5.config import (
 )
 from kp5.diagnostics import (
     BILINEAR_SLICES,
+    GevreyParams,
     SpaceTimeField,
     _HARMONICS,
     _basis_window,
@@ -25,6 +26,7 @@ from kp5.diagnostics import (
     almost_conservation_run,
     bilinear_ratio_trials,
     bourgain_norm,
+    bracket,
     check_bilinear_admissible,
     energy_identity_check,
     radius_decay_run,
@@ -43,7 +45,6 @@ from kp5.integrator import (
     step,
 )
 from kp5.operators import (
-    GevreyParams,
     gevrey_norm,
     half_plane_norms,
     remainder_n,
@@ -140,6 +141,8 @@ def test_space_time_field_shape_rules(grid16):
     slices = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(12)])
     with pytest.raises(ValueError):
         SpaceTimeField.from_slices(grid16, slices, 0.01)  # 12 is not a power of two
+    with pytest.raises(ValueError, match="half planes"):
+        SpaceTimeField.from_slices(grid16, slices[:8, :, :-1], 0.01)
     field = SpaceTimeField.from_slices(grid16, slices[:8], 0.01)
     assert field.n_t == 8
     assert field.duration == pytest.approx(0.08)
@@ -184,6 +187,31 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
     assert got == pytest.approx(direct, rel=1e-12)
 
 
+def test_bourgain_norm_orders_are_a_sum_over_modes(grid16):
+    """At nonzero s1, s2, b and eps the squared norm is the measure times
+    the sum over (tau, xi, eta) of lambda^2 |c|^2, with lambda^2 =
+    <xi>^2s1 <eta>^2s2 <tau - m>^2b <(tau - m)/(1 + |xi|^5)>^2eps and the
+    columns 0 < k < ny/2 counted twice."""
+    f = random_band_field(grid16, seed=5)
+    slices = np.stack([semigroup_apply(f, 0.03 * i).half for i in range(4)])
+    field = SpaceTimeField.from_slices(grid16, slices, 0.03)
+    s1, s2, b, eps = -0.5, 0.3, 0.6, 0.1
+    total = 0.0
+    for l, c in enumerate(field.coeffs_tau):
+        tau = 2 * math.pi * (l if l < 2 else l - 4) / field.duration
+        for j in range(16):
+            xi = 2 * math.pi * (j if j < 8 else j - 16) / grid16.lx
+            for k in range(9):
+                eta = 2 * math.pi * k / grid16.ly
+                mod = tau - (xi**5 - eta**2 / xi if j else 0.0)
+                lam2 = ((1 + xi**2) ** s1 * (1 + eta**2) ** s2 * (1 + mod**2) ** b
+                        * (1 + (mod / (1 + abs(xi) ** 5)) ** 2) ** eps)
+                total += (1 if k in (0, 8) else 2) * lam2 * abs(c[j, k]) ** 2
+    want = math.sqrt(grid16.lx * grid16.ly * field.duration * total)
+    got = bourgain_norm(field, GevreyParams(s1=s1, s2=s2, b=b, eps=eps))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_bourgain_norm_monotone_in_b(grid16):
     f = random_band_field(grid16, seed=3)
     w = from_band(grid16, free_window(f, 0.25, slices=16))
@@ -214,6 +242,12 @@ def test_bourgain_norm_penalizes_detuning(grid16):
 
     n_on, n_off = norm([s.half for s in on]), norm(off)
     assert n_off > 2.5 * n_on
+
+
+def test_bracket():
+    assert bracket(0.0) == 1.0
+    assert bracket(3.0) == pytest.approx(math.sqrt(10.0))
+    assert np.allclose(bracket(np.array([-4.0])), math.sqrt(17.0))
 
 
 def test_admissibility_gate():
@@ -383,6 +417,16 @@ def test_ladder_and_gap_equal_their_grid_step_loops():
 def test_uniqueness_gap_refuses_eps_not_positive(eps):
     with pytest.raises(ValueError, match="eps"):
         uniqueness_gap(small_cfg(), eps)
+
+
+def test_uniqueness_gap_without_a_later_sample_fails():
+    """At horizon 0 the only sample is the t = 0 one, whose ratio is 1 by
+    construction: there is no ratio to bound, so max_ratio is nan and the
+    check fails."""
+    cfg = small_cfg(grid=GridConfig(nx=16, ny=16), time=TimeConfig(horizon=0.0))
+    res = uniqueness_gap(cfg, 1e-6)
+    assert [s.t for s in res.samples] == [0.0]
+    assert math.isnan(res.max_ratio) and not gronwall_check(res).passed
 
 
 def test_uniqueness_gap_bound():

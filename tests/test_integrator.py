@@ -11,6 +11,7 @@ from kp5.config import (
     GevreyConfig,
     GridConfig,
     InitialConfig,
+    OutputConfig,
     SimConfig,
     TimeConfig,
 )
@@ -355,8 +356,11 @@ def test_explicit_dt_takes_every_grid_step_bitwise(monkeypatch):
 
 
 def test_simulate_sampling_and_snapshots():
-    cfg = small_cfg(time=TimeConfig(horizon=0.2, samples=5))
-    out = simulate(cfg, snapshot_times=(0.1,))
+    cfg = small_cfg(
+        time=TimeConfig(horizon=0.2, samples=5),
+        output=OutputConfig(snapshot_times=(0.1,)),
+    )
+    out = simulate(cfg)
     assert len(out.records) == 5
     dt = out.records[1].t - out.records[0].t
     targets = np.linspace(0.0, 0.2, 5)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_band_field
 from kp5.errors import SigmaOverflowError
 from kp5.operators import (
-    GevreyParams,
     SIGMA_GUARD_LIMIT,
     apply_gevrey,
     assert_sigma_within_guard,
-    bracket,
     dispersion_symbol,
     gevrey_norm,
     half_plane_norms,
@@ -275,18 +273,3 @@ def test_remainder_output_is_real_with_zero_x_fiber(grid16):
     col = r.half[:, 0]
     defect = np.max(np.abs(col - np.conj(col[-grid16.j_index % 16])))
     assert defect <= 1e-15 * np.max(np.abs(r.half))
-
-
-def test_bracket():
-    assert bracket(0.0) == 1.0
-    assert bracket(3.0) == pytest.approx(math.sqrt(10.0))
-    assert np.allclose(bracket(np.array([-4.0])), math.sqrt(17.0))
-
-
-def test_gevrey_params_validation():
-    with pytest.raises(ValueError):
-        GevreyParams(sigma1=-0.1)
-    with pytest.raises(ValueError):
-        GevreyParams(sigma2=-1.0)
-    p = GevreyParams(sigma1=0.5, s1=-1.0, b=0.55, beta=0.45)
-    assert p.sigma1 == 0.5

@@ -13,7 +13,7 @@ from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeCon
 from kp5.errors import PicardDivergenceError
 from kp5.integrator import initial_field
 from kp5.operators import (
-    _band_norm_weight,
+    _norm_weight,
     _weighted_norm,
     dispersion_symbol,
     gevrey_norm,
@@ -85,7 +85,7 @@ def cumulative_simpson_reference(values: np.ndarray, h: float) -> np.ndarray:
 
 def band_norms(grid, band, sigma1, sigma2):
     """The Gevrey norm of each slice of a band window."""
-    table = _band_norm_weight(grid, sigma1, sigma2)
+    table = to_band(grid, _norm_weight(grid, sigma1, sigma2))
     return _weighted_norm(np.abs(band), table, grid.measure)
 
 
