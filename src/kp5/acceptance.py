@@ -43,7 +43,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError
 from .initial_data import exp_spectrum
-from .integrator import cfl_dt, initial_field, simulate, step
+from .integrator import aligned_dt, cfl_dt, initial_field, simulate, step
 from .operators import (
     apply_gevrey,
     gevrey_norm,
@@ -146,12 +146,12 @@ def window_gap(f: SpectralField, result) -> float:
     ``scripts/calibrate_c0.py`` bounds it too."""
     window = result.window
     slice_dt = result.delta / (len(window) - 1)
-    sub = max(1, math.ceil(slice_dt / cfl_dt(f.grid, 1.0)))
+    dt, sub = aligned_dt(slice_dt, cfl_dt(f.grid, 1.0))
     u = f
     stepped = [u.half]
     while len(stepped) < len(window):
         for _ in range(sub):
-            u = step(u, slice_dt / sub)
+            u = step(u, dt)
         stepped.append(u.half)
     gap = np.stack(stepped) - from_band(f.grid, window)
     return float(half_plane_norms(f.grid, gap, SUITE_SIGMA1, 0.0).max())

@@ -317,7 +317,3 @@ def main(argv=None) -> int:
     except Kp5Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -228,6 +228,10 @@ def config_from_dict(raw: dict) -> SimConfig:
             assert_sigma_within_guard(grid, s, 0.0)
     except SigmaOverflowError as exc:
         raise ConfigError("gevrey", str(exc)) from exc
+    # a snapshot time past the horizon would be clamped to it
+    at_most_horizon = (lambda t: t <= cfg.time.horizon, "must be at most time.horizon")
+    for i, t in enumerate(cfg.output.snapshot_times):
+        _check_rule(at_most_horizon, t, f"output.snapshot_times[{i}]")
     return cfg
 
 

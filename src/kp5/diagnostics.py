@@ -422,7 +422,7 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     (``integrator._sampled_run``), so their times snap to the same
     sampling grid and the steps between them follow the same
     ``step_plan``; a window shorter than the grid step samples every grid
-    point, where its times would snap.  A sample whose fit fails carries
+    point through the horizon.  A sample whose fit fails carries
     sigma_est = nan and counts in ``fit_failures``; only a fit clamped at 0
     counts as a collapse.  Each sample computes the radius fit and nothing
     else.  Data that leave no contraction window raise ``BlowUpError``."""
@@ -430,13 +430,11 @@ def radius_decay_run(cfg: SimConfig) -> RadiusDecayResult:
     delta = data_window(cfg, f, cfg.gevrey.sigma1)
     span = cfg.time.horizon
     grid_dt, _ = resolve_dt(cfg, f.grid, span)
-    count = np.floor(span / delta)
-    if delta < grid_dt:
-        # times under one grid step apart snap to every grid point up to
-        # the last one: pass those, not span / delta times (a huge count)
-        times = np.arange(round(min(count * delta, span) / grid_dt) + 1) * grid_dt
-    else:
-        times = np.arange(int(count) + 1) * delta
+    # times under one grid step apart snap to every grid point, which None
+    # asks for: span / delta times would be a huge count
+    times = None
+    if delta >= grid_dt:
+        times = np.arange(int(np.floor(span / delta)) + 1) * delta
     run = _sampled_run(
         cfg, f, delta, times, (),
         lambda t, steps, field, l2: RadiusSample(t, *radius_estimate(field)),

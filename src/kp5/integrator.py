@@ -27,9 +27,9 @@ this grid.  The steps themselves are longer: the integrating factor solves
 the dispersion exactly, so the grid is only an accuracy guess, and each gap
 of g grid steps between wanted samples is crossed in min(g, ceil(g *
 grid_dt / (cfl * delta))) equal steps, where delta is the paper's
-contraction window c0 / (1 + ||f||_{G^sigma1})^exponent.  A non-finite
-data norm or a window shorter than grid_dt steps on the grid, and so does an
-explicit ``time.dt``, which is the step itself.  Every sampled run
+contraction window c0 / (1 + ||f||_{G^sigma1})^exponent.  A window shorter
+than grid_dt steps on the grid, and so does an explicit ``time.dt``, which is
+the step itself; data with no window raise ``BlowUpError``.  Every sampled run
 (``simulate`` and three in ``diagnostics``) shares this plan and one sample
 loop, ``_sampled_run``; only the fixed-step checks call ``step`` themselves.
 """
@@ -48,7 +48,7 @@ from .initial_data import make_initial_field
 from .operators import (
     dispersion_symbol, gevrey_norm, half_plane_norms, ladder_norms, remainder_n,
 )
-from .picard import delta_rule
+from .picard import data_window
 from .spectral import Grid2D, SpectralField, _frozen, dealias, dealiased_square
 
 RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
@@ -318,13 +318,10 @@ def simulate(cfg: SimConfig) -> SimulationOutput:
     """The series rows at ``time.samples`` times evenly spaced over the
     horizon and the fields at ``output.snapshot_times``, stepped by
     ``_sampled_run`` with the contraction window of the configured data at
-    the rate sigma1 (``picard.delta_rule``)."""
+    the rate sigma1 (``picard.data_window``: ``BlowUpError`` if none)."""
     f = initial_field(cfg)
-    delta = delta_rule(
-        gevrey_norm(f, cfg.gevrey.sigma1, 0.0), cfg.delta.c0, cfg.delta.exponent
-    )
     return _sampled_run(
-        cfg, f, delta,
+        cfg, f, data_window(cfg, f, cfg.gevrey.sigma1),
         np.linspace(0.0, cfg.time.horizon, cfg.time.samples),
         cfg.output.snapshot_times,
         partial(_record, cfg),

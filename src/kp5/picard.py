@@ -29,7 +29,6 @@ keeps them there uniformly in the data size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +56,8 @@ DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
 
 def delta_rule(f_norm: float, c0: float, exponent: float) -> float:
     """Contraction window length c0 / (1 + f_norm)^exponent, decreasing in
-    the data norm; nan when the data leave no window (the norm is not
-    finite, or the window underflows to 0)."""
+    the data norm.  Data that leave no window (a norm that is not finite,
+    or a window that underflows to 0) raise ``BlowUpError`` at t = 0."""
     if c0 <= 0:
         raise ValueError("c0 must be positive")
     if not exponent > 1:
@@ -68,18 +67,16 @@ def delta_rule(f_norm: float, c0: float, exponent: float) -> float:
     try:
         delta = c0 / (1.0 + f_norm) ** exponent
     except OverflowError:  # the window is below the smallest double
-        return math.nan
-    return delta if delta > 0.0 else math.nan
+        delta = 0.0
+    if not delta > 0.0:  # also a nan or infinite norm
+        raise BlowUpError("initial data leave no contraction window", time=0.0)
+    return delta
 
 
 def data_window(cfg: SimConfig, f: SpectralField, sigma1: float, sigma2=0.0) -> float:
     """``delta_rule`` for the norm of the data f at the rates (sigma1, sigma2)
-    and the configured constants; ``BlowUpError`` when the data leave none."""
-    norm = gevrey_norm(f, sigma1, sigma2)
-    delta = delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
-    if math.isnan(delta):
-        raise BlowUpError("initial data leave no contraction window", time=0.0)
-    return delta
+    and the configured constants."""
+    return delta_rule(gevrey_norm(f, sigma1, sigma2), cfg.delta.c0, cfg.delta.exponent)
 
 
 def _simpson_pair(left, mid, right, h, carry, odd, pair) -> None:

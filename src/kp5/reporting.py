@@ -1,7 +1,7 @@
 """Run artifacts: CSV series and the JSON manifest.
 
-Floats are written with ``repr`` (shortest round-trip form) and the
-manifest with sorted keys, so identical runs produce byte-identical files,
+``csv`` writes floats, numpy's too, in their shortest round-trip form and
+the manifest has sorted keys, so identical runs produce byte-identical files,
 apart from the wall times a manifest reports (``phase_s``).  The manifest
 is strict JSON: a non-finite float (a failed fit, an empty tail) is written
 as ``null``.
@@ -19,18 +19,11 @@ from . import __version__
 from .config import DEFAULT_C_EMP, SimConfig, config_to_dict
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _finite_or_null(value):

@@ -170,6 +170,7 @@ REJECTED = [
     ("grids", {}, "config.grids"),
     ("time.horizons", 2.0, "time.horizons"),
     ("seed", 2**128, "seed"),  # past the Philox key range
+    ("output.snapshot_times", [1.5], "output.snapshot_times[0]"),  # past the horizon
 ]
 
 # (key, accepted boundary value, parsed value): the parsed type is checked too
@@ -205,6 +206,7 @@ ACCEPTED = [
     ("seed", 0, 0),
     ("grid", None, SimConfig().grid),
     ("seed", 2**128 - 1, 2**128 - 1),
+    ("output.snapshot_times", [1.0], (1.0,)),  # the default horizon
 ]
 
 
@@ -280,13 +282,13 @@ def test_rng_streams_reproducible():
 
 
 def test_csv_floats_round_trip(tmp_path):
-    values = [0.1, 1 / 3, 1e-17, 1.0000000000000002, -2.5e300]
+    values = [0.1, 1 / 3, 1e-17, 1.0000000000000002, -2.5e300, np.float64(0.1)]
     path = tmp_path / "vals.csv"
     write_csv(path, ["v"], [[v] for v in values])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "v"
     for line, v in zip(lines[1:], values):
-        assert float(line) == v  # repr formatting is lossless
+        assert float(line) == v  # shortest round-trip form is lossless
 
 
 SMALL_YAML = """\
@@ -649,7 +651,7 @@ def test_manifest_verdicts_are_their_criterion_checks(tmp_path, monkeypatch, rat
     assert verdicts["uniqueness"] is suite.a9().checks[0].passed is (ratio == 1.0)
 
 
-@pytest.mark.parametrize("command", ["picard", "sigma-ladder", "radius-decay"])
+@pytest.mark.parametrize("command", ["simulate", "picard", "sigma-ladder", "radius-decay"])
 def test_cli_no_window_is_a_blow_up(tmp_path, capsys, command):
     # c0 / (1 + ||f||)^2 is below the smallest double: no contraction window
     cfg = write(

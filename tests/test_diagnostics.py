@@ -487,6 +487,22 @@ def test_radius_decay_run_short():
     assert all(s.sigma_est > 0.9 for s in res.samples)
 
 
+def test_radius_decay_window_below_the_grid_step_samples_to_the_horizon():
+    # delta 0.00135 against grid_dt 0.002226: every grid point is a sample,
+    # the last one at the horizon, although span - 37 * delta > grid_dt / 2
+    cfg = SimConfig(
+        grid=GridConfig(nx=64, ny=64),
+        time=TimeConfig(horizon=0.0512),
+        initial=InitialConfig(kind="gaussian", amplitude=6.0, width=2.0),
+        gevrey=GevreyConfig(sigma1=0.25),
+    )
+    res = radius_decay_run(cfg)
+    grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.0512)
+    assert res.delta < grid_dt and res.run.dt_source == "grid"
+    assert [s.t for s in res.samples] == [b * grid_dt for b in range(n + 1)]
+    assert (n, res.samples[-1].t, res.run.steps) == (23, 0.0512, 23)
+
+
 def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     import kp5.diagnostics
 

@@ -209,7 +209,9 @@ def _counting_steps(monkeypatch) -> list:
     return calls
 
 
-def _assert_blow_up_on_grid_steps(monkeypatch, amplitude):
+def _blow_up(monkeypatch, amplitude):
+    """The config of a Gaussian of this amplitude, the ``BlowUpError`` that
+    ``simulate`` raises on it and the step sizes taken before."""
     cfg = small_cfg(
         initial=InitialConfig(kind="gaussian", amplitude=amplitude, width=2.0),
         time=TimeConfig(horizon=0.1, samples=2),
@@ -217,22 +219,26 @@ def _assert_blow_up_on_grid_steps(monkeypatch, amplitude):
     calls = _counting_steps(monkeypatch)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
         simulate(cfg)
-    assert info.value.time > 0.0
-    assert len(info.value.records) == 1  # the t = 0 sample was taken
-    # the tiny or missing window falls back to grid steps: no more of them
-    # than the grid has, each exactly grid_dt
-    grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.1)
-    assert 1 <= len(calls) <= n and set(calls) == {grid_dt}
+    return cfg, info.value, calls
 
 
 def test_blow_up_reports_partial_records(monkeypatch):
     # a contraction window of ~1e-201, far below the grid step
-    _assert_blow_up_on_grid_steps(monkeypatch, 1e100)
+    cfg, exc, calls = _blow_up(monkeypatch, 1e100)
+    assert exc.time > 0.0
+    assert len(exc.records) == 1  # the t = 0 sample was taken
+    # the tiny window falls back to grid steps: no more of them than the
+    # grid has, each exactly grid_dt
+    grid_dt, n = resolve_dt(cfg, cfg.make_grid(), 0.1)
+    assert 1 <= len(calls) <= n and set(calls) == {grid_dt}
 
 
 def test_blow_up_when_the_window_underflows(monkeypatch):
-    # c0 / (1 + norm)^2 underflows to 0, so there is no window at all
-    _assert_blow_up_on_grid_steps(monkeypatch, 1e200)
+    # c0 / (1 + norm)^2 underflows to 0, so there is no window at all: the
+    # run aborts at t = 0, before its first sample and its first step
+    _, exc, calls = _blow_up(monkeypatch, 1e200)
+    assert str(exc) == "initial data leave no contraction window"
+    assert (exc.time, exc.records, calls) == (0.0, [], [])
 
 
 def test_runaway_norm_is_blow_up_at_its_sample(monkeypatch):
@@ -260,9 +266,9 @@ def test_runaway_norm_is_blow_up_at_its_sample(monkeypatch):
     assert info.value.time == records[-1].t
 
 
-def test_contraction_window_is_nan_without_a_window():
+def test_no_contraction_window_is_a_blow_up_at_t0():
     """No window: c0 / (1 + norm)^2 underflows, or the weighted norm
-    itself overflows."""
+    itself overflows; either is a blow-up at t = 0."""
     cfg = small_cfg()
     half = np.zeros((32, 17), dtype=complex)
     for amp, finite_norm in ((1e200, True), (1e308, False)):
@@ -270,7 +276,9 @@ def test_contraction_window_is_nan_without_a_window():
         f = SpectralField(cfg.make_grid(), half.copy())
         norm = gevrey_norm(f, cfg.gevrey.sigma1, 0.0)
         assert math.isfinite(norm) == finite_norm
-        assert math.isnan(delta_rule(norm, cfg.delta.c0, cfg.delta.exponent))
+        with pytest.raises(BlowUpError, match="no contraction window") as info:
+            delta_rule(norm, cfg.delta.c0, cfg.delta.exponent)
+        assert info.value.time == 0.0
 
 
 def test_radius_decay_rejects_data_without_a_window():
@@ -295,7 +303,7 @@ def test_window_cap_is_cfl_times_delta_or_the_grid_step():
     assert window_cap(cfg, 0.1, 0.01) == 0.1
     assert window_cap(replace(cfg, time=replace(cfg.time, cfl=0.5)), 0.1, 0.01) == 0.05
     assert window_cap(cfg, 0.005, 0.01) == 0.01  # window below the grid step
-    assert window_cap(cfg, math.nan, 0.01) == 0.01  # no finite data norm
+    assert window_cap(cfg, math.nan, 0.01) == 0.01  # every grid point sampled
     assert window_cap(replace(cfg, time=replace(cfg.time, dt=0.01)), 0.1, 0.01) == 0.01
 
 

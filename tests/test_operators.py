@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_band_field
+from kp5.acceptance import _oracle_remainder
 from kp5.errors import SigmaOverflowError
 from kp5.operators import (
     SIGMA_GUARD_LIMIT,
@@ -22,7 +23,6 @@ from kp5.operators import (
 from kp5.spectral import (
     Grid2D,
     SpectralField,
-    dealias,
     full_plane,
     physical_values,
 )
@@ -34,60 +34,6 @@ def plant_pair(grid, j, k, amp):
     c[grid.mode_index(j, k)] = amp
     c[grid.mode_index(-j, -k)] = np.conj(amp)
     return SpectralField.from_coefficients(grid, c)
-
-
-def band_weights(grid, sigma1, sigma2):
-    """Oracle weights over signed mode numbers, plain dict arithmetic."""
-    kx, ky = grid.nx // 3, grid.ny // 3
-    out = {}
-    for j in range(-kx, kx + 1):
-        for k in range(-ky, ky + 1):
-            xi = 2 * np.pi * j / grid.lx
-            eta = 2 * np.pi * k / grid.ly
-            out[(j, k)] = math.exp(sigma1 * abs(xi) + sigma2 * abs(eta))
-    return out
-
-
-def oracle_remainder(field, sigma1, sigma2):
-    """Weight-commutator remainder via explicit linear convolution.
-
-    Written against the definition, not the FFT implementation: convolve
-    the weighted and unweighted series over the dealiased band, subtract,
-    multiply by i*xi.
-    """
-    grid = field.grid
-    kx, ky = grid.nx // 3, grid.ny // 3
-    c = full_plane(grid, dealias(field).half)
-    w = band_weights(grid, sigma1, sigma2)
-    modes = {
-        (j, k): c[grid.mode_index(j, k)]
-        for j in range(-kx, kx + 1)
-        for k in range(-ky, ky + 1)
-    }
-
-    def conv(a):
-        out = {}
-        for j in range(-kx, kx + 1):
-            for k in range(-ky, ky + 1):
-                acc = 0.0j
-                for (j1, k1), v1 in a.items():
-                    j2, k2 = j - j1, k - k1
-                    if abs(j2) <= kx and abs(k2) <= ky:
-                        acc += v1 * a[(j2, k2)]
-                out[(j, k)] = acc
-        return out
-
-    weighted = {key: w[key] * val for key, val in modes.items()}
-    sq_w = conv(weighted)
-    sq = conv(modes)
-    out = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for j in range(-kx, kx + 1):
-        for k in range(-ky, ky + 1):
-            xi = 2 * np.pi * j / grid.lx
-            out[grid.mode_index(j, k)] = (1j * xi) * (
-                sq_w[(j, k)] - w[(j, k)] * sq[(j, k)]
-            )
-    return out
 
 
 def test_single_pair_norm_closed_form(grid16):
@@ -256,10 +202,11 @@ def test_remainder_single_pair_vanishes(grid16):
 
 
 def test_remainder_matches_convolution_oracle(grid16):
+    # A11's oracle: explicit linear convolution, written against the
+    # definition and not the FFT path
     f = random_band_field(grid16, seed=17)
-    sigma1, sigma2 = 0.4, 0.15
-    got = full_plane(grid16, remainder_n(f, sigma1, sigma2).half)
-    want = oracle_remainder(f, sigma1, sigma2)
+    got = remainder_n(f, 0.4, 0.15).half
+    want = _oracle_remainder(f, 0.4, 0.15)
     scale = np.max(np.abs(want))
     assert scale > 0
     assert np.max(np.abs(got - want)) <= 1e-12 * scale

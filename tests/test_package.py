@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -38,6 +39,33 @@ def test_each_module_imports_on_its_own():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line name`` for each name the module imports (``__future__``
+    aside) and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "kp5").glob("*.py")) + sorted(
+        (root / "scripts").glob("*.py")
+    )
+    assert len(paths) > 10
+    assert [u for path in paths for u in _unused_imports(path)] == []
 
 
 def test_benchmark_tracer_contract():

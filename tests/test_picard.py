@@ -10,7 +10,7 @@ import kp5.picard
 from conftest import random_band_field
 from kp5.acceptance import SUITE_MEMBERS, suite_cfg
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
-from kp5.errors import PicardDivergenceError
+from kp5.errors import BlowUpError, PicardDivergenceError
 from kp5.integrator import initial_field
 from kp5.operators import (
     _norm_weight,
@@ -48,10 +48,11 @@ def test_delta_rule_values():
     with pytest.raises(ValueError):
         delta_rule(-1.0, 0.4, 2.0)
     # no window: a norm that is not finite, or a window below the
-    # smallest double
-    assert math.isnan(delta_rule(float("nan"), 0.4, 2.0))
-    assert math.isnan(delta_rule(float("inf"), 0.4, 2.0))
-    assert math.isnan(delta_rule(1e200, 0.4, 2.0))
+    # smallest double, is a blow-up at t = 0
+    for norm in (float("nan"), float("inf"), 1e200):
+        with pytest.raises(BlowUpError, match="no contraction window") as info:
+            delta_rule(norm, 0.4, 2.0)
+        assert info.value.time == 0.0 and info.value.records == []
 
 
 @settings(max_examples=50, deadline=None)
