@@ -232,6 +232,10 @@ def config_from_dict(raw: dict) -> SimConfig:
     at_most_horizon = (lambda t: t <= cfg.time.horizon, "must be at most time.horizon")
     for i, t in enumerate(cfg.output.snapshot_times):
         _check_rule(at_most_horizon, t, f"output.snapshot_times[{i}]")
+    # one sample at t = 0 would end a run with a horizon before its first step
+    if cfg.time.horizon > 0:
+        _check_rule((lambda n: n >= 2, "must be >= 2 when time.horizon > 0"),
+                    cfg.time.samples, "time.samples")
     return cfg
 
 

@@ -132,8 +132,9 @@ def window_taper(n_t: int, slice_dt: float) -> np.ndarray:
 
 def _tapered_dft(stack: np.ndarray, slice_dt: float) -> np.ndarray:
     """fft(psi * stack) / n_t along axis 0, psi the ``window_taper`` of call time."""
-    psi = window_taper(len(stack), slice_dt)
-    return np.fft.fft((psi * stack.T).T, axis=0, norm="forward")  # psi along axis 0
+    psi = window_taper(len(stack), slice_dt).reshape((-1,) + (1,) * (stack.ndim - 1))
+    out = np.multiply(psi, stack, dtype=np.complex128)  # the one tapered copy
+    return np.fft.fft(out, axis=0, norm="forward", out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,28 +249,33 @@ def check_bilinear_admissible(params: GevreyParams) -> None:
 
 @lru_cache(maxsize=8)
 def _band_tables(grid: Grid2D) -> tuple:
-    """Full-plane tables of the band 0 < 3|j| <= nx, 3k <= ny, of its mirror
-    (-j, -k), and of the trial envelope on the band, which is also the one
-    on the mirror: |xi_-j| = |xi_j| and |eta_-k| = |eta_k| exactly."""
+    """Flat positions of the band 0 < 3|j| <= nx, 3k <= ny in the full
+    plane, of its mirror (-j, -k) there and of the band in the half plane,
+    and the trial envelope on the band, which is also the one on the
+    mirror: |xi_-j| = |xi_j| and |eta_-k| = |eta_k| exactly."""
     rows = np.flatnonzero((grid.j_index != 0) & (3 * np.abs(grid.j_index) <= grid.nx))
     cols = np.arange(grid.ny // 3 + 1)
-    at = np.ix_(rows, cols)
-    mirror = np.ix_(-grid.j_index[rows] % grid.nx, -cols % grid.ny)
-    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta)))
-    return at, mirror, _frozen(envelope[at])
+    at = (rows[:, None] * grid.ny + cols).ravel()
+    mirror = ((-rows % grid.nx)[:, None] * grid.ny + -cols % grid.ny).ravel()
+    half = (rows[:, None] * (grid.ny // 2 + 1) + cols).ravel()
+    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta))).ravel()
+    return at, mirror, half, _frozen(envelope[at])
 
 
 def _random_bases(grid: Grid2D, rng: np.random.Generator) -> np.ndarray:
     """Half planes (5, nx, ny//2 + 1) of five random real fields: each draws
     full-plane noise c (real, then imaginary part) times exp(-(|xi| + |eta|))
-    and keeps its Hermitian part (c[j, k] + conj(c[-j, -k])) / 2 on the band."""
-    at, mirror, envelope = _band_tables(grid)
-    bases = np.zeros((5, grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
-    for base in bases:
-        re, im = rng.standard_normal((2, grid.nx, grid.ny))
-        c = (re[at] + 1j * im[at]) * envelope
-        base[at] = 0.5 * (c + np.conj((re[mirror] + 1j * im[mirror]) * envelope))
-    return bases
+    and keeps its Hermitian part (c[j, k] + conj(c[-j, -k])) / 2 on the band.
+    One draw fills the noise of all five in the order of five draws."""
+    at, mirror, half, envelope = _band_tables(grid)
+    noise = rng.standard_normal((5, 2, grid.nx * grid.ny))
+    band, flip = noise[..., at], noise[..., mirror]
+    c = (band[:, 0] + 1j * band[:, 1]) * envelope
+    c += np.conj((flip[:, 0] + 1j * flip[:, 1]) * envelope)
+    c *= 0.5
+    bases = np.zeros((5, grid.nx * (grid.ny // 2 + 1)), dtype=np.complex128)
+    bases[:, half] = c
+    return bases.reshape(5, grid.nx, grid.ny // 2 + 1)
 
 
 def _basis_window(grid: Grid2D, bases, spectra, slice_dt: float):

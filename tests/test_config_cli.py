@@ -171,6 +171,7 @@ REJECTED = [
     ("time.horizons", 2.0, "time.horizons"),
     ("seed", 2**128, "seed"),  # past the Philox key range
     ("output.snapshot_times", [1.5], "output.snapshot_times[0]"),  # past the horizon
+    ("time.samples", 1, "time.samples"),  # one sample never steps to the horizon
 ]
 
 # (key, accepted boundary value, parsed value): the parsed type is checked too
@@ -183,7 +184,7 @@ ACCEPTED = [
     ("time.dt", None, None),
     ("time.dt", 1e-9, 1e-9),
     ("time.horizon", 0, 0.0),
-    ("time.samples", 1, 1),
+    ("time.samples", 2, 2),
     ("initial.kind", "exp_spectrum", "exp_spectrum"),
     ("initial.amplitude", -2, -2.0),
     ("initial.width", 1e-3, 1e-3),
@@ -223,6 +224,11 @@ def test_config_contract_accepts_boundary(path, value, parsed):
     section, _, key = path.partition(".")
     got = getattr(getattr(cfg, section), key) if key else getattr(cfg, section)
     assert got == parsed and type(got) is type(parsed)
+
+
+def test_config_contract_accepts_one_sample_at_horizon_zero():
+    cfg = config_from_dict({"time": {"horizon": 0, "samples": 1}})
+    assert (cfg.time.horizon, cfg.time.samples) == (0.0, 1)
 
 
 def _keys(cfg_dict):
@@ -500,6 +506,16 @@ def test_cli_seed_beyond_the_philox_key_range_is_a_config_error(tmp_path, capsys
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: seed: ")
+    assert not out.exists()
+
+
+def test_cli_one_sample_past_t0_is_a_config_error(tmp_path, capsys):
+    # one sample would write the row at t = 0 and never step
+    cfg = write(tmp_path, "grid:\n  nx: 32\n  ny: 32\ntime:\n  horizon: 0.1\n  samples: 1\n")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: time.samples: ")
     assert not out.exists()
 
 

@@ -308,6 +308,33 @@ def test_random_bases_equal_the_full_plane_construction(nx, ny):
         assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
 
+def test_random_bases_leave_the_stream_where_five_draws_do():
+    grid = Grid2D(16, 24, 32 * np.pi, 32 * np.pi)
+    rngs = [np.random.Generator(np.random.Philox(key=3)) for _ in range(2)]
+    _random_bases(grid, rngs[0])
+    for _ in range(5):
+        rngs[1].standard_normal((2, 16, 24))
+    assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+@pytest.mark.parametrize("stack", [
+    _HARMONICS.T,  # real, 2-D and read-only
+    # complex and 3-D: pairs of normals read as real and imaginary parts
+    np.random.default_rng(4).standard_normal((8, 6, 4, 2)).view(np.complex128)[..., 0],
+])
+def test_tapered_dft_is_the_transposed_taper_transform(stack):
+    """The taper applied to one complex copy, transformed in place, gives the
+    bits of the taper on the transposed stack and a fresh transform, and
+    leaves the stack as it was."""
+    before = stack.copy()
+    psi = window_taper(len(stack), 0.125)
+    want = np.fft.fft((psi * stack.T).T, axis=0, norm="forward")
+    got = _tapered_dft(stack, 0.125)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(stack, before)
+
+
 @pytest.mark.parametrize("nx, ny", [(16, 24), (64, 64)])
 def test_basis_window_matches_the_assembled_slices(nx, ny):
     """Per-base physical values and space-time coefficients agree with the
@@ -537,6 +564,25 @@ def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     assert math.isnan(res.samples[1].sigma_est)
     assert res.fit_failures == 1
     assert res.collapse_time is None
+
+
+def test_collapse_time_is_the_first_zero_fit(monkeypatch):
+    """A fit clamped at 0 from the third sample on is a collapse at that
+    sample's time, not at any later one."""
+    import kp5.diagnostics
+
+    fit = kp5.diagnostics.radius_estimate
+    calls = []
+
+    def zero_from_third(field):
+        calls.append(1)
+        return (0.0, 0.0) if len(calls) >= 3 else fit(field)
+
+    monkeypatch.setattr(kp5.diagnostics, "radius_estimate", zero_from_third)
+    res = radius_decay_run(small_cfg())
+    assert len(res.samples) >= 4 and res.samples[2].t > 0.0
+    assert [s.sigma_est == 0.0 for s in res.samples[:3]] == [False, False, True]
+    assert res.collapse_time == res.samples[2].t
 
 
 def spectrum_cfg(n, horizon, **kw):

@@ -281,6 +281,16 @@ def test_no_contraction_window_is_a_blow_up_at_t0():
         assert info.value.time == 0.0
 
 
+def test_non_finite_step_is_dated_at_its_end():
+    # the quadratic term of a 1e200 mode overflows within one step
+    half = np.zeros((32, 17), dtype=complex)
+    half[3, 2] = 1e200
+    f = SpectralField(small_cfg().make_grid(), half)
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        step(f, 0.125, 0.25)
+    assert info.value.time == 0.375
+
+
 def test_radius_decay_rejects_data_without_a_window():
     cfg = small_cfg(initial=InitialConfig(kind="gaussian", amplitude=1e200, width=2.0))
     with np.errstate(all="ignore"), pytest.raises(BlowUpError):

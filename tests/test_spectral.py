@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import full_plane_mask, full_plane_square, random_band_field
 from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymmetryError
-from kp5.initial_data import gaussian
+from kp5.initial_data import gaussian, gaussian_dx, line_soliton
 from kp5.operators import gevrey_norm
 from kp5.spectral import (
     Grid2D,
@@ -457,3 +457,22 @@ def test_snapshot_rejects_an_invalid_grid(tmp_path, grid16, offset, fmt, value):
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match="grid sizes|domain lengths"):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_gaussian_dx_peaks_at_its_amplitude(n):
+    """The derivative profile is scaled by its analytic peak sqrt(2/e)/w, so
+    the sampled field peaks at the amplitude up to the grid's sampling."""
+    grid = Grid2D(n, n, 32 * np.pi, 32 * np.pi)
+    values = physical_values(grid, gaussian_dx(grid, 1.5, 2.0).half)
+    assert np.max(np.abs(values)) == pytest.approx(1.5, rel=0.02)
+
+
+@pytest.mark.parametrize("ky", [1, 3, -2])
+def test_line_soliton_lives_on_its_column(ky):
+    """cos(2 pi ky y / ly) is one y-harmonic of the torus: the half plane is
+    zero off column |ky| to rounding."""
+    grid = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
+    mag = np.abs(line_soliton(grid, 1.0, 2.0, ky).half)
+    off = np.delete(mag, abs(ky), axis=1)
+    assert np.max(off) <= 1e-12 * np.max(mag)
