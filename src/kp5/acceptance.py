@@ -3,8 +3,9 @@
 Each criterion is a method returning a ``CriterionResult``: named checks,
 each a measured value with the comparison and bound it must meet, from which
 its pass/fail and its ``kp5 accept`` line derive.  ``run`` executes and times
-a subset or all of them; the same ``run`` backs the test suite and the
-``kp5 accept`` subcommand, so the gate cannot drift between the two.
+a subset or all of them, yielding each result as its criterion finishes; the
+same ``run`` backs the test suite and the ``kp5 accept`` subcommand, so the
+gate cannot drift between the two.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 import operator
 import time
+import traceback
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,12 +172,14 @@ def gronwall_check(result) -> Check:
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """A criterion passes when it has checks and every one of them passes."""
+    """A criterion passes when it has checks and every one of them passes;
+    one that raised has none, only its ``error``."""
 
     cid: str
     title: str
     checks: tuple[Check, ...]
     elapsed: float = 0.0
+    error: str | None = None  # "<ExceptionClass>: <message>"
 
     @property
     def passed(self) -> bool:
@@ -182,6 +187,8 @@ class CriterionResult:
 
     @property
     def line(self) -> str:
+        if self.error is not None:
+            return f"{self.cid} ERROR {self.error}"
         status = "PASS" if self.passed else "FAIL"
         checks = ", ".join(map(str, self.checks))
         return f"{self.cid} {status} [{self.elapsed:6.1f}s] {self.title}: {checks}"
@@ -194,14 +201,16 @@ def bilinear_scale_checks() -> tuple[Check, Check]:
     n_t, slice_dt = 16, 1.0 / 16
     grid = Grid2D(32, 32, 32.0 * math.pi, 32.0 * math.pi)
     bases = _random_bases(grid, np.random.Generator(np.random.Philox(key=1234)))
-    u = np.tensordot(_HARMONICS, bases, axes=(0, 0))
+    u = np.tensordot(_HARMONICS, bases, axes=(0, 0))  # band slices
     raw = (1.0 - (2.0 * np.arange(n_t) / n_t - 1.0) ** 2) ** 3
     psi = raw / (slice_dt * raw.sum())
-    l2_sq = grid.cell_area * np.sum(physical_values(grid, u) ** 2, axis=(1, 2))
+    values = physical_values(grid, from_band(grid, u))
+    l2_sq = grid.cell_area * np.sum(values**2, axis=(1, 2))
     want = math.sqrt(slice_dt * np.sum(psi**2 * l2_sq))
     spectra = _tapered_dft(_HARMONICS.T, slice_dt)
     fields = {"": SpaceTimeField.from_slices(grid, u, slice_dt),
-              "per-base ": _basis_window(grid, bases, spectra, slice_dt)[1]}
+              "per-base ": _basis_window(grid, bases, spectra, slice_dt,
+                                         np.empty_like(values))}
     return tuple(
         Check(f"{name}zero-parameter norm vs tapered physical L2 rel err",
               abs(bourgain_norm(f, GevreyParams(b=0.0)) - want) / want, "<=", 1e-12)
@@ -429,19 +438,25 @@ class AcceptanceSuite:
 
     ORDER = tuple(f"A{i}" for i in range(1, 13))
 
-    def run(self, only=None) -> list[CriterionResult]:
+    def run(self, only=None) -> Iterator[CriterionResult]:
+        """The results of the wanted criteria (all by default), each yielded
+        as it finishes.  Every id is checked before any criterion runs; a
+        criterion that raises gives an ``error`` result and the rest run."""
         wanted = list(self.ORDER) if not only else list(only)
         known = f"{self.ORDER[0]}..{self.ORDER[-1]}"
         for cid in wanted:
             if cid not in self.ORDER:
                 raise ConfigError("only", f"unknown criterion {cid!r} (known: {known})")
-        results = []
-        for cid in wanted:
-            fn = getattr(self, cid.lower())
-            start = time.perf_counter()
-            res = fn()
-            results.append(replace(res, elapsed=time.perf_counter() - start))
-        return results
+        return map(self._timed, wanted)
+
+    def _timed(self, cid: str) -> CriterionResult:
+        start = time.perf_counter()
+        try:
+            res = getattr(self, cid.lower())()
+        except Exception as exc:  # report it and run the rest
+            traceback.print_exc()
+            res = CriterionResult(cid, "", (), error=f"{type(exc).__name__}: {exc}")
+        return replace(res, elapsed=time.perf_counter() - start)
 
 
 def _worst(values) -> float:

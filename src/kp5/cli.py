@@ -272,10 +272,11 @@ def _cmd_run(name: str, args) -> int:
 
 def _cmd_accept(args) -> int:
     only = args.only.split(",") if args.only else None
-    results = AcceptanceSuite().run(only)
-    for r in results:
-        print(r.line)
-    failed = [r.cid for r in results if not r.passed]
+    failed = []
+    for r in AcceptanceSuite().run(only):
+        print(r.line, flush=True)  # as its criterion finishes
+        if not r.passed:
+            failed.append(r.cid)
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError, SigmaOverflowError
@@ -107,11 +106,6 @@ class SimConfig:
     def make_grid(self) -> Grid2D:
         g = self.grid
         return Grid2D(g.nx, g.ny, g.lx, g.ly)
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox): same seed, same stream, any order."""
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 # --- parsing ----------------------------------------------------------------

@@ -42,7 +42,9 @@ from .spectral import (
     _frozen,
     dealias,
     dealiased_coefficients,
+    from_band,
     physical_values,
+    to_band,
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
@@ -139,12 +141,12 @@ def _tapered_dft(stack: np.ndarray, slice_dt: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Time-DFT of a tapered stack of half-plane field slices.
+    """Time-DFT of a tapered stack of field slices on the 2/3 band.
 
     coeffs_tau[l, j, k] are coefficients against exp(i*(tau_l t + xi x +
-    eta y)) with tau_l = 2 pi l / duration, for the half-plane columns
-    k = 0..ny/2 (the field is real, so the rest follow by conjugate
-    reflection in (tau, xi, eta) and norms count columns 0 < k < ny/2
+    eta y)) with tau_l = 2 pi l / duration, in the layout of
+    ``spectral.to_band`` (the field is real, so the rest follow by
+    conjugate reflection in (tau, xi, eta) and norms count columns k > 0
     twice); norms carry the measure lx * ly * duration.  The slice count
     must be a power of two.  The field takes the coefficient array over
     and makes it read-only.
@@ -173,13 +175,12 @@ class SpaceTimeField:
     def from_slices(
         cls, grid: Grid2D, slices: np.ndarray, slice_dt: float
     ) -> "SpaceTimeField":
-        """Tapered time transform of an (n_t, nx, ny//2 + 1) stack of half
-        planes sampled every ``slice_dt``."""
+        """Tapered time transform of an (n_t, *grid.band_shape) stack of 2/3
+        bands sampled every ``slice_dt``, such as a Picard window."""
         slices = np.asarray(slices)
-        if slices.shape[1:] != (grid.nx, grid.ny // 2 + 1):
-            raise ValueError(
-                f"slices of shape {slices.shape[1:]} are not half planes of the grid"
-            )
+        if slices.shape[1:] != grid.band_shape:
+            raise ValueError(f"slices of shape {slices.shape[1:]} are not 2/3 bands "
+                             f"{grid.band_shape} of the grid")
         return cls(grid, slice_dt, _tapered_dft(slices, slice_dt))
 
 
@@ -188,21 +189,22 @@ def _xtsb_weight(
     grid: Grid2D, n_t: int, slice_dt: float, params: GevreyParams
 ) -> np.ndarray:
     """The square root of the ``bourgain_norm`` weight lambda^2 times the
-    column multiplicity, on the half plane: the table that turns
+    column multiplicity, on the 2/3 band: the table that turns
     |coefficient| into an amplitude."""
-    h = grid.ny // 2 + 1
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)
-    m = dispersion_symbol(grid)
+    m = to_band(grid, dispersion_symbol(grid))
+    xi = to_band(grid, grid.xi_col)
+    multiplicity = to_band(grid, grid.half_multiplicity[None, :])
     mod = tau[:, None, None] - m[None, :, :]
-    w = bracket(mod) ** (2.0 * params.b) * grid.half_multiplicity
+    w = bracket(mod) ** (2.0 * params.b) * multiplicity
     if params.eps != 0.0:
-        w = w * bracket(mod / (1.0 + np.abs(grid.xi_col) ** 5)) ** (2.0 * params.eps)
+        w = w * bracket(mod / (1.0 + np.abs(xi) ** 5)) ** (2.0 * params.eps)
     if params.s1 != 0.0:
-        w = w * bracket(grid.xi_col)[None, :, :] ** (2.0 * params.s1)
+        w = w * bracket(xi)[None, :, :] ** (2.0 * params.s1)
     if params.s2 != 0.0:
-        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
+        w = w * bracket(to_band(grid, grid.eta_row))[None, :, :] ** (2.0 * params.s2)
     w = np.sqrt(w)
-    return _frozen(np.ascontiguousarray(np.broadcast_to(w, (n_t, grid.nx, h))))
+    return _frozen(np.ascontiguousarray(np.broadcast_to(w, (n_t,) + m.shape)))
 
 
 def bourgain_norm(field: SpaceTimeField, params: GevreyParams) -> float:
@@ -249,40 +251,43 @@ def check_bilinear_admissible(params: GevreyParams) -> None:
 
 @lru_cache(maxsize=8)
 def _band_tables(grid: Grid2D) -> tuple:
-    """Flat positions of the band 0 < 3|j| <= nx, 3k <= ny in the full
-    plane, of its mirror (-j, -k) there and of the band in the half plane,
-    and the trial envelope on the band, which is also the one on the
-    mirror: |xi_-j| = |xi_j| and |eta_-k| = |eta_k| exactly."""
+    """Flat positions in the full plane of the 2/3 band's modes off row
+    j = 0, in band order (rows j = 1..nx//3 then -(nx//3)..-1, columns
+    k = 0..ny//3), and of their mirror (-j, -k), and the trial envelope on
+    them, which is also the one on the mirror: |xi_-j| = |xi_j| and
+    |eta_-k| = |eta_k| exactly."""
     rows = np.flatnonzero((grid.j_index != 0) & (3 * np.abs(grid.j_index) <= grid.nx))
-    cols = np.arange(grid.ny // 3 + 1)
+    cols = np.arange(grid.band_shape[1])
     at = (rows[:, None] * grid.ny + cols).ravel()
     mirror = ((-rows % grid.nx)[:, None] * grid.ny + -cols % grid.ny).ravel()
-    half = (rows[:, None] * (grid.ny // 2 + 1) + cols).ravel()
     envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta))).ravel()
-    return at, mirror, half, _frozen(envelope[at])
+    return at, mirror, _frozen(envelope[at])
 
 
 def _random_bases(grid: Grid2D, rng: np.random.Generator) -> np.ndarray:
-    """Half planes (5, nx, ny//2 + 1) of five random real fields: each draws
-    full-plane noise c (real, then imaginary part) times exp(-(|xi| + |eta|))
-    and keeps its Hermitian part (c[j, k] + conj(c[-j, -k])) / 2 on the band.
-    One draw fills the noise of all five in the order of five draws."""
-    at, mirror, half, envelope = _band_tables(grid)
+    """The 2/3 bands (5, *grid.band_shape) of five random real fields:
+    each draws full-plane noise c (real, then imaginary part) times
+    exp(-(|xi| + |eta|)) and keeps its Hermitian part (c[j, k] +
+    conj(c[-j, -k])) / 2 off the x-mean row.  One draw fills the noise of
+    all five in the order of five draws."""
+    at, mirror, envelope = _band_tables(grid)
     noise = rng.standard_normal((5, 2, grid.nx * grid.ny))
     band, flip = noise[..., at], noise[..., mirror]
     c = (band[:, 0] + 1j * band[:, 1]) * envelope
     c += np.conj((flip[:, 0] + 1j * flip[:, 1]) * envelope)
     c *= 0.5
-    bases = np.zeros((5, grid.nx * (grid.ny // 2 + 1)), dtype=np.complex128)
-    bases[:, half] = c
-    return bases.reshape(5, grid.nx, grid.ny // 2 + 1)
+    bases = np.zeros((5, *grid.band_shape), dtype=np.complex128)
+    bases[:, 1:] = c.reshape(5, -1, grid.band_shape[1])  # the x-mean row stays 0
+    return bases
 
 
-def _basis_window(grid: Grid2D, bases, spectra, slice_dt: float):
-    """Physical values and ``SpaceTimeField`` of the window sum_b _HARMONICS[b]
-    bases[b], per base; ``spectra`` is ``_tapered_dft(_HARMONICS.T)``."""
-    values = np.tensordot(_HARMONICS, physical_values(grid, bases), axes=(0, 0))
-    return values, SpaceTimeField(grid, slice_dt, np.tensordot(spectra, bases, 1))
+def _basis_window(grid: Grid2D, bases, spectra, slice_dt: float, values: np.ndarray):
+    """``SpaceTimeField`` of the window sum_b _HARMONICS[b] bases[b], per
+    base, with its physical values written into the contiguous (n_t, nx,
+    ny) array ``values``; ``spectra`` is ``_tapered_dft(_HARMONICS.T)``."""
+    phys = physical_values(grid, from_band(grid, bases)).reshape(len(bases), -1)
+    np.matmul(_HARMONICS.T, phys, out=values.reshape(len(values), -1))
+    return SpaceTimeField(grid, slice_dt, np.tensordot(spectra, bases, 1))
 
 
 @dataclass(frozen=True)
@@ -307,9 +312,10 @@ def bilinear_ratio_trials(
             (||u||_{X^{s1,s2,b,eps}} ||v||_{X^{s1,s2,b,eps}}),
 
     over random tapered windows of unit duration, BILINEAR_SLICES slices of
-    five bases times five time harmonics, transformed per base, on the 32 pi
-    torus (``DEFAULT_LENGTH``).  Boundedness of the maximum under grid
-    refinement is the finite-dimensional shadow of the continuum estimate.
+    five bases times five time harmonics, transformed per base on the 2/3
+    band, on the 32 pi torus (``DEFAULT_LENGTH``).  Boundedness of the
+    maximum under grid refinement is the finite-dimensional shadow of the
+    continuum estimate.
     """
     check_bilinear_admissible(params)
     grid = Grid2D(nx, ny, DEFAULT_LENGTH, DEFAULT_LENGTH)
@@ -317,21 +323,26 @@ def bilinear_ratio_trials(
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
     out_params = replace(params, b=-params.beta)
     spectra = _tapered_dft(_HARMONICS.T, slice_dt)
+    kick = 1j * to_band(grid, grid.xi_col)
+    # the physical values of u and v, kept across trials: allocated per trial,
+    # they let the heap shrink and fault its pages in again
+    values = np.empty((2, BILINEAR_SLICES, nx, ny))
 
-    def window() -> tuple[np.ndarray, float]:
-        values, field = _basis_window(grid, _random_bases(grid, rng), spectra, slice_dt)
-        return values, bourgain_norm(field, params)
+    def norm(out: np.ndarray) -> float:
+        field = _basis_window(grid, _random_bases(grid, rng), spectra, slice_dt, out)
+        return bourgain_norm(field, params)
 
     def ratio() -> float:
-        (u, du), (v, dv) = window(), window()
-        u *= v  # the product u v
-        # dx of the dealiased product, through the square kernel's transform pair
-        prod = dealiased_coefficients(grid, u)
-        prod *= 1j * grid.xi_col
+        du, dv = norm(values[0]), norm(values[1])
+        values[0] *= values[1]  # the product u v
+        # dx of the dealiased product, through the square kernel's transform
+        # pair, cut to the band
+        prod = to_band(grid, dealiased_coefficients(grid, values[0]))
+        prod *= kick
         nu = bourgain_norm(SpaceTimeField.from_slices(grid, prod, slice_dt), out_params)
         return nu / (du * dv)
 
-    arr = np.sort([ratio() for _ in range(trials)])  # a trial's arrays go on return
+    arr = np.sort([ratio() for _ in range(trials)])
     return BilinearResult(
         ratios=tuple(arr.tolist()),
         max_ratio=float(arr[-1]),

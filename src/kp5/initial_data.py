@@ -94,25 +94,33 @@ def exp_spectrum(
     return SpectralField(g, field.half * (amplitude / peak))
 
 
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """Counter-based generator (Philox): same seed, same stream, any order."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+# each constructor builds the generator only if its data draw from the seed,
+# so other data never load numpy.random
 KINDS = {
-    "gaussian": lambda g, i, rng: gaussian(g, i.amplitude, i.width),
-    "gaussian_dx": lambda g, i, rng: gaussian_dx(g, i.amplitude, i.width),
-    "line_soliton": lambda g, i, rng: line_soliton(g, i.amplitude, i.width, i.ky),
-    "exp_spectrum": lambda g, i, rng: exp_spectrum(
-        g, i.amplitude, i.decay_x, i.decay_y, rng if i.phases == "random" else None
+    "gaussian": lambda g, i, seed: gaussian(g, i.amplitude, i.width),
+    "gaussian_dx": lambda g, i, seed: gaussian_dx(g, i.amplitude, i.width),
+    "line_soliton": lambda g, i, seed: line_soliton(g, i.amplitude, i.width, i.ky),
+    "exp_spectrum": lambda g, i, seed: exp_spectrum(
+        g, i.amplitude, i.decay_x, i.decay_y,
+        rng_from_seed(seed) if i.phases == "random" else None,
     ),
 }
 
 
-def make_initial_field(grid: Grid2D, init, rng: np.random.Generator) -> SpectralField:
+def make_initial_field(grid: Grid2D, init, seed: int) -> SpectralField:
     """The field of an ``InitialConfig``-shaped object (see config module),
-    built by its kind's constructor in ``KINDS``; data that are not finite
-    raise ``ConfigError``."""
+    built by its kind's constructor in ``KINDS`` from the run's seed; data
+    that are not finite raise ``ConfigError``."""
     build = KINDS.get(init.kind)
     if build is None:
         raise ConfigError("initial.kind", f"unknown kind {init.kind!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        field = build(grid, init, rng)
+        field = build(grid, init, seed)
     if not np.all(np.isfinite(field.half)):
         raise ConfigError(
             "initial.amplitude", f"{init.amplitude:g} overflows the {init.kind} data"

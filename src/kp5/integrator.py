@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .config import SimConfig, rng_from_seed
+from .config import SimConfig
 from .errors import BlowUpError
 from .initial_data import make_initial_field
 from .operators import (
@@ -163,7 +163,7 @@ def step(field: SpectralField, dt: float, t: float = 0.0) -> SpectralField:
 def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
     """Configured initial data, projected and dealiased for the flow."""
     g = cfg.make_grid() if grid is None else grid
-    return dealias(make_initial_field(g, cfg.initial, rng_from_seed(cfg.seed)))
+    return dealias(make_initial_field(g, cfg.initial, cfg.seed))
 
 
 def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:

@@ -12,10 +12,10 @@ with xi_j = 2*pi*j/lx and eta_k = 2*pi*k/ly, so a real cosine ``a*cos(xi*x)``
 stores ``a/2`` at the paired modes +-j.  A real field has c[-j, -k] =
 conj(c[j, k]), so it is fixed by its ``rfft2`` half plane: the (nx, ny//2 + 1)
 columns k = 0..ny/2, rows j in FFT order.  That half plane is the one layout
-of a field, of a stack of fields stepped together and of a space-time stack
-(leading axes batch fields or time slices); a Picard window and a snapshot,
-whose fields are all dealiased, keep only their 2/3 band (``field_band``,
-``to_band``/``from_band``).
+of a field and of a stack of fields stepped together (leading axes batch
+fields); a Picard window, a snapshot and a space-time stack, whose slices are
+all dealiased, keep only their 2/3 band (``Grid2D.band_shape``,
+``field_band``, ``to_band``/``from_band``).
 Forward transform is ``rfft2/(nx*ny)`` (``np.fft.rfft2(values, norm="forward")``,
 whose half plane a ``SpectralField`` takes over), inverse is ``irfft2 * nx * ny``
 (``physical_values``); every multiplier acts on the half plane
@@ -135,6 +135,12 @@ class Grid2D:
         w = np.full(self.ny // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
         return _frozen(w)
+
+    @property
+    def band_shape(self) -> tuple[int, int]:
+        """Shape of a field's 2/3 band (``to_band``): rows j = 0..nx//3 and
+        -(nx//3)..-1, columns k = 0..ny//3."""
+        return 2 * (self.nx // 3) + 1, self.ny // 3 + 1
 
     @property
     def xi_max(self) -> float:
@@ -375,7 +381,7 @@ def load_snapshot(path) -> SpectralField:
         grid = Grid2D(nx, ny, lx, ly)
     except ValueError as exc:
         raise SnapshotFormatError(str(exc)) from exc
-    shape = (2 * (nx // 3) + 1, ny // 3 + 1)
+    shape = grid.band_shape
     expected = _HEADER.size + 16 * shape[0] * shape[1]
     if len(raw) != expected:
         raise SnapshotFormatError(f"snapshot length {len(raw)} != expected {expected}")

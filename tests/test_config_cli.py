@@ -11,17 +11,17 @@ import kp5.acceptance
 import kp5.cli
 import kp5.integrator
 from conftest import window_rule
-from kp5.acceptance import AcceptanceSuite
+from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
 from kp5.cli import main
 from kp5.config import (
     SimConfig,
     config_from_dict,
     config_to_dict,
     load_config,
-    rng_from_seed,
 )
 from kp5.diagnostics import GevreyParams, uniqueness_gap
 from kp5.errors import ConfigError
+from kp5.initial_data import rng_from_seed
 from kp5.integrator import initial_field
 from kp5.picard import picard_from_config
 from kp5.reporting import write_csv, write_manifest
@@ -716,6 +716,33 @@ def test_cli_picard_manifest_is_strict_json_with_history_and_phases(tmp_path):
 
 def test_cli_accept_subset():
     assert main(["accept", "--only", "A8,A11"]) == 0
+
+
+def test_cli_accept_reports_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):
+    """A criterion that raises prints an ERROR line with the exception, the
+    other eleven print theirs, each as its criterion finishes (a criterion
+    finds the line of the one before it already printed), and the command
+    exits 1."""
+    printed = []
+
+    def stub(cid):
+        def criterion(self):
+            printed.append(capsys.readouterr().out)
+            if cid == "A5":
+                raise RuntimeError("planted failure")
+            return CriterionResult(cid, "stub", (Check("value", 1.0, "<=", 1.0),))
+        return criterion
+
+    for cid in AcceptanceSuite.ORDER:
+        monkeypatch.setattr(AcceptanceSuite, cid.lower(), stub(cid))
+    assert main(["accept"]) == 1
+    printed.append(capsys.readouterr().out)
+    lines = [text.rstrip("\n") for text in printed[1:]]
+    want = [f"{cid} PASS" for cid in AcceptanceSuite.ORDER]
+    want[4] = "A5 ERROR RuntimeError: planted failure"
+    assert printed[0] == ""
+    assert [line[: len(w)] for line, w in zip(lines, want)] == want
+    assert sum(line.endswith("stub: value 1 (<= 1)") for line in lines) == 11
 
 
 def test_cli_accept_rejects_unknown_id(capsys, monkeypatch):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kp5
 from conftest import random_band_field, window_rule
 from kp5.acceptance import gronwall_check
 from kp5.config import (
@@ -58,6 +63,7 @@ from kp5.spectral import (
     from_band,
     full_plane,
     physical_values,
+    to_band,
 )
 
 
@@ -73,6 +79,30 @@ def small_cfg(**kw):
 
 
 GRID64 = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
+
+
+# prints the repr of _line_fit on a 4,669-sample tail, A7's longest: log t
+# over t in [5, 50] against a wavy log radius
+_LINE_FIT_REPR = """
+import numpy as np
+from kp5.diagnostics import _line_fit
+x = np.log(np.linspace(5.0, 50.0, 4669))
+print(repr(_line_fit(x, np.log(1.1 + 0.05 * np.sin(7.0 * x) + 0.01 * np.cos(x * x)))))
+"""
+
+
+def test_line_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    """The fit's 1-D products stay below any BLAS threading threshold at
+    A7's tail length, so one and two OpenBLAS threads give the same bits."""
+    src = Path(kp5.__file__).resolve().parent.parent
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _LINE_FIT_REPR], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith(b"(")
 
 
 def test_radius_estimate_recovers_planted_decay():
@@ -138,11 +168,13 @@ def test_window_taper_normalized():
 
 def test_space_time_field_shape_rules(grid16):
     f = random_band_field(grid16, seed=1)
-    slices = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(12)])
+    halves = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(12)])
+    slices = to_band(grid16, halves)
     with pytest.raises(ValueError):
         SpaceTimeField.from_slices(grid16, slices, 0.01)  # 12 is not a power of two
-    with pytest.raises(ValueError, match="half planes"):
-        SpaceTimeField.from_slices(grid16, slices[:8, :, :-1], 0.01)
+    for wrong in (halves[:8], slices[:8, :, :-1]):  # a half plane is not a band
+        with pytest.raises(ValueError, match=r"not 2/3 bands \(11, 6\) of the grid"):
+            SpaceTimeField.from_slices(grid16, wrong, 0.01)
     field = SpaceTimeField.from_slices(grid16, slices[:8], 0.01)
     assert field.n_t == 8
     assert field.duration == pytest.approx(0.08)
@@ -160,7 +192,7 @@ def test_space_time_field_takes_its_coefficients_over(monkeypatch, grid16):
 
     monkeypatch.setattr(np.fft, "fft", recording_fft)
     f = random_band_field(grid16, seed=1)
-    slices = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(8)])
+    slices = to_band(grid16, np.stack([semigroup_apply(f, 0.01 * i).half for i in range(8)]))
     field = SpaceTimeField.from_slices(grid16, slices, 0.01)
     assert len(made) == 1 and field.coeffs_tau is made[0]
     assert not field.coeffs_tau.flags.writeable
@@ -170,12 +202,12 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
     """With every exponent off, the norm is the spacetime L2 of the
     tapered window: sqrt(sum_t dt * psi(t)^2 * ||u(t)||^2) by Parseval."""
     f = random_band_field(grid16, seed=7)
-    w = from_band(grid16, free_window(f, 0.2, slices=16))
+    w = free_window(f, 0.2, slices=16)  # a Picard window is a stack of bands
     field = SpaceTimeField.from_slices(grid16, w[:-1], 0.2 / 16)
     psi = window_taper(field.n_t, field.slice_dt)
     slice_l2 = [
         np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(c) ** 2))
-        for c in full_plane(grid16, w[:-1])
+        for c in full_plane(grid16, from_band(grid16, w[:-1]))
     ]
     direct = np.sqrt(
         sum(
@@ -191,22 +223,25 @@ def test_bourgain_norm_orders_are_a_sum_over_modes(grid16):
     """At nonzero s1, s2, b and eps the squared norm is the measure times
     the sum over (tau, xi, eta) of lambda^2 |c|^2, with lambda^2 =
     <xi>^2s1 <eta>^2s2 <tau - m>^2b <(tau - m)/(1 + |xi|^5)>^2eps and the
-    columns 0 < k < ny/2 counted twice."""
+    columns k > 0 counted twice, over the 2/3 band: rows j = 0..5 then
+    -5..-1, columns k = 0..5 on the 16^2 grid."""
     f = random_band_field(grid16, seed=5)
-    slices = np.stack([semigroup_apply(f, 0.03 * i).half for i in range(4)])
+    slices = to_band(grid16, np.stack([semigroup_apply(f, 0.03 * i).half for i in range(4)]))
     field = SpaceTimeField.from_slices(grid16, slices, 0.03)
+    assert field.coeffs_tau.shape == (4, 11, 6)
     s1, s2, b, eps = -0.5, 0.3, 0.6, 0.1
     total = 0.0
     for l, c in enumerate(field.coeffs_tau):
         tau = 2 * math.pi * (l if l < 2 else l - 4) / field.duration
-        for j in range(16):
-            xi = 2 * math.pi * (j if j < 8 else j - 16) / grid16.lx
-            for k in range(9):
+        for r in range(11):
+            j = r if r <= 5 else r - 11
+            xi = 2 * math.pi * j / grid16.lx
+            for k in range(6):
                 eta = 2 * math.pi * k / grid16.ly
                 mod = tau - (xi**5 - eta**2 / xi if j else 0.0)
                 lam2 = ((1 + xi**2) ** s1 * (1 + eta**2) ** s2 * (1 + mod**2) ** b
                         * (1 + (mod / (1 + abs(xi) ** 5)) ** 2) ** eps)
-                total += (1 if k in (0, 8) else 2) * lam2 * abs(c[j, k]) ** 2
+                total += (1 if k == 0 else 2) * lam2 * abs(c[r, k]) ** 2
     want = math.sqrt(grid16.lx * grid16.ly * field.duration * total)
     got = bourgain_norm(field, GevreyParams(s1=s1, s2=s2, b=b, eps=eps))
     assert got == pytest.approx(want, rel=1e-12)
@@ -214,7 +249,7 @@ def test_bourgain_norm_orders_are_a_sum_over_modes(grid16):
 
 def test_bourgain_norm_monotone_in_b(grid16):
     f = random_band_field(grid16, seed=3)
-    w = from_band(grid16, free_window(f, 0.25, slices=16))
+    w = free_window(f, 0.25, slices=16)
     field = SpaceTimeField.from_slices(grid16, w[:-1], 0.25 / 16)
     lo = bourgain_norm(field, GevreyParams(b=0.0))
     hi = bourgain_norm(field, GevreyParams(b=0.55))
@@ -237,7 +272,7 @@ def test_bourgain_norm_penalizes_detuning(grid16):
     off = [np.exp(1j * detune * dt * i) * s.half for i, s in enumerate(on)]
     params = GevreyParams(b=0.55)
     def norm(slices):
-        stack = np.stack(slices)
+        stack = to_band(grid16, np.stack(slices))
         return bourgain_norm(SpaceTimeField.from_slices(grid16, stack, dt), params)
 
     n_on, n_off = norm([s.half for s in on]), norm(off)
@@ -267,15 +302,17 @@ def test_admissibility_gate():
 
 
 def test_bilinear_trials_deterministic():
+    """Equal calls give equal ratios, also with another call between them:
+    the value stacks a call keeps across its trials carry nothing over."""
     params = GevreyParams(s1=-1.0, s2=0.0, b=0.55, beta=0.45, eps=0.0)
     a = bilinear_ratio_trials(params, trials=4, seed=99, nx=16, ny=16)
+    other = bilinear_ratio_trials(
+        params, trials=4, seed=99, nx=16, ny=16, stream=1
+    )
     b = bilinear_ratio_trials(params, trials=4, seed=99, nx=16, ny=16)
     assert a.ratios == b.ratios
     assert all(r > 0 and math.isfinite(r) for r in a.ratios)
     assert a.max_ratio == max(a.ratios)
-    other = bilinear_ratio_trials(
-        params, trials=4, seed=99, nx=16, ny=16, stream=1
-    )
     assert other.ratios != a.ratios
 
 
@@ -303,7 +340,8 @@ def test_random_bases_equal_the_full_plane_construction(nx, ny):
                 for _ in range(2)]
         for _ in range(2):
             got, want = _random_bases(grid, rngs[0]), full_plane_bases(grid, rngs[1])
-            assert np.array_equal(got, want)
+            assert got.shape == (5, 2 * (nx // 3) + 1, ny // 3 + 1)
+            assert np.array_equal(from_band(grid, got), want)
         # the same draws, so the streams stay in step
         assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
@@ -343,11 +381,12 @@ def test_basis_window_matches_the_assembled_slices(nx, ny):
     slice_dt = 1.0 / BILINEAR_SLICES
     bases = _random_bases(grid, np.random.Generator(np.random.Philox(key=5)))
     spectra = _tapered_dft(_HARMONICS.T, slice_dt)
-    values, field = _basis_window(grid, bases, spectra, slice_dt)
+    values = np.full((BILINEAR_SLICES, nx, ny), np.nan)
+    field = _basis_window(grid, bases, spectra, slice_dt, values)
     u = np.tensordot(_HARMONICS, bases, axes=(0, 0))
-    assert u.shape == (BILINEAR_SLICES, nx, ny // 2 + 1)
+    assert u.shape == (BILINEAR_SLICES, 2 * (nx // 3) + 1, ny // 3 + 1)
     for got, want in (
-        (values, physical_values(grid, u)),
+        (values, physical_values(grid, from_band(grid, u))),
         (field.coeffs_tau, SpaceTimeField.from_slices(grid, u, slice_dt).coeffs_tau),
     ):
         assert got.shape == want.shape
@@ -361,6 +400,53 @@ def test_bilinear_trials_reproduce_the_full_plane_reference():
     result = bilinear_ratio_trials(params, trials=64, seed=0, nx=64, ny=64)
     assert result.max_ratio == pytest.approx(0.00022354187290446077, rel=1e-12)
     assert result.q95 == pytest.approx(0.00022141900554283495, rel=1e-12)
+
+
+def half_plane_bourgain_norm(grid, stack, slice_dt, params):
+    """``bourgain_norm`` of a stack of half planes written out: the tapered
+    time DFT, lambda^2 on the whole half plane with the columns 0 < k < ny/2
+    counted twice, and one sum."""
+    n_t = len(stack)
+    psi = window_taper(n_t, slice_dt)[:, None, None]
+    c = np.fft.fft(psi * stack, axis=0) / n_t
+    tau = 2 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)[:, None, None]
+    xi, eta = grid.xi_col, grid.eta_row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(xi == 0, 0.0, xi**5 - eta**2 / xi)
+    mod = tau - m
+    lam2 = ((1 + xi**2) ** params.s1 * (1 + eta**2) ** params.s2 * (1 + mod**2) ** params.b
+            * (1 + (mod / (1 + np.abs(xi) ** 5)) ** 2) ** params.eps)
+    total = np.sum(grid.half_multiplicity * lam2 * np.abs(c) ** 2)
+    return math.sqrt(grid.measure * n_t * slice_dt * total)
+
+
+def half_plane_trials(params, trials, seed, nx, ny):
+    """The bilinear trials on half planes from the same draws: each window
+    is the harmonic sum of its five bases, assembled slice by slice; the
+    product is ``rfft2`` of u v times the 2/3 mask, differentiated in x."""
+    grid = Grid2D(nx, ny, 32 * np.pi, 32 * np.pi)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    slice_dt = 1.0 / BILINEAR_SLICES
+    out = replace(params, b=-params.beta)
+    ratios = []
+    for _ in range(trials):
+        halves = [np.tensordot(_HARMONICS, from_band(grid, _random_bases(grid, rng)),
+                               axes=(0, 0)) for _ in range(2)]
+        (u, v) = (physical_values(grid, h) for h in halves)
+        prod = np.fft.rfft2(u * v, norm="forward") * grid.dealias_mask * 1j * grid.xi_col
+        du, dv = (half_plane_bourgain_norm(grid, h, slice_dt, params) for h in halves)
+        ratios.append(half_plane_bourgain_norm(grid, prod, slice_dt, out) / (du * dv))
+    return sorted(ratios)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_bilinear_trials_match_the_half_plane_oracle(n):
+    """The band trials give the ratios of the half-plane trials built from
+    the same draws, at orders where every factor of the weight counts."""
+    params = GevreyParams(s1=-0.5, s2=0.3, b=0.6, beta=0.48, eps=0.1)
+    got = bilinear_ratio_trials(params, 6, seed=21, nx=n, ny=n).ratios
+    want = half_plane_trials(params, 6, 21, n, n)
+    assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-14
 
 
 def test_almost_conservation_scaling():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kp5
 import kp5.integrator
 from conftest import full_plane_square, random_band_field, window_rule
 from kp5.config import (
@@ -405,3 +410,33 @@ def test_initial_field_is_dealiased_and_real():
     f = initial_field(cfg, cfg.make_grid())
     assert np.array_equal(f.half, dealias(f).half)
     assert not f.half[0].any()
+
+
+# builds one 16^2 initial field of the given kind and phases in a fresh
+# process and prints whether numpy.random was loaded
+_LOADS_RANDOM = """
+import sys
+from kp5.config import GridConfig, InitialConfig, SimConfig
+from kp5.integrator import initial_field
+init = InitialConfig(kind=sys.argv[1], phases=sys.argv[2])
+initial_field(SimConfig(grid=GridConfig(nx=16, ny=16), initial=init))
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("kind, phases, loads", [
+    ("gaussian", "none", "False"),
+    ("exp_spectrum", "none", "False"),
+    ("exp_spectrum", "random", "True"),
+])
+def test_initial_field_loads_numpy_random_only_to_draw(kind, phases, loads):
+    """Only random phases build the seed's generator: other data leave
+    numpy.random unloaded, which costs a process milliseconds to import."""
+    src = Path(kp5.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS_RANDOM, kind, phases],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == loads
