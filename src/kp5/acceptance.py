@@ -45,7 +45,7 @@ from .diagnostics import (
     uniqueness_gap,
 )
 from .errors import ConfigError
-from .initial_data import exp_spectrum
+from .initial_data import make_initial_field
 from .integrator import aligned_dt, cfl_dt, initial_field, simulate, step
 from .operators import (
     apply_gevrey,
@@ -58,9 +58,7 @@ from .picard import DOUBLING_BOUND, picard_from_config
 from .spectral import (
     Grid2D,
     SpectralField,
-    dealias,
     dealiased_square,
-    from_band,
     full_plane,
     physical_values,
     x_antiderivative,
@@ -151,12 +149,12 @@ def window_gap(f: SpectralField, result) -> float:
     slice_dt = result.delta / (len(window) - 1)
     dt, sub = aligned_dt(slice_dt, cfl_dt(f.grid, 1.0))
     u = f
-    stepped = [u.half]
+    stepped = [u.band]
     while len(stepped) < len(window):
         for _ in range(sub):
             u = step(u, dt)
-        stepped.append(u.half)
-    gap = np.stack(stepped) - from_band(f.grid, window)
+        stepped.append(u.band)
+    gap = np.stack(stepped) - window
     return float(half_plane_norms(f.grid, gap, SUITE_SIGMA1, 0.0).max())
 
 
@@ -204,7 +202,7 @@ def bilinear_scale_checks() -> tuple[Check, Check]:
     u = np.tensordot(_HARMONICS, bases, axes=(0, 0))  # band slices
     raw = (1.0 - (2.0 * np.arange(n_t) / n_t - 1.0) ** 2) ** 3
     psi = raw / (slice_dt * raw.sum())
-    values = physical_values(grid, from_band(grid, u))
+    values = physical_values(grid, u)
     l2_sq = grid.cell_area * np.sum(values**2, axis=(1, 2))
     want = math.sqrt(slice_dt * np.sum(psi**2 * l2_sq))
     spectra = _tapered_dft(_HARMONICS.T, slice_dt)
@@ -255,10 +253,10 @@ class AcceptanceSuite:
             u = f
             for _ in range(n):
                 u = step(u, horizon / n)
-            return u.half
+            return u.band
 
-        halves = np.stack([evolve(n0 * 2**r) for r in range(3)])
-        e01, e12 = half_plane_norms(f.grid, halves[:-1] - halves[1:], 0.0, 0.0)
+        bands = np.stack([evolve(n0 * 2**r) for r in range(3)])
+        e01, e12 = half_plane_norms(f.grid, bands[:-1] - bands[1:], 0.0, 0.0)
         return CriterionResult("A2", "self-convergence order of the stepper", (
             Check("order", _log2_ratio(e01, e12), ">=", 3.5),
             Check("error dt/dt2", e01),
@@ -344,7 +342,8 @@ class AcceptanceSuite:
         grid = Grid2D(64, 64, 32.0 * math.pi, 32.0 * math.pi)
         fits, drifts = [], []
         for sigma in (0.3, 0.7, 1.5):
-            f = exp_spectrum(grid, 1.0, sigma, sigma)
+            init = InitialConfig(kind="exp_spectrum", decay_x=sigma, decay_y=sigma)
+            f = make_initial_field(grid, init, 0)
             fit = radius_estimate(f)[0]
             moved = radius_estimate(semigroup_apply(f, 0.37))[0]
             fits.append(Check(f"fit error ({sigma:g})", abs(fit - sigma), "<=", tol))
@@ -381,8 +380,8 @@ class AcceptanceSuite:
 
     def a11(self) -> CriterionResult:
         grid = Grid2D(16, 16, 2.0 * math.pi, 2.0 * math.pi)
-        rng = np.random.Generator(np.random.Philox(key=99))
-        f = dealias(exp_spectrum(grid, 1.0, 0.4, 0.4, rng=rng))
+        f = make_initial_field(grid, InitialConfig(
+            kind="exp_spectrum", decay_x=0.4, decay_y=0.4, phases="random"), 99)
 
         def peak(a: np.ndarray) -> float:
             return float(np.max(np.abs(a)))
@@ -391,32 +390,32 @@ class AcceptanceSuite:
             return peak(a - b) / peak(b)
 
         n0, l2 = gevrey_norm(f, 0.2, 0.1), gevrey_norm(f, 0.0, 0.0)
-        phys_l2 = math.sqrt(np.sum(physical_values(grid, f.half) ** 2) * grid.cell_area)
+        phys_l2 = math.sqrt(np.sum(physical_values(grid, f.band) ** 2) * grid.cell_area)
         n1 = gevrey_norm(semigroup_apply(f, 1.7), 0.2, 0.1)
         comp = apply_gevrey(apply_gevrey(f, 0.3, 0.2), 0.4, 0.1)
         group = semigroup_apply(semigroup_apply(f, 0.4), 0.9)
-        single = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=complex)
+        single = np.zeros(grid.band_shape, dtype=complex)
         single[1, 0] = single[-1, 0] = 0.5  # one mode pair, (+-1, 0)
         sf = SpectralField(grid, single)
         oracle = _oracle_remainder(f, 0.5, 0.3)
         return CriterionResult(
             "A11", "operator algebra identities and convolution oracle", (
                 Check("identity-weight",
-                      peak(apply_gevrey(f, 0.0, 0.0).half - f.half), "<=", 0.0),
+                      peak(apply_gevrey(f, 0.0, 0.0).band - f.band), "<=", 0.0),
                 Check("weight-composition",
-                      rel(comp.half, apply_gevrey(f, 0.7, 0.3).half), "<=", 1e-12),
+                      rel(comp.band, apply_gevrey(f, 0.7, 0.3).band), "<=", 1e-12),
                 Check("semigroup-unitary", abs(n1 - n0) / n0, "<=", 1e-13),
                 Check("semigroup-group-law",
-                      rel(group.half, semigroup_apply(f, 1.3).half), "<=", 1e-13),
+                      rel(group.band, semigroup_apply(f, 1.3).band), "<=", 1e-13),
                 Check("dx-roundtrip",
-                      rel(x_antiderivative(x_derivative(f)).half, f.half), "<=", 1e-13),
+                      rel(x_antiderivative(x_derivative(f)).band, f.band), "<=", 1e-13),
                 Check("parseval", abs(phys_l2 - l2) / l2, "<=", 1e-12),
                 Check("remainder-zero-sigma",
-                      peak(remainder_n(f, 0.0, 0.0).half), "<=", 0.0),
+                      peak(remainder_n(f, 0.0, 0.0).band), "<=", 0.0),
                 Check("remainder-single-mode",
-                      peak(remainder_n(sf, 0.8, 0.0).half), "<=", 1e-12),
+                      peak(remainder_n(sf, 0.8, 0.0).band), "<=", 1e-12),
                 Check("remainder-oracle",
-                      rel(remainder_n(f, 0.5, 0.3).half, oracle), "<=", 1e-12),
+                      rel(remainder_n(f, 0.5, 0.3).band, oracle), "<=", 1e-12),
             ))
 
     def a12(self) -> CriterionResult:
@@ -466,14 +465,14 @@ def _worst(values) -> float:
 
 def _oracle_remainder(field: SpectralField, sigma1: float, sigma2: float) -> np.ndarray:
     """Remainder by explicit linear convolution over the dealiased band, on
-    the half plane.
+    the band.
 
     Independent of the FFT path: the convolution runs over the full-plane
     modes, in O(n^4) loops, only sensible on tiny grids.
     """
     g = field.grid
     kx, ky = g.nx // 3, g.ny // 3
-    c = full_plane(g, dealias(field).half)
+    c = full_plane(g, field.band)
     weight = {}
     for j in range(-kx, kx + 1):
         for k in range(-ky, ky + 1):
@@ -506,11 +505,11 @@ def _oracle_remainder(field: SpectralField, sigma1: float, sigma2: float) -> np.
     afd = {key: weight[key] * val for key, val in fd.items()}
     t1 = conv(afd, afd)
     t2 = conv(fd, fd)
-    out = np.zeros((g.nx, g.ny // 2 + 1), dtype=complex)
+    out = np.zeros(g.band_shape, dtype=complex)
     for j in range(-kx, kx + 1):
         for k in range(ky + 1):
             xi = 2.0 * np.pi * j / g.lx
-            out[g.mode_index(j, k)] = (1j * xi) * (
+            out[j % len(g.band_j), k] = (1j * xi) * (
                 t1[(j, k)] - weight[(j, k)] * t2[(j, k)]
             )
     return out
@@ -529,14 +528,14 @@ def _equation_residual(f: SpectralField, t: float, h: float) -> float:
     u = f
     for _ in range(round(t / h) - 1):
         u = step(u, h)
-    before = u.half
+    before = u.band
     u = step(u, h)
-    after = step(u, h).half
+    after = step(u, h).band
     d5 = u
     for _ in range(5):
         d5 = x_derivative(d5)
-    dyy = x_antiderivative(SpectralField(grid, (1j * grid.eta_row) ** 2 * u.half))
-    rhs = d5.half - dyy.half - 0.5j * grid.xi_col * dealiased_square(grid, u.half)
+    dyy = x_antiderivative(SpectralField(grid, (1j * grid.eta_row) ** 2 * u.band))
+    rhs = d5.band - dyy.band - 0.5j * grid.xi_col * dealiased_square(grid, u.band)
     diff = (after - before) / (2.0 * h) - rhs
     norms = half_plane_norms(grid, np.stack([diff, rhs]), 0.0, 0.0)
     return float(norms[0] / norms[1])

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_LENGTH, SimConfig
+from .config import DEFAULT_LENGTH, InitialConfig, SimConfig
 from .errors import InadmissibleParamsError
-from .initial_data import gaussian
+from .initial_data import make_initial_field
 from .integrator import (
     SimulationOutput,
     _sampled_run,
@@ -40,11 +40,8 @@ from .spectral import (
     Grid2D,
     SpectralField,
     _frozen,
-    dealias,
     dealiased_coefficients,
-    from_band,
     physical_values,
-    to_band,
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
@@ -77,18 +74,18 @@ def radius_estimate(field: SpectralField) -> tuple[float, float]:
     rate sigma_est, clamped at 0, and the rms misfit of the log-linear model.
 
     The envelope of shell j is max_k |c[j, k]| over the full plane, read
-    off the half plane: full-plane row j holds half-plane row j and,
-    conjugated, columns 1..ny/2-1 of row -j, so the envelope is the larger
-    of their maxima.  The fit band is [0.25, 0.75] of the dealiased
-    cutoff; shells below the relative floor are dropped.  An empty spectrum
-    or fewer than 8 surviving shells gives (nan, nan): no fit is not a
-    collapse, a genuine 0.0 comes only from the clamp.
+    off the band: full-plane row j holds band row j and, conjugated, the
+    columns k > 0 of row -j, so the envelope is the larger of their maxima.
+    The fit band is [0.25, 0.75] of the dealiased cutoff; shells below the
+    relative floor are dropped.  An empty spectrum or fewer than 8
+    surviving shells gives (nan, nan): no fit is not a collapse, a genuine
+    0.0 comes only from the clamp.
     """
     g = field.grid
     lo, hi = 0.25 * g.xi_dealias, 0.75 * g.xi_dealias
-    n = g.nx // 2
-    mag = np.abs(field.half)
-    envelope = np.maximum(mag[1:n].max(axis=1), mag[:n:-1, 1 : g.ny // 2].max(axis=1))
+    n = g.nx // 3 + 1
+    mag = np.abs(field.band)
+    envelope = np.maximum(mag[1:n].max(axis=1), mag[: n - 1 : -1, 1:].max(axis=1))
     peak = float(mag.max())
     freqs = g.xi[1:n]
     keep = (freqs >= lo) & (freqs <= hi) & (envelope > SPECTRAL_FLOOR * peak)
@@ -144,8 +141,8 @@ class SpaceTimeField:
     """Time-DFT of a tapered stack of field slices on the 2/3 band.
 
     coeffs_tau[l, j, k] are coefficients against exp(i*(tau_l t + xi x +
-    eta y)) with tau_l = 2 pi l / duration, in the layout of
-    ``spectral.to_band`` (the field is real, so the rest follow by
+    eta y)) with tau_l = 2 pi l / duration, on the 2/3 band of a
+    ``SpectralField`` (the field is real, so the rest follow by
     conjugate reflection in (tau, xi, eta) and norms count columns k > 0
     twice); norms carry the measure lx * ly * duration.  The slice count
     must be a power of two.  The field takes the coefficient array over
@@ -192,9 +189,9 @@ def _xtsb_weight(
     column multiplicity, on the 2/3 band: the table that turns
     |coefficient| into an amplitude."""
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)
-    m = to_band(grid, dispersion_symbol(grid))
-    xi = to_band(grid, grid.xi_col)
-    multiplicity = to_band(grid, grid.half_multiplicity[None, :])
+    m = dispersion_symbol(grid)
+    xi = grid.xi_col
+    multiplicity = grid.half_multiplicity[None, :]
     mod = tau[:, None, None] - m[None, :, :]
     w = bracket(mod) ** (2.0 * params.b) * multiplicity
     if params.eps != 0.0:
@@ -202,7 +199,7 @@ def _xtsb_weight(
     if params.s1 != 0.0:
         w = w * bracket(xi)[None, :, :] ** (2.0 * params.s1)
     if params.s2 != 0.0:
-        w = w * bracket(to_band(grid, grid.eta_row))[None, :, :] ** (2.0 * params.s2)
+        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
     w = np.sqrt(w)
     return _frozen(np.ascontiguousarray(np.broadcast_to(w, (n_t,) + m.shape)))
 
@@ -256,11 +253,11 @@ def _band_tables(grid: Grid2D) -> tuple:
     k = 0..ny//3), and of their mirror (-j, -k), and the trial envelope on
     them, which is also the one on the mirror: |xi_-j| = |xi_j| and
     |eta_-k| = |eta_k| exactly."""
-    rows = np.flatnonzero((grid.j_index != 0) & (3 * np.abs(grid.j_index) <= grid.nx))
+    rows = grid.band_j[1:] % grid.nx
     cols = np.arange(grid.band_shape[1])
     at = (rows[:, None] * grid.ny + cols).ravel()
     mirror = ((-rows % grid.nx)[:, None] * grid.ny + -cols % grid.ny).ravel()
-    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta))).ravel()
+    envelope = np.exp(-(np.abs(grid.xi[:, None]) + np.abs(grid.eta))).ravel()
     return at, mirror, _frozen(envelope[at])
 
 
@@ -285,7 +282,7 @@ def _basis_window(grid: Grid2D, bases, spectra, slice_dt: float, values: np.ndar
     """``SpaceTimeField`` of the window sum_b _HARMONICS[b] bases[b], per
     base, with its physical values written into the contiguous (n_t, nx,
     ny) array ``values``; ``spectra`` is ``_tapered_dft(_HARMONICS.T)``."""
-    phys = physical_values(grid, from_band(grid, bases)).reshape(len(bases), -1)
+    phys = physical_values(grid, bases).reshape(len(bases), -1)
     np.matmul(_HARMONICS.T, phys, out=values.reshape(len(values), -1))
     return SpaceTimeField(grid, slice_dt, np.tensordot(spectra, bases, 1))
 
@@ -323,7 +320,7 @@ def bilinear_ratio_trials(
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
     out_params = replace(params, b=-params.beta)
     spectra = _tapered_dft(_HARMONICS.T, slice_dt)
-    kick = 1j * to_band(grid, grid.xi_col)
+    kick = 1j * grid.xi_col
     # the physical values of u and v, kept across trials: allocated per trial,
     # they let the heap shrink and fault its pages in again
     values = np.empty((2, BILINEAR_SLICES, nx, ny))
@@ -335,9 +332,8 @@ def bilinear_ratio_trials(
     def ratio() -> float:
         du, dv = norm(values[0]), norm(values[1])
         values[0] *= values[1]  # the product u v
-        # dx of the dealiased product, through the square kernel's transform
-        # pair, cut to the band
-        prod = to_band(grid, dealiased_coefficients(grid, values[0]))
+        # dx of the dealiased product, through the square kernel's transform pair
+        prod = dealiased_coefficients(grid, values[0])
         prod *= kick
         nu = bourgain_norm(SpaceTimeField.from_slices(grid, prod, slice_dt), out_params)
         return nu / (du * dv)
@@ -504,19 +500,20 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
         raise ValueError(f"eps must be positive, got {eps}")
     grid = cfg.make_grid()
     u = initial_field(cfg, grid)
-    bump = dealias(gaussian(grid, 1.0, 2.0))
+    unit_bump = InitialConfig(kind="gaussian", amplitude=1.0, width=2.0)
+    bump = make_initial_field(grid, unit_bump, cfg.seed)
     bump_l2 = gevrey_norm(bump, 0.0, 0.0)
-    pair = SpectralField(grid, np.stack([u.half, u.half + eps * (bump.half / bump_l2)]))
+    pair = SpectralField(grid, np.stack([u.band, u.band + eps * (bump.band / bump_l2)]))
     grid_dt, _ = resolve_dt(cfg, grid, cfg.time.horizon)
 
     def gap_of(w: SpectralField) -> float:
-        return float(half_plane_norms(grid, w.half[0] - w.half[1], 0.0, 0.0))
+        return float(half_plane_norms(grid, w.band[0] - w.band[1], 0.0, 0.0))
 
     gap0, integral, prev = gap_of(pair), 0.0, None
 
     def record(t, steps, w, l2):
         nonlocal integral, prev
-        u_x = physical_values(grid, 1j * grid.xi_col * w.half)
+        u_x = physical_values(grid, 1j * grid.xi_col * w.band)
         cur = float(np.max(np.abs(u_x), axis=(1, 2)).sum())  # sup|u_x| + sup|v_x|
         if prev is not None:
             integral += 0.5 * grid_dt * (prev + cur)
@@ -572,8 +569,8 @@ def energy_identity_check(cfg: SimConfig) -> EnergyIdentityResult:
         end = step(mid, 0.5 * dt)
         # ||A u||^2 - ||A f||^2 = <A(u - f), A(u + f)>, free of cancellation
         lhs = l2_inner(
-            apply_gevrey(SpectralField(grid, end.half - f.half), s1, s2),
-            apply_gevrey(SpectralField(grid, end.half + f.half), s1, s2),
+            apply_gevrey(SpectralField(grid, end.band - f.band), s1, s2),
+            apply_gevrey(SpectralField(grid, end.band + f.band), s1, s2),
         ) / dt
         rhs = (flux(f) + 4.0 * flux(mid) + flux(end)) / 6.0
         scale = max(abs(lhs), abs(rhs), 1e-300)

@@ -1,13 +1,15 @@
 """Initial-condition families used by the simulations and experiments.
 
-All constructors return a zero-x-mean ``SpectralField``: the flow map needs
-dx^{-1}, so the j = 0 fiber is projected out: collocation values become
+All constructors return the zero-x-mean ``rfft2`` half plane of their data,
+shape (nx, ny//2 + 1), as a plain array: the flow map needs dx^{-1}, so the
+j = 0 fiber is projected out: collocation values become
 ``rfft2(values, norm="forward")`` with row j = 0 zeroed.  ``amplitude`` means
 the peak physical value before that projection (for the synthetic-spectrum
 family the raw spectrum is rescaled to hit the requested peak), so data
 sizes are comparable across families.  ``KINDS`` maps each config
 ``initial.kind`` to its constructor, and ``make_initial_field``, where
-configured data enter, rejects data that overflow a double.
+configured data enter, cuts the half plane to the 2/3 band of a
+``SpectralField`` and rejects data that overflow a double.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Grid2D, SpectralField, _mirror, physical_values
+from .spectral import Grid2D, SpectralField, _mirror
 
 
-def _from_values(grid: Grid2D, values: np.ndarray) -> SpectralField:
+def _from_values(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     half = np.fft.rfft2(values, norm="forward")
     half[0, :] = 0.0
-    return SpectralField(grid, half)
+    return half
 
 
-def gaussian(grid: Grid2D, amplitude: float, width: float) -> SpectralField:
+def gaussian(grid: Grid2D, amplitude: float, width: float) -> np.ndarray:
     """Isotropic Gaussian bump centered in the domain."""
     x = grid.x_nodes[:, None] - grid.lx / 2.0
     y = grid.y_nodes[None, :] - grid.ly / 2.0
@@ -32,7 +34,7 @@ def gaussian(grid: Grid2D, amplitude: float, width: float) -> SpectralField:
     return _from_values(grid, values)
 
 
-def gaussian_dx(grid: Grid2D, amplitude: float, width: float) -> SpectralField:
+def gaussian_dx(grid: Grid2D, amplitude: float, width: float) -> np.ndarray:
     """x-derivative of a Gaussian bump, normalized to peak ``amplitude``.
 
     The analytic derivative profile  -2x/w^2 * exp(-r^2/w^2)  peaks at
@@ -49,7 +51,7 @@ def gaussian_dx(grid: Grid2D, amplitude: float, width: float) -> SpectralField:
 
 def line_soliton(
     grid: Grid2D, amplitude: float, width: float, ky_mod: int = 1
-) -> SpectralField:
+) -> np.ndarray:
     """sech^2 ridge along y with a transverse cosine modulation."""
     x = grid.x_nodes[:, None] - grid.lx / 2.0
     y = grid.y_nodes[None, :]
@@ -64,21 +66,24 @@ def exp_spectrum(
     decay_x: float,
     decay_y: float,
     rng: np.random.Generator | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     """Synthetic field with exact spectral decay exp(-dx*|xi| - dy*|eta|).
 
     Every non-Nyquist mode with j != 0 carries the prescribed magnitude, so
     a radius fit on this data recovers ``decay_x`` to rounding error.  With
     an ``rng``, modes get random phases (Hermitian-paired so the field stays
     real); without one the coefficients are real and positive.  The whole
-    spectrum is rescaled so the physical field peaks at ``amplitude``.
+    spectrum, Nyquist row and column zeroed, is rescaled so the physical
+    field peaks at ``amplitude``.
     """
     if decay_x < 0 or decay_y < 0:
         raise ValueError("spectral decay rates must be >= 0")
     g = grid
-    mag = np.exp(-decay_x * np.abs(g.xi_col) - decay_y * np.abs(g.eta_row))
-    mag = np.broadcast_to(mag, (g.nx, g.ny // 2 + 1)).copy()
+    eta = g.eta[None, : g.ny // 2 + 1]
+    mag = np.exp(-decay_x * np.abs(g.xi[:, None]) - decay_y * np.abs(eta))
     mag[0, :] = 0.0
+    mag[g.nx // 2, :] = 0.0
+    mag[:, -1] = 0.0
     if rng is None:
         coeffs = mag.astype(np.complex128)
     else:
@@ -87,11 +92,10 @@ def exp_spectrum(
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(g.nx, g.ny))
         theta = 0.5 * (theta - _mirror(theta))
         coeffs = mag * np.exp(1j * theta[:, : g.ny // 2 + 1])
-    field = SpectralField(g, coeffs)
-    peak = float(np.max(np.abs(physical_values(g, field.half))))
+    peak = float(np.max(np.abs(np.fft.irfft2(coeffs, s=(g.nx, g.ny), norm="forward"))))
     if peak == 0.0:
-        return field
-    return SpectralField(g, field.half * (amplitude / peak))
+        return coeffs
+    return coeffs * (amplitude / peak)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -113,15 +117,17 @@ KINDS = {
 
 
 def make_initial_field(grid: Grid2D, init, seed: int) -> SpectralField:
-    """The field of an ``InitialConfig``-shaped object (see config module),
-    built by its kind's constructor in ``KINDS`` from the run's seed; data
-    that are not finite raise ``ConfigError``."""
+    """The field of an ``InitialConfig``-shaped object (see config module):
+    the half plane its kind's constructor in ``KINDS`` builds from the run's
+    seed, cut to the 2/3 band; data that are not finite raise
+    ``ConfigError``."""
     build = KINDS.get(init.kind)
     if build is None:
         raise ConfigError("initial.kind", f"unknown kind {init.kind!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        field = build(grid, init, seed)
-    if not np.all(np.isfinite(field.half)):
+        half = build(grid, init, seed)
+    field = SpectralField(grid, half[grid.band_j, : grid.ny // 3 + 1])
+    if not np.all(np.isfinite(field.band)):
         raise ConfigError(
             "initial.amplitude", f"{init.amplitude:g} overflows the {init.kind} data"
         )

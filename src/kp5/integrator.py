@@ -6,21 +6,19 @@ nonstiff system for v that classical RK4 integrates.  Where the
 nonlinearity vanishes a step multiplies by exp(i*dt*m) exactly, i.e. the
 stepper degenerates to the free propagator.
 
-``step`` advances a ``SpectralField``, the ``rfft2`` half plane (modes
-k = 0..ny/2) of the real solution or a stack of them, each slice stepped as
-it would be alone, so realness holds by construction:
-each right-hand side is one call of the dealiased-square kernel
-(``spectral.dealiased_square``, an inverse and a band-pruned forward pair
-of 1-D passes), and every stage multiply touches half the modes.  The RK4
-stages are in Lawson form: each stage stays in the frame where it was
-evaluated and is carried forward by exp(i*dt*m/2), so no conjugate
-(backward) phase is stored or applied; a negative dt steps back in time.
-Callers keep the time and the step count.  The Nyquist row and column
-stay zero: the dealias mask removes them from every right-hand side and
-the phases never fill them.
+``step`` advances a ``SpectralField``, the 2/3 band of the real solution
+or a stack of them, each slice stepped as it would be alone, so realness
+and dealiasing hold by construction: each right-hand side is one call of
+the dealiased-square kernel (``spectral.dealiased_square``, a row-padded
+inverse and a band-pruned forward pair of 1-D passes), and every stage
+multiply touches only the band's modes.  The RK4 stages are in Lawson
+form: each stage stays in the frame where it was evaluated and is carried
+forward by exp(i*dt*m/2), so no conjugate (backward) phase is stored or
+applied; a negative dt steps back in time.
+Callers keep the time and the step count.
 
 Two step sizes.  The sampling grid is n * grid_dt with grid_dt = cfl /
-max|dm/dxi| over live (dealiased, xi != 0) modes, shrunk to divide the
+max|dm/dxi| over live (band, xi != 0) modes, shrunk to divide the
 horizon; dm/dxi = 5*xi^4 + eta^2/xi^2 is the x group velocity, the fastest
 scale the nonlinear term can see.  Samples, records and snapshots snap to
 this grid.  The steps themselves are longer: the integrating factor solves
@@ -49,7 +47,7 @@ from .operators import (
     dispersion_symbol, gevrey_norm, half_plane_norms, ladder_norms, remainder_n,
 )
 from .picard import data_window
-from .spectral import Grid2D, SpectralField, _frozen, dealias, dealiased_square
+from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
 
 RUNAWAY_FACTOR = 1e8  # norm growth beyond this aborts the run as blow-up
 
@@ -69,14 +67,13 @@ class DiagnosticsRecord:
 
 @lru_cache(maxsize=8)
 def max_group_speed(grid: Grid2D) -> float:
-    """max over live modes of |dm/dxi| = 5 xi^4 + eta^2 / xi^2."""
+    """max of |dm/dxi| = 5 xi^4 + eta^2 / xi^2 over the band's modes with
+    xi != 0."""
     xi = grid.xi_col
     eta = grid.eta_row
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = 5.0 * xi**4 + eta**2 / xi**2
-    live = grid.dealias_mask & (xi != 0.0)
-    speed = np.broadcast_to(speed, live.shape)
-    return float(speed[live].max())
+    return float(speed[np.broadcast_to(xi != 0.0, speed.shape)].max())
 
 
 def cfl_dt(grid: Grid2D, cfl: float) -> float:
@@ -97,14 +94,14 @@ def aligned_dt(span: float, dt_max: float) -> tuple[float, int]:
 
 @lru_cache(maxsize=8)
 def _rhs_multiplier(grid: Grid2D) -> np.ndarray:
-    """-1/2 i xi on the half plane: the x-derivative and the 1/2 of the
+    """-1/2 i xi on the 2/3 band: the x-derivative and the 1/2 of the
     transport term (a full array: broadcasting a column is slower)."""
-    shape = (grid.nx, grid.ny // 2 + 1)
+    shape = grid.band_shape
     return _frozen(np.ascontiguousarray(np.broadcast_to((-0.5j) * grid.xi_col, shape)))
 
 
 def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
-    """-1/2 dx(u^2) with the square dealiased, on the half plane."""
+    """-1/2 dx(u^2) with the square dealiased, on the 2/3 band."""
     sq = dealiased_square(grid, c)
     sq *= _rhs_multiplier(grid)
     return sq
@@ -112,7 +109,7 @@ def _half_rhs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _half_phases(grid: Grid2D, dt: float) -> np.ndarray:
-    """exp(i dt m / 2) on the half plane."""
+    """exp(i dt m / 2) on the 2/3 band."""
     return _frozen(np.exp(0.5j * dt * dispersion_symbol(grid)))
 
 
@@ -128,7 +125,7 @@ def step(field: SpectralField, dt: float, t: float = 0.0) -> SpectralField:
     so no conjugate phase is needed.  Stage sums are formed in place.
     """
     grid = field.grid
-    c = field.half
+    c = field.band
     e_half = _half_phases(grid, dt)
     ec = e_half * c
     k1 = _half_rhs(grid, c)
@@ -161,9 +158,9 @@ def step(field: SpectralField, dt: float, t: float = 0.0) -> SpectralField:
 
 
 def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
-    """Configured initial data, projected and dealiased for the flow."""
+    """Configured initial data, projected and cut to the 2/3 band."""
     g = cfg.make_grid() if grid is None else grid
-    return dealias(make_initial_field(g, cfg.initial, cfg.seed))
+    return make_initial_field(g, cfg.initial, cfg.seed)
 
 
 def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:
@@ -283,14 +280,14 @@ def _sampled_run(
     snapshots: list[tuple[float, SpectralField]] = []
     records_s = 0.0
     t0 = clock()
-    limit = RUNAWAY_FACTOR * half_plane_norms(f.grid, f.half, 0.0, 0.0)
+    limit = RUNAWAY_FACTOR * half_plane_norms(f.grid, f.band, 0.0, 0.0)
     t, steps = 0.0, 0
     try:
         for b, dt, m in plan:
             for k in range(m):
                 f = step(f, dt, t + k * dt)
             t, steps = b * grid_dt, steps + m
-            l2 = half_plane_norms(f.grid, f.half, 0.0, 0.0)
+            l2 = half_plane_norms(f.grid, f.band, 0.0, 0.0)
             t_record = clock()
             if b in want_snap:
                 snapshots.append((t, f))

@@ -15,14 +15,14 @@ measure,
     ||u||^2 = lx*ly * sum_{j,k} w(xi_j, eta_k) * |c[j,k]|^2,
 
 so the unweighted case (sigma = s = 0) coincides with the physical L2 norm.
-Every operator acts on the rfft2 half plane, where the columns
-0 < k < ny/2 count twice.  Weighted sums take no exponential per mode: the
-weights come from cached tables, and each sum is the safe-scaled Euclidean
-norm of the weighted amplitudes a = |c| * sqrt(multiplicity) * A, divided
-by their largest value before squaring, so sigma values near the overflow
-guard stay finite and the dominant shell is summed at full precision.
-``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of half planes),
-the integrator's ladder, the Picard window's band norms and the space-time
+Every operator acts on a field's 2/3 band, where the columns k > 0 count
+twice.  Weighted sums take no exponential per mode: the weights come from
+cached tables, and each sum is the safe-scaled Euclidean norm of the
+weighted amplitudes a = |c| * sqrt(multiplicity) * A, divided by their
+largest value before squaring, so sigma values near the overflow guard
+stay finite and the dominant shell is summed at full precision.
+``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of bands), the
+integrator's ladder, the Picard window's norms and the space-time
 ``bourgain_norm`` share that one sum.
 """
 
@@ -87,62 +87,61 @@ def _weighted_norm(
 
 @lru_cache(maxsize=8)
 def _weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
-    """exp(sigma1*|xi| + sigma2*|eta|) on the half plane."""
+    """exp(sigma1*|xi| + sigma2*|eta|) on the 2/3 band."""
     return _frozen(np.exp(sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta_row)))
 
 
 @lru_cache(maxsize=8)
 def _norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """``_weight`` times the square root of the column multiplicity: the
-    table that turns |c| into the amplitudes of a half-plane norm."""
+    table that turns |c| into the amplitudes of a band norm."""
     return _frozen(_weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity))
 
 
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
     """Multiply coefficients by exp(sigma1*|xi| + sigma2*|eta|)."""
     assert_sigma_within_guard(field.grid, sigma1, sigma2)
-    return SpectralField(field.grid, field.half * _weight(field.grid, sigma1, sigma2))
+    return SpectralField(field.grid, field.band * _weight(field.grid, sigma1, sigma2))
 
 
 def gevrey_norm(field: SpectralField, sigma1: float, sigma2: float) -> float:
     """Exponentially weighted L2 norm; equals physical L2 at sigma = 0."""
-    return float(half_plane_norms(field.grid, field.half, sigma1, sigma2))
+    return float(half_plane_norms(field.grid, field.band, sigma1, sigma2))
 
 
 def half_plane_norms(
-    grid: Grid2D, half: np.ndarray, sigma1: float, sigma2: float
+    grid: Grid2D, band: np.ndarray, sigma1: float, sigma2: float
 ) -> np.ndarray:
-    """``gevrey_norm`` of the real fields with the given half planes, one
-    per leading index (a 0-d array for a single half plane)."""
+    """``gevrey_norm`` of the real fields with the given 2/3 bands, one per
+    leading index (a 0-d array for a single band)."""
     assert_sigma_within_guard(grid, sigma1, sigma2)
     table = _norm_weight(grid, sigma1, sigma2)
-    return _weighted_norm(np.abs(half), table, grid.measure)
+    return _weighted_norm(np.abs(band), table, grid.measure)
 
 
 def ladder_norms(field: SpectralField, sigmas) -> list[float]:
     """``gevrey_norm`` at each rate sigma1 of a ladder (sigma2 = 0), as one sum."""
     assert_sigma_within_guard(field.grid, max(sigmas), 0.0)
     tables = np.stack([_norm_weight(field.grid, s, 0.0) for s in sigmas])
-    return _weighted_norm(np.abs(field.half) * tables, 1.0, field.grid.measure).tolist()
+    return _weighted_norm(np.abs(field.band) * tables, 1.0, field.grid.measure).tolist()
 
 
 @lru_cache(maxsize=8)
 def dispersion_symbol(grid: Grid2D) -> np.ndarray:
-    """m(xi, eta) = xi^5 - eta^2/xi on the half plane, zero on the xi = 0
+    """m(xi, eta) = xi^5 - eta^2/xi on the 2/3 band, zero on the xi = 0
     fiber."""
     xi = grid.xi_col
     eta = grid.eta_row
     with np.errstate(divide="ignore", invalid="ignore"):
         m = xi**5 - eta**2 / xi
     m = np.where(xi == 0.0, 0.0, m)
-    shape = (grid.nx, grid.ny // 2 + 1)
-    return _frozen(np.ascontiguousarray(np.broadcast_to(m, shape)))
+    return _frozen(np.ascontiguousarray(np.broadcast_to(m, grid.band_shape)))
 
 
 def semigroup_apply(field: SpectralField, t: float) -> SpectralField:
     """Free evolution exp(i*t*m), a unitary multiplier on every norm here."""
     phase = np.exp(1j * t * dispersion_symbol(field.grid))
-    return SpectralField(field.grid, field.half * phase)
+    return SpectralField(field.grid, field.band * phase)
 
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:
@@ -150,7 +149,7 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     if a.grid != b.grid:
         raise ValueError("inner product requires a shared grid")
     g = a.grid
-    products = np.real(a.half * np.conj(b.half)) * g.half_multiplicity
+    products = np.real(a.band * np.conj(b.band)) * g.half_multiplicity
     return float(g.measure * np.sum(products))
 
 
@@ -158,7 +157,7 @@ def remainder_n(field: SpectralField, sigma1: float, sigma2: float) -> SpectralF
     """Weight-commutator remainder N(f) = dx[(A f)^2 - A(f^2)].
 
     A is the exponential weight at (sigma1, sigma2); both squares go
-    through the dealiased-square kernel on the dealiased field.  Vanishes
+    through the dealiased-square kernel.  Vanishes
     identically at sigma1 = sigma2 = 0 (exactly, in floating point: both
     branches then run on bitwise-equal inputs).  On single-mode data the
     two branches agree wherever the triangle inequality is an equality, so
@@ -167,7 +166,7 @@ def remainder_n(field: SpectralField, sigma1: float, sigma2: float) -> SpectralF
     grid = field.grid
     assert_sigma_within_guard(grid, sigma1, sigma2)
     weight = _weight(grid, sigma1, sigma2)
-    f = field.half * grid.dealias_mask
+    f = field.band
     diff = dealiased_square(grid, weight * f)
     diff -= weight * dealiased_square(grid, f)
     diff *= 1j * grid.xi_col

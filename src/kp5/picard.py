@@ -5,20 +5,17 @@ The mild form of the flow on [0, delta],
     u(t) = S(t) f - 1/2 integral_0^t S(t - t') dx(w(t')^2) dt',
 
 is iterated from the free evolution u_0(t) = S(t) f.  The data f is a
-``SpectralField`` whose modes lie on the 2/3 band, and so does every
-iterate: S(t) is diagonal and the forcing is a dealiased square.  So a
-window is one complex array of shape (slices + 1, 2*(nx//3) + 1, ny//3 + 1):
-the rfft2 half planes of the real field at the slice times
-i * delta / slices, kept on the band only (``spectral.to_band``; rows in FFT
-order), so a window is real and dealiased by construction, and every
-elementwise step and norm skips the modes the 2/3 rule drops.  A run keeps
-one such buffer and no other array of its size: each iteration sweeps it
-one Simpson pair of slices at a time (an even slice count, so the pairs tile
-the window), making the pair's phases exp(i t m) afresh, squaring the pair
-with the dealiased-square kernel (through ``spectral.from_band``), advancing
-the cumulative Simpson integral from the slice before, and writing the new
-pair over the old one once its update distance and norm are taken, so every
-temporary holds a few slices and stays in cache.  The iteration distance is
+``SpectralField``, a 2/3 band, and so is every iterate: S(t) is diagonal
+and the forcing is a dealiased square.  So a window is one complex array
+of shape (slices + 1, *grid.band_shape): the bands of the real field at the
+slice times i * delta / slices, real and dealiased by construction.  A run
+keeps one such buffer and no other array of its size: each iteration sweeps
+it one Simpson pair of slices at a time (an even slice count, so the pairs
+tile the window), making the pair's phases exp(i t m) afresh, squaring the
+pair with the dealiased-square kernel, advancing the cumulative Simpson
+integral from the slice before, and writing the new pair over the old one
+once its update distance and norm are taken, so every temporary holds a few
+slices and stays in cache.  The iteration distance is
 the sup over slices of the Gevrey norm of the update.  With contraction the
 per-iterate ratios sit well below 1 and the window rule
 
@@ -42,14 +39,7 @@ from .operators import (
     dispersion_symbol,
     gevrey_norm,
 )
-from .spectral import (
-    Grid2D,
-    SpectralField,
-    dealiased_square,
-    field_band,
-    from_band,
-    to_band,
-)
+from .spectral import Grid2D, SpectralField, dealiased_square
 
 DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
 
@@ -112,7 +102,7 @@ def _block_phases(grid: Grid2D, delta: float, n_slices: int):
     exponential; rows -j are their conjugates.
     """
     times = np.linspace(0.0, delta, n_slices)
-    m = to_band(grid, dispersion_symbol(grid))
+    m = dispersion_symbol(grid)
     top = grid.nx // 3 + 1
     rate = 1j * m[None, :top]
     buffer = np.empty((2,) + m.shape, dtype=np.complex128)
@@ -128,9 +118,8 @@ def _block_phases(grid: Grid2D, delta: float, n_slices: int):
 
 def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
     """Free evolution S(t) f at the slices + 1 window times, a new
-    (slices + 1, 2*(nx//3) + 1, ny//3 + 1) band array.  Data with modes
-    off the 2/3 band raise ``ValueError``: the window could not hold them."""
-    band = field_band(f)
+    (slices + 1, *grid.band_shape) array."""
+    band = f.band
     window = np.empty((slices + 1,) + band.shape, dtype=np.complex128)
     for s, phases in _block_phases(f.grid, delta, slices + 1):
         np.multiply(phases, band, out=window[s])
@@ -155,15 +144,15 @@ def duhamel_apply(
     whose squares are taken before they are overwritten.
     """
     grid, n = f.grid, window.shape[0]
-    table = to_band(grid, _norm_weight(grid, sigma1, sigma2))
-    data = to_band(grid, f.half)
-    kick = -0.5j * to_band(grid, grid.xi_col)
+    table = _norm_weight(grid, sigma1, sigma2)
+    data = f.band
+    kick = -0.5j * grid.xi_col
     norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||
     left = carry = None
     for s, phases in _block_phases(grid, delta, n):
         # the square rotated back by conj(phases) as conj(conj(F) * phases),
         # in place: no conjugated copy of the phases is made
-        forcing = to_band(grid, dealiased_square(grid, from_band(grid, window[s])))
+        forcing = dealiased_square(grid, window[s])
         np.conjugate(forcing, out=forcing)
         forcing *= phases
         # the update and the new slices side by side, for one norm call

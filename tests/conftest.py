@@ -5,7 +5,7 @@ import pytest
 
 from kp5.integrator import initial_field, resolve_dt
 from kp5.operators import gevrey_norm
-from kp5.spectral import Grid2D, SpectralField, dealias
+from kp5.spectral import Grid2D, SpectralField
 
 
 # verdict lines collected by test_acceptance, echoed after the test table
@@ -31,13 +31,29 @@ def grid32():
     return Grid2D(32, 32, 32 * np.pi, 32 * np.pi)
 
 
+def cut(grid, plane):
+    """The 2/3 band of a half or full plane (..., nx, ny//2 + 1 or more):
+    rows j = 0..nx//3 then -(nx//3)..-1, columns k = 0..ny//3."""
+    jx = grid.nx // 3
+    rows = np.r_[0 : jx + 1, grid.nx - jx : grid.nx]
+    return plane[..., rows, : grid.ny // 3 + 1]
+
+
+def half_plane(grid, band):
+    """The rfft2 half plane (..., nx, ny//2 + 1) holding ``band`` on the
+    2/3 band and zero off it."""
+    half = np.zeros(band.shape[:-2] + (grid.nx, grid.ny // 2 + 1), dtype=complex)
+    half[..., grid.band_j, : grid.ny // 3 + 1] = band
+    return half
+
+
 def random_band_field(grid, seed, scale=1.0):
     """Random real field restricted to the dealiased band, zero x-mean."""
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((grid.nx, grid.ny))
     half = np.fft.rfft2(values, norm="forward")
     half[0] = 0.0  # the x-mean row
-    return dealias(SpectralField(grid, half))
+    return SpectralField(grid, cut(grid, half))
 
 
 def full_plane_mask(grid):

@@ -94,7 +94,7 @@ def _lawson_step(weights):
     b1, b2, b3, b4 = (w / 6.0 for w in weights)
 
     def lawson(field, dt, t=0.0):
-        grid, c = field.grid, field.half
+        grid, c = field.grid, field.band
         e = kp5.integrator._half_phases(grid, dt)
         rhs = partial(kp5.integrator._half_rhs, grid)
         k1 = rhs(c)
@@ -109,8 +109,8 @@ def _lawson_step(weights):
 
 def test_lawson_step_at_classical_weights_is_the_stepper():
     f = conftest.random_band_field(Grid2D(32, 32, 32 * np.pi, 32 * np.pi), seed=4)
-    want = kp5.integrator.step(f, 0.01).half
-    got = _lawson_step((1, 2, 2, 1))(f, 0.01).half
+    want = kp5.integrator.step(f, 0.01).band
+    got = _lawson_step((1, 2, 2, 1))(f, 0.01).band
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -129,7 +129,7 @@ def _plant_nan_radius_fit(monkeypatch):
 def _plant_nan_semigroup(monkeypatch):
     monkeypatch.setattr(
         kp5.acceptance, "semigroup_apply",
-        lambda field, t: SpectralField(field.grid, np.full_like(field.half, np.nan)),
+        lambda field, t: SpectralField(field.grid, np.full_like(field.band, np.nan)),
     )
 
 
@@ -156,15 +156,23 @@ def _plant_kp1_sign(monkeypatch):
         xi, eta = grid.xi_col, grid.eta_row
         with np.errstate(divide="ignore", invalid="ignore"):
             m = np.where(xi == 0.0, 0.0, xi**5 + eta**2 / xi)
-        return np.broadcast_to(m, (grid.nx, grid.ny // 2 + 1))
+        return np.broadcast_to(m, grid.band_shape)
 
     monkeypatch.setattr(kp5.integrator, "dispersion_symbol", kp1_symbol)
     kp5.integrator._half_phases.cache_clear()
 
 
 def _plant_undealiased_product(monkeypatch):
-    """The product kernel's forward pass without the 2/3 band: the
-    remainder keeps its aliased modes."""
+    """The product kernel's square taken without its zero padding: the
+    transform pair runs on the band's own lattice of (2*(nx//3) + 1) by
+    2*(ny//3) + 1 points, so the modes of the square past the band wrap
+    back onto it, and the remainder keeps those aliased modes."""
+
+    def values(grid, band):
+        rows, cols = grid.band_shape
+        return np.fft.irfft2(band, s=(rows, 2 * cols - 1), norm="forward")
+
+    monkeypatch.setattr(kp5.spectral, "physical_values", values)
     monkeypatch.setattr(
         kp5.spectral, "dealiased_coefficients",
         lambda grid, values: np.fft.rfft2(values, norm="forward"),
@@ -176,7 +184,7 @@ def _plant_rhs_coefficient(monkeypatch):
     monkeypatch.setattr(
         kp5.integrator, "_rhs_multiplier",
         lambda grid: np.ascontiguousarray(
-            np.broadcast_to(-0.45j * grid.xi_col, (grid.nx, grid.ny // 2 + 1))
+            np.broadcast_to(-0.45j * grid.xi_col, grid.band_shape)
         ),
     )
 

@@ -477,7 +477,7 @@ def test_cli_snapshots_load(tmp_path):
     assert len(snaps) == 1
     field = load_snapshot(snaps[0])
     assert field.grid.nx == 32
-    assert field.half.shape == (32, 17)
+    assert field.band.shape == (21, 11)
     # the v2 payload is the 2/3 band, (2*(nx//3) + 1) x (ny//3 + 1) modes
     nx, ny = field.grid.nx, field.grid.ny
     assert snaps[0].stat().st_size == 32 + 16 * (2 * (nx // 3) + 1) * (ny // 3 + 1)
@@ -582,7 +582,7 @@ def test_cli_sigma_ladder_blow_up_writes_ladder_rows(tmp_path, monkeypatch):
     real = kp5.integrator.step
 
     def tenfold(field, dt, t=0.0):
-        return SpectralField(field.grid, 10.0 * real(field, dt, t).half)
+        return SpectralField(field.grid, 10.0 * real(field, dt, t).band)
 
     monkeypatch.setattr(kp5.integrator, "step", tenfold)
     cfg = write(

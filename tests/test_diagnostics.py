@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kp5
-from conftest import random_band_field, window_rule
+from conftest import cut, half_plane, random_band_field, window_rule
 from kp5.acceptance import gronwall_check
 from kp5.config import (
     GevreyConfig,
@@ -56,15 +56,7 @@ from kp5.operators import (
     semigroup_apply,
 )
 from kp5.picard import free_window
-from kp5.spectral import (
-    Grid2D,
-    SpectralField,
-    dealias,
-    from_band,
-    full_plane,
-    physical_values,
-    to_band,
-)
+from kp5.spectral import Grid2D, SpectralField, full_plane, physical_values
 
 
 def small_cfg(**kw):
@@ -79,6 +71,11 @@ def small_cfg(**kw):
 
 
 GRID64 = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
+
+
+def band_field(grid, half):
+    """The field of a constructor's half plane, cut to the 2/3 band."""
+    return SpectralField(grid, cut(grid, half))
 
 
 # prints the repr of _line_fit on a 4,669-sample tail, A7's longest: log t
@@ -107,7 +104,7 @@ def test_line_fit_bytes_do_not_depend_on_the_blas_thread_count():
 
 def test_radius_estimate_recovers_planted_decay():
     for sigma in (0.4, 1.1):
-        f = exp_spectrum(GRID64, 1.0, sigma, sigma)
+        f = band_field(GRID64, exp_spectrum(GRID64, 1.0, sigma, sigma))
         sigma_est, residual = radius_estimate(f)
         assert sigma_est == pytest.approx(sigma, abs=1e-12)
         assert residual < 1e-10
@@ -122,7 +119,7 @@ def test_radius_estimate_reads_stepper_half_plane_exactly(grid):
     stepped = step(f, 0.01)
     sigma_est, residual = radius_estimate(stepped)
     n = grid.nx // 2
-    mag = np.abs(full_plane(grid, stepped.half))
+    mag = np.abs(full_plane(grid, stepped.band))
     envelope = mag[1:n].max(axis=1)
     lo, hi = 0.25 * grid.xi_dealias, 0.75 * grid.xi_dealias
     keep = (grid.xi[1:n] >= lo) & (grid.xi[1:n] <= hi)
@@ -135,7 +132,7 @@ def test_radius_estimate_reads_stepper_half_plane_exactly(grid):
 
 
 def test_radius_estimate_free_flow_invariant():
-    f = exp_spectrum(GRID64, 1.0, 0.8, 0.8)
+    f = band_field(GRID64, exp_spectrum(GRID64, 1.0, 0.8, 0.8))
     before = radius_estimate(f)[0]
     after = radius_estimate(semigroup_apply(f, 0.53))[0]
     assert after == pytest.approx(before, abs=1e-12)
@@ -143,17 +140,17 @@ def test_radius_estimate_free_flow_invariant():
 
 def test_radius_estimate_needs_enough_shells(grid16):
     """Too few shells, or none at all, is a nan pair: no fit, not a collapse."""
-    f = gaussian(grid16, 1.0, 2.0)
-    empty = SpectralField(grid16, np.zeros_like(f.half))
+    f = band_field(grid16, gaussian(grid16, 1.0, 2.0))
+    empty = SpectralField(grid16, np.zeros_like(f.band))
     for field in (f, empty):
         assert all(math.isnan(v) for v in radius_estimate(field))
 
 
 def test_radius_estimate_clamps_at_zero():
     """Growing spectra fit a negative rate; the estimate floors at 0."""
-    f = exp_spectrum(GRID64, 1.0, 0.5, 0.5)
+    f = band_field(GRID64, exp_spectrum(GRID64, 1.0, 0.5, 0.5))
     # overcompensate the planted decay so the envelope grows with frequency
-    g = SpectralField(GRID64, f.half * np.exp(1.0 * np.abs(GRID64.xi_col)))
+    g = SpectralField(GRID64, f.band * np.exp(1.0 * np.abs(GRID64.xi_col)))
     assert radius_estimate(g)[0] == 0.0
 
 
@@ -168,11 +165,10 @@ def test_window_taper_normalized():
 
 def test_space_time_field_shape_rules(grid16):
     f = random_band_field(grid16, seed=1)
-    halves = np.stack([semigroup_apply(f, 0.01 * i).half for i in range(12)])
-    slices = to_band(grid16, halves)
+    slices = np.stack([semigroup_apply(f, 0.01 * i).band for i in range(12)])
     with pytest.raises(ValueError):
         SpaceTimeField.from_slices(grid16, slices, 0.01)  # 12 is not a power of two
-    for wrong in (halves[:8], slices[:8, :, :-1]):  # a half plane is not a band
+    for wrong in (half_plane(grid16, slices[:8]), slices[:8, :, :-1]):  # not a band
         with pytest.raises(ValueError, match=r"not 2/3 bands \(11, 6\) of the grid"):
             SpaceTimeField.from_slices(grid16, wrong, 0.01)
     field = SpaceTimeField.from_slices(grid16, slices[:8], 0.01)
@@ -192,7 +188,7 @@ def test_space_time_field_takes_its_coefficients_over(monkeypatch, grid16):
 
     monkeypatch.setattr(np.fft, "fft", recording_fft)
     f = random_band_field(grid16, seed=1)
-    slices = to_band(grid16, np.stack([semigroup_apply(f, 0.01 * i).half for i in range(8)]))
+    slices = np.stack([semigroup_apply(f, 0.01 * i).band for i in range(8)])
     field = SpaceTimeField.from_slices(grid16, slices, 0.01)
     assert len(made) == 1 and field.coeffs_tau is made[0]
     assert not field.coeffs_tau.flags.writeable
@@ -207,7 +203,7 @@ def test_bourgain_norm_zero_params_is_tapered_l2(grid16):
     psi = window_taper(field.n_t, field.slice_dt)
     slice_l2 = [
         np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(c) ** 2))
-        for c in full_plane(grid16, from_band(grid16, w[:-1]))
+        for c in full_plane(grid16, w[:-1])
     ]
     direct = np.sqrt(
         sum(
@@ -226,7 +222,7 @@ def test_bourgain_norm_orders_are_a_sum_over_modes(grid16):
     columns k > 0 counted twice, over the 2/3 band: rows j = 0..5 then
     -5..-1, columns k = 0..5 on the 16^2 grid."""
     f = random_band_field(grid16, seed=5)
-    slices = to_band(grid16, np.stack([semigroup_apply(f, 0.03 * i).half for i in range(4)]))
+    slices = np.stack([semigroup_apply(f, 0.03 * i).band for i in range(4)])
     field = SpaceTimeField.from_slices(grid16, slices, 0.03)
     assert field.coeffs_tau.shape == (4, 11, 6)
     s1, s2, b, eps = -0.5, 0.3, 0.6, 0.1
@@ -269,13 +265,13 @@ def test_bourgain_norm_penalizes_detuning(grid16):
     dt, n = 0.02, 16
     on = [semigroup_apply(f, dt * i) for i in range(n)]
     detune = 2 * np.pi * 6 / (n * dt)  # six tau bins off the characteristic
-    off = [np.exp(1j * detune * dt * i) * s.half for i, s in enumerate(on)]
+    off = [np.exp(1j * detune * dt * i) * s.band for i, s in enumerate(on)]
     params = GevreyParams(b=0.55)
     def norm(slices):
-        stack = to_band(grid16, np.stack(slices))
+        stack = np.stack(slices)
         return bourgain_norm(SpaceTimeField.from_slices(grid16, stack, dt), params)
 
-    n_on, n_off = norm([s.half for s in on]), norm(off)
+    n_on, n_off = norm([s.band for s in on]), norm(off)
     assert n_off > 2.5 * n_on
 
 
@@ -319,16 +315,17 @@ def test_bilinear_trials_deterministic():
 def full_plane_bases(grid, rng):
     """The trial bases built on the full plane: per base, Philox noise (real
     part, then imaginary part) times the envelope exp(-(|xi| + |eta|)), its
-    Hermitian part (c + conj(c[-j, -k])) / 2, the 2/3 mask, zero x-mean."""
-    envelope = np.exp(-(np.abs(grid.xi_col) + np.abs(grid.eta)))
+    Hermitian part (c + conj(c[-j, -k])) / 2, cut to the 2/3 band, zero
+    x-mean."""
+    envelope = np.exp(-(np.abs(grid.xi[:, None]) + np.abs(grid.eta)))
     bases = []
     for _ in range(5):
         re = rng.standard_normal((grid.nx, grid.ny))
         c = (re + 1j * rng.standard_normal((grid.nx, grid.ny))) * envelope
         mirror = np.roll(c[::-1, ::-1], shift=(1, 1), axis=(0, 1))
-        half = (0.5 * (c + np.conj(mirror)))[:, : grid.ny // 2 + 1] * grid.dealias_mask
-        half[0] = 0.0
-        bases.append(half)
+        band = cut(grid, 0.5 * (c + np.conj(mirror)))
+        band[0] = 0.0
+        bases.append(band)
     return np.stack(bases)
 
 
@@ -341,7 +338,7 @@ def test_random_bases_equal_the_full_plane_construction(nx, ny):
         for _ in range(2):
             got, want = _random_bases(grid, rngs[0]), full_plane_bases(grid, rngs[1])
             assert got.shape == (5, 2 * (nx // 3) + 1, ny // 3 + 1)
-            assert np.array_equal(from_band(grid, got), want)
+            assert np.array_equal(got, want)
         # the same draws, so the streams stay in step
         assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
@@ -386,7 +383,7 @@ def test_basis_window_matches_the_assembled_slices(nx, ny):
     u = np.tensordot(_HARMONICS, bases, axes=(0, 0))
     assert u.shape == (BILINEAR_SLICES, 2 * (nx // 3) + 1, ny // 3 + 1)
     for got, want in (
-        (values, physical_values(grid, from_band(grid, u))),
+        (values, physical_values(grid, u)),
         (field.coeffs_tau, SpaceTimeField.from_slices(grid, u, slice_dt).coeffs_tau),
     ):
         assert got.shape == want.shape
@@ -410,30 +407,34 @@ def half_plane_bourgain_norm(grid, stack, slice_dt, params):
     psi = window_taper(n_t, slice_dt)[:, None, None]
     c = np.fft.fft(psi * stack, axis=0) / n_t
     tau = 2 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)[:, None, None]
-    xi, eta = grid.xi_col, grid.eta_row
+    xi, eta = grid.xi[:, None], grid.eta[None, : grid.ny // 2 + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(xi == 0, 0.0, xi**5 - eta**2 / xi)
     mod = tau - m
     lam2 = ((1 + xi**2) ** params.s1 * (1 + eta**2) ** params.s2 * (1 + mod**2) ** params.b
             * (1 + (mod / (1 + np.abs(xi) ** 5)) ** 2) ** params.eps)
-    total = np.sum(grid.half_multiplicity * lam2 * np.abs(c) ** 2)
+    multiplicity = np.full(grid.ny // 2 + 1, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    total = np.sum(multiplicity * lam2 * np.abs(c) ** 2)
     return math.sqrt(grid.measure * n_t * slice_dt * total)
 
 
 def half_plane_trials(params, trials, seed, nx, ny):
     """The bilinear trials on half planes from the same draws: each window
     is the harmonic sum of its five bases, assembled slice by slice; the
-    product is ``rfft2`` of u v times the 2/3 mask, differentiated in x."""
+    product is ``rfft2`` of u v zeroed off the 2/3 band, differentiated in
+    x."""
     grid = Grid2D(nx, ny, 32 * np.pi, 32 * np.pi)
     rng = np.random.Generator(np.random.Philox(key=seed))
     slice_dt = 1.0 / BILINEAR_SLICES
     out = replace(params, b=-params.beta)
     ratios = []
     for _ in range(trials):
-        halves = [np.tensordot(_HARMONICS, from_band(grid, _random_bases(grid, rng)),
+        halves = [np.tensordot(_HARMONICS, half_plane(grid, _random_bases(grid, rng)),
                                axes=(0, 0)) for _ in range(2)]
-        (u, v) = (physical_values(grid, h) for h in halves)
-        prod = np.fft.rfft2(u * v, norm="forward") * grid.dealias_mask * 1j * grid.xi_col
+        (u, v) = (np.fft.irfft2(h, s=(nx, ny), norm="forward") for h in halves)
+        prod = half_plane(grid, cut(grid, np.fft.rfft2(u * v, norm="forward")))
+        prod *= 1j * grid.xi[:, None]
         du, dv = (half_plane_bourgain_norm(grid, h, slice_dt, params) for h in halves)
         ratios.append(half_plane_bourgain_norm(grid, prod, slice_dt, out) / (du * dv))
     return sorted(ratios)
@@ -489,15 +490,15 @@ def gap_by_grid_steps(cfg, eps):
     the trapezoid rule over those steps."""
     grid = cfg.make_grid()
     u = initial_field(cfg, grid)
-    bump = dealias(gaussian(grid, 1.0, 2.0))
-    v = SpectralField(grid, u.half + eps * (bump.half / gevrey_norm(bump, 0.0, 0.0)))
+    bump = band_field(grid, gaussian(grid, 1.0, 2.0))
+    v = SpectralField(grid, u.band + eps * (bump.band / gevrey_norm(bump, 0.0, 0.0)))
     grid_dt, n = resolve_dt(cfg, grid, cfg.time.horizon)
 
     def dx_sup(w):
-        return float(np.max(np.abs(physical_values(grid, 1j * grid.xi_col * w.half))))
+        return float(np.max(np.abs(physical_values(grid, 1j * grid.xi_col * w.band))))
 
     def gap(a, b):
-        return float(half_plane_norms(grid, a.half - b.half, 0.0, 0.0))
+        return float(half_plane_norms(grid, a.band - b.band, 0.0, 0.0))
 
     gap0, integral, prev = gap(u, v), 0.0, dx_sup(u) + dx_sup(v)
     samples = [(0.0, gap0, gap0)]
@@ -620,7 +621,7 @@ def test_failed_fit_is_nan_not_collapse(monkeypatch, grid16):
     import kp5.diagnostics
 
     # a Gaussian on 16^2 leaves too few shells to fit
-    field = gaussian(grid16, 1.0, 2.0)
+    field = band_field(grid16, gaussian(grid16, 1.0, 2.0))
     rec = _record(small_cfg(), 0.0, 0, field, gevrey_norm(field, 0.0, 0.0))
     assert math.isnan(rec.sigma_est) and math.isnan(rec.residual)
 
@@ -692,13 +693,13 @@ def test_half_plane_record_matches_full_plane_diagnostics():
     for _ in range(3):
         field = step(field, dt)
     rec = _record(cfg, 3 * dt, 3, field, gevrey_norm(field, 0.0, 0.0))
-    c2 = np.abs(full_plane(grid, field.half)) ** 2
+    c2 = np.abs(full_plane(grid, field.band)) ** 2
 
     def rel(got, want):
         return abs(got - want) / abs(want)
 
     def full_plane_norm(sigma1):
-        weight = np.exp(2 * sigma1 * np.abs(grid.xi_col))
+        weight = np.exp(2 * sigma1 * np.abs(grid.xi[:, None]))
         return math.sqrt(grid.measure * np.sum(weight * c2))
 
     assert rec.steps == 3 and rec.t == 3 * dt

@@ -10,7 +10,7 @@ import pytest
 
 import kp5
 import kp5.integrator
-from conftest import full_plane_square, random_band_field, window_rule
+from conftest import cut, full_plane_square, half_plane, random_band_field, window_rule
 from kp5.config import (
     DeltaConfig,
     GevreyConfig,
@@ -37,7 +37,8 @@ from kp5.integrator import (
 )
 from kp5.operators import gevrey_norm, semigroup_apply
 from kp5.picard import delta_rule
-from kp5.spectral import Grid2D, SpectralField, dealias, full_plane, x_derivative
+from kp5.initial_data import KINDS, make_initial_field
+from kp5.spectral import Grid2D, SpectralField, full_plane, x_derivative
 
 GRID_32x48 = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
 GRID_64 = Grid2D(64, 64, 32 * np.pi, 32 * np.pi)
@@ -67,6 +68,25 @@ def test_max_group_speed_hand_check(grid16):
     assert cfl_dt(grid16, 0.5) == pytest.approx(0.5 / best)
 
 
+@pytest.mark.parametrize(
+    "grid", [GRID_64, Grid2D(128, 128, 32 * np.pi, 32 * np.pi), GRID_32x48],
+    ids=["64x64", "128x128", "32x48"],
+)
+def test_cfl_dt_is_the_explicit_band_maximum(grid):
+    """The CFL step reads the largest 5 xi^4 + eta^2 / xi^2 over the band's
+    modes with xi != 0, bit for bit: the sample times that the benchmark
+    references hold at 1e-12 are multiples of it."""
+    jx, ky = grid.nx // 3, grid.ny // 3
+    best = max(
+        5.0 * (2.0 * np.pi * j / grid.lx) ** 4
+        + (2.0 * np.pi * k / grid.ly) ** 2 / (2.0 * np.pi * j / grid.lx) ** 2
+        for j in range(-jx, jx + 1) if j != 0
+        for k in range(ky + 1)
+    )
+    assert max_group_speed(grid) == best
+    assert cfl_dt(grid, 0.7) == 0.7 / best
+
+
 def test_aligned_dt():
     dt, n = aligned_dt(1.0, 0.3)
     assert (dt, n) == (0.25, 4)
@@ -90,8 +110,8 @@ def test_free_flow_equals_semigroup(monkeypatch, grid16):
     for _ in range(3):
         u = step(u, 0.05)
     exact = semigroup_apply(f, 0.15)
-    scale = np.max(np.abs(exact.half))
-    assert np.max(np.abs(u.half - exact.half)) <= 1e-13 * scale
+    scale = np.max(np.abs(exact.band))
+    assert np.max(np.abs(u.band - exact.band)) <= 1e-13 * scale
 
 
 def test_linear_time_reversal(monkeypatch, grid16):
@@ -102,15 +122,15 @@ def test_linear_time_reversal(monkeypatch, grid16):
         u = step(u, 0.02)
     for _ in range(10):
         u = step(u, -0.02)
-    scale = np.max(np.abs(f.half))
-    assert np.max(np.abs(u.half - f.half)) <= 1e-12 * scale
+    scale = np.max(np.abs(f.band))
+    assert np.max(np.abs(u.band - f.band)) <= 1e-12 * scale
 
 
 def test_nonlinear_term_is_transport_derivative(grid16):
     f = random_band_field(grid16, seed=7)
-    square = full_plane_square(grid16, full_plane(grid16, f.half))
+    square = full_plane_square(grid16, full_plane(grid16, f.band))
     direct = x_derivative(SpectralField.from_coefficients(grid16, square))
-    assert np.allclose(_half_rhs(grid16, f.half), -0.5 * direct.half, atol=1e-15)
+    assert np.allclose(_half_rhs(grid16, f.band), -0.5 * direct.band, atol=1e-15)
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -120,20 +140,20 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 @pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
 def test_half_plane_rhs_matches_nonlinear_term(grid):
     f = random_band_field(grid, seed=11)
-    got = full_plane(grid, _half_rhs(grid, f.half))
-    want = (-0.5j) * grid.xi_col * full_plane_square(grid, full_plane(grid, f.half))
+    got = full_plane(grid, _half_rhs(grid, f.band))
+    want = (-0.5j) * grid.xi[:, None] * full_plane_square(grid, full_plane(grid, f.band))
     assert _rel_err(got, want) <= 1e-13
 
 
 def _full_plane_step(grid, c, dt, nonlinear):
     """Reference: the full-plane complex-FFT IF-RK4 step, written out."""
-    xi, eta = grid.xi_col, grid.eta[None, :]
+    xi, eta = grid.xi[:, None], grid.eta[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(xi == 0.0, 0.0, xi**5 - eta**2 / xi)
     e_half, e_full = np.exp(0.5j * dt * m), np.exp(1j * dt * m)
 
     def rhs(c):
-        return (-0.5j) * grid.xi_col * full_plane_square(grid, c)
+        return (-0.5j) * xi * full_plane_square(grid, c)
 
     if not nonlinear:
         return e_full * c
@@ -154,23 +174,93 @@ def test_half_plane_steps_match_full_plane_rk4(monkeypatch, grid, nonlinear, sig
     f = random_band_field(grid, seed=13)
     dt = sign * cfl_dt(grid, 1.0)
     u = f
-    want = full_plane(grid, f.half)
+    want = full_plane(grid, f.band)
     for _ in range(20):
         u = step(u, dt)
         want = _full_plane_step(grid, want, dt, nonlinear)
-    assert _rel_err(full_plane(grid, u.half), want) <= 1e-12
+    assert _rel_err(full_plane(grid, u.band), want) <= 1e-12
+
+
+def _half_plane_step(grid, c, dt):
+    """The IF-RK4 step on the whole rfft2 half plane (nx, ny//2 + 1), with
+    the 2/3 mask applied to every square and Nyquist lines zero: the
+    stepper's arithmetic before a field was its band, kept as a
+    reference."""
+    jx, cols = grid.nx // 3, grid.ny // 3 + 1
+    xi, eta = grid.xi[:, None], grid.eta[None, : grid.ny // 2 + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(xi == 0.0, 0.0, xi**5 - eta**2 / xi)
+    e_half = np.exp(0.5j * dt * np.ascontiguousarray(np.broadcast_to(m, c.shape)))
+    kick = np.ascontiguousarray(np.broadcast_to((-0.5j) * xi, c.shape))
+
+    def rhs(c):
+        u = np.fft.irfft(np.fft.ifft(c, axis=-2, norm="forward"), n=grid.ny, axis=-1,
+                         norm="forward")
+        u *= u
+        sq = np.fft.rfft(u, axis=-1, norm="forward")
+        kept = sq[..., :cols]
+        np.fft.fft(kept, axis=-2, norm="forward", out=kept)
+        kept[..., jx + 1 : grid.nx - jx, :] = 0.0
+        sq[..., cols:] = 0.0
+        sq *= kick
+        return sq
+
+    ec = e_half * c
+    k1 = rhs(c)
+    arg = np.multiply(k1, 0.5 * dt)
+    arg += c
+    arg *= e_half
+    k2 = rhs(arg)
+    np.multiply(k2, 0.5 * dt, out=arg)
+    arg += ec
+    k3 = rhs(arg)
+    np.multiply(k3, dt, out=arg)
+    arg += ec
+    arg *= e_half
+    k4 = rhs(arg)
+    new_c = k1
+    new_c *= e_half
+    k2 += k3
+    k2 *= 2.0
+    new_c += k2
+    new_c *= dt / 6.0
+    new_c += ec
+    new_c *= e_half
+    k4 *= dt / 6.0
+    new_c += k4
+    column = new_c[:, 0]
+    paired = 0.5 * (column + np.conj(column[-grid.j_index]))
+    if not np.array_equal(paired, column):
+        new_c[:, 0] = paired
+    return new_c
+
+
+@pytest.mark.parametrize("grid", [GRID_64, GRID_32x48], ids=["64x64", "32x48"])
+def test_band_steps_are_bitwise_the_half_plane_steps(grid):
+    """Twenty steps of a band field equal, bit for bit, twenty steps of its
+    zero-padded half plane under the half-plane reference step, which
+    keeps every mode off the band exactly zero."""
+    f = random_band_field(grid, seed=19, scale=0.3)
+    half = half_plane(grid, f.band)
+    dt = 4.0 * cfl_dt(grid, 1.0)
+    for k in range(20):
+        f = step(f, dt, k * dt)
+        half = _half_plane_step(grid, half, dt)
+    assert cut(grid, half).tobytes() == f.band.tobytes()
+    half[grid.band_j, : grid.ny // 3 + 1] = 0.0
+    assert not half.any()
 
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_stacked_step_is_bitwise_per_field_steps(n):
     grid = Grid2D(n, n, 32 * np.pi, 32 * np.pi)
     fields = [random_band_field(grid, seed, 0.3) for seed in (1, 2, 3)]
-    stack = SpectralField(grid, np.stack([f.half for f in fields]))
+    stack = SpectralField(grid, np.stack([f.band for f in fields]))
     dt = cfl_dt(grid, 1.0)
     for k in range(20):
         stack = step(stack, dt, k * dt)
         fields = [step(f, dt, k * dt) for f in fields]
-    assert all(np.array_equal(stack.half[i], f.half) for i, f in enumerate(fields))
+    assert all(np.array_equal(stack.band[i], f.band) for i, f in enumerate(fields))
 
 
 def test_l2_conserved_on_nonlinear_run(grid32):
@@ -190,7 +280,7 @@ def test_self_convergence_order(grid32):
         u = f
         for _ in range(n):
             u = step(u, dt)
-        return u.half
+        return u.band
 
     base_dt = 0.1 / 8
     u1 = run(base_dt, 8)
@@ -252,7 +342,7 @@ def test_runaway_norm_is_blow_up_at_its_sample(monkeypatch):
     real = kp5.integrator.step
 
     def tenfold(field, dt, t=0.0):
-        return SpectralField(field.grid, 10.0 * real(field, dt, t).half)
+        return SpectralField(field.grid, 10.0 * real(field, dt, t).band)
 
     monkeypatch.setattr(kp5.integrator, "step", tenfold)
     # every grid step is a sample, and the data stay small enough that
@@ -275,10 +365,11 @@ def test_no_contraction_window_is_a_blow_up_at_t0():
     """No window: c0 / (1 + norm)^2 underflows, or the weighted norm
     itself overflows; either is a blow-up at t = 0."""
     cfg = small_cfg()
-    half = np.zeros((32, 17), dtype=complex)
+    grid = cfg.make_grid()
+    band = np.zeros(grid.band_shape, dtype=complex)
     for amp, finite_norm in ((1e200, True), (1e308, False)):
-        half[10, 2] = amp
-        f = SpectralField(cfg.make_grid(), half.copy())
+        band[10, 2] = amp
+        f = SpectralField(grid, band.copy())
         norm = gevrey_norm(f, cfg.gevrey.sigma1, 0.0)
         assert math.isfinite(norm) == finite_norm
         with pytest.raises(BlowUpError, match="no contraction window") as info:
@@ -288,9 +379,10 @@ def test_no_contraction_window_is_a_blow_up_at_t0():
 
 def test_non_finite_step_is_dated_at_its_end():
     # the quadratic term of a 1e200 mode overflows within one step
-    half = np.zeros((32, 17), dtype=complex)
-    half[3, 2] = 1e200
-    f = SpectralField(small_cfg().make_grid(), half)
+    grid = small_cfg().make_grid()
+    band = np.zeros(grid.band_shape, dtype=complex)
+    band[3, 2] = 1e200
+    f = SpectralField(grid, band)
     with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
         step(f, 0.125, 0.25)
     assert info.value.time == 0.375
@@ -370,7 +462,7 @@ def test_explicit_dt_takes_every_grid_step_bitwise(monkeypatch):
     for k in range(1, n + 1):
         by_hand = step(by_hand, grid_dt)
         if k in got:
-            assert np.array_equal(got[k][1].half, by_hand.half)
+            assert np.array_equal(got[k][1].band, by_hand.band)
             assert got[k][0] == k * grid_dt
     calls = _counting_steps(monkeypatch)
     out = simulate(cfg)
@@ -393,7 +485,7 @@ def test_simulate_sampling_and_snapshots():
     assert [r.steps for r in out.records] == sorted(r.steps for r in out.records)
     (snap_t, snap_field), = out.snapshots
     assert abs(snap_t - 0.1) <= 0.51 * dt
-    assert snap_field.half.shape == (32, 17)
+    assert snap_field.band.shape == (21, 11)
 
 
 def test_simulate_deterministic():
@@ -408,8 +500,36 @@ def test_simulate_deterministic():
 def test_initial_field_is_dealiased_and_real():
     cfg = small_cfg()
     f = initial_field(cfg, cfg.make_grid())
-    assert np.array_equal(f.half, dealias(f).half)
-    assert not f.half[0].any()
+    assert f.band.shape == f.grid.band_shape
+    column = f.band[:, 0]
+    assert np.array_equal(column, np.conj(column[-np.arange(len(column))]))
+    assert not f.band[0].any()
+
+
+_FAMILIES = {
+    "gaussian": InitialConfig(kind="gaussian", amplitude=1.3, width=2.0),
+    "gaussian_dx": InitialConfig(kind="gaussian_dx", amplitude=1.0, width=1.5),
+    "line_soliton": InitialConfig(kind="line_soliton", amplitude=0.8, width=2.0, ky=2),
+    "exp_spectrum": InitialConfig(kind="exp_spectrum", amplitude=0.5, decay_x=0.8,
+                                  decay_y=0.6, phases="random"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
+def test_initial_field_is_the_cut_of_its_constructor(kind, grid):
+    """Each family's constructor builds its un-cut half plane, x-mean row
+    zeroed, and ``make_initial_field`` is the one place that cuts it to the
+    2/3 band: the field's band is that cut, bit for bit, with column k = 0
+    paired as every field pairs it (which moves it by rounding only)."""
+    init = _FAMILIES[kind]
+    half = KINDS[kind](grid, init, 7)
+    assert half.shape == (grid.nx, grid.ny // 2 + 1) and not half[0].any()
+    want = cut(grid, half).copy()
+    column = want[:, 0].copy()
+    want[:, 0] = 0.5 * (column + np.conj(column[-np.arange(len(column))]))
+    assert np.max(np.abs(want[:, 0] - column)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(make_initial_field(grid, init, 7).band, want)
 
 
 # builds one 16^2 initial field of the given kind and phases in a fresh

@@ -53,19 +53,20 @@ def test_single_pair_norm_closed_form(grid16):
 
 def test_zero_weight_norm_is_l2(grid16):
     f = random_band_field(grid16, seed=4)
-    c = full_plane(grid16, f.half)
+    c = full_plane(grid16, f.band)
     direct = np.sqrt(grid16.lx * grid16.ly * np.sum(np.abs(c) ** 2))
     assert gevrey_norm(f, 0.0, 0.0) == pytest.approx(direct, rel=1e-13)
 
 
 def test_norm_survives_weights_whose_squares_overflow():
     """Sum stabilization: single weights fit in a double, their squares do
-    not; at j = 1 the empty high modes carry the overflowing weights."""
+    not; j = 5 is the band's top row, and at j = 1 the empty high modes
+    carry the overflowing weights."""
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     sigma1 = 81.0
     assert sigma1 < max_admissible_sigma1(grid)
     amp = 1e-3
-    for j in (7, 1):
+    for j in (5, 1):
         f = plant_pair(grid, j, 0, amp)
         n = gevrey_norm(f, sigma1, 0.0)
         assert math.isfinite(n)
@@ -78,7 +79,7 @@ def test_norm_survives_weights_whose_squares_overflow():
     [(0.0, 0.0), (0.3, 0.2), (0.0, 0.5), (150.0, 150.0), ("max", 0.0)],
 )
 def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
-    """Half-plane columns 0 < k < ny/2 stand for two modes each; the
+    """Band columns k > 0 stand for two modes each; the
     largest rates square weights beyond the double range, so the
     full-plane reference sums in logarithms.  "max" is the largest sigma1
     the overflow guard admits."""
@@ -86,12 +87,12 @@ def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
     if sigma1 == "max":
         sigma1 = max_admissible_sigma1(grid, sigma2)
     fields = [random_band_field(grid, seed=s) for s in (21, 22, 23)]
-    stack = np.stack([f.half for f in fields])
+    stack = np.stack([f.band for f in fields])
     got = half_plane_norms(grid, stack, sigma1, sigma2)
     assert got.shape == (3,)
-    logw = sigma1 * np.abs(grid.xi_col) + sigma2 * np.abs(grid.eta[None, :])
+    logw = sigma1 * np.abs(grid.xi[:, None]) + sigma2 * np.abs(grid.eta[None, :])
     for norm, f in zip(got, fields):
-        c2 = np.abs(full_plane(grid, f.half)) ** 2
+        c2 = np.abs(full_plane(grid, f.band)) ** 2
         terms = 2.0 * logw[c2 > 0] + np.log(c2[c2 > 0])
         top = terms.max()
         want = math.exp(0.5 * (top + math.log(grid.measure * np.exp(terms - top).sum())))
@@ -104,8 +105,8 @@ def test_overflowing_weighted_amplitude_gives_inf_not_nan():
     """The weight fits in a double, the weighted amplitude does not."""
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     sigma1 = max_admissible_sigma1(grid)
-    f = plant_pair(grid, 7, 0, 1e100)  # weight exp(7 * sigma1) ~ 1e247
-    stack = np.stack([f.half, np.zeros_like(f.half), 1e-100 * f.half])
+    f = plant_pair(grid, 5, 0, 1e140)  # weight exp(5 * sigma1) ~ 1e176
+    stack = np.stack([f.band, np.zeros_like(f.band), 1e-100 * f.band])
     norms = half_plane_norms(grid, stack, sigma1, 0.0)
     assert norms[0] == np.inf and norms[1] == 0.0 and np.isfinite(norms[2])
     assert gevrey_norm(f, sigma1, 0.0) == np.inf
@@ -113,7 +114,7 @@ def test_overflowing_weighted_amplitude_gives_inf_not_nan():
 
 def test_zero_stack_norms_are_exactly_zero(recwarn):
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
-    stack = np.zeros((3, 16, 9), dtype=complex)
+    stack = np.zeros((3, *grid.band_shape), dtype=complex)
     for sigma1 in (0.0, 1.0, max_admissible_sigma1(grid)):
         norms = half_plane_norms(grid, stack, sigma1, 0.0)
         assert norms.shape == (3,) and np.all(norms == 0.0)
@@ -123,10 +124,10 @@ def test_zero_stack_norms_are_exactly_zero(recwarn):
 def test_apply_gevrey_identity_and_composition(grid16):
     f = random_band_field(grid16, seed=8)
     ident = apply_gevrey(f, 0.0, 0.0)
-    assert np.array_equal(ident.half, f.half)
+    assert np.array_equal(ident.band, f.band)
     once = apply_gevrey(apply_gevrey(f, 0.3, 0.1), 0.2, 0.25)
     direct = apply_gevrey(f, 0.5, 0.35)
-    assert np.allclose(once.half, direct.half, rtol=1e-12)
+    assert np.allclose(once.band, direct.band, rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,8 +155,9 @@ def test_sigma_guard(grid32):
 
 def test_dispersion_symbol_values(grid16):
     m = dispersion_symbol(grid16)
-    assert m[grid16.mode_index(2, 3)] == pytest.approx(2**5 - 9 / 2)
-    assert m[grid16.mode_index(-2, 3)] == pytest.approx(-(2**5) + 9 / 2)
+    assert m.shape == grid16.band_shape == (11, 6)
+    assert m[2, 3] == pytest.approx(2**5 - 9 / 2)  # band rows: j = 0..5, -5..-1
+    assert m[-2, 3] == pytest.approx(-(2**5) + 9 / 2)
     assert np.all(m[0, :] == 0.0)  # the xi = 0 fiber carries no phase
 
 
@@ -165,22 +167,22 @@ def test_semigroup_unitary_group_law(grid16):
     moved = semigroup_apply(f, 0.37)
     assert gevrey_norm(moved, 0.0, 0.0) == pytest.approx(n0, rel=1e-13)
     two_hops = semigroup_apply(semigroup_apply(f, 0.21), 0.16)
-    assert np.allclose(two_hops.half, moved.half, rtol=0, atol=1e-13 * n0)
+    assert np.allclose(two_hops.band, moved.band, rtol=0, atol=1e-13 * n0)
     frozen = semigroup_apply(f, 0.0)
-    assert np.array_equal(frozen.half, f.half)
+    assert np.array_equal(frozen.band, f.band)
 
 
 def test_semigroup_inverse(grid16):
     f = random_band_field(grid16, seed=12)
     back = semigroup_apply(semigroup_apply(f, 1.3), -1.3)
-    scale = np.max(np.abs(f.half))
-    assert np.max(np.abs(back.half - f.half)) <= 1e-14 * scale
+    scale = np.max(np.abs(f.band))
+    assert np.max(np.abs(back.band - f.band)) <= 1e-14 * scale
 
 
 def test_l2_inner_matches_physical_integral(grid16):
     a = random_band_field(grid16, seed=1)
     b = random_band_field(grid16, seed=2)
-    ua, ub = physical_values(grid16, a.half), physical_values(grid16, b.half)
+    ua, ub = physical_values(grid16, a.band), physical_values(grid16, b.band)
     direct = grid16.cell_area * float(np.sum(ua * ub))
     assert l2_inner(a, b) == pytest.approx(direct, rel=1e-11)
     assert l2_inner(a, b) == pytest.approx(l2_inner(b, a), rel=1e-14)
@@ -190,7 +192,7 @@ def test_l2_inner_matches_physical_integral(grid16):
 def test_remainder_vanishes_without_weight(grid16):
     f = random_band_field(grid16, seed=14)
     r = remainder_n(f, 0.0, 0.0)
-    assert np.all(r.half == 0.0)
+    assert np.all(r.band == 0.0)
 
 
 def test_remainder_single_pair_vanishes(grid16):
@@ -198,14 +200,14 @@ def test_remainder_single_pair_vanishes(grid16):
     # triangle inequality for |xi| is an equality
     f = plant_pair(grid16, 2, 1, 0.7)
     r = remainder_n(f, 0.4, 0.2)
-    assert np.max(np.abs(r.half)) < 1e-14
+    assert np.max(np.abs(r.band)) < 1e-14
 
 
 def test_remainder_matches_convolution_oracle(grid16):
     # A11's oracle: explicit linear convolution, written against the
     # definition and not the FFT path
     f = random_band_field(grid16, seed=17)
-    got = remainder_n(f, 0.4, 0.15).half
+    got = remainder_n(f, 0.4, 0.15).band
     want = _oracle_remainder(f, 0.4, 0.15)
     scale = np.max(np.abs(want))
     assert scale > 0
@@ -215,8 +217,8 @@ def test_remainder_matches_convolution_oracle(grid16):
 def test_remainder_output_is_real_with_zero_x_fiber(grid16):
     f = random_band_field(grid16, seed=18)
     r = remainder_n(f, 0.3, 0.0)
-    assert not r.half[0].any()
+    assert not r.band[0].any()
     # column k = 0 pairs j with -j, as a real field's does
-    col = r.half[:, 0]
-    defect = np.max(np.abs(col - np.conj(col[-grid16.j_index % 16])))
-    assert defect <= 1e-15 * np.max(np.abs(r.half))
+    col = r.band[:, 0]
+    defect = np.max(np.abs(col - np.conj(col[-np.arange(11)])))
+    assert defect <= 1e-15 * np.max(np.abs(r.band))

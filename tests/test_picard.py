@@ -27,14 +27,7 @@ from kp5.picard import (
     free_window,
     picard_iterate,
 )
-from kp5.spectral import (
-    Grid2D,
-    SpectralField,
-    dealiased_square,
-    from_band,
-    full_plane,
-    to_band,
-)
+from kp5.spectral import Grid2D, SpectralField, dealiased_square, full_plane
 
 
 def test_delta_rule_values():
@@ -86,38 +79,36 @@ def cumulative_simpson_reference(values: np.ndarray, h: float) -> np.ndarray:
 
 def band_norms(grid, band, sigma1, sigma2):
     """The Gevrey norm of each slice of a band window."""
-    table = to_band(grid, _norm_weight(grid, sigma1, sigma2))
+    table = _norm_weight(grid, sigma1, sigma2)
     return _weighted_norm(np.abs(band), table, grid.measure)
 
 
-def half_plane_phases(grid, delta: float, n: int) -> np.ndarray:
-    """exp(i * t_i * m) on the whole half plane, taken on rows
-    0 <= j <= nx/2 and conjugated onto rows -j, as ``_block_phases`` does
-    on the band."""
+def window_phases(grid, delta: float, n: int) -> np.ndarray:
+    """exp(i * t_i * m) on the band at all n window times at once, taken on
+    rows 0 <= j <= nx//3 and conjugated onto rows -j."""
     times = np.linspace(0.0, delta, n)[:, None, None]
     m = dispersion_symbol(grid)
-    top = grid.nx // 2 + 1
+    top = grid.nx // 3 + 1
     phases = np.empty((n,) + m.shape, dtype=np.complex128)
     phases[:, :top] = np.exp(times * (1j * m[None, :top]))
-    phases[:, top:] = np.conj(phases[:, top - 2 : 0 : -1])
+    phases[:, top:] = np.conj(phases[:, top - 1 : 0 : -1])
     return phases
 
 
 def duhamel_reference(f: SpectralField, window: np.ndarray, delta: float) -> np.ndarray:
-    """The whole-stack Duhamel map on the whole half plane, one new array:
-    the square of every slice of the (n, nx, ny//2 + 1) ``window`` at once,
-    rotated back, integrated by the reference rule, then the derivative,
-    the data and the phases."""
+    """The whole-stack Duhamel map, one new array: the square of every
+    slice of the band ``window`` at once, rotated back, integrated by the
+    reference rule, then the derivative, the data and the phases."""
     grid = f.grid
     n = window.shape[0]
-    phases = half_plane_phases(grid, delta, n)
+    phases = window_phases(grid, delta, n)
     forcing = dealiased_square(grid, window)
     np.conjugate(forcing, out=forcing)
     forcing *= phases
     cum = cumulative_simpson_reference(forcing, delta / (n - 1))
     np.conjugate(cum, out=cum)
     cum *= -0.5j * grid.xi_col
-    cum += f.half
+    cum += f.band
     cum *= phases
     return cum
 
@@ -206,32 +197,18 @@ def test_free_window_matches_semigroup(grid16):
     f = random_band_field(grid16, seed=2)
     w = free_window(f, delta=0.3, slices=8)
     assert w.shape == (9, 11, 6)
-    for t, s in zip(np.linspace(0.0, 0.3, 9), from_band(grid16, w)):
+    for t, s in zip(np.linspace(0.0, 0.3, 9), w):
         exact = semigroup_apply(f, float(t))
-        assert np.allclose(s, exact.half, rtol=0, atol=1e-15)
-
-
-def test_free_window_refuses_data_off_the_band(grid16):
-    """A window holds the 2/3 band only, so data with modes off it are
-    refused rather than cut."""
-    half = random_band_field(grid16, seed=2).half.copy()
-    half[grid16.mode_index(6, 1)] = 1e-3  # 3*6 > 16: outside the band
-    f = SpectralField(grid16, half)
-    with pytest.raises(ValueError, match="2/3 band"):
-        free_window(f, 0.1, slices=4)
-    with pytest.raises(ValueError, match="2/3 band"):
-        picard_iterate(
-            f, 0.1, sigma1=0.0, sigma2=0.0, slices=4, n_max=2, tol=1e-10,
-        )
+        assert np.allclose(s, exact.band, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name, init", SUITE_MEMBERS)
 def test_initial_field_data_fit_the_band(name, init):
-    """Every initial-data kind the suite uses is dealiased, so its window
-    holds all of it."""
+    """Every initial-data kind the suite uses is a band, so its window
+    starts at exactly the data."""
     f = initial_field(suite_cfg(init))
     w = free_window(f, 0.01, slices=2)
-    assert np.array_equal(from_band(f.grid, w[0]), f.half)
+    assert np.array_equal(w[0], f.band)
 
 
 def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
@@ -251,8 +228,8 @@ def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
 @pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (128, 128)])
 def test_block_phases_are_the_oracle_phases_on_the_band(nx, ny):
     """Slice 0 alone, then the Simpson pairs, tile the window, and their
-    phases joined are the whole-stack oracle's phases on the band, bit for
-    bit; at t = 0 they are exactly 1."""
+    phases joined are the whole-stack phases, bit for bit; at t = 0 they
+    are exactly 1."""
     grid = Grid2D(nx, ny, 2 * math.pi, 2 * math.pi)
     delta, n = 0.3, 65
     blocks = [(s, phases.copy()) for s, phases in _block_phases(grid, delta, n)]
@@ -260,7 +237,7 @@ def test_block_phases_are_the_oracle_phases_on_the_band(nx, ny):
         [(0, 1)] + [(p, p + 2) for p in range(1, n, 2)]
     )
     got = np.concatenate([phases for _, phases in blocks])
-    want = to_band(grid, half_plane_phases(grid, delta, n))
+    want = window_phases(grid, delta, n)
     assert got.shape == want.shape == (n, 2 * (nx // 3) + 1, ny // 3 + 1)
     assert got.tobytes() == want.tobytes()
     assert np.all(got[0] == 1.0)
@@ -274,12 +251,11 @@ def test_duhamel_matches_derivative_before_quadrature():
     w = free_window(f, 0.05, slices=16)
     times = np.linspace(0.0, 0.05, 17)
     phases = np.exp(1j * times[:, None, None] * dispersion_symbol(grid)[None])
-    forcing = (1j * grid.xi_col) * dealiased_square(grid, from_band(grid, w))
+    forcing = (1j * grid.xi_col) * dealiased_square(grid, w)
     cum = cumulative_simpson_reference(np.conj(phases) * forcing, 0.05 / 16)
-    want = phases * (f.half - 0.5 * cum)
+    want = phases * (f.band - 0.5 * cum)
     got = w.copy()
     duhamel_apply(f, got, 0.05, 0.0, 0.0)
-    got = from_band(grid, got)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -298,13 +274,13 @@ def test_duhamel_single_mode_closed_form(grid16):
     out = free_window(f, delta, slices=64)
     duhamel_apply(f, out, delta, 0.0, 0.0)
     m = dispersion_symbol(grid16)
-    m0 = m[grid16.mode_index(j0, k0)]
+    m0 = m[j0, k0]  # band rows j = 0..5 lead
     q = (2 * j0, 2 * k0)
-    mq = m[grid16.mode_index(*q)]
+    mq = m[q]
     xi_q = 2 * np.pi * (2 * j0) / grid16.lx
     omega = 2 * m0 - mq
     times = np.linspace(0.0, delta, 65)
-    for t, s in zip(times, full_plane(grid16, from_band(grid16, out))):
+    for t, s in zip(times, full_plane(grid16, out)):
         t = float(t)
         if omega != 0.0:
             integral = (np.exp(1j * omega * t) - 1.0) / (1j * omega)
@@ -342,18 +318,15 @@ def test_window_distance_closed_form():
 @pytest.mark.parametrize("nx, ny", [(32, 32), (32, 16)])
 @pytest.mark.parametrize("slices", [2, 4, 16, 64])
 def test_streamed_duhamel_matches_whole_stack_bitwise(nx, ny, slices):
-    """The pair sweep writes, bit for bit, the band of the whole-stack
-    half-plane map's window, which is exactly 0 off the band, and its
-    distance and sup norm are the whole-stack band norms' maxima, over
+    """The pair sweep writes, bit for bit, the whole-stack map's window,
+    and its distance and sup norm are the whole-stack norms' maxima, over
     three iterations from the free window."""
     grid = Grid2D(nx, ny, 8.0 * math.pi, 8.0 * math.pi)
     f = random_band_field(grid, seed=slices, scale=4.0)
     delta, sigma1, sigma2 = 0.05, 0.25, 0.1
     window = free_window(f, delta, slices)
     for _ in range(3):
-        reference = duhamel_reference(f, from_band(grid, window), delta)
-        assert not reference[:, ~grid.dealias_mask].any()
-        want = to_band(grid, reference)
+        want = duhamel_reference(f, window, delta)
         got = window.copy()
         distance, sup_norm = duhamel_apply(f, got, delta, sigma1, sigma2)
         assert got.tobytes() == want.tobytes()
@@ -390,7 +363,7 @@ def test_picard_converges_and_contracts():
     assert len(res.sup_norms) == res.iterations
     assert all(math.isfinite(s) and s > 0 for s in res.sup_norms)
     # iteration starts from the free window anchored at the data
-    assert np.array_equal(from_band(f.grid, res.window[0]), f.half)
+    assert np.array_equal(res.window[0], f.band)
     assert res.delta == delta and res.data_norm == norm
     assert 1.0 - 1e-12 <= res.doubling_ratio <= 2.0
 
