@@ -202,6 +202,21 @@ def test_free_window_matches_semigroup(grid16):
         assert np.allclose(s, exact.band, rtol=0, atol=1e-15)
 
 
+def test_free_window_refuses_data_off_the_band(grid16):
+    """A window holds the 2/3 band only, so data with modes off it are
+    refused rather than cut: the field they would seed cannot be built."""
+    f = random_band_field(grid16, seed=2)
+    half = full_plane(grid16, f.band)[:, : grid16.ny // 2 + 1].copy()
+    half[grid16.mode_index(6, 1)] = 1e-3  # 3*6 > 16: outside the band
+    with pytest.raises(ValueError, match="2/3 band"):
+        free_window(SpectralField(grid16, half), 0.1, slices=4)
+    with pytest.raises(ValueError, match="2/3 band"):
+        picard_iterate(
+            SpectralField(grid16, half), 0.1, sigma1=0.0, sigma2=0.0,
+            slices=4, n_max=2, tol=1e-10,
+        )
+
+
 @pytest.mark.parametrize("name, init", SUITE_MEMBERS)
 def test_initial_field_data_fit_the_band(name, init):
     """Every initial-data kind the suite uses is a band, so its window

@@ -373,6 +373,19 @@ def _saved_snapshot(tmp_path, grid, seed=1):
     return bytearray(path.read_bytes()), path
 
 
+def test_snapshot_writer_refuses_modes_off_the_band(tmp_path, grid16):
+    """A snapshot holds the 2/3 band only, so data with modes off it are
+    refused rather than cut: the field they would be saved from cannot be
+    built, and no file is written."""
+    f = random_band_field(grid16, seed=1)
+    half = full_plane(grid16, f.band)[:, : grid16.ny // 2 + 1].copy()
+    half[grid16.mode_index(6, 1)] = 1e-3  # 3*6 > 16: outside the band
+    path = tmp_path / "field.kp5s"
+    with pytest.raises(ValueError, match="2/3 band"):
+        save_snapshot(SpectralField(grid16, half), path)
+    assert not path.exists()
+
+
 def test_snapshot_rejects_non_hermitian_payload(tmp_path, grid16):
     """Column k = 0 is its own conjugate partner: an entry c[1, 0] without
     c[-1, 0] = conj(c[1, 0]) is not a real field."""
