@@ -49,8 +49,8 @@ from .initial_data import make_initial_field
 from .integrator import aligned_dt, cfl_dt, initial_field, simulate, step
 from .operators import (
     apply_gevrey,
+    band_norms,
     gevrey_norm,
-    half_plane_norms,
     remainder_n,
     semigroup_apply,
 )
@@ -155,7 +155,7 @@ def window_gap(f: SpectralField, result) -> float:
             u = step(u, dt)
         stepped.append(u.band)
     gap = np.stack(stepped) - window
-    return float(half_plane_norms(f.grid, gap, SUITE_SIGMA1, 0.0).max())
+    return float(band_norms(f.grid, gap, SUITE_SIGMA1, 0.0).max())
 
 
 def doubling_ratio_check(name: str, result) -> Check:
@@ -256,7 +256,7 @@ class AcceptanceSuite:
             return u.band
 
         bands = np.stack([evolve(n0 * 2**r) for r in range(3)])
-        e01, e12 = half_plane_norms(f.grid, bands[:-1] - bands[1:], 0.0, 0.0)
+        e01, e12 = band_norms(f.grid, bands[:-1] - bands[1:], 0.0, 0.0)
         return CriterionResult("A2", "self-convergence order of the stepper", (
             Check("order", _log2_ratio(e01, e12), ">=", 3.5),
             Check("error dt/dt2", e01),
@@ -537,6 +537,6 @@ def _equation_residual(f: SpectralField, t: float, h: float) -> float:
     dyy = x_antiderivative(SpectralField(grid, (1j * grid.eta_row) ** 2 * u.band))
     rhs = d5.band - dyy.band - 0.5j * grid.xi_col * dealiased_square(grid, u.band)
     diff = (after - before) / (2.0 * h) - rhs
-    norms = half_plane_norms(grid, np.stack([diff, rhs]), 0.0, 0.0)
+    norms = band_norms(grid, np.stack([diff, rhs]), 0.0, 0.0)
     return float(norms[0] / norms[1])
 

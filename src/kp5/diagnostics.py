@@ -28,9 +28,9 @@ from .integrator import (
 from .operators import (
     _weighted_norm,
     apply_gevrey,
+    band_norms,
     dispersion_symbol,
     gevrey_norm,
-    half_plane_norms,
     l2_inner,
     ladder_norms,
     remainder_n,
@@ -87,7 +87,7 @@ def radius_estimate(field: SpectralField) -> tuple[float, float]:
     mag = np.abs(field.band)
     envelope = np.maximum(mag[1:n].max(axis=1), mag[: n - 1 : -1, 1:].max(axis=1))
     peak = float(mag.max())
-    freqs = g.xi[1:n]
+    freqs = g.xi_col[1:n, 0]
     keep = (freqs >= lo) & (freqs <= hi) & (envelope > SPECTRAL_FLOOR * peak)
     if np.count_nonzero(keep) < 8:  # an empty spectrum keeps no shell
         return math.nan, math.nan
@@ -173,7 +173,8 @@ class SpaceTimeField:
         cls, grid: Grid2D, slices: np.ndarray, slice_dt: float
     ) -> "SpaceTimeField":
         """Tapered time transform of an (n_t, *grid.band_shape) stack of 2/3
-        bands sampled every ``slice_dt``, such as a Picard window."""
+        bands sampled every ``slice_dt``, such as the first ``slices`` slices
+        of a Picard window (the window holds ``slices + 1``)."""
         slices = np.asarray(slices)
         if slices.shape[1:] != grid.band_shape:
             raise ValueError(f"slices of shape {slices.shape[1:]} are not 2/3 bands "
@@ -191,7 +192,7 @@ def _xtsb_weight(
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)
     m = dispersion_symbol(grid)
     xi = grid.xi_col
-    multiplicity = grid.half_multiplicity[None, :]
+    multiplicity = grid.column_multiplicity[None, :]
     mod = tau[:, None, None] - m[None, :, :]
     w = bracket(mod) ** (2.0 * params.b) * multiplicity
     if params.eps != 0.0:
@@ -257,8 +258,8 @@ def _band_tables(grid: Grid2D) -> tuple:
     cols = np.arange(grid.band_shape[1])
     at = (rows[:, None] * grid.ny + cols).ravel()
     mirror = ((-rows % grid.nx)[:, None] * grid.ny + -cols % grid.ny).ravel()
-    envelope = np.exp(-(np.abs(grid.xi[:, None]) + np.abs(grid.eta))).ravel()
-    return at, mirror, _frozen(envelope[at])
+    envelope = np.exp(-(np.abs(grid.xi_col[1:]) + np.abs(grid.eta_row))).ravel()
+    return at, mirror, _frozen(envelope)
 
 
 def _random_bases(grid: Grid2D, rng: np.random.Generator) -> np.ndarray:
@@ -507,7 +508,7 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     grid_dt, _ = resolve_dt(cfg, grid, cfg.time.horizon)
 
     def gap_of(w: SpectralField) -> float:
-        return float(half_plane_norms(grid, w.band[0] - w.band[1], 0.0, 0.0))
+        return float(band_norms(grid, w.band[0] - w.band[1], 0.0, 0.0))
 
     gap0, integral, prev = gap_of(pair), 0.0, None
 

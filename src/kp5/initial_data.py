@@ -4,9 +4,10 @@ All constructors return the zero-x-mean ``rfft2`` half plane of their data,
 shape (nx, ny//2 + 1), as a plain array: the flow map needs dx^{-1}, so the
 j = 0 fiber is projected out: collocation values become
 ``rfft2(values, norm="forward")`` with row j = 0 zeroed.  ``amplitude`` means
-the peak physical value before that projection (for the synthetic-spectrum
-family the raw spectrum is rescaled to hit the requested peak), so data
-sizes are comparable across families.  ``KINDS`` maps each config
+the peak physical value before both that projection and the 2/3 cut (for
+the synthetic-spectrum family the raw spectrum is rescaled to hit the
+requested peak), so it sizes the data the constructors build, not the
+field the flow runs, whose peak can be much lower.  ``KINDS`` maps each config
 ``initial.kind`` to its constructor, and ``make_initial_field``, where
 configured data enter, cuts the half plane to the 2/3 band of a
 ``SpectralField`` and rejects data that overflow a double.
@@ -79,8 +80,10 @@ def exp_spectrum(
     if decay_x < 0 or decay_y < 0:
         raise ValueError("spectral decay rates must be >= 0")
     g = grid
-    eta = g.eta[None, : g.ny // 2 + 1]
-    mag = np.exp(-decay_x * np.abs(g.xi[:, None]) - decay_y * np.abs(eta))
+    # the half plane's wavenumbers: xi_j in FFT order, then |eta_k|, k = 0..ny/2
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.nx, d=1.0 / g.nx).astype(np.int64) / g.lx
+    eta = 2.0 * np.pi * np.arange(g.ny // 2 + 1) / g.ly
+    mag = np.exp(-decay_x * np.abs(xi[:, None]) - decay_y * eta[None, :])
     mag[0, :] = 0.0
     mag[g.nx // 2, :] = 0.0
     mag[:, -1] = 0.0

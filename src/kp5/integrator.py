@@ -44,7 +44,7 @@ from .config import SimConfig
 from .errors import BlowUpError
 from .initial_data import make_initial_field
 from .operators import (
-    dispersion_symbol, gevrey_norm, half_plane_norms, ladder_norms, remainder_n,
+    band_norms, dispersion_symbol, gevrey_norm, ladder_norms, remainder_n,
 )
 from .picard import data_window
 from .spectral import Grid2D, SpectralField, _frozen, dealiased_square
@@ -257,7 +257,7 @@ def _sampled_run(
 ) -> SimulationOutput:
     """Step f, a field or a stack of fields, to the last of ``times`` (None:
     every grid point) and ``snapshot_times``, calling ``record(t, steps,
-    field, l2)`` at each sample time (l2 the ``half_plane_norms`` L2 norm of
+    field, l2)`` at each sample time (l2 the ``band_norms`` L2 norm of
     each slice) and keeping the field at each snapshot time.
 
     Times snap to the nearest point n*grid_dt of the sampling grid over the
@@ -280,14 +280,14 @@ def _sampled_run(
     snapshots: list[tuple[float, SpectralField]] = []
     records_s = 0.0
     t0 = clock()
-    limit = RUNAWAY_FACTOR * half_plane_norms(f.grid, f.band, 0.0, 0.0)
+    limit = RUNAWAY_FACTOR * band_norms(f.grid, f.band, 0.0, 0.0)
     t, steps = 0.0, 0
     try:
         for b, dt, m in plan:
             for k in range(m):
                 f = step(f, dt, t + k * dt)
             t, steps = b * grid_dt, steps + m
-            l2 = half_plane_norms(f.grid, f.band, 0.0, 0.0)
+            l2 = band_norms(f.grid, f.band, 0.0, 0.0)
             t_record = clock()
             if b in want_snap:
                 snapshots.append((t, f))

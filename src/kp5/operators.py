@@ -21,7 +21,7 @@ cached tables, and each sum is the safe-scaled Euclidean norm of the
 weighted amplitudes a = |c| * sqrt(multiplicity) * A, divided by their
 largest value before squaring, so sigma values near the overflow guard
 stay finite and the dominant shell is summed at full precision.
-``gevrey_norm`` (one field), ``half_plane_norms`` (a stack of bands), the
+``gevrey_norm`` (one field), ``band_norms`` (a stack of bands), the
 integrator's ladder, the Picard window's norms and the space-time
 ``bourgain_norm`` share that one sum.
 """
@@ -95,7 +95,7 @@ def _weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
 def _norm_weight(grid: Grid2D, sigma1: float, sigma2: float) -> np.ndarray:
     """``_weight`` times the square root of the column multiplicity: the
     table that turns |c| into the amplitudes of a band norm."""
-    return _frozen(_weight(grid, sigma1, sigma2) * np.sqrt(grid.half_multiplicity))
+    return _frozen(_weight(grid, sigma1, sigma2) * np.sqrt(grid.column_multiplicity))
 
 
 def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> SpectralField:
@@ -106,10 +106,10 @@ def apply_gevrey(field: SpectralField, sigma1: float, sigma2: float) -> Spectral
 
 def gevrey_norm(field: SpectralField, sigma1: float, sigma2: float) -> float:
     """Exponentially weighted L2 norm; equals physical L2 at sigma = 0."""
-    return float(half_plane_norms(field.grid, field.band, sigma1, sigma2))
+    return float(band_norms(field.grid, field.band, sigma1, sigma2))
 
 
-def half_plane_norms(
+def band_norms(
     grid: Grid2D, band: np.ndarray, sigma1: float, sigma2: float
 ) -> np.ndarray:
     """``gevrey_norm`` of the real fields with the given 2/3 bands, one per
@@ -149,7 +149,7 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     if a.grid != b.grid:
         raise ValueError("inner product requires a shared grid")
     g = a.grid
-    products = np.real(a.band * np.conj(b.band)) * g.half_multiplicity
+    products = np.real(a.band * np.conj(b.band)) * g.column_multiplicity
     return float(g.measure * np.sum(products))
 
 

@@ -22,13 +22,17 @@ Forward transform is ``rfft2/(nx*ny)`` cut to the band
 padded with zeros (``physical_values``); every multiplier acts on the band
 (``Grid2D.xi_col`` and ``Grid2D.eta_row`` broadcast over it).  Each column
 k > 0 stands for itself and its conjugate partner, so band norms count it
-twice (``Grid2D.half_multiplicity``).
+twice (``Grid2D.column_multiplicity``).
 
 Full-plane coefficients enter only through ``SpectralField.from_coefficients``,
 the one place that checks Hermitian symmetry, and no run command uses it; a
 band is real by construction, as a field keeps only the Hermitian part of
-its column k = 0 (the one column paired with itself).  ``full_plane``
-rebuilds the full plane for reference computations only.
+its column k = 0 (the one column paired with itself).  ``Grid2D`` builds
+its tables from the band's own frequencies; the plane beyond the band is
+known only to the product kernel's transforms, to ``full_plane`` and
+``Grid2D.mode_index`` (reference computations), to ``from_coefficients``
+(kept because the benchmark tracer wraps it) and to the initial-data
+constructors, whose half planes ``make_initial_field`` cuts to the band.
 
 Every product of fields goes through one kernel: ``dealiased_square`` is
 ``physical_values`` (the band's rows padded into an (nx, ny//3 + 1) buffer,
@@ -67,10 +71,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Grid2D:
     """Periodic rectangle [0, lx) x [0, ly) sampled on an nx-by-ny lattice.
 
-    nx and ny must be even.  ``j_index``/``k_index`` list the full complex
-    FFT frequency set; the 2/3 band keeps rows ``band_j`` and columns
-    k = 0..ny//3 of it, and the multiplier arrays (``xi_col``, ``eta_row``)
-    broadcast over the band.
+    nx and ny must be even.  The tables broadcast over the 2/3 band:
+    ``band_j`` lists its rows, ``xi_col``/``eta_row`` its wavenumbers.
     """
 
     nx: int
@@ -85,15 +87,6 @@ class Grid2D:
             raise ValueError("domain lengths must be positive and finite")
 
     @cached_property
-    def j_index(self) -> np.ndarray:
-        """Integer x-frequency indices in FFT order: 0, 1, ..., -1."""
-        return _frozen(np.fft.fftfreq(self.nx, d=1.0 / self.nx).astype(np.int64))
-
-    @cached_property
-    def k_index(self) -> np.ndarray:
-        return _frozen(np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(np.int64))
-
-    @cached_property
     def band_j(self) -> np.ndarray:
         """Integer x-frequencies of the band's rows: 0..nx//3, then
         -(nx//3)..-1 (the FFT order of the band's own length)."""
@@ -101,23 +94,15 @@ class Grid2D:
         return _frozen(np.r_[: jx + 1, -jx:0])
 
     @cached_property
-    def xi(self) -> np.ndarray:
-        """x wavenumbers xi_j = 2*pi*j/lx, FFT order."""
-        return _frozen(2.0 * np.pi * self.j_index / self.lx)
-
-    @cached_property
-    def eta(self) -> np.ndarray:
-        return _frozen(2.0 * np.pi * self.k_index / self.ly)
-
-    @cached_property
     def xi_col(self) -> np.ndarray:
-        """xi on the band's rows, shape (2*(nx//3) + 1, 1)."""
-        return _frozen(self.xi[self.band_j][:, None])
+        """xi_j = 2*pi*j/lx on the band's rows, shape (2*(nx//3) + 1, 1)."""
+        return _frozen(2.0 * np.pi * self.band_j[:, None] / self.lx)
 
     @cached_property
     def eta_row(self) -> np.ndarray:
-        """eta on the band's columns k = 0..ny//3, shape (1, ny//3 + 1)."""
-        return _frozen(self.eta[None, : self.ny // 3 + 1].copy())
+        """eta_k = 2*pi*k/ly on the band's columns k = 0..ny//3, shape
+        (1, ny//3 + 1)."""
+        return _frozen(2.0 * np.pi * np.arange(self.ny // 3 + 1)[None, :] / self.ly)
 
     @cached_property
     def x_nodes(self) -> np.ndarray:
@@ -128,7 +113,7 @@ class Grid2D:
         return _frozen((self.ly / self.ny) * np.arange(self.ny))
 
     @cached_property
-    def half_multiplicity(self) -> np.ndarray:
+    def column_multiplicity(self) -> np.ndarray:
         """How many full-plane modes each band column stands for: 1 at
         k = 0, 2 at k > 0 (the band ends before the Nyquist column)."""
         w = np.full(self.ny // 3 + 1, 2.0)
@@ -238,7 +223,7 @@ def x_antiderivative(field: SpectralField) -> SpectralField:
     """
     g = field.grid
     c = field.band
-    c2 = np.abs(c) ** 2 * g.half_multiplicity
+    c2 = np.abs(c) ** 2 * g.column_multiplicity
     total, fiber = np.sqrt(c2.sum()), np.sqrt(c2[0].sum())
     if fiber > X_MEAN_RTOL * total:
         raise IllPosedInversionError(

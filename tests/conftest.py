@@ -56,10 +56,22 @@ def random_band_field(grid, seed, scale=1.0):
     return SpectralField(grid, cut(grid, half))
 
 
+def _fft_frequencies(n):
+    """Integer frequencies 0, 1, ..., -1 of an n-point FFT."""
+    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+
+
+def full_plane_wavenumbers(grid):
+    """The full plane's wavenumbers in FFT order: xi_j = 2*pi*j/lx as a
+    column (nx, 1) and eta_k = 2*pi*k/ly as a row (1, ny)."""
+    j, k = _fft_frequencies(grid.nx), _fft_frequencies(grid.ny)
+    return 2.0 * np.pi * j[:, None] / grid.lx, 2.0 * np.pi * k[None, :] / grid.ly
+
+
 def full_plane_mask(grid):
     """The 2/3-rule mask on the full plane (3|j| <= nx and 3|k| <= ny)."""
-    keep_x = 3 * np.abs(grid.j_index) <= grid.nx
-    keep_y = 3 * np.abs(grid.k_index) <= grid.ny
+    keep_x = 3 * np.abs(_fft_frequencies(grid.nx)) <= grid.nx
+    keep_y = 3 * np.abs(_fft_frequencies(grid.ny)) <= grid.ny
     return keep_x[:, None] & keep_y[None, :]
 
 

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 import kp5
-from conftest import cut, half_plane, random_band_field, window_rule
+from conftest import (
+    cut, full_plane_wavenumbers, half_plane, random_band_field, window_rule,
+)
 from kp5.acceptance import gronwall_check
 from kp5.config import (
     GevreyConfig,
     GridConfig,
     InitialConfig,
+    PicardConfig,
     SimConfig,
     TimeConfig,
 )
@@ -50,8 +53,8 @@ from kp5.integrator import (
     step,
 )
 from kp5.operators import (
+    band_norms,
     gevrey_norm,
-    half_plane_norms,
     remainder_n,
     semigroup_apply,
 )
@@ -122,8 +125,9 @@ def test_radius_estimate_reads_stepper_half_plane_exactly(grid):
     mag = np.abs(full_plane(grid, stepped.band))
     envelope = mag[1:n].max(axis=1)
     lo, hi = 0.25 * grid.xi_dealias, 0.75 * grid.xi_dealias
-    keep = (grid.xi[1:n] >= lo) & (grid.xi[1:n] <= hi)
-    x, y = grid.xi[1:n][keep], np.log(envelope[keep])
+    xi = full_plane_wavenumbers(grid)[0][1:n, 0]
+    keep = (xi >= lo) & (xi <= hi)
+    x, y = xi[keep], np.log(envelope[keep])
     slope, intercept = np.polyfit(x, y, 1)
     resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
     assert np.count_nonzero(keep) >= 8
@@ -166,8 +170,14 @@ def test_window_taper_normalized():
 def test_space_time_field_shape_rules(grid16):
     f = random_band_field(grid16, seed=1)
     slices = np.stack([semigroup_apply(f, 0.01 * i).band for i in range(12)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power of two"):
         SpaceTimeField.from_slices(grid16, slices, 0.01)  # 12 is not a power of two
+    # a whole Picard window holds slices + 1 bands; its first slices go in
+    window = free_window(f, 0.5, PicardConfig().slices)
+    assert len(window) == 65
+    with pytest.raises(ValueError, match="power of two"):
+        SpaceTimeField.from_slices(grid16, window, 0.5 / 64)
+    assert SpaceTimeField.from_slices(grid16, window[:-1], 0.5 / 64).n_t == 64
     for wrong in (half_plane(grid16, slices[:8]), slices[:8, :, :-1]):  # not a band
         with pytest.raises(ValueError, match=r"not 2/3 bands \(11, 6\) of the grid"):
             SpaceTimeField.from_slices(grid16, wrong, 0.01)
@@ -317,7 +327,8 @@ def full_plane_bases(grid, rng):
     part, then imaginary part) times the envelope exp(-(|xi| + |eta|)), its
     Hermitian part (c + conj(c[-j, -k])) / 2, cut to the 2/3 band, zero
     x-mean."""
-    envelope = np.exp(-(np.abs(grid.xi[:, None]) + np.abs(grid.eta)))
+    xi, eta = full_plane_wavenumbers(grid)
+    envelope = np.exp(-(np.abs(xi) + np.abs(eta)))
     bases = []
     for _ in range(5):
         re = rng.standard_normal((grid.nx, grid.ny))
@@ -407,7 +418,8 @@ def half_plane_bourgain_norm(grid, stack, slice_dt, params):
     psi = window_taper(n_t, slice_dt)[:, None, None]
     c = np.fft.fft(psi * stack, axis=0) / n_t
     tau = 2 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)[:, None, None]
-    xi, eta = grid.xi[:, None], grid.eta[None, : grid.ny // 2 + 1]
+    xi, eta = full_plane_wavenumbers(grid)
+    eta = eta[:, : grid.ny // 2 + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(xi == 0, 0.0, xi**5 - eta**2 / xi)
     mod = tau - m
@@ -434,7 +446,7 @@ def half_plane_trials(params, trials, seed, nx, ny):
                                axes=(0, 0)) for _ in range(2)]
         (u, v) = (np.fft.irfft2(h, s=(nx, ny), norm="forward") for h in halves)
         prod = half_plane(grid, cut(grid, np.fft.rfft2(u * v, norm="forward")))
-        prod *= 1j * grid.xi[:, None]
+        prod *= 1j * full_plane_wavenumbers(grid)[0]
         du, dv = (half_plane_bourgain_norm(grid, h, slice_dt, params) for h in halves)
         ratios.append(half_plane_bourgain_norm(grid, prod, slice_dt, out) / (du * dv))
     return sorted(ratios)
@@ -498,7 +510,7 @@ def gap_by_grid_steps(cfg, eps):
         return float(np.max(np.abs(physical_values(grid, 1j * grid.xi_col * w.band))))
 
     def gap(a, b):
-        return float(half_plane_norms(grid, a.band - b.band, 0.0, 0.0))
+        return float(band_norms(grid, a.band - b.band, 0.0, 0.0))
 
     gap0, integral, prev = gap(u, v), 0.0, dx_sup(u) + dx_sup(v)
     samples = [(0.0, gap0, gap0)]
@@ -699,7 +711,7 @@ def test_half_plane_record_matches_full_plane_diagnostics():
         return abs(got - want) / abs(want)
 
     def full_plane_norm(sigma1):
-        weight = np.exp(2 * sigma1 * np.abs(grid.xi[:, None]))
+        weight = np.exp(2 * sigma1 * np.abs(full_plane_wavenumbers(grid)[0]))
         return math.sqrt(grid.measure * np.sum(weight * c2))
 
     assert rec.steps == 3 and rec.t == 3 * dt

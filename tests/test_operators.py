@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_band_field
+from conftest import full_plane_wavenumbers, random_band_field
 from kp5.acceptance import _oracle_remainder
 from kp5.errors import SigmaOverflowError
 from kp5.operators import (
     SIGMA_GUARD_LIMIT,
     apply_gevrey,
     assert_sigma_within_guard,
+    band_norms,
     dispersion_symbol,
     gevrey_norm,
-    half_plane_norms,
     l2_inner,
     max_admissible_sigma1,
     remainder_n,
@@ -79,18 +79,19 @@ def test_norm_survives_weights_whose_squares_overflow():
     [(0.0, 0.0), (0.3, 0.2), (0.0, 0.5), (150.0, 150.0), ("max", 0.0)],
 )
 def test_half_plane_norms_match_full_plane_gevrey_norm(sigma1, sigma2):
-    """Band columns k > 0 stand for two modes each; the
-    largest rates square weights beyond the double range, so the
-    full-plane reference sums in logarithms.  "max" is the largest sigma1
-    the overflow guard admits."""
+    """``band_norms`` of a stack of bands against the full-plane sum: band
+    columns k > 0 stand for two modes each; the largest rates square
+    weights beyond the double range, so the full-plane reference sums in
+    logarithms.  "max" is the largest sigma1 the overflow guard admits."""
     grid = Grid2D(32, 48, 16 * np.pi, 24 * np.pi)
     if sigma1 == "max":
         sigma1 = max_admissible_sigma1(grid, sigma2)
     fields = [random_band_field(grid, seed=s) for s in (21, 22, 23)]
     stack = np.stack([f.band for f in fields])
-    got = half_plane_norms(grid, stack, sigma1, sigma2)
+    got = band_norms(grid, stack, sigma1, sigma2)
     assert got.shape == (3,)
-    logw = sigma1 * np.abs(grid.xi[:, None]) + sigma2 * np.abs(grid.eta[None, :])
+    xi, eta = full_plane_wavenumbers(grid)
+    logw = sigma1 * np.abs(xi) + sigma2 * np.abs(eta)
     for norm, f in zip(got, fields):
         c2 = np.abs(full_plane(grid, f.band)) ** 2
         terms = 2.0 * logw[c2 > 0] + np.log(c2[c2 > 0])
@@ -107,7 +108,7 @@ def test_overflowing_weighted_amplitude_gives_inf_not_nan():
     sigma1 = max_admissible_sigma1(grid)
     f = plant_pair(grid, 5, 0, 1e140)  # weight exp(5 * sigma1) ~ 1e176
     stack = np.stack([f.band, np.zeros_like(f.band), 1e-100 * f.band])
-    norms = half_plane_norms(grid, stack, sigma1, 0.0)
+    norms = band_norms(grid, stack, sigma1, 0.0)
     assert norms[0] == np.inf and norms[1] == 0.0 and np.isfinite(norms[2])
     assert gevrey_norm(f, sigma1, 0.0) == np.inf
 
@@ -116,7 +117,7 @@ def test_zero_stack_norms_are_exactly_zero(recwarn):
     grid = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     stack = np.zeros((3, *grid.band_shape), dtype=complex)
     for sigma1 in (0.0, 1.0, max_admissible_sigma1(grid)):
-        norms = half_plane_norms(grid, stack, sigma1, 0.0)
+        norms = band_norms(grid, stack, sigma1, 0.0)
         assert norms.shape == (3,) and np.all(norms == 0.0)
     assert len(recwarn) == 0
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    cut, full_plane_mask, full_plane_square, half_plane, random_band_field,
+    cut, full_plane_mask, full_plane_square, full_plane_wavenumbers, half_plane,
+    random_band_field,
 )
 from kp5.errors import IllPosedInversionError, SnapshotFormatError, SpectralSymmetryError
 from kp5.initial_data import gaussian_dx, line_soliton
@@ -43,8 +44,9 @@ def test_grid_rejects_odd_and_tiny_sizes():
 
 def test_grid_frequencies(grid16):
     # 2*pi box, so xi_j = j and eta_k = k
-    assert grid16.xi[3] == pytest.approx(3.0)
-    assert grid16.xi[grid16.nx - 1] == pytest.approx(-1.0)
+    assert grid16.xi_col[3, 0] == pytest.approx(3.0)
+    assert grid16.xi_col[-1, 0] == pytest.approx(-1.0)
+    assert grid16.eta_row[0, 5] == pytest.approx(5.0)
     assert grid16.xi_max == pytest.approx(8.0)
     assert grid16.xi_dealias == pytest.approx(5.0)
     assert grid16.measure == pytest.approx(4 * np.pi**2)
@@ -55,18 +57,30 @@ def test_mode_index_wraps_negative(grid16):
     assert grid16.mode_index(-1, -2) == (15, 14)
 
 
-def test_dealias_mask_band(grid16):
-    """The band holds exactly the half-plane modes the 2/3 rule keeps
+@pytest.mark.parametrize(
+    "grid",
+    [Grid2D(16, 16, 2 * np.pi, 2 * np.pi), Grid2D(32, 48, 2 * np.pi, 3 * np.pi),
+     Grid2D(40, 26, 7.3, 11.9)],
+    ids=["16x16", "32x48", "40x26"],
+)
+def test_band_tables(grid):
+    """The band holds exactly the modes k >= 0 the 2/3 rule keeps
     (3|j| <= nx and 3|k| <= ny), its rows in the FFT order of its own
-    length, and the multiplier tables broadcast over it."""
-    j = grid16.j_index
-    k = np.arange(9)  # the half-plane columns
-    assert sorted(grid16.band_j) == sorted(j[3 * np.abs(j) <= grid16.nx])
-    assert np.array_equal(grid16.band_j, np.fft.fftfreq(11, d=1 / 11).astype(int))
-    assert grid16.band_shape == (11, np.count_nonzero(3 * k <= grid16.ny)) == (11, 6)
-    assert np.array_equal(grid16.xi_col, grid16.xi[grid16.band_j][:, None])
-    assert grid16.eta_row.shape == (1, 6)
-    assert list(grid16.half_multiplicity) == [1, 2, 2, 2, 2, 2]
+    length; its wavenumbers are 2*pi*j/lx and 2*pi*k/ly, bit for bit the
+    full plane's at those modes, and each column k > 0 counts twice."""
+    rows, cols = 2 * (grid.nx // 3) + 1, grid.ny // 3 + 1
+    j = np.fft.fftfreq(grid.nx, d=1 / grid.nx).astype(int)
+    k = np.arange(grid.ny // 2 + 1)  # the half-plane columns
+    assert sorted(grid.band_j) == sorted(j[3 * np.abs(j) <= grid.nx])
+    assert np.array_equal(grid.band_j, np.fft.fftfreq(rows, d=1 / rows).astype(int))
+    assert grid.band_shape == (rows, np.count_nonzero(3 * k <= grid.ny)) == (rows, cols)
+    xi, eta = full_plane_wavenumbers(grid)
+    assert grid.xi_col.shape == (rows, 1) and grid.eta_row.shape == (1, cols)
+    assert np.array_equal(grid.xi_col, 2 * np.pi * grid.band_j[:, None] / grid.lx)
+    assert np.array_equal(grid.eta_row, 2 * np.pi * np.arange(cols)[None, :] / grid.ly)
+    assert np.array_equal(grid.xi_col, xi[grid.band_j])
+    assert np.array_equal(grid.eta_row, eta[:, :cols])
+    assert list(grid.column_multiplicity) == [1] + [2] * (cols - 1)
 
 
 def test_forward_matches_direct_dft():
@@ -191,7 +205,7 @@ def test_full_plane_rebuilds_hermitian_field():
     rng = np.random.default_rng(4)
     raw = rng.standard_normal((32, 48)) + 1j * rng.standard_normal((32, 48))
     # the Hermitian part, c[j, k] = (raw[j, k] + conj(raw[-j, -k])) / 2
-    c = 0.5 * (raw + np.conj(raw[-grid.j_index % 32][:, -grid.k_index % 48]))
+    c = 0.5 * (raw + np.conj(raw[-np.arange(32)][:, -np.arange(48)]))
     band = SpectralField.from_coefficients(grid, c).band
     assert band.shape == grid.band_shape == (21, 17)
     full = full_plane(grid, band)
@@ -314,7 +328,7 @@ def test_band_round_trip(nx, ny):
     full = full_plane(grid, band)
     assert full.shape == (3, nx, ny)
     assert np.array_equal(cut(grid, full), band)
-    assert np.array_equal(full, np.conj(full[:, -grid.j_index][:, :, -grid.k_index]))
+    assert np.array_equal(full, np.conj(full[:, -np.arange(nx)][:, :, -np.arange(ny)]))
     assert not full[:, ~full_plane_mask(grid)].any()
     assert np.array_equal(full_plane(grid, band[1]), full[1])
 
