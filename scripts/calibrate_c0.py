@@ -24,7 +24,7 @@ from dataclasses import replace
 from kp5.acceptance import SUITE_MEMBERS, WINDOW_GAP_TOL, suite_cfg, window_gap
 from kp5.config import DEFAULT_C0, DeltaConfig
 from kp5.errors import PicardDivergenceError
-from kp5.integrator import initial_field
+from kp5.initial_data import initial_field
 from kp5.picard import picard_from_config
 
 # the largest admissible worst case of each kind

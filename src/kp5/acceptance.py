@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import (
-    DEFAULT_C_EMP,
+    DEFAULT_LENGTH,
     GevreyConfig,
     GridConfig,
     InitialConfig,
@@ -28,7 +28,7 @@ from .config import (
     TimeConfig,
 )
 from .diagnostics import (
-    GRONWALL_ENVELOPE,
+    BILINEAR_SLICES,
     GevreyParams,
     SpaceTimeField,
     _HARMONICS,
@@ -45,8 +45,8 @@ from .diagnostics import (
     uniqueness_gap,
 )
 from .errors import ConfigError
-from .initial_data import make_initial_field
-from .integrator import aligned_dt, cfl_dt, initial_field, simulate, step
+from .initial_data import initial_field, rng_from_seed
+from .integrator import aligned_dt, cfl_dt, simulate, step
 from .operators import (
     apply_gevrey,
     band_norms,
@@ -66,6 +66,10 @@ from .spectral import (
 )
 
 SUITE_SIGMA1 = 0.25  # analyticity rate used by the doubling/picard suite
+# A7's radius floor sigma(t) >= C_emp / t, pinned from the one seed-11
+# exp_spectrum run A7 makes (C_emp 5.6219 there), not measured on the suite
+DEFAULT_C_EMP = 5.6
+GRONWALL_ENVELOPE = 1.1  # A9 bounds the worst gap/bound over t > 0 by this
 
 # data suite for the doubling and agreement criteria: two Gaussian scales,
 # a derivative profile, a modulated ridge, and two synthetic spectra
@@ -94,14 +98,14 @@ SUITE_MEMBERS = (
 )
 
 
-def suite_cfg(init: InitialConfig, seed: int = 7) -> SimConfig:
-    """The 64^2 run configuration of a suite member (also used by
-    ``scripts/calibrate_c0.py``)."""
+def suite_cfg(init: InitialConfig) -> SimConfig:
+    """The 64^2 run configuration of a suite member, at seed 7 (also used
+    by ``scripts/calibrate_c0.py``)."""
     return SimConfig(
         grid=GridConfig(nx=64, ny=64),
         initial=init,
         gevrey=GevreyConfig(sigma1=SUITE_SIGMA1, sigma2=0.0),
-        seed=seed,
+        seed=7,
     )
 
 
@@ -196,9 +200,9 @@ def bilinear_scale_checks() -> tuple[Check, Check]:
     """A10's scale pin, which its growth ratio cancels: at zero parameters a
     32^2 trial window's norm, per base and by ``from_slices``, is its tapered
     L2 norm sqrt(slice_dt * sum_t psi(t)^2 ||u(t)||^2), psi restated here."""
-    n_t, slice_dt = 16, 1.0 / 16
-    grid = Grid2D(32, 32, 32.0 * math.pi, 32.0 * math.pi)
-    bases = _random_bases(grid, np.random.Generator(np.random.Philox(key=1234)))
+    n_t, slice_dt = BILINEAR_SLICES, 1.0 / BILINEAR_SLICES
+    grid = Grid2D(32, 32, DEFAULT_LENGTH, DEFAULT_LENGTH)
+    bases = _random_bases(grid, rng_from_seed(1234))
     u = np.tensordot(_HARMONICS, bases, axes=(0, 0))  # band slices
     raw = (1.0 - (2.0 * np.arange(n_t) / n_t - 1.0) ** 2) ** 3
     psi = raw / (slice_dt * raw.sum())
@@ -286,7 +290,7 @@ class AcceptanceSuite:
         result = almost_conservation_run(cfg)
         increments = tuple(
             Check(f"|D({s:g})|", abs(d), ">", 0.0) if s > 0 else Check(f"D({s:g})", d)
-            for s, d in zip(result.sigmas, result.increments)
+            for s, d in zip(cfg.gevrey.ladder, result.increments)
         )
         return CriterionResult(
             "A5", "almost-conservation increment scales like sigma", (
@@ -339,11 +343,10 @@ class AcceptanceSuite:
 
     def a8(self) -> CriterionResult:
         tol = 1e-10
-        grid = Grid2D(64, 64, 32.0 * math.pi, 32.0 * math.pi)
         fits, drifts = [], []
         for sigma in (0.3, 0.7, 1.5):
             init = InitialConfig(kind="exp_spectrum", decay_x=sigma, decay_y=sigma)
-            f = make_initial_field(grid, init, 0)
+            f = initial_field(SimConfig(grid=GridConfig(nx=64, ny=64), initial=init))
             fit = radius_estimate(f)[0]
             moved = radius_estimate(semigroup_apply(f, 0.37))[0]
             fits.append(Check(f"fit error ({sigma:g})", abs(fit - sigma), "<=", tol))
@@ -379,9 +382,14 @@ class AcceptanceSuite:
             ))
 
     def a11(self) -> CriterionResult:
-        grid = Grid2D(16, 16, 2.0 * math.pi, 2.0 * math.pi)
-        f = make_initial_field(grid, InitialConfig(
-            kind="exp_spectrum", decay_x=0.4, decay_y=0.4, phases="random"), 99)
+        cfg = SimConfig(
+            grid=GridConfig(nx=16, ny=16, lx=2.0 * math.pi, ly=2.0 * math.pi),
+            initial=InitialConfig(kind="exp_spectrum", decay_x=0.4, decay_y=0.4,
+                                  phases="random"),
+            seed=99,
+        )
+        f = initial_field(cfg)
+        grid = f.grid
 
         def peak(a: np.ndarray) -> float:
             return float(np.max(np.abs(a)))

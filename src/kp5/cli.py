@@ -112,10 +112,9 @@ def _run_picard(cfg: SimConfig, args) -> _Run:
 
 def _run_radius_decay(cfg: SimConfig, args) -> _Run:
     result = radius_decay_run(cfg)
-    keys = _attrs(result, "delta sigma0 tail_p tail_amp collapse_time fit_failures")
     return _Run(
         result.samples,
-        {**keys, "constants": {"c_emp": result.c_emp}},
+        _attrs(result, "delta sigma0 tail_p tail_amp c_emp collapse_time fit_failures"),
         f"{len(result.samples)} samples; sigma0={result.sigma0:.4f} "
         f"tail p={result.tail_p:.3f} C_emp={result.c_emp:.4f}",
         result.run,
@@ -127,7 +126,7 @@ def _run_sigma_ladder(cfg: SimConfig, args) -> _Run:
     return _Run(
         result.run.records,
         _attrs(result, "delta slope fit_failures"),
-        f"slope {result.slope:.3f} over {len(result.sigmas)} rates",
+        f"slope {result.slope:.3f} over {len(cfg.gevrey.ladder)} rates",
         result.run,
     )
 
@@ -150,8 +149,7 @@ def _run_bilinear(cfg: SimConfig, args) -> _Run:
         raise ConfigError(f"--{exc.field}", exc.reason) from None
     return _Run(
         result.ratios,
-        {**_attrs(result, "max_ratio q95"), **_attrs(args, "trials nx ny"),
-         "params": params},
+        {**_attrs(result, "max_ratio q95"), "trials": args.trials, "params": params},
         f"max ratio {result.max_ratio:.4f}, q95 {result.q95:.4f}",
         # the trials' grid: --nx x --ny on the default 32 pi x 32 pi torus
         cfg=replace(cfg, grid=GridConfig(nx=args.nx, ny=args.ny)),
@@ -163,7 +161,7 @@ def _run_uniqueness(cfg: SimConfig, args) -> _Run:
     passed = gronwall_check(result).passed
     return _Run(
         result.samples,
-        {**_attrs(result, "eps max_ratio"), "passed": passed},
+        {"eps": args.eps, "max_ratio": result.max_ratio, "passed": passed},
         f"max gap/bound {result.max_ratio:.4f}; passed={passed}",
         result.run,
     )

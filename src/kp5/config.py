@@ -31,9 +31,6 @@ from .spectral import Grid2D
 # contraction-window constant delta = c0 / (1 + ||f||)^exponent, calibrated
 # so the doubling margin on the standard data suite stays >= 10%
 DEFAULT_C0 = 0.4
-# radius-floor constant sigma(t) >= C_emp / t, measured on the standard
-# suite; a radius-decay run replaces it with the fresh fit in its manifest
-DEFAULT_C_EMP = 5.6
 DEFAULT_LENGTH = 32.0 * math.pi
 
 

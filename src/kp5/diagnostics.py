@@ -16,12 +16,11 @@ import numpy as np
 
 from .config import DEFAULT_LENGTH, InitialConfig, SimConfig
 from .errors import InadmissibleParamsError
-from .initial_data import make_initial_field
+from .initial_data import initial_field
 from .integrator import (
     SimulationOutput,
     _sampled_run,
     cfl_dt,
-    initial_field,
     resolve_dt,
     step,
 )
@@ -45,7 +44,6 @@ from .spectral import (
 )
 
 SPECTRAL_FLOOR = 1e-14  # shells below this fraction of the peak are noise
-GRONWALL_ENVELOPE = 1.1  # A9 bounds the worst gap/bound over t > 0 by this
 BILINEAR_SLICES = 16  # time slices of each bilinear trial window
 _PHASE = 2.0 * np.pi * np.arange(BILINEAR_SLICES) / BILINEAR_SLICES
 # the five slow time harmonics of a bilinear trial window, one row each
@@ -352,8 +350,7 @@ def bilinear_ratio_trials(
 
 @dataclass(frozen=True)
 class AlmostConservationResult:
-    sigmas: tuple[float, ...]
-    increments: tuple[float, ...]  # D(sigma): extremal signed energy deviation
+    increments: tuple[float, ...]  # D(sigma) for each rate of the configured ladder
     slope: float  # d log|D| / d log sigma over the positive-sigma entries
     delta: float
     fit_failures: int  # positive rates left out of the slope fit as D == 0
@@ -403,7 +400,7 @@ def almost_conservation_run(cfg: SimConfig) -> AlmostConservationResult:
     run = _sampled_run(window, f, delta, None, (), record)
     increments = run.records[-1]
     slope, failures = increment_fit(sigmas, increments)
-    return AlmostConservationResult(sigmas, increments, slope, delta, failures, run)
+    return AlmostConservationResult(increments, slope, delta, failures, run)
 
 
 # --- long-horizon radius decay ----------------------------------------------
@@ -485,7 +482,6 @@ class GapSample:
 class UniquenessResult:
     samples: tuple[GapSample, ...]
     max_ratio: float  # worst gap / bound over t > 0, nan if any is nan or none
-    eps: float
     run: SimulationOutput  # its records are the samples
 
 
@@ -502,7 +498,7 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     grid = cfg.make_grid()
     u = initial_field(cfg, grid)
     unit_bump = InitialConfig(kind="gaussian", amplitude=1.0, width=2.0)
-    bump = make_initial_field(grid, unit_bump, cfg.seed)
+    bump = initial_field(replace(cfg, initial=unit_bump), grid)
     bump_l2 = gevrey_norm(bump, 0.0, 0.0)
     pair = SpectralField(grid, np.stack([u.band, u.band + eps * (bump.band / bump_l2)]))
     grid_dt, _ = resolve_dt(cfg, grid, cfg.time.horizon)
@@ -526,7 +522,7 @@ def uniqueness_gap(cfg: SimConfig, eps: float) -> UniquenessResult:
     # the t = 0 ratio is 1 by construction: the worst later one, nan if none
     ratios = [s.gap / s.bound for s in samples if s.t > 0 and s.bound > 0]
     max_ratio = float(np.max(ratios)) if ratios else math.nan
-    return UniquenessResult(samples, max_ratio, eps, run)
+    return UniquenessResult(samples, max_ratio, run)
 
 
 # --- weighted energy identity -----------------------------------------------

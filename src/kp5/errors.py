@@ -21,14 +21,7 @@ class IllPosedInversionError(Kp5Error):
 
 class SigmaOverflowError(Kp5Error):
     """An analyticity weight would overflow double precision on this grid.
-
-    Carries the largest admissible sigma1 (at the requested sigma2) so the
-    caller can back off.
-    """
-
-    def __init__(self, msg: str, max_sigma1: float):
-        super().__init__(msg)
-        self.max_sigma1 = max_sigma1
+    The message names the largest admissible sigma1 at the requested sigma2."""
 
 
 class PicardDivergenceError(Kp5Error):

@@ -8,9 +8,9 @@ the peak physical value before both that projection and the 2/3 cut (for
 the synthetic-spectrum family the raw spectrum is rescaled to hit the
 requested peak), so it sizes the data the constructors build, not the
 field the flow runs, whose peak can be much lower.  ``KINDS`` maps each config
-``initial.kind`` to its constructor, and ``make_initial_field``, where
-configured data enter, cuts the half plane to the 2/3 band of a
-``SpectralField`` and rejects data that overflow a double.
+``initial.kind`` to its constructor, and ``initial_field``, where configured
+data enter, cuts the half plane to the 2/3 band of a ``SpectralField`` and
+rejects data that overflow a double.
 """
 
 from __future__ import annotations
@@ -119,16 +119,18 @@ KINDS = {
 }
 
 
-def make_initial_field(grid: Grid2D, init, seed: int) -> SpectralField:
-    """The field of an ``InitialConfig``-shaped object (see config module):
-    the half plane its kind's constructor in ``KINDS`` builds from the run's
-    seed, cut to the 2/3 band; data that are not finite raise
+def initial_field(cfg, grid: Grid2D | None = None) -> SpectralField:
+    """The initial field of a ``SimConfig`` (see config module) on its grid
+    (or ``grid``): the half plane its kind's constructor in ``KINDS`` builds
+    from the run's seed, cut to the 2/3 band; data that are not finite raise
     ``ConfigError``."""
+    grid = cfg.make_grid() if grid is None else grid
+    init = cfg.initial
     build = KINDS.get(init.kind)
     if build is None:
         raise ConfigError("initial.kind", f"unknown kind {init.kind!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        half = build(grid, init, seed)
+        half = build(grid, init, cfg.seed)
     field = SpectralField(grid, half[grid.band_j, : grid.ny // 3 + 1])
     if not np.all(np.isfinite(field.band)):
         raise ConfigError(

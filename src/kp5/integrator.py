@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import SimConfig
 from .errors import BlowUpError
-from .initial_data import make_initial_field
+from .initial_data import initial_field
 from .operators import (
     band_norms, dispersion_symbol, gevrey_norm, ladder_norms, remainder_n,
 )
@@ -155,12 +155,6 @@ def step(field: SpectralField, dt: float, t: float = 0.0) -> SpectralField:
             f"non-finite coefficients after step to t={t + dt:g}", time=t + dt
         )
     return SpectralField(grid, new_c)
-
-
-def initial_field(cfg: SimConfig, grid: Grid2D | None = None) -> SpectralField:
-    """Configured initial data, projected and cut to the 2/3 band."""
-    g = cfg.make_grid() if grid is None else grid
-    return make_initial_field(g, cfg.initial, cfg.seed)
 
 
 def resolve_dt(cfg: SimConfig, grid: Grid2D, span: float) -> tuple[float, int]:

@@ -55,8 +55,7 @@ def assert_sigma_within_guard(grid: Grid2D, sigma1: float, sigma2: float) -> Non
             f"sigma1={sigma1:g}, sigma2={sigma2:g} put exp argument at "
             f"{load:.1f} > {SIGMA_GUARD_LIMIT:g} on this grid; largest "
             f"admissible sigma1 at this sigma2 is "
-            f"{max_admissible_sigma1(grid, sigma2):.6g}",
-            max_sigma1=max_admissible_sigma1(grid, sigma2),
+            f"{max_admissible_sigma1(grid, sigma2):.6g}"
         )
 
 

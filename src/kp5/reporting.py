@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_C_EMP, SimConfig, config_to_dict
+from .config import SimConfig, config_to_dict
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -38,22 +38,14 @@ def _finite_or_null(value):
 
 
 def write_manifest(path, cfg: SimConfig, command: str, extras: dict) -> None:
-    constants = {
-        "c0": cfg.delta.c0,
-        "delta_exponent": cfg.delta.exponent,
-        "c_emp": DEFAULT_C_EMP,
-    }
-    extras = dict(extras)
-    constants.update(extras.pop("constants", {}))
     payload = {
         "tool": "kp5",
         "version": __version__,
         "numpy_version": np.__version__,
         "command": command,
         "config": config_to_dict(cfg),
-        "constants": constants,
+        **extras,
     }
-    payload.update(extras)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(
             _finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False

@@ -32,7 +32,7 @@ its tables from the band's own frequencies; the plane beyond the band is
 known only to the product kernel's transforms, to ``full_plane`` and
 ``Grid2D.mode_index`` (reference computations), to ``from_coefficients``
 (kept because the benchmark tracer wraps it) and to the initial-data
-constructors, whose half planes ``make_initial_field`` cuts to the band.
+constructors, whose half planes ``initial_field`` cuts to the band.
 
 Every product of fields goes through one kernel: ``dealiased_square`` is
 ``physical_values`` (the band's rows padded into an (nx, ny//3 + 1) buffer,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kp5.integrator import initial_field, resolve_dt
+from kp5.initial_data import initial_field
+from kp5.integrator import resolve_dt
 from kp5.operators import gevrey_norm
 from kp5.spectral import Grid2D, SpectralField
 

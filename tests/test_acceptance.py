@@ -18,8 +18,7 @@ import kp5.diagnostics
 import kp5.integrator
 import kp5.picard
 import kp5.spectral
-from kp5.acceptance import AcceptanceSuite, Check, CriterionResult
-from kp5.config import DEFAULT_C_EMP
+from kp5.acceptance import DEFAULT_C_EMP, AcceptanceSuite, Check, CriterionResult
 from kp5.diagnostics import RadiusDecayResult, RadiusSample
 from kp5.integrator import SimulationOutput
 from kp5.spectral import Grid2D, SpectralField

@@ -21,8 +21,7 @@ from kp5.config import (
 )
 from kp5.diagnostics import GevreyParams, uniqueness_gap
 from kp5.errors import ConfigError
-from kp5.initial_data import rng_from_seed
-from kp5.integrator import initial_field
+from kp5.initial_data import initial_field, rng_from_seed
 from kp5.picard import picard_from_config
 from kp5.reporting import write_csv, write_manifest
 from kp5.spectral import SpectralField, load_snapshot
@@ -323,8 +322,8 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert m1["tool"] == "kp5"
     assert m1["numpy_version"] == np.__version__
     assert m1["command"] == "simulate"
-    assert m1["constants"]["c0"] > 0
-    assert m1["constants"]["c_emp"] > 0
+    assert "constants" not in m1
+    assert m1["config"]["delta"] == {"c0": 0.4, "exponent": 2.0}
     assert config_from_dict(m1["config"]).time.horizon == 0.1
     header = (out1 / "series.csv").read_text().splitlines()[0]
     assert header.startswith("t,l2,gevrey_")
@@ -370,6 +369,23 @@ def test_cli_radius_decay_manifest_counts_failed_fits(tmp_path):
     assert m["collapse_time"] is None
 
 
+def test_cli_radius_decay_manifest_c_emp_is_the_tail_minimum(tmp_path):
+    """The manifest's c_emp is the run's fitted radius floor: min t * sigma_est
+    over the rows of decay.csv past a tenth of the horizon with sigma_est > 0."""
+    cfg = write(
+        tmp_path,
+        "grid:\n  nx: 64\n  ny: 64\ntime:\n  horizon: 0.1\n"
+        "initial:\n  kind: exp_spectrum\n  amplitude: 0.5\n  phases: random\n"
+        "gevrey:\n  sigma1: 1.0\n",
+    )
+    out = tmp_path / "decay"
+    assert main(["radius-decay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    rows = [[float(v) for v in r.split(",")]
+            for r in (out / "decay.csv").read_text().strip().splitlines()[1:]]
+    tail = [t * sigma for t, sigma, _ in rows if t >= 0.1 / 10.0 and sigma > 0.0]
+    assert len(tail) >= 2
+    assert m["c_emp"] == min(tail)
 
 
 @pytest.mark.parametrize("dt_line, source", [("", "window"), ("  dt: 0.004\n", "explicit")])
@@ -410,7 +426,7 @@ def test_cli_radius_decay_manifest_is_strict_json(tmp_path):
     assert main(["radius-decay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
     assert m["tail_p"] is None and m["tail_amp"] is None
-    assert m["constants"]["c_emp"] is None
+    assert m["c_emp"] is None
     assert m["sigma0"] > 0.0
 
 
@@ -435,6 +451,7 @@ def test_cli_run_manifest_is_strict_json_with_phases(tmp_path, argv, phases, sou
     assert main([*argv, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     m = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
     assert m["command"] == argv[0] and m["status"] == "ok"
+    assert "constants" not in m  # c0 and the exponent are config.delta's
     assert set(m["phase_s"]) == phases
     assert all(v >= 0.0 for v in m["phase_s"].values())
     # every sampled run reports the step telemetry, and only those do
@@ -457,7 +474,8 @@ def test_cli_bilinear_manifest_records_the_trial_grid(tmp_path):
     assert m["config"]["grid"] == {
         "nx": 16, "ny": 24, "lx": 32.0 * math.pi, "ly": 32.0 * math.pi,
     }
-    assert (m["nx"], m["ny"], m["config"]["seed"]) == (16, 24, 5)
+    assert m["config"]["seed"] == 5
+    assert "nx" not in m and "ny" not in m  # the config grid is their one home
 
 
 def test_manifest_writes_non_finite_floats_as_null(tmp_path):

@@ -31,7 +31,6 @@ from kp5.integrator import (
     _sampled_run,
     aligned_dt,
     cfl_dt,
-    initial_field,
     max_group_speed,
     resolve_dt,
     simulate,
@@ -41,7 +40,7 @@ from kp5.integrator import (
 )
 from kp5.operators import gevrey_norm, semigroup_apply
 from kp5.picard import delta_rule
-from kp5.initial_data import KINDS, make_initial_field
+from kp5.initial_data import KINDS, initial_field
 from kp5.spectral import (
     Grid2D, SpectralField, full_plane, physical_values, x_derivative,
 )
@@ -527,7 +526,7 @@ _FAMILIES = {
 @pytest.mark.parametrize("grid", [GRID_32x48, GRID_64], ids=["32x48", "64x64"])
 def test_initial_field_is_the_cut_of_its_constructor(kind, grid):
     """Each family's constructor builds its un-cut half plane, x-mean row
-    zeroed, and ``make_initial_field`` is the one place that cuts it to the
+    zeroed, and ``initial_field`` is the one place that cuts it to the
     2/3 band: the field's band is that cut, bit for bit, with column k = 0
     paired as every field pairs it (which moves it by rounding only)."""
     init = _FAMILIES[kind]
@@ -537,7 +536,9 @@ def test_initial_field_is_the_cut_of_its_constructor(kind, grid):
     column = want[:, 0].copy()
     want[:, 0] = 0.5 * (column + np.conj(column[-np.arange(len(column))]))
     assert np.max(np.abs(want[:, 0] - column)) <= 1e-15 * np.max(np.abs(want))
-    assert np.array_equal(make_initial_field(grid, init, 7).band, want)
+    box = GridConfig(nx=grid.nx, ny=grid.ny, lx=grid.lx, ly=grid.ly)
+    cfg = SimConfig(grid=box, initial=init, seed=7)
+    assert np.array_equal(initial_field(cfg).band, want)
 
 
 @pytest.mark.parametrize("name, peak, l2_lost", [
@@ -566,7 +567,7 @@ def test_amplitude_is_the_peak_before_the_cut(name, peak, l2_lost):
 _LOADS_RANDOM = """
 import sys
 from kp5.config import GridConfig, InitialConfig, SimConfig
-from kp5.integrator import initial_field
+from kp5.initial_data import initial_field
 init = InitialConfig(kind=sys.argv[1], phases=sys.argv[2])
 initial_field(SimConfig(grid=GridConfig(nx=16, ny=16), initial=init))
 print("numpy.random" in sys.modules)

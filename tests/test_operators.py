@@ -150,8 +150,7 @@ def test_sigma_guard(grid32):
     assert_sigma_within_guard(grid32, limit * 0.99, 0.0)
     with pytest.raises(SigmaOverflowError) as info:
         assert_sigma_within_guard(grid32, limit * 1.01, 0.0)
-    assert info.value.max_sigma1 == pytest.approx(limit)
-    assert f"{info.value.max_sigma1:g}" in str(info.value)
+    assert f"{limit:g}" in str(info.value)  # the message names the largest sigma1
 
 
 def test_dispersion_symbol_values(grid16):

@@ -68,6 +68,54 @@ def test_no_unused_imports():
     assert [u for path in paths for u in _unused_imports(path)] == []
 
 
+def _private_names(path: Path) -> tuple[dict, set]:
+    """The module-level ``_name``s a module defines ({name: line}, dunders
+    aside) and every name it reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    defined = {k: v for k, v in defined.items()
+               if k.startswith("_") and not k.startswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return defined, read
+
+
+def test_no_unused_private_names():
+    """Every module-level ``_name`` of ``src/kp5`` is read somewhere in
+    ``src/kp5`` or ``scripts``, so a helper orphaned when its last caller
+    goes fails here."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "kp5").glob("*.py")) + sorted(
+        (root / "scripts").glob("*.py")
+    )
+    found = {path: _private_names(path) for path in paths}
+    read = set().union(*(names for _, names in found.values()))
+    unused = [f"{path.name}:{line} {name}"
+              for path, (defined, _) in found.items() if path.parent.name == "kp5"
+              for name, line in defined.items() if name not in read]
+    assert unused == []
+
+
+def test_benchmark_sample_builds_fields_through_the_integrator():
+    """kp5bench/sample.py builds each workload's initial field through
+    ``kp5.integrator.initial_field(cfg, grid)``, which is the one in
+    ``kp5.initial_data``."""
+    import kp5.initial_data
+    import kp5.integrator
+
+    assert kp5.integrator.initial_field is kp5.initial_data.initial_field
+
+
 def test_benchmark_tracer_contract():
     """kp5bench/tracer.py wraps these two classmethods through the class
     ``__dict__``, and its self-test takes the norm of a zero field built

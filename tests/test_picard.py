@@ -11,7 +11,7 @@ from conftest import random_band_field
 from kp5.acceptance import SUITE_MEMBERS, suite_cfg
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
 from kp5.errors import BlowUpError, PicardDivergenceError
-from kp5.integrator import initial_field
+from kp5.initial_data import initial_field
 from kp5.operators import (
     _norm_weight,
     _weighted_norm,
