@@ -20,7 +20,6 @@ from .initial_data import initial_field
 from .integrator import (
     SimulationOutput,
     _sampled_run,
-    cfl_dt,
     resolve_dt,
     step,
 )
@@ -555,7 +554,7 @@ def energy_identity_check(cfg: SimConfig) -> EnergyIdentityResult:
     grid = cfg.make_grid()
     f = initial_field(cfg, grid)
     s1, s2 = cfg.gevrey.sigma1, cfg.gevrey.sigma2
-    base = cfg.time.dt if cfg.time.dt is not None else cfl_dt(grid, cfg.time.cfl)
+    base, _ = resolve_dt(cfg, grid, 0.0)  # span 0: the step unshrunk
 
     def flux(w: SpectralField) -> float:
         return l2_inner(apply_gevrey(w, s1, s2), remainder_n(w, s1, s2))

@@ -32,13 +32,7 @@ import numpy as np
 
 from .config import SimConfig
 from .errors import BlowUpError, PicardDivergenceError
-from .operators import (
-    _norm_weight,
-    _weighted_norm,
-    assert_sigma_within_guard,
-    dispersion_symbol,
-    gevrey_norm,
-)
+from .operators import band_norms, dispersion_symbol, gevrey_norm
 from .spectral import Grid2D, SpectralField, dealiased_square
 
 DOUBLING_BOUND = 2.0  # the window norm may reach this multiple of the data norm
@@ -132,8 +126,8 @@ def duhamel_apply(
     """One mild-form application to a band window of length delta, free
     flow of f plus the driven integral, written over the window.  Returns
     the update distance and the sup norm of the new window: the sup-slice
-    norms at the rates (sigma1, sigma2) of old - new and of new.  The rates
-    must pass the overflow guard, which ``picard_iterate`` checks.
+    norms at the rates (sigma1, sigma2) of old - new and of new.  Rates past
+    the overflow guard raise ``SigmaOverflowError`` before any slice is written.
 
     The propagator is commuted through the integral,
     S(t - t') = S(t) S(-t'), so one cumulative quadrature in the rotated
@@ -144,7 +138,6 @@ def duhamel_apply(
     whose squares are taken before they are overwritten.
     """
     grid, n = f.grid, window.shape[0]
-    table = _norm_weight(grid, sigma1, sigma2)
     data = f.band
     kick = -0.5j * grid.xi_col
     norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||
@@ -169,7 +162,7 @@ def duhamel_apply(
         cum += data
         cum *= phases
         np.subtract(window[s], cum, out=update)
-        norms[:, s] = _weighted_norm(np.abs(out), table, grid.measure)
+        norms[:, s] = band_norms(grid, out, sigma1, sigma2)
         window[s] = cum
     return float(norms[0].max()), float(norms[1].max())
 
@@ -209,7 +202,8 @@ def picard_iterate(
 
     Raises ``PicardDivergenceError`` after three consecutive non-decreasing
     distances: on a correctly sized window the map is a contraction, so
-    sustained non-decrease means delta was too long.
+    sustained non-decrease means delta was too long.  Rates past the
+    overflow guard raise ``SigmaOverflowError`` from the first sweep.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -217,7 +211,6 @@ def picard_iterate(
         raise ValueError("window length must be positive")
     if slices < 2 or slices % 2:  # Simpson pairs tile the window
         raise ValueError("slices must be even and >= 2")
-    assert_sigma_within_guard(f.grid, sigma1, sigma2)
     window = free_window(f, delta, slices)
     distances: list[float] = []
     sup_norms: list[float] = []

@@ -10,13 +10,14 @@ import kp5.picard
 from conftest import random_band_field
 from kp5.acceptance import SUITE_MEMBERS, suite_cfg
 from kp5.config import DEFAULT_C0, GridConfig, InitialConfig, SimConfig, TimeConfig
-from kp5.errors import BlowUpError, PicardDivergenceError
+from kp5.errors import BlowUpError, PicardDivergenceError, SigmaOverflowError
 from kp5.initial_data import initial_field
 from kp5.operators import (
     _norm_weight,
     _weighted_norm,
     dispersion_symbol,
     gevrey_norm,
+    max_admissible_sigma1,
     semigroup_apply,
 )
 from kp5.picard import (
@@ -191,6 +192,33 @@ def test_window_validation(grid16):
                 f, delta, sigma1=0.0, sigma2=0.0, slices=slices, n_max=2,
                 tol=1e-10,
             )
+
+
+@pytest.mark.parametrize("factor", [1.01, 2.0])
+def test_duhamel_refuses_rates_past_the_guard(grid16, factor):
+    """A direct call past the overflow guard raises, naming the largest
+    admissible sigma1, and leaves the window as it was.  Just past the
+    guard the band weights stay finite; at twice it they overflow, and an
+    unguarded sweep would return (nan, inf)."""
+    f = random_band_field(grid16, seed=1)
+    limit = max_admissible_sigma1(grid16)
+    window = free_window(f, 0.01, slices=4)
+    before = window.copy()
+    with pytest.raises(SigmaOverflowError, match=f"{limit:g}"):
+        duhamel_apply(f, window, 0.01, factor * limit, 0.0)
+    assert np.array_equal(window, before)
+
+
+def test_picard_refuses_rates_past_the_guard(grid16):
+    """``picard_iterate`` refuses a rate past the guard: its first sweep's
+    norms raise."""
+    f = random_band_field(grid16, seed=1)
+    limit = max_admissible_sigma1(grid16)
+    with pytest.raises(SigmaOverflowError, match=f"{limit:g}"):
+        picard_iterate(
+            f, 0.01, sigma1=1.01 * limit, sigma2=0.0, slices=4, n_max=2,
+            tol=1e-10,
+        )
 
 
 def test_free_window_matches_semigroup(grid16):
