@@ -192,12 +192,9 @@ def _xtsb_weight(
     multiplicity = grid.column_multiplicity[None, :]
     mod = tau[:, None, None] - m[None, :, :]
     w = bracket(mod) ** (2.0 * params.b) * multiplicity
-    if params.eps != 0.0:
-        w = w * bracket(mod / (1.0 + np.abs(xi) ** 5)) ** (2.0 * params.eps)
-    if params.s1 != 0.0:
-        w = w * bracket(xi)[None, :, :] ** (2.0 * params.s1)
-    if params.s2 != 0.0:
-        w = w * bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
+    w *= bracket(mod / (1.0 + np.abs(xi) ** 5)) ** (2.0 * params.eps)
+    w *= bracket(xi)[None, :, :] ** (2.0 * params.s1)
+    w *= bracket(grid.eta_row)[None, :, :] ** (2.0 * params.s2)
     w = np.sqrt(w)
     return _frozen(np.ascontiguousarray(np.broadcast_to(w, (n_t,) + m.shape)))
 

@@ -11,11 +11,12 @@ of shape (slices + 1, *grid.band_shape): the bands of the real field at the
 slice times i * delta / slices, real and dealiased by construction.  A run
 keeps one such buffer and no other array of its size: each iteration sweeps
 it one Simpson pair of slices at a time (an even slice count, so the pairs
-tile the window), making the pair's phases exp(i t m) afresh, squaring the
+tile slices 1 on), making the pair's phases exp(i t m) afresh, squaring the
 pair with the dealiased-square kernel, advancing the cumulative Simpson
 integral from the slice before, and writing the new pair over the old one
 once its update distance and norm are taken, so every temporary holds a few
-slices and stays in cache.  The iteration distance is
+slices and stays in cache.  Slice 0, at t = 0, is the data in every iterate
+and takes no phase.  The iteration distance is
 the sup over slices of the Gevrey norm of the update.  With contraction the
 per-iterate ratios sit well below 1 and the window rule
 
@@ -70,8 +71,7 @@ def _simpson_pair(left, mid, right, h, carry, odd, pair) -> None:
     the integral to ``mid`` of the parabola through the three samples,
     h/12 * (5l + 8m - r), taken from the pair sum as
     h/6 * ((l + 4m + r) + 3/2 (l - r)); both add ``carry``, the integral to
-    ``left`` (None at the start, where it is 0).  Works on complex arrays
-    of any shape, with no temporaries.
+    ``left``.  Works on complex arrays of any shape, with no temporaries.
     """
     np.multiply(mid, 4.0, out=pair)
     pair += left
@@ -81,16 +81,15 @@ def _simpson_pair(left, mid, right, h, carry, odd, pair) -> None:
     odd += pair
     odd *= h / 6.0
     pair *= h / 3.0
-    if carry is not None:
-        pair += carry
-        odd += carry
+    pair += carry
+    odd += carry
 
 
-def _block_phases(grid: Grid2D, delta: float, n_slices: int):
-    """Slice 0 alone, then each Simpson pair (slices p+1, p+2), as
-    (slice, phases): exp(i * t_i * m) on the 2/3 band at the block's times,
-    written into one reused contiguous (2, band) buffer, so a block's
-    phases hold only until the next block is taken.
+def _pair_phases(grid: Grid2D, delta: float, n_slices: int):
+    """Each Simpson pair (slices p, p+1) for odd p, as (slice, phases):
+    exp(i * t_i * m) on the 2/3 band at the pair's times, written into one
+    reused contiguous (2, band) buffer, so a pair's phases hold only until
+    the next pair is taken.  Slice 0, at t = 0, takes no phase.
 
     Since m(-xi, eta) = -m(xi, eta), only rows 0 <= j <= nx//3 take an
     exponential; rows -j are their conjugates.
@@ -99,12 +98,11 @@ def _block_phases(grid: Grid2D, delta: float, n_slices: int):
     m = dispersion_symbol(grid)
     top = grid.nx // 3 + 1
     rate = 1j * m[None, :top]
-    buffer = np.empty((2,) + m.shape, dtype=np.complex128)
-    for s in [slice(0, 1)] + [slice(p, p + 2) for p in range(1, n_slices, 2)]:
-        t = times[s]
-        phases = buffer[: len(t)]
-        upper = phases[:, :top]
-        np.multiply(t[:, None, None], rate, out=upper)
+    phases = np.empty((2,) + m.shape, dtype=np.complex128)
+    upper = phases[:, :top]
+    for p in range(1, n_slices, 2):
+        s = slice(p, p + 2)
+        np.multiply(times[s, None, None], rate, out=upper)
         np.exp(upper, out=upper)
         np.conjugate(phases[:, top - 1 : 0 : -1], out=phases[:, top:])
         yield s, phases
@@ -112,10 +110,11 @@ def _block_phases(grid: Grid2D, delta: float, n_slices: int):
 
 def free_window(f: SpectralField, delta: float, slices: int) -> np.ndarray:
     """Free evolution S(t) f at the slices + 1 window times, a new
-    (slices + 1, *grid.band_shape) array."""
+    (slices + 1, *grid.band_shape) array whose slice 0 is f's band."""
     band = f.band
     window = np.empty((slices + 1,) + band.shape, dtype=np.complex128)
-    for s, phases in _block_phases(f.grid, delta, slices + 1):
+    window[0] = band
+    for s, phases in _pair_phases(f.grid, delta, slices + 1):
         np.multiply(phases, band, out=window[s])
     return window
 
@@ -133,16 +132,19 @@ def duhamel_apply(
     S(t - t') = S(t) S(-t'), so one cumulative quadrature in the rotated
     frame serves every output slice; the x-derivative commutes with the
     quadrature too and is applied once, after it.  The sweep takes one
-    Simpson pair (slices p+1, p+2) at a time, so every temporary holds a
-    few slices: a new slice depends only on old slices at or before it,
-    whose squares are taken before they are overwritten.
+    Simpson pair (slices p, p+1 for odd p) at a time, so every temporary
+    holds a few slices: a new slice depends only on old slices at or before
+    it, whose squares are taken before they are overwritten.  Slice 0 is the
+    data, left as it is: the integral to it is 0, and its update is 0.
     """
     grid, n = f.grid, window.shape[0]
     data = f.band
     kick = -0.5j * grid.xi_col
     norms = np.empty((2, n))  # per slice: ||old - new|| and ||new||
-    left = carry = None
-    for s, phases in _block_phases(grid, delta, n):
+    norms[:, 0] = 0.0, band_norms(grid, data, sigma1, sigma2)
+    left = np.conjugate(dealiased_square(grid, data))
+    carry = np.zeros_like(left)
+    for s, phases in _pair_phases(grid, delta, n):
         # the square rotated back by conj(phases) as conj(conj(F) * phases),
         # in place: no conjugated copy of the phases is made
         forcing = dealiased_square(grid, window[s])
@@ -151,11 +153,8 @@ def duhamel_apply(
         # the update and the new slices side by side, for one norm call
         out = np.empty((2,) + forcing.shape, dtype=np.complex128)
         update, cum = out
-        if left is None:  # the integral to slice 0 is 0
-            cum[...] = 0.0
-        else:
-            _simpson_pair(left, *forcing, delta / (n - 1), carry, *cum)
-            carry = cum[1].copy()
+        _simpson_pair(left, *forcing, delta / (n - 1), carry, *cum)
+        carry = cum[1].copy()
         left = forcing[-1]
         np.conjugate(cum, out=cum)
         cum *= kick

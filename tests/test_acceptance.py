@@ -141,8 +141,7 @@ def _plant_simpson_trapezoid_odd_end(monkeypatch):
     def planted(left, mid, right, h, carry, odd, pair):
         simpson(left, mid, right, h, carry, odd, pair)
         np.multiply(left + mid, 0.5 * h, out=odd)
-        if carry is not None:
-            odd += carry
+        odd += carry
 
     monkeypatch.setattr(kp5.picard, "_simpson_pair", planted)
 

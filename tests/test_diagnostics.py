@@ -31,6 +31,7 @@ from kp5.diagnostics import (
     _log2_ratio,
     _random_bases,
     _tapered_dft,
+    _xtsb_weight,
     almost_conservation_run,
     bilinear_ratio_trials,
     bourgain_norm,
@@ -53,6 +54,7 @@ from kp5.integrator import (
 )
 from kp5.operators import (
     band_norms,
+    dispersion_symbol,
     gevrey_norm,
     remainder_n,
     semigroup_apply,
@@ -250,6 +252,31 @@ def test_bourgain_norm_orders_are_a_sum_over_modes(grid16):
     want = math.sqrt(grid16.lx * grid16.ly * field.duration * total)
     got = bourgain_norm(field, GevreyParams(s1=s1, s2=s2, b=b, eps=eps))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [GevreyParams(b=0.0), GevreyParams(), GevreyParams(eps=0.1),
+     GevreyParams(s1=-0.5), GevreyParams(s2=0.3)],
+    ids=["all-zero", "b", "eps", "s1", "s2"],
+)
+def test_xtsb_weight_is_the_product_of_all_four_factors(grid16, params):
+    """The weight table is the square root of <tau - m>^2b times the column
+    multiplicity times the eps, s1 and s2 factors, bit for bit, whichever
+    orders are 0: a factor at order 0 is exactly 1."""
+    n_t, slice_dt = 8, 0.03
+    tau = 2 * np.pi * np.fft.fftfreq(n_t, d=slice_dt)[:, None, None]
+    xi, eta = grid16.xi_col, grid16.eta_row
+    mod = tau - dispersion_symbol(grid16)
+    lam2 = (
+        bracket(mod) ** (2 * params.b) * grid16.column_multiplicity
+        * bracket(mod / (1 + np.abs(xi) ** 5)) ** (2 * params.eps)
+        * bracket(xi) ** (2 * params.s1)
+        * bracket(eta) ** (2 * params.s2)
+    )
+    got = _xtsb_weight(grid16, n_t, slice_dt, params)
+    assert got.shape == lam2.shape == (n_t,) + grid16.band_shape
+    assert got.tobytes() == np.sqrt(lam2).tobytes()
 
 
 def test_bourgain_norm_monotone_in_b(grid16):

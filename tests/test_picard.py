@@ -21,11 +21,12 @@ from kp5.operators import (
     semigroup_apply,
 )
 from kp5.picard import (
-    _block_phases,
+    _pair_phases,
     _simpson_pair,
     delta_rule,
     duhamel_apply,
     free_window,
+    picard_from_config,
     picard_iterate,
 )
 from kp5.spectral import Grid2D, SpectralField, dealiased_square, full_plane
@@ -119,7 +120,7 @@ def pair_cumulative(values, h: float) -> np.ndarray:
     one ``_simpson_pair`` step at a time."""
     v = np.asarray(values).reshape(len(values), -1)
     out = np.zeros_like(v)
-    carry = None
+    carry = out[0]  # the integral to the first sample
     for p in range(0, len(v) - 1, 2):
         _simpson_pair(v[p], v[p + 1], v[p + 2], h, carry, out[p + 1], out[p + 2])
         carry = out[p + 2]
@@ -269,21 +270,29 @@ def test_duhamel_linear_mode_is_free_flow(monkeypatch, grid16):
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (128, 128)])
-def test_block_phases_are_the_oracle_phases_on_the_band(nx, ny):
-    """Slice 0 alone, then the Simpson pairs, tile the window, and their
-    phases joined are the whole-stack phases, bit for bit; at t = 0 they
-    are exactly 1."""
+def test_pair_phases_are_the_oracle_phases_on_the_band(nx, ny):
+    """The Simpson pairs tile slices 1 on, and their phases joined are the
+    whole-stack phases of those slices, bit for bit.  Slice 0 takes none:
+    it is the data."""
     grid = Grid2D(nx, ny, 2 * math.pi, 2 * math.pi)
     delta, n = 0.3, 65
-    blocks = [(s, phases.copy()) for s, phases in _block_phases(grid, delta, n)]
-    assert [(s.start, s.stop) for s, _ in blocks] == (
-        [(0, 1)] + [(p, p + 2) for p in range(1, n, 2)]
-    )
-    got = np.concatenate([phases for _, phases in blocks])
-    want = window_phases(grid, delta, n)
-    assert got.shape == want.shape == (n, 2 * (nx // 3) + 1, ny // 3 + 1)
+    pairs = [(s, phases.copy()) for s, phases in _pair_phases(grid, delta, n)]
+    assert [(s.start, s.stop) for s, _ in pairs] == [
+        (p, p + 2) for p in range(1, n, 2)
+    ]
+    got = np.concatenate([phases for _, phases in pairs])
+    want = window_phases(grid, delta, n)[1:]
+    assert got.shape == want.shape == (n - 1, 2 * (nx // 3) + 1, ny // 3 + 1)
     assert got.tobytes() == want.tobytes()
-    assert np.all(got[0] == 1.0)
+
+
+@pytest.mark.parametrize("name, init", SUITE_MEMBERS)
+def test_picard_window_starts_at_the_data_bytes(name, init):
+    """Slice 0 of a converged window is the data's band byte for byte,
+    signed zeros included: no iterate writes it."""
+    cfg = suite_cfg(init)
+    f = initial_field(cfg)
+    assert picard_from_config(cfg, f).window[0].tobytes() == f.band.tobytes()
 
 
 def test_duhamel_matches_derivative_before_quadrature():
